@@ -16,14 +16,14 @@ from repro.nlu.pipeline import (
     build_gazetteers,
 )
 from repro.nlu.slots import SlotTagger
-from repro.nlu.textmatch import (
+from repro.nlu.tokenizer import Token, bio_to_spans, spans_to_bio, tokenize
+from repro.textutil import (
     best_match,
     levenshtein,
     normalized_edit_similarity,
     trigram_similarity,
     trigrams,
 )
-from repro.nlu.tokenizer import Token, bio_to_spans, spans_to_bio, tokenize
 
 __all__ = [
     "FALLBACK_INTENT",

@@ -16,8 +16,8 @@ from typing import Any
 from repro.db.database import Database
 from repro.db.types import DataType, TypeMismatchError, coerce, render
 from repro.db.versioncache import VersionStampedCache
-from repro.nlu.textmatch import best_match
 from repro.synthesis.templates import SlotVocabulary
+from repro.textutil import best_match
 
 __all__ = ["LinkedValue", "EntityLinker"]
 

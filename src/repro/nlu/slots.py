@@ -1,16 +1,18 @@
 """Slot filling: averaged structured perceptron over BIO tags.
 
-A classic, dependency-free sequence labeller: hand-crafted per-token
-features (word identity, shape, affixes, context window) scored against
-label weights plus first-order transition weights, decoded with Viterbi
-and trained with averaged perceptron updates.  This is the from-scratch
-equivalent of the CRF-style slot filler RASA trains.
+A classic sequence labeller: hand-crafted per-token features (word
+identity, shape, affixes, context window) scored against label weights
+plus first-order transition weights, decoded with Viterbi and trained
+with averaged perceptron updates.  This is the from-scratch equivalent
+of the CRF-style slot filler RASA trains.  Features and labels are
+interned to ints once, and one decoder serves training and tagging.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+
+import numpy as np
 
 from repro.errors import NLUError, NotFittedError
 from repro.nlu.tokenizer import Token, bio_to_spans, spans_to_bio, tokenize
@@ -19,7 +21,6 @@ from repro.synthesis.corpus import NLUDataset, SlotSpan
 __all__ = ["SlotTagger"]
 
 _OUTSIDE = "O"
-_START = "<s>"
 
 
 def _shape(word: str) -> str:
@@ -82,7 +83,8 @@ class SlotTagger:
 
     ``gazetteers`` maps slot names to lower-cased token lexicons (e.g.
     every word of every movie title); membership becomes a feature, the
-    equivalent of RASA's lookup tables.
+    equivalent of RASA's lookup tables.  What :meth:`tag` reads is built
+    by :meth:`fit` and never written again, so threads may share it.
     """
 
     def __init__(
@@ -95,8 +97,10 @@ class SlotTagger:
         self.seed = seed
         self.gazetteers = gazetteers or {}
         self._labels: list[str] | None = None
-        self._weights: dict[tuple[str, str], float] | None = None
-        self._transitions: dict[tuple[str, str], float] | None = None
+        #: feature -> averaged weight per label id (all-zero rows left out)
+        self._weights: dict[str, tuple[float, ...]] | None = None
+        #: (L+1) x L averaged transition weights; row L is the start
+        self._transitions: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -108,7 +112,8 @@ class SlotTagger:
     def fit(self, dataset: NLUDataset) -> "SlotTagger":
         if len(dataset) == 0:
             raise NLUError("cannot train on an empty dataset")
-        sequences: list[tuple[list[Token], list[str]]] = []
+        feature_ids: dict[str, int] = {}
+        examples: list[tuple[list[list[int]], list[str]]] = []
         label_set = {_OUTSIDE}
         for example in dataset:
             tokens = tokenize(example.text)
@@ -116,50 +121,62 @@ class SlotTagger:
                 continue
             labels = spans_to_bio(tokens, example.slots)
             label_set.update(labels)
-            sequences.append((tokens, labels))
+            features = [
+                [feature_ids.setdefault(f, len(feature_ids))
+                 for f in _token_features(tokens, i, self.gazetteers)]
+                for i in range(len(tokens))
+            ]
+            examples.append((features, labels))
         self._labels = sorted(label_set)
+        label_ids = {label: i for i, label in enumerate(self._labels)}
+        n_labels = start = len(self._labels)
 
-        weights: dict[tuple[str, str], float] = defaultdict(float)
-        transitions: dict[tuple[str, str], float] = defaultdict(float)
-        totals_w: dict[tuple[str, str], float] = defaultdict(float)
-        totals_t: dict[tuple[str, str], float] = defaultdict(float)
-        stamps_w: dict[tuple[str, str], int] = defaultdict(int)
-        stamps_t: dict[tuple[str, str], int] = defaultdict(int)
+        weights = [[0.0] * n_labels for __ in feature_ids]
+        totals_w = [[0.0] * n_labels for __ in feature_ids]
+        stamps_w = [[0] * n_labels for __ in feature_ids]
+        transitions = np.zeros((n_labels + 1, n_labels))
+        totals_t = np.zeros((n_labels + 1, n_labels))
+        stamps_t = np.zeros((n_labels + 1, n_labels), dtype=np.int64)
+        # Each token's live weight rows, which the decoder reads.
+        sequences = [
+            (features, [[weights[f] for f in ids] for ids in features],
+             [label_ids[label] for label in labels])
+            for features, labels in examples
+        ]
         step = 0
 
         rng = random.Random(self.seed)
         for __ in range(self.epochs):
             rng.shuffle(sequences)
-            for tokens, gold in sequences:
+            for features, rows, gold in sequences:
                 step += 1
-                predicted = self._viterbi(tokens, weights, transitions)
+                predicted, __ = _viterbi(rows, transitions)
                 if predicted == gold:
                     continue
-                previous_gold, previous_pred = _START, _START
-                for i in range(len(tokens)):
-                    if predicted[i] != gold[i]:
-                        for feature in _token_features(tokens, i, self.gazetteers):
-                            _update(weights, totals_w, stamps_w, step,
-                                    (feature, gold[i]), 1.0)
-                            _update(weights, totals_w, stamps_w, step,
-                                    (feature, predicted[i]), -1.0)
-                    gold_edge = (previous_gold, gold[i])
-                    pred_edge = (previous_pred, predicted[i])
-                    if gold_edge != pred_edge:
+                previous_gold, previous_pred = start, start
+                for i, (g, p) in enumerate(zip(gold, predicted)):
+                    if p != g:
+                        for f in features[i]:
+                            _update(weights, totals_w, stamps_w, step, f, g, 1.0)
+                            _update(weights, totals_w, stamps_w, step, f, p, -1.0)
+                    if (previous_gold, g) != (previous_pred, p):
                         _update(transitions, totals_t, stamps_t, step,
-                                gold_edge, 1.0)
+                                previous_gold, g, 1.0)
                         _update(transitions, totals_t, stamps_t, step,
-                                pred_edge, -1.0)
-                    previous_gold, previous_pred = gold[i], predicted[i]
+                                previous_pred, p, -1.0)
+                    previous_gold, previous_pred = g, p
 
         # Finalise averaging.
-        for key, weight in weights.items():
-            totals_w[key] += (step - stamps_w[key]) * weight
-        for key, weight in transitions.items():
-            totals_t[key] += (step - stamps_t[key]) * weight
         denominator = max(step, 1)
-        self._weights = {k: v / denominator for k, v in totals_w.items() if v}
-        self._transitions = {k: v / denominator for k, v in totals_t.items() if v}
+        self._weights = {}
+        for feature, w, t, s in zip(feature_ids, weights, totals_w, stamps_w):
+            row = tuple([(t[j] + (step - s[j]) * w[j]) / denominator
+                         for j in range(n_labels)])
+            if any(row):
+                self._weights[feature] = row
+        self._transitions = (
+            totals_t + (step - stamps_t) * transitions) / denominator
+        self._transitions.flags.writeable = False
         return self
 
     # ------------------------------------------------------------------
@@ -170,61 +187,57 @@ class SlotTagger:
         tokens = tokenize(text)
         if not tokens:
             return []
-        labels = self._viterbi(tokens, self._weights, self._transitions)
-        return bio_to_spans(text, tokens, labels)
+        path, __ = self._decode(tokens)
+        return bio_to_spans(text, tokens, [self._labels[j] for j in path])
 
-    # ------------------------------------------------------------------
-    def _viterbi(
-        self,
-        tokens: list[Token],
-        weights: dict[tuple[str, str], float],
-        transitions: dict[tuple[str, str], float],
-    ) -> list[str]:
-        assert self._labels is not None
-        labels = self._labels
-        n = len(tokens)
-        scores = [dict.fromkeys(labels, float("-inf")) for __ in range(n)]
-        back: list[dict[str, str]] = [{} for __ in range(n)]
-
-        features0 = _token_features(tokens, 0, self.gazetteers)
-        for label in labels:
-            emission = sum(weights.get((f, label), 0.0) for f in features0)
-            scores[0][label] = emission + transitions.get((_START, label), 0.0)
-
-        for i in range(1, n):
-            features = _token_features(tokens, i, self.gazetteers)
-            emissions = {
-                label: sum(weights.get((f, label), 0.0) for f in features)
-                for label in labels
-            }
-            for label in labels:
-                best_prev, best_score = None, float("-inf")
-                for previous in labels:
-                    score = (
-                        scores[i - 1][previous]
-                        + transitions.get((previous, label), 0.0)
-                    )
-                    if score > best_score:
-                        best_prev, best_score = previous, score
-                scores[i][label] = best_score + emissions[label]
-                back[i][label] = best_prev or _OUTSIDE
-
-        last = max(labels, key=lambda lb: scores[n - 1][lb])
-        path = [last]
-        for i in range(n - 1, 0, -1):
-            path.append(back[i][path[-1]])
-        path.reverse()
-        return path
+    def _decode(self, tokens: list[Token]) -> tuple[list[int], list[np.ndarray]]:
+        # Features never seen in training score nothing.
+        weights = self._weights
+        rows = [
+            [weights[f] for f in _token_features(tokens, i, self.gazetteers)
+             if f in weights]
+            for i in range(len(tokens))
+        ]
+        return _viterbi(rows, self._transitions)
 
 
-def _update(
-    weights: dict[tuple[str, str], float],
-    totals: dict[tuple[str, str], float],
-    stamps: dict[tuple[str, str], int],
-    step: int,
-    key: tuple[str, str],
-    delta: float,
-) -> None:
-    totals[key] += (step - stamps[key]) * weights[key]
-    stamps[key] = step
-    weights[key] += delta
+def _viterbi(
+    token_rows: list[list], transitions: np.ndarray
+) -> tuple[list[int], list[np.ndarray]]:
+    """Best label-id path and each token's per-label scores.
+
+    ``token_rows[i]`` holds token ``i``'s weight rows in feature order.
+    A label's emission is the built-in ``sum()`` of its column, as when
+    summing every ``(feature, label)`` weight: Python 3.12+ compensates
+    ``sum()`` rounding, which a numpy reduction or a ``+=`` loop would
+    not reproduce.  ``argmax`` keeps the first maximum, like a strict
+    ``>`` scan over previous labels.
+    """
+    n_labels = transitions.shape[1]
+    steps = transitions[:-1]
+    score = transitions[-1] + _emissions(token_rows[0], n_labels)
+    scores = [score]
+    back = []
+    for rows in token_rows[1:]:
+        candidates = score[:, None] + steps
+        back.append(candidates.argmax(axis=0))
+        score = candidates.max(axis=0) + _emissions(rows, n_labels)
+        scores.append(score)
+    label = int(score.argmax())
+    path = [label]
+    for best in reversed(back):
+        label = int(best[label])
+        path.append(label)
+    path.reverse()
+    return path, scores
+
+
+def _emissions(rows: list, n_labels: int) -> list[float]:
+    return [sum(column) for column in zip(*rows)] or [0.0] * n_labels
+
+
+def _update(weights, totals, stamps, step: int, row: int, label: int,
+            delta: float) -> None:
+    totals[row][label] += (step - stamps[row][label]) * weights[row][label]
+    stamps[row][label] = step
+    weights[row][label] += delta
