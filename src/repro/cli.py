@@ -84,14 +84,10 @@ session has its own dialogue state and awareness model.
   :close <id>   end a session
   :stats        runtime + storage + per-session connection counters
   :advisor      ranked CREATE INDEX suggestions from observed scans
-  :autotune     self-driving policy: applied/retired indexes + budget
-  :replicas     replication status: lag (LSN + seconds), routes, ring
   :compact      fold every table's delta into a fresh sealed segment
   :help         this text
   :quit         leave
-Anything else is sent to the active session.
-With --replicas N, analytic statements route to log-shipped replicas
-at bounded staleness (transactions always commit on the primary)."""
+Anything else is sent to the active session."""
 
 _SHARD_HELP = """\
 Sharded mode: session ids hash across worker processes, each hosting
@@ -103,117 +99,30 @@ all land on its worker).
   :sessions     list live sessions (all workers)
   :close <id>   end a session
   :stats        per-worker turn counts, storage, commit waits
-  :autotune     per-worker self-driving policy status
-  :replicas     per-worker replication status (lag, routes, ring)
   :compact      reseal every worker replica's delta rows
   :help         this text
   :quit         leave
 Anything else is sent to the active session."""
 
 
-def _print_replicas(status: dict, indent: str = "  ") -> None:
-    """Render one runtime's replication status (the ``:replicas`` view)."""
-    if not status.get("enabled"):
-        print(f"{indent}replication off (start with --replicas N)")
-        return
-    seconds = status["lag_seconds"]
-    lag_s = "n/a" if seconds is None else f"{seconds * 1000.0:.1f}ms"
-    print(
-        f"{indent}primary lsn={status['primary_lsn']}  "
-        f"lag={status['lag_lsn']} lsn / {lag_s}  "
-        f"live={status['replicas_live']}  "
-        f"routes={status['replica_routes']} replica"
-        f"/{status['primary_fallbacks']} primary"
-    )
-    ring = status["ring"]
-    print(
-        f"{indent}ring {ring['size']}/{ring['capacity']} records  "
-        f"evicted_lsn={ring['evicted_lsn']}"
-    )
-    for replica in status["replicas"]:
-        state = "up" if replica["alive"] else "down"
-        if replica["needs_resync"]:
-            state = "resync"
-        seconds = replica["lag_seconds"]
-        lag_s = "n/a" if seconds is None else f"{seconds * 1000.0:.1f}ms"
-        line = (
-            f"{indent}  replica {replica['index']}: {state}  "
-            f"applied_lsn={replica['applied_lsn']}  lag={lag_s}  "
-            f"records={replica['records_applied']} "
-            f"in {replica['batches_applied']} batches  "
-            f"resyncs={replica['resyncs']}"
-        )
-        if replica["last_error"]:
-            line += f"  error={replica['last_error']}"
-        print(line)
-
-
-def _print_autotune(status: dict, indent: str = "  ") -> None:
-    """Render one runtime's self-driving status (the ``:autotune`` view)."""
-    state = "on" if status["enabled"] else "off"
-    budget = status["budget"]
-    print(
-        f"{indent}policy {state}  tick={status['tick']}  "
-        f"applied={status['applied']}  retired={status['retired']}"
-    )
-    print(
-        f"{indent}budget: {budget['rows_used']}"
-        f"/{budget['memory_budget_rows']} indexed rows"
-    )
-    if status["indexes"]:
-        print(f"{indent}auto-managed indexes:")
-        for entry in status["indexes"]:
-            print(
-                f"{indent}  {entry['table']}.{entry['column']} "
-                f"({entry['kind']})  hits={entry['hits']:.1f}  "
-                f"hit_rows={entry['hit_rows']:.0f}  "
-                f"maintenance={entry['maintenance']:.0f}"
-            )
-    for action in status["actions"]:
-        print(
-            f"{indent}{action['action']:6s} {action['table']}."
-            f"{action['column']} ({action['kind']}) at tick "
-            f"{action['tick']}"
-        )
-    respec = status.get("respec")
-    if respec:
-        print(
-            f"{indent}respecialisation: "
-            f"divergences={respec['divergences']}  "
-            f"replans={respec['replans']}  forks={respec['forks']}  "
-            f"fork_binds={respec['fork_binds']}"
-        )
-
-
-def _shard_worker_runtime(bootstrap_arg):
+def _shard_worker_runtime(snapshot_path):
     """Spawn-safe shard bootstrap: replica from snapshot + synthesis.
 
     Fork-style workers never call this — they inherit the parent's
     already-synthesized agent; spawn-style workers rebuild from the
     incremental snapshot directory (sealed base + delta log) the
     parent wrote, restoring without a full re-synthesis pass.
-    ``bootstrap_arg`` is the directory, or ``(directory, replicas)``
-    when the worker should also attach analytic replicas.
     """
     from repro import CAT
     from repro.datasets import movie_templates, restore_movie_database
 
-    replicas = 0
-    snapshot_path = bootstrap_arg
-    if isinstance(bootstrap_arg, tuple):
-        snapshot_path, replicas = bootstrap_arg
     database, annotations = restore_movie_database(snapshot_path)
     cat = CAT(database, annotations)
     cat.add_template_catalog(movie_templates())
-    runtime = cat.synthesize_runtime()
-    if replicas > 0:
-        runtime.enable_replicas(replicas)
-    return runtime
+    return cat.synthesize_runtime()
 
 
-def _cmd_serve_sharded(
-    session_ttl: float | None, workers: int, replicas: int = 0
-) -> int:
+def _cmd_serve_sharded(session_ttl: float | None, workers: int) -> int:
     import multiprocessing
     import tempfile
 
@@ -224,14 +133,9 @@ def _cmd_serve_sharded(
 
     if "fork" in multiprocessing.get_all_start_methods():
         # Fork workers inherit the synthesized agent (copy-on-write
-        # replica) — worker start is effectively free.  Replicas are
-        # attached *after* the fork, in the worker: appliers are
-        # threads and must live in the process whose primary they tail.
+        # replica) — worker start is effectively free.
         def bootstrap():
-            runtime = AgentRuntime.for_agent(agent, session_ttl=session_ttl)
-            if replicas > 0:
-                runtime.enable_replicas(replicas)
-            return runtime
+            return AgentRuntime.for_agent(agent, session_ttl=session_ttl)
 
         router = ShardRouter(workers, bootstrap, start_method="fork")
     else:  # pragma: no cover - non-fork platforms
@@ -245,7 +149,7 @@ def _cmd_serve_sharded(
         router = ShardRouter(
             workers,
             "repro.cli:_shard_worker_runtime",
-            bootstrap_arg=(directory, replicas) if replicas else directory,
+            bootstrap_arg=directory,
             start_method="spawn",
         )
 
@@ -326,16 +230,6 @@ def _cmd_serve_sharded(
                 elif text == ":compact":
                     for index, count in sorted(router.compact().items()):
                         print(f"  worker {index}: {count} tables resealed")
-                elif text == ":autotune":
-                    statuses = router.autotune_status()
-                    for index, status in sorted(statuses.items()):
-                        print(f"  worker {index}:")
-                        _print_autotune(status, indent="    ")
-                elif text == ":replicas":
-                    statuses = router.replica_status()
-                    for index, status in sorted(statuses.items()):
-                        print(f"  worker {index}:")
-                        _print_replicas(status, indent="    ")
                 elif text.startswith(":"):
                     print(f"unknown command {text!r} (:help for help)")
                 else:
@@ -346,15 +240,12 @@ def _cmd_serve_sharded(
                 print(f"error: {exc}")
 
 
-def _cmd_serve(session_ttl: float | None, replicas: int = 0) -> int:
+def _cmd_serve(session_ttl: float | None) -> int:
     from repro.errors import ServingError, UnknownSessionError
     from repro.serving import AgentRuntime
 
     cat, agent = _build_cat()
     runtime = AgentRuntime.for_agent(agent, session_ttl=session_ttl)
-    if replicas > 0:
-        runtime.enable_replicas(replicas)
-        print(f"{replicas} analytic replica(s) attached")
     active = runtime.create_session()
     print(_SERVE_HELP)
     print(f"[{active}] session opened")
@@ -442,10 +333,6 @@ def _cmd_serve(session_ttl: float | None, replicas: int = 0) -> int:
                         f"  {s.statement}  "
                         f"[{s.misses} scans, ~{s.rows_scanned} rows walked]"
                     )
-            elif text == ":autotune":
-                _print_autotune(runtime.autotune_status())
-            elif text == ":replicas":
-                _print_replicas(runtime.replica_status())
             elif text.startswith(":"):
                 print(f"unknown command {text!r} (:help for help)")
             else:
@@ -779,15 +666,6 @@ def main(argv: list[str] | None = None) -> int:
         help="shard sessions across N worker processes "
         "(default: 0 = single-process threaded runtime)",
     )
-    serve.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        metavar="N",
-        help="attach N log-shipped analytic replicas (per worker when "
-        "sharded); analytic statements route to them at bounded "
-        "staleness (default: 0 = none)",
-    )
     sub.add_parser("report", help="print the synthesis report")
     sub.add_parser("policies", help="compare slot-selection policies")
     snapshot = sub.add_parser("snapshot", help="dump the cinema database")
@@ -813,10 +691,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_chat()
     if args.command == "serve":
         if args.workers > 0:
-            return _cmd_serve_sharded(
-                args.session_ttl, args.workers, args.replicas
-            )
-        return _cmd_serve(args.session_ttl, args.replicas)
+            return _cmd_serve_sharded(args.session_ttl, args.workers)
+        return _cmd_serve(args.session_ttl)
     if args.command == "report":
         return _cmd_report()
     if args.command == "policies":

@@ -77,11 +77,6 @@ class MovieConfig:
     n_rooms: int = 5
     n_days: int = 14
     extra_dimensions: int = 2
-    # Skip the hand-picked secondary indexes (keeping only the
-    # pk/unique-backed ones the schema implies) — the state the
-    # self-driving policy benchmark starts from, so convergence is
-    # measured from a genuinely unindexed physical design.
-    secondary_indexes: bool = True
     start_date: _dt.date = _dt.date(2022, 3, 26)
     duplicate_customer_fraction: float = 0.0
     genre_skew: float = 0.0
@@ -508,8 +503,7 @@ def build_movie_database(
     config = config or MovieConfig()
     database = Database(_movie_schema(config))
     _populate(database, config)
-    if config.secondary_indexes:
-        _create_secondary_indexes(database)
+    _create_secondary_indexes(database)
     _register_procedures(database)
     return database, annotate_movie_schema(database)
 
@@ -517,7 +511,7 @@ def build_movie_database(
 def restore_movie_database(path: str) -> tuple[Database, SchemaAnnotations]:
     """Rebuild the cinema database from a snapshot.
 
-    ``path`` is either a snapshot *file* (format v1–v4) or an
+    ``path`` is either a snapshot *file* (format v3 or v4) or an
     incremental snapshot *directory* (v4 base image + delta log, see
     :func:`repro.db.persistence.load_incremental`) — the directory
     form restores by replaying only the commits since the base was

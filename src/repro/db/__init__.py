@@ -13,7 +13,6 @@ Public surface:
 
 from repro.db.catalog import Catalog, ColumnRef
 from repro.db.database import Database
-from repro.db.locks import RWLock
 from repro.db.procedures import Parameter, Procedure, ProcedureResult
 from repro.db.query import (
     Query,
@@ -53,7 +52,6 @@ __all__ = [
     "Procedure",
     "ProcedureResult",
     "Query",
-    "RWLock",
     "StatisticsCatalog",
     "TableSchema",
     "TableStatistics",

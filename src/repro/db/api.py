@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -62,12 +61,6 @@ from repro.db.aggregation import aggregate as _reduce_rows
 from repro.db.engine import (
     Filter,
     HashJoin,
-    IndexEq,
-    IndexGroupedAggScan,
-    IndexInList,
-    IndexNestedLoopJoin,
-    IndexOrUnion,
-    IndexRange,
     PlanNode,
     QuerySpec,
     SeqScan,
@@ -345,11 +338,10 @@ class IndexSuggestion:
         """Create the suggested index on ``database`` (DDL); idempotent.
 
         Takes the commit latch for the existence check *and* the build,
-        so a concurrent ``apply`` of the same suggestion (two autotune
-        ticks, an operator racing the policy) cannot double-build: the
-        loser observes the winner's index and no-ops with a warning.
-        Returns ``True`` when the index was created, ``False`` on the
-        already-exists no-op.
+        so two concurrent ``apply`` calls of the same suggestion cannot
+        double-build: the loser observes the winner's index and no-ops
+        with a warning.  Returns ``True`` when the index was created,
+        ``False`` on the already-exists no-op.
         """
         with database.write_locked():
             table = database.table(self.table)
@@ -380,63 +372,15 @@ class IndexAdvisor:
     index; every such execution records a *miss* here, weighted by the
     rows the scan visited, so :meth:`suggestions` ranks the indexes by
     the work they would have saved.
-
-    With ``half_life`` set (seconds), tallies decay exponentially: a
-    miss recorded one half-life ago counts half as much as one recorded
-    now, so a workload phase that ended stops dominating the ranking —
-    the property the autotune policy relies on to follow shifting
-    workloads.  Decay is applied lazily on access; entries that decay
-    below half a miss are pruned.  ``half_life=None`` (the default)
-    keeps the original accumulate-forever behaviour.
     """
 
-    def __init__(
-        self,
-        half_life: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (table, column, kind) -> [misses, rows_scanned] (floats under
-        # decay; exact ints while half_life is None)
-        self._misses: dict[tuple[str, str, str], list[float]] = {}
-        self._half_life = half_life
-        self._clock = clock
-        self._decayed_at = clock()
-
-    @property
-    def half_life(self) -> float | None:
-        return self._half_life
-
-    @half_life.setter
-    def half_life(self, value: float | None) -> None:
-        with self._lock:
-            self._decay_locked()
-            self._half_life = value
-
-    def _decay_locked(self) -> None:
-        """Bring every tally forward to now (caller holds the lock)."""
-        now = self._clock()
-        half_life = self._half_life
-        if half_life is None or half_life <= 0:
-            self._decayed_at = now
-            return
-        elapsed = now - self._decayed_at
-        if elapsed <= 0:
-            return
-        factor = 0.5 ** (elapsed / half_life)
-        self._decayed_at = now
-        dead = []
-        for key, entry in self._misses.items():
-            entry[0] *= factor
-            entry[1] *= factor
-            if entry[0] < 0.5:
-                dead.append(key)
-        for key in dead:
-            del self._misses[key]
+        # (table, column, kind) -> [misses, rows_scanned]
+        self._misses: dict[tuple[str, str, str], list[int]] = {}
 
     def record(self, table: str, column: str, kind: str, rows: int) -> None:
         with self._lock:
-            self._decay_locked()
             entry = self._misses.setdefault((table, column, kind), [0, 0])
             entry[0] += 1
             entry[1] += rows
@@ -447,18 +391,10 @@ class IndexAdvisor:
         for table, column, kind, rows in misses:
             self.record(table, column, kind, rows)
 
-    def forget(self, table: str, column: str, kind: str) -> None:
-        """Drop the tally for one candidate (the autotune policy clears
-        history when it retires an index so the stale miss record cannot
-        immediately re-suggest what it just dropped)."""
-        with self._lock:
-            self._misses.pop((table, column, kind), None)
-
     @property
     def total_misses(self) -> int:
         with self._lock:
-            self._decay_locked()
-            return round(sum(entry[0] for entry in self._misses.values()))
+            return sum(entry[0] for entry in self._misses.values())
 
     def suggestions(
         self, database: "Database | None" = None
@@ -471,12 +407,10 @@ class IndexAdvisor:
         missing.
         """
         with self._lock:
-            self._decay_locked()
             items = [
-                IndexSuggestion(
-                    table, column, kind, round(entry[0]), round(entry[1])
-                )
-                for (table, column, kind), entry in self._misses.items()
+                IndexSuggestion(table, column, kind, misses, rows)
+                for (table, column, kind), (misses, rows)
+                in self._misses.items()
             ]
         if database is not None:
             items = [
@@ -523,43 +457,6 @@ def _index_misses(
                         out.append(
                             (table.name, part.column, "ordered", len(table))
                         )
-        stack.extend(node.children())
-    return out
-
-
-def _index_hits(
-    database: "Database", plan: PlanNode
-) -> list[tuple[str, str, str]]:
-    """``(table, column, kind)`` per index probe ``plan`` will execute.
-
-    The mirror of :func:`_index_misses`: executions of this plan count
-    as *hits* against the named indexes, which is how the autotune
-    policy learns that an index is earning its maintenance cost.
-    Attributed at the plan level (once per execution), not per probe —
-    the executor's inner loops stay untouched.
-    """
-    out: list[tuple[str, str, str]] = []
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, IndexEq):
-            out.append((node.table, node.column, "hash"))
-        elif isinstance(node, IndexInList):
-            out.append((node.table, node.column, "hash"))
-        elif isinstance(node, IndexOrUnion):
-            for column, __ in node.probes:
-                out.append((node.table, column, "hash"))
-        elif isinstance(node, IndexRange):
-            out.append((node.table, node.column, "ordered"))
-        elif isinstance(node, IndexNestedLoopJoin):
-            out.append((node.table, node.target_column, "hash"))
-        elif isinstance(node, IndexGroupedAggScan):
-            out.append((node.table, node.key, "hash"))
-        elif isinstance(node, HashJoin):
-            # The vectorized bucket-probe path serves the build side
-            # from the inner key's hash index when one exists.
-            if database.table(node.table).has_index(node.target_column):
-                out.append((node.table, node.target_column, "hash"))
         stack.extend(node.children())
     return out
 
@@ -891,15 +788,6 @@ class PreparedStatement:
         template, hit = cache.template_for(
             self._fingerprint, self._spec, params
         )
-        respec = cache.respecialized(
-            self._fingerprint, template, params,
-            lambda: _bind_spec(self._spec, binds),
-        )
-        if respec is not None:
-            # A divergent binding: the plan is already bound (replanned
-            # or served by a bucket-specialised fork), so the compiled
-            # binder is skipped and accounting walks the actual plan.
-            return respec, hit, None
         profile = self._connection._profile_for(self._fingerprint, template)
         plan = cache.bind_or_replan(
             profile[1], params, lambda: _bind_spec(self._spec, binds)
@@ -921,13 +809,12 @@ class PreparedStatement:
         database = self._database
         plan, hit, profile = self._plan_for(binds)
         if profile is None:
-            # Uncacheable shape (hit is None) or a re-specialised
-            # execution: attribute against the actual bound plan.
+            # Uncacheable shape: attribute against the bound plan.
             connection._note_execution(
                 plan, int(hit is True), int(hit is False)
             )
         else:
-            connection._note_prepared(hit, profile[2], profile[3])
+            connection._note_prepared(hit, profile[2])
         if self._kind == "count":
             n = execute_count(database, plan)
             return Result(connection, plan=plan, rows=[{"count": n}])
@@ -1051,50 +938,8 @@ class Connection:
         return prepared
 
     def execute(self, statement: Statement | Query, **binds: Any) -> Result:
-        """One-shot prepare + execute (prefer ``prepare`` for hot shapes).
-
-        When the database has an attached replica manager, analytic
-        one-shots (aggregates, grouped queries, whole-table counts)
-        route to a bounded-staleness replica; everything else — and
-        every statement issued inside a transaction, a snapshot pin or
-        under the commit latch — runs here.  Prepared statements never
-        route: a :class:`PreparedStatement` is compiled against one
-        database's plan cache.
-        """
-        target = self._route_for(statement)
-        return target.prepare(statement).execute(**binds)
-
-    def analytic(self, max_staleness: float | None = None) -> "Connection":
-        """A connection for analytic reads: a replica within
-        ``max_staleness`` seconds (the manager's default bound when
-        None), or this connection when no replica qualifies or none is
-        attached — graceful degradation, never an error."""
-        manager = self._database.replica_manager
-        if manager is None or not self._routing_safe():
-            return self
-        return manager.read(max_staleness=max_staleness)
-
-    def _routing_safe(self) -> bool:
-        """Whether handing a read to another database is sound here:
-        no open transaction, no held commit latch, no pinned snapshot
-        (each would break read-your-writes or scope consistency)."""
-        database = self._database
-        return (
-            not database.transactions.in_transaction()
-            and not database.commit_latch.held_by_current_thread
-            and database.snapshots.pin_depth() == 0
-        )
-
-    def _route_for(self, statement: Statement | Query) -> "Connection":
-        if self._database.replica_manager is None:
-            return self
-        if not self._routing_safe():
-            return self
-        from repro.replication.routing import is_analytic_statement
-
-        if not is_analytic_statement(statement):
-            return self
-        return self._database.replica_manager.read()
+        """One-shot prepare + execute (prefer ``prepare`` for hot shapes)."""
+        return self.prepare(statement).execute(**binds)
 
     def call(self, procedure: str, **arguments: Any) -> Result:
         """Run a stored procedure atomically; returns its Result."""
@@ -1199,13 +1044,6 @@ class Connection:
         (suggestions already satisfied by an existing index are elided)."""
         return self._advisor.suggestions(self._database)
 
-    def autotune(self) -> dict[str, Any]:
-        """The database's self-driving policy status (see
-        :meth:`repro.db.autotune.Autotuner.status`): applied/retired
-        index actions, per-index usage counters, respecialisation
-        counters and the active policy knobs."""
-        return self._database.autotuner.status()
-
     def note_plan_cache(self, hits: int, misses: int) -> None:
         """Attribute externally-measured plan-cache traffic (the serving
         runtime charges a turn's thread-local delta to the session's
@@ -1237,23 +1075,14 @@ class Connection:
         if misses:
             self._advisor.record_all(misses)
             database.index_advisor.record_all(misses)
-        tuner = database.autotuner
-        if tuner.active:
-            hits = _index_hits(database, plan)
-            if hits:
-                tuner.record_hits(hits)
 
     def _note_prepared(
-        self,
-        hit: bool,
-        misses: tuple[tuple[str, str, str], ...],
-        hits: tuple[tuple[str, str, str], ...] = (),
+        self, hit: bool, misses: tuple[tuple[str, str, str], ...]
     ) -> None:
         """Per-execute accounting on the prepared hot path: the template
-        lookup already established hit/miss, and the advisor misses and
-        index hits were precomputed per template — (table, column,
-        kind), misses weighted by the table's live cardinality at
-        record time."""
+        lookup already established hit/miss, and the advisor misses were
+        precomputed per template — (table, column, kind), weighted by
+        the table's live cardinality at record time."""
         with self._lock:
             self._executions += 1
             if hit:
@@ -1267,8 +1096,6 @@ class Connection:
                 rows = len(database.table(table))
                 self._advisor.record(table, column, kind, rows)
                 shared.record(table, column, kind, rows)
-        if hits:
-            database.autotuner.record_hits(hits)
 
     def _note_rows(self, n: int) -> None:
         with self._lock:
@@ -1279,12 +1106,11 @@ class Connection:
     _MAX_PROFILES = 1024
 
     def _profile_for(self, fingerprint: tuple, template: PlanNode) -> tuple:
-        """``(template, binder, advisor misses, index hits)`` per shape.
+        """``(template, binder, advisor misses)`` per shape.
 
         Revalidated by template identity: a data-version bump or LRU
         eviction hands back a new template instance, which recompiles
-        the bind program and re-derives the advisor misses and index
-        hits.
+        the bind program and re-derives the advisor misses.
         """
         entry = self._profiles.get(fingerprint)
         if entry is None or entry[0] is not template:
@@ -1298,7 +1124,6 @@ class Connection:
                     for table, column, kind, __ in
                     _index_misses(self._database, template)
                 ),
-                tuple(_index_hits(self._database, template)),
             )
             with self._lock:
                 if len(self._profiles) >= self._MAX_PROFILES:

@@ -40,7 +40,7 @@ __all__ = ["Database"]
 class Database:
     """An in-memory relational database with transactions and procedures."""
 
-    def __init__(self, schema: DatabaseSchema, *, autotune: bool = True) -> None:
+    def __init__(self, schema: DatabaseSchema) -> None:
         schema.validate()
         self.schema = schema
         self._tables: dict[str, Table] = {
@@ -57,12 +57,6 @@ class Database:
         # ``repro.db.persistence.dump_incremental``) every committed
         # logical mutation is recorded and flushed at the commit point.
         self.delta_log = None
-        # HTAP replication: when a ReplicaManager adopts this database
-        # as its primary (see ``repro.replication``) it registers here,
-        # and the Connection API routes analytic one-shots through
-        # ``replica_manager.read()``.  None means no replicas — every
-        # statement runs locally.
-        self.replica_manager = None
         # Plan-template stamp: pre-sealed it ticks with every commit
         # (plans were priced against statistics that just changed);
         # once compaction has sealed the tables, committed writes leave
@@ -82,11 +76,6 @@ class Database:
         self._plan_cache = None
         self._default_connection = None
         self._index_advisor = None
-        # Self-driving policy: consumes the advisor's miss stream and the
-        # per-index usage counters it accretes below; ticks off _on_idle.
-        from repro.db.autotune import Autotuner
-
-        self.autotuner = Autotuner(self, enabled=autotune)
 
     # ------------------------------------------------------------------
     # Table access
@@ -136,25 +125,6 @@ class Database:
         """
         with self.write_locked():
             self.table(table_name).create_ordered_index(column)
-            self._plan_ticks += 1
-            self.notify_data_changed()
-
-    def drop_index(self, table_name: str, column: str) -> None:
-        """Drop the hash index on ``table.column`` (DDL).
-
-        Bumps the data version: cached plan templates may reference the
-        dropped access path and must recompile without it.  Constraint
-        backing indexes (primary key, unique) refuse to drop.
-        """
-        with self.write_locked():
-            self.table(table_name).drop_index(column)
-            self._plan_ticks += 1
-            self.notify_data_changed()
-
-    def drop_ordered_index(self, table_name: str, column: str) -> None:
-        """Drop the ordered secondary index on ``table.column`` (DDL)."""
-        with self.write_locked():
-            self.table(table_name).drop_ordered_index(column)
             self._plan_ticks += 1
             self.notify_data_changed()
 
@@ -282,7 +252,7 @@ class Database:
 
     def _vacuum_all(self) -> None:
         """Reclaim versions no pinned snapshot can still see."""
-        bound = self.snapshots.min_pinned()
+        bound = self.snapshots.reclaim_bound()
         for table in self._tables.values():
             table.vacuum(bound)
 
@@ -290,7 +260,6 @@ class Database:
         """Fired by the snapshot manager when the last pin drains."""
         self._vacuum_all()
         self._maybe_compact()
-        self.autotuner.on_idle()
 
     def _maybe_compact(self) -> None:
         """Opportunistic compaction once any sealed table's delta has
@@ -400,7 +369,6 @@ class Database:
             row = dict(values)
             self._check_outgoing_fks(table.schema, row)
             row_id = table.insert(row)
-            self.autotuner.charge_dml(table_name, None)
             self.transactions.log_insert(table_name, row_id)
             if self.delta_log is not None:
                 self.delta_log.record(
@@ -418,7 +386,6 @@ class Database:
             self._check_outgoing_fks(table.schema, merged)
             self._check_incoming_fks_on_key_change(table, row_id, changes)
             old = table.update(row_id, changes)
-            self.autotuner.charge_dml(table_name, changes)
             self.transactions.log_update(table_name, row_id, old)
             if self.delta_log is not None:
                 # Log the coerced post-update values, not the caller's
@@ -437,7 +404,6 @@ class Database:
             row = table.get(row_id)
             self._check_no_referencing_rows(table, row)
             old = table.delete(row_id)
-            self.autotuner.charge_dml(table_name, None)
             self.transactions.log_delete(table_name, row_id, old)
             if self.delta_log is not None:
                 self.delta_log.record("delete", table_name, row_id)

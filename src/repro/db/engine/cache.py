@@ -39,21 +39,6 @@ adversarial shape churn, mirroring the session store's LRU policy.
 Hit/miss counters are kept globally and per thread; the serving runtime
 reads the thread-local counters around a turn to attribute cache traffic
 to the session being served.
-
-**Plan re-specialisation.**  A template is priced with the first
-execution's constants (classic generic-plan behaviour), which goes
-wrong under skew: a plan priced for the 90%-frequency constant of an
-MCV-heavy column executes a scan-shaped plan for the 0.1% constant that
-wanted an index probe.  Each template therefore records the
-MCV-bucketed selectivity estimate (``ColumnStatistics.
-bucket_selectivity``) of every root-table equality slot it was priced
-under; at bind time, a bound constant whose bucket estimate diverges
-from the recorded one by more than ``divergence_ratio`` triggers an
-uncached replan for that execution, and after ``fork_threshold``
-consecutive divergences of one bucket the cache *forks* a
-bucket-specialised template, stored in the same version-stamped LRU
-store (key: fingerprint + bucket), so DDL invalidation and eviction
-treat forks exactly like their parents.  See ``respecialized``.
 """
 
 from __future__ import annotations
@@ -574,47 +559,6 @@ def _bind_predicate(predicate: Predicate, params: tuple) -> Predicate:
 
 
 # ---------------------------------------------------------------------------
-# Re-specialisation metadata
-# ---------------------------------------------------------------------------
-
-class _RespecMeta:
-    """Per-template re-specialisation state.
-
-    ``guards`` carries one entry per root-table equality slot the
-    template was priced under: ``(slot, column, stats, planned_sel,
-    planned_bucket)``, where ``stats`` is the
-    :class:`ColumnStatistics` snapshot captured at template build (the
-    divergence check deliberately compares against the estimates the
-    template was priced with, and pays no per-execution catalog
-    lookup).  ``counts`` tracks consecutive divergences per
-    ``(slot, bucket)`` — the fork trigger.  Validated by template
-    identity like the connection-level binder profiles: a version bump
-    hands back a new template instance, which rebuilds the meta and
-    resets every count.
-    """
-
-    __slots__ = ("template", "guards", "counts")
-
-    def __init__(self, template: PlanNode, guards: tuple) -> None:
-        self.template = template
-        self.guards = guards
-        self.counts: dict[tuple, int] = {}
-
-
-def _ordered_comparisons(predicate: Predicate):
-    """Comparisons in :func:`_predicate_key`'s traversal order — the
-    index of a comparison in this walk IS its parameter slot, because
-    the key builder appends exactly one param per comparison."""
-    if isinstance(predicate, Comparison):
-        yield predicate
-    elif isinstance(predicate, (And, Or)):
-        for part in predicate.parts:
-            yield from _ordered_comparisons(part)
-    elif isinstance(predicate, Not):
-        yield from _ordered_comparisons(predicate.part)
-
-
-# ---------------------------------------------------------------------------
 # The cache
 # ---------------------------------------------------------------------------
 
@@ -657,20 +601,6 @@ class PlanCache:
         self._local = threading.local()
         self._bypass_lock = threading.Lock()
         self._bypasses = 0
-        # ---- re-specialisation policy (see module docstring) ----
-        #: estimate ratio beyond which a binding replans this execution
-        self.divergence_ratio = 8.0
-        #: consecutive divergences of one bucket before a template forks
-        self.fork_threshold = 3
-        #: tables smaller than this never trigger re-specialisation
-        self.respec_min_rows = 256
-        self.respec_enabled = True
-        self._respec_lock = threading.Lock()
-        self._meta: dict[tuple, _RespecMeta] = {}
-        self._divergences = 0
-        self._replans = 0
-        self._forks = 0
-        self._fork_binds = 0
 
     # ------------------------------------------------------------------
     @property
@@ -736,11 +666,6 @@ class PlanCache:
 
         template = self._cache.lookup(fingerprint, compile_template)
         self._count(hit=not computed)
-        respec = self.respecialized(
-            fingerprint, template, params, lambda: spec
-        )
-        if respec is not None:
-            return respec
         try:
             return bind_plan(self._database, template, params)
         except _Unbindable:
@@ -774,138 +699,6 @@ class PlanCache:
         template = self._cache.lookup(fingerprint, compile_template)
         self._count(hit=not computed)
         return template, not computed
-
-    # ------------------------------------------------------------------
-    # Re-specialisation
-    # ------------------------------------------------------------------
-    def respec_counters(self) -> dict[str, int]:
-        """Divergences observed / executions replanned / templates
-        forked / executions served by a forked template."""
-        with self._respec_lock:
-            return {
-                "divergences": self._divergences,
-                "replans": self._replans,
-                "forks": self._forks,
-                "fork_binds": self._fork_binds,
-            }
-
-    def respecialized(
-        self, fingerprint: tuple, template: PlanNode, params: tuple,
-        spec_factory,
-    ) -> PlanNode | None:
-        """A better plan for this binding, or ``None`` to use ``template``.
-
-        Called on the execute path right after the template lookup.
-        ``spec_factory`` must return the execution's *concrete* spec
-        (constants bound) — only touched on meta rebuilds, replans and
-        fork compiles, never on the no-divergence fast path, which is
-        one dict probe, an identity check and a per-guard bucket lookup
-        against the captured statistics.
-
-        A divergent binding replans uncached until its bucket has
-        diverged ``fork_threshold`` consecutive times, then compiles a
-        bucket-specialised template priced with this binding's
-        constants, stored in the shared version-stamped LRU store under
-        ``(fingerprint, bucket)`` — DDL bumps and eviction invalidate
-        forks exactly like parents.  Returned plans are fully bound.
-        """
-        if not self.respec_enabled or not params:
-            return None
-        meta = self._meta.get(fingerprint)
-        if meta is None or meta.template is not template:
-            meta = self._build_meta(template, spec_factory(), params)
-            with self._respec_lock:
-                if len(self._meta) >= DEFAULT_MAX_ENTRIES:
-                    self._meta.clear()
-                self._meta[fingerprint] = meta
-        if not meta.guards:
-            return None
-        divergent = None
-        for slot, __column, stats, planned_sel, __bucket in meta.guards:
-            sel, bucket = stats.bucket_selectivity(params[slot])
-            lo, hi = min(sel, planned_sel), max(sel, planned_sel)
-            if lo <= 0.0:
-                lo = 0.5 / max(1, stats.row_count)
-            if hi > lo * self.divergence_ratio:
-                divergent = (slot, bucket)
-                break
-            if meta.counts and (slot, bucket) in meta.counts:
-                # The bucket came back into agreement (statistics moved
-                # under the template): its fork countdown starts over.
-                with self._respec_lock:
-                    meta.counts.pop((slot, bucket), None)
-        if divergent is None:
-            return None
-        with self._respec_lock:
-            self._divergences += 1
-            if divergent not in meta.counts and len(meta.counts) >= 64:
-                meta.counts.clear()  # bounded per-bucket tracking
-            count = meta.counts.get(divergent, 0) + 1
-            meta.counts[divergent] = count
-            fork = count >= self.fork_threshold
-            if not fork:
-                self._replans += 1
-        if not fork:
-            return plan_query(
-                self._database, spec_factory(), self._statistics
-            )
-        computed = False
-
-        def compile_fork() -> PlanNode:
-            nonlocal computed
-            computed = True
-            shape, __ = parameterize_spec(spec_factory())
-            return plan_query(
-                self._database, shape, self._statistics, params=params
-            )
-
-        fork_template = self._cache.lookup(
-            (fingerprint, ("bucket",) + divergent), compile_fork
-        )
-        with self._respec_lock:
-            self._fork_binds += 1
-            if computed:
-                self._forks += 1
-        try:
-            return bind_plan(self._database, fork_template, params)
-        except _Unbindable:
-            return plan_query(
-                self._database, spec_factory(), self._statistics
-            )
-
-    def _build_meta(
-        self, template: PlanNode, spec: QuerySpec, params: tuple
-    ) -> _RespecMeta:
-        """Derive the guard set for one template from the spec it was
-        compiled from and the constants it was priced with."""
-        database = self._database
-        catalog = (
-            self._statistics if self._statistics is not None
-            else database.statistics
-        )
-        columns = set(database.table(spec.table).schema.column_names)
-        comparisons = list(_ordered_comparisons(spec.predicate))
-        if spec.having is not None:
-            comparisons.extend(_ordered_comparisons(spec.having))
-        guards = []
-        for slot, comparison in enumerate(comparisons):
-            if comparison.op != "==" or comparison.column not in columns:
-                continue
-            if slot >= len(params):  # pragma: no cover - shape drift guard
-                break
-            try:
-                stats = catalog.column(spec.table, comparison.column)
-            except KeyError:
-                continue
-            if (
-                stats.row_count < self.respec_min_rows
-                or stats.distinct_count < 2
-                or not stats.most_common
-            ):
-                continue
-            sel, bucket = stats.bucket_selectivity(params[slot])
-            guards.append((slot, comparison.column, stats, sel, bucket))
-        return _RespecMeta(template, tuple(guards))
 
     def bind_or_replan(
         self, binder, params: tuple, spec_factory

@@ -1,32 +1,5 @@
-"""Locks for the concurrent serving runtime.
-
-Two primitives live here:
-
-* :class:`CommitLatch` — the narrow writer latch of the MVCC design.
-  Whole transactions serialise on it, but readers never touch it: read
-  scopes pin a snapshot (:mod:`repro.db.snapshots`) instead of sharing
-  a lock with writers.  It counts contended acquisitions (``waits``)
-  for the serving tier's ``:stats`` surface.
-* :class:`RWLock` — the database-wide readers–writer lock the serving
-  tier used before snapshot reads.  It no longer sits on the turn
-  critical path (``tools/check_execution_api.py`` lints against
-  reintroducing it outside this module and the snapshot layer), but
-  remains available as a general-purpose primitive.
-
-RWLock semantics:
-
-* many readers OR one writer;
-* writer preference — new readers queue once a writer is waiting, so a
-  steady read load cannot starve transactions;
-* reentrant for the owning thread: a writer may re-enter the write lock
-  and may take read locks while writing, which lets stored procedures
-  call the database's read paths freely; a read still held when the
-  write lock is released is downgraded atomically to a real shared
-  lock;
-* lock upgrades (read → write while holding the read side) are refused
-  explicitly instead of deadlocking — use
-  :meth:`RWLock.suspend_reads`/:meth:`RWLock.resume_reads` around the
-  write instead.
+"""The MVCC writer latch (:class:`CommitLatch`) and the error a
+read-only snapshot scope raises on a write (:class:`LockUpgradeError`).
 """
 
 from __future__ import annotations
@@ -35,16 +8,14 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = ["CommitLatch", "LockUpgradeError", "RWLock"]
+__all__ = ["CommitLatch", "LockUpgradeError"]
 
 
 class LockUpgradeError(RuntimeError):
     """A read-only scope attempted a write.
 
-    Raised by :class:`RWLock` on a read→write upgrade attempt (which
-    would deadlock as soon as two readers tried simultaneously) and by
-    the database's write scope when entered inside a read-only snapshot
-    pin — the MVCC replacement for the same refusal.
+    Raised by the database's write scope when entered inside a
+    read-only snapshot pin.
     """
 
 
@@ -103,148 +74,3 @@ class CommitLatch:
             yield
         finally:
             self.release()
-
-
-class RWLock:
-    """A reentrant readers–writer lock with writer preference."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._active_readers = 0
-        self._waiting_writers = 0
-        self._writer: int | None = None  # owning thread id
-        self._writer_depth = 0
-        self._local = threading.local()  # per-thread read depth
-
-    # ------------------------------------------------------------------
-    def _read_depth(self) -> int:
-        return getattr(self._local, "depth", 0)
-
-    def _counted(self) -> bool:
-        """Did this thread's outermost read increment _active_readers?"""
-        return getattr(self._local, "counted", False)
-
-    @property
-    def write_held(self) -> bool:
-        """True when the *calling thread* holds the write lock."""
-        return self._writer == threading.get_ident()
-
-    # ------------------------------------------------------------------
-    def acquire_read(self) -> None:
-        depth = self._read_depth()
-        if depth > 0:
-            self._local.depth = depth + 1
-            return
-        if self.write_held:
-            # A read inside the writer: no blocking, no reader count —
-            # remembered so the release after (or before) release_write
-            # is symmetric either way.
-            self._local.depth = 1
-            self._local.counted = False
-            return
-        with self._cond:
-            while self._writer is not None or self._waiting_writers:
-                self._cond.wait()
-            self._active_readers += 1
-        self._local.depth = 1
-        self._local.counted = True
-
-    def release_read(self) -> None:
-        depth = self._read_depth()
-        if depth <= 0:
-            raise RuntimeError("release_read() without a matching acquire")
-        self._local.depth = depth - 1
-        if depth > 1 or not self._counted():
-            return
-        self._local.counted = False
-        with self._cond:
-            self._active_readers -= 1
-            if self._active_readers == 0:
-                self._cond.notify_all()
-
-    # ------------------------------------------------------------------
-    def acquire_write(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me:
-                self._writer_depth += 1
-                return
-            if self._read_depth() > 0:
-                raise LockUpgradeError(
-                    "cannot upgrade a read lock to a write lock"
-                )
-            self._waiting_writers += 1
-            try:
-                while self._writer is not None or self._active_readers:
-                    self._cond.wait()
-            finally:
-                self._waiting_writers -= 1
-            self._writer = me
-            self._writer_depth = 1
-
-    def release_write(self) -> None:
-        with self._cond:
-            if self._writer != threading.get_ident():
-                raise RuntimeError("release_write() by a non-owning thread")
-            self._writer_depth -= 1
-            if self._writer_depth == 0:
-                if self._read_depth() > 0 and not self._counted():
-                    # Reads taken inside the write outlive it: downgrade
-                    # atomically to a counted read so no writer can slip
-                    # in while this thread still expects read protection.
-                    self._active_readers += 1
-                    self._local.counted = True
-                self._writer = None
-                self._cond.notify_all()
-
-    # ------------------------------------------------------------------
-    # Read suspension: the safe alternative to a read→write upgrade.
-    # A thread holding read locks that must perform a write releases
-    # them entirely (other writers may run in the gap), writes, then
-    # re-acquires to its previous depth.
-    # ------------------------------------------------------------------
-    def suspend_reads(self) -> int:
-        """Drop this thread's read locks; returns the depth to resume.
-
-        Returns 0 (a no-op for :meth:`resume_reads`) when the thread
-        holds no counted read — in particular when its reads are nested
-        inside its own write lock, where no upgrade is needed.
-        """
-        depth = self._read_depth()
-        if depth == 0 or not self._counted():
-            return 0
-        self._local.depth = 0
-        self._local.counted = False
-        with self._cond:
-            self._active_readers -= 1
-            if self._active_readers == 0:
-                self._cond.notify_all()
-        return depth
-
-    def resume_reads(self, depth: int) -> None:
-        """Re-acquire read locks dropped by :meth:`suspend_reads`."""
-        if depth <= 0:
-            return
-        with self._cond:
-            while self._writer is not None or self._waiting_writers:
-                self._cond.wait()
-            self._active_readers += 1
-        self._local.depth = depth
-        self._local.counted = True
-
-    # ------------------------------------------------------------------
-    @contextmanager
-    def read_lock(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write_lock(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()

@@ -4,14 +4,11 @@ Format version 3 serialises table contents *column-oriented*, mirroring
 the columnar bank storage: one value list per column, parallel by row
 (in row-id order).  That keeps the snapshot a straight dump of the
 banks — no per-row dict is built on the way out — and typically smaller
-(column names appear once per table instead of once per row).  Versions
-1 and 2 stored row dicts; both still load.
+(column names appear once per table instead of once per row).
 
-Secondary-index DDL (hash and ordered indexes) is part of the snapshot
-(since version 2), so a loaded database presents the query planner with
-exactly the access paths the dumped one had and plans identically.
-Version-1 snapshots simply carry no index section beyond the
-primary-key/unique indexes the schema implies.
+Secondary-index DDL (hash and ordered indexes) is part of the snapshot,
+so a loaded database presents the query planner with exactly the
+access paths the dumped one had and plans identically.
 
 Stored procedures are Python callables and cannot be serialised; a
 loaded database starts with an empty procedure registry and the caller
@@ -33,7 +30,6 @@ from repro.db.types import DataType
 from repro.errors import DatabaseError
 
 __all__ = [
-    "apply_log_ops",
     "dump_database",
     "load_database",
     "dumps_database",
@@ -45,7 +41,7 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3, 4)
+_READABLE_VERSIONS = (3, 4)
 
 #: File names inside an incremental snapshot directory.
 BASE_SNAPSHOT_NAME = "base.json"
@@ -238,17 +234,6 @@ def _rows_from_v3(body: dict[str, Any]) -> dict[str, list[dict[str, Any]]]:
     return out
 
 
-def _rows_from_legacy(body: dict[str, Any]) -> dict[str, list[dict[str, Any]]]:
-    """Decode a v1/v2 ``rows`` section (one dict per row)."""
-    return {
-        name: [
-            {key: _decode_value(value) for key, value in row.items()}
-            for row in rows
-        ]
-        for name, rows in _content_section(body, "rows").items()
-    }
-
-
 def _load_v4_rows(database: Database, body: dict[str, Any]) -> None:
     """Restore a v4 snapshot's rows under their original row ids.
 
@@ -276,31 +261,10 @@ def _load_v4_rows(database: Database, body: dict[str, Any]) -> None:
     database.notify_data_changed()
 
 
-def loads_database(payload: str) -> Database:
-    """Rebuild a database from :func:`dumps_database` output."""
-    body = json.loads(payload)
-    version = body.get("format_version")
-    if version not in _READABLE_VERSIONS:
-        raise DatabaseError(f"unsupported snapshot version {version!r}")
-    database = Database(_schema_from_payload(body["schema"]))
-    if version >= 4:
-        _load_v4_rows(database, body)
-        for name, indexes in body.get("indexes", {}).items():
-            if name not in database:
-                raise DatabaseError(
-                    f"snapshot indexes reference unknown table {name!r}"
-                )
-            for column in indexes.get("hash", ()):
-                database.create_index(name, column)
-            for column in indexes.get("ordered", ()):
-                database.create_ordered_index(name, column)
-        return database
-    # Insert tables in FK-dependency order: repeatedly insert whatever
-    # whose referenced tables are already loaded.
-    if version >= 3:
-        remaining = _rows_from_v3(body)
-    else:
-        remaining = _rows_from_legacy(body)
+def _insert_v3_rows(database: Database, body: dict[str, Any]) -> None:
+    """Insert a v3 snapshot's rows in FK-dependency order: repeatedly
+    insert whichever tables reference only tables already loaded."""
+    remaining = _rows_from_v3(body)
     loaded: set[str] = set()
     while remaining:
         progressed = False
@@ -316,6 +280,19 @@ def loads_database(payload: str) -> Database:
             raise DatabaseError(
                 f"circular foreign-key dependency among {sorted(remaining)}"
             )
+
+
+def loads_database(payload: str) -> Database:
+    """Rebuild a database from :func:`dumps_database` output."""
+    body = json.loads(payload)
+    version = body.get("format_version")
+    if version not in _READABLE_VERSIONS:
+        raise DatabaseError(f"unsupported snapshot version {version!r}")
+    database = Database(_schema_from_payload(body["schema"]))
+    if version >= 4:
+        _load_v4_rows(database, body)
+    else:
+        _insert_v3_rows(database, body)
     for name, indexes in body.get("indexes", {}).items():
         if name not in database:
             raise DatabaseError(
@@ -364,12 +341,7 @@ def dump_incremental(database: Database, directory: str) -> str:
         log = database.delta_log
         if log is None:
             log = DeltaLog()
-        log.attach(
-            log_path,
-            encoder=_encode_value,
-            truncate=True,
-            decoder=_decode_value,
-        )
+        log.attach(log_path, encoder=_encode_value, truncate=True)
         database.delta_log = log
     return directory
 
@@ -409,33 +381,20 @@ def _replay_records(database: Database, records: list[dict[str, Any]]) -> None:
     belong to this base image.
     """
     for record in records:
-        apply_log_ops(database, record["ops"])
-
-
-def apply_log_ops(database: Database, ops: list) -> None:
-    """Apply one delta-log record's ops to ``database``.
-
-    The shared core of snapshot replay and replica catch-up (the
-    replication tier's :class:`~repro.replication.ReplicaApplier` calls
-    it per batched record).  Inserts must re-take the id the log
-    recorded — the v4 base restores id counters exactly, so a mismatch
-    means the log and the database diverged.
-    """
-    for op in ops:
-        kind, table_name, row_id, payload = op
-        if kind == "insert":
-            assigned = database.insert(table_name, dict(payload))
-            if assigned != row_id:
+        for kind, table_name, row_id, payload in record["ops"]:
+            if kind == "insert":
+                assigned = database.insert(table_name, dict(payload))
+                if assigned != row_id:
+                    raise DatabaseError(
+                        f"delta-log replay: insert into {table_name!r} "
+                        f"took id {assigned}, log recorded {row_id} — "
+                        "log does not match this base snapshot"
+                    )
+            elif kind == "update":
+                database.update(table_name, row_id, dict(payload))
+            elif kind == "delete":
+                database.delete(table_name, row_id)
+            else:
                 raise DatabaseError(
-                    f"delta-log replay: insert into {table_name!r} "
-                    f"took id {assigned}, log recorded {row_id} — "
-                    "log does not match this base snapshot"
+                    f"delta-log replay: unknown op kind {kind!r}"
                 )
-        elif kind == "update":
-            database.update(table_name, row_id, dict(payload))
-        elif kind == "delete":
-            database.delete(table_name, row_id)
-        else:
-            raise DatabaseError(
-                f"delta-log replay: unknown op kind {kind!r}"
-            )

@@ -169,7 +169,6 @@ class DeltaLog:
         self._records: list[dict[str, Any]] = []
         self._handle = None
         self._encoder: Callable[[Any], Any] = _identity
-        self._decoder: Callable[[Any], Any] = _identity
         self.path: str | None = None
 
     # ------------------------------------------------------------------
@@ -255,22 +254,17 @@ class DeltaLog:
         path: str,
         encoder: Callable[[Any], Any] | None = None,
         truncate: bool = False,
-        decoder: Callable[[Any], Any] | None = None,
     ) -> None:
         """Mirror committed records to ``path`` (one JSON line each).
 
         ``truncate=True`` starts the file (and the in-memory record
         list) fresh — the caller just wrote a base image that already
-        contains everything committed so far.  ``decoder`` is the
-        inverse of ``encoder``; readers that tail the on-disk file (the
-        replication log's ring-overrun fallback) apply it to payload
-        values they read back.
+        contains everything committed so far.
         """
         with self._lock:
             if self._handle is not None:
                 self._handle.close()
             self._encoder = encoder if encoder is not None else _identity
-            self._decoder = decoder if decoder is not None else _identity
             if truncate:
                 self._records.clear()
             self._handle = open(path, "w" if truncate else "a")

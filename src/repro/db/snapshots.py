@@ -1,9 +1,9 @@
 """MVCC snapshot management: the generation clock and reader pins.
 
-This module is the concurrency heart of the post-RWLock database.  The
-storage layer (:mod:`repro.db.table`) stamps every slot with the
-generation that created it and, eventually, the generation that deleted
-it; this module owns the two pieces that turn those stamps into
+This module is the concurrency heart of the database.  The storage
+layer (:mod:`repro.db.table`) stamps every slot with the generation
+that created it and, eventually, the generation that deleted it; this
+module owns the two pieces that turn those stamps into
 snapshot-isolated reads:
 
 * :class:`GenerationClock` — the database-wide version counter.  A
@@ -38,10 +38,10 @@ Pin semantics:
   :class:`~repro.db.locks.LockUpgradeError` inside one, preserving the
   "declared read-only but attempted to write" procedure error.
 
-The manager also answers :meth:`SnapshotManager.min_pinned`, the bound
-below which the vacuum may physically reclaim superseded versions and
-tombstones, and fires ``on_idle`` when the last pin drains so garbage
-does not linger until the next mutation.
+The manager also answers :meth:`SnapshotManager.reclaim_bound`, the
+generation at or below which the vacuum may physically reclaim
+superseded versions and tombstones, and fires ``on_idle`` when the last
+pin drains so garbage does not linger until the next mutation.
 """
 
 from __future__ import annotations
@@ -133,9 +133,14 @@ class SnapshotManager:
         version the scope can still see.
         """
         stack = self._stack()
-        generation = stack[-1].generation if stack else self._clock.current
-        pin = SnapshotPin(generation, read_only)
         with self._mutex:
+            # Read the clock and register in one step: a vacuum bound
+            # taken under the same mutex then never exceeds the
+            # generation of a pin registered after it.
+            generation = (
+                stack[-1].generation if stack else self._clock.current
+            )
+            pin = SnapshotPin(generation, read_only)
             self._pinned[generation] = self._pinned.get(generation, 0) + 1
             self.pins_taken += 1
         stack.append(pin)
@@ -181,16 +186,19 @@ class SnapshotManager:
             return False
         return any(pin.read_only for pin in stack)
 
-    def pin_depth(self) -> int:
-        """This thread's pin nesting depth (observability)."""
-        stack = getattr(self._local, "stack", None)
-        return len(stack) if stack else 0
-
     # ------------------------------------------------------------------
-    def min_pinned(self) -> int | None:
-        """Oldest generation any live pin still needs (None when idle)."""
+    def reclaim_bound(self) -> int:
+        """The generation at or below which dead versions are reclaimable.
+
+        The oldest live pin's generation, or the current one when no pin
+        is live.  Both are read under the registry mutex, so a vacuum
+        pass using this bound stays safe for every pin registered while
+        it runs, even across later commits.
+        """
         with self._mutex:
-            return min(self._pinned) if self._pinned else None
+            if self._pinned:
+                return min(self._pinned)
+            return self._clock.current
 
     def pin_count(self) -> int:
         with self._mutex:

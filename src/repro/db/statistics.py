@@ -120,8 +120,8 @@ class ColumnStatistics:
         column estimate 0.0 (an equality can match nothing); a value
         outside a *fully enumerated* most-common list (``distinct_count
         == len(most_common)``) floors at half a row rather than 0.0, so
-        cost models and divergence ratios never see a hard zero for a
-        value that may have been inserted since statistics were cut.
+        cost models never see a hard zero for a value that may have
+        been inserted since statistics were cut.
         """
         if self.row_count == 0:
             return 0.0
@@ -139,22 +139,6 @@ class ColumnStatistics:
         return min(
             1.0, (remaining_rows / remaining_distinct) / self.row_count
         )
-
-    def bucket_selectivity(self, value: Any) -> tuple[float, Any]:
-        """``(estimate, bucket)`` for an equality against ``value``.
-
-        The bucket identifies which MCV stratum priced the estimate: the
-        matched most-common value itself, or ``None`` for the uniform
-        tail.  Plan re-specialisation keys forked templates by bucket —
-        every constant in one bucket shares one selectivity estimate, so
-        one specialised template per bucket is exactly enough.
-        """
-        if self.row_count == 0:
-            return 0.0, None
-        for known, count in self.most_common:
-            if known == value:
-                return min(1.0, count / self.row_count), known
-        return self.selectivity(value), None
 
     @property
     def is_key_like(self) -> bool:

@@ -574,15 +574,6 @@ class Table:
         banks = self._banks
         return (RowView(banks, s) for s in self.scan_slots())
 
-    @property
-    def mutation_count(self) -> int:
-        """Monotonic per-table write generation (DML + index DDL).
-
-        Exposed so observers (the autotune policy, benchmarks) can
-        measure write rates without reaching into storage internals.
-        """
-        return self._mutations
-
     def has_index(self, column: str) -> bool:
         return column in self._indexes
 
@@ -873,44 +864,6 @@ class Table:
             for row_id, slot in self._slot_of.items():
                 index.add(bank[slot], row_id)
             self._ordered_indexes[column] = index
-
-    def _constraint_backed(self, column: str) -> bool:
-        """Whether the hash index on ``column`` enforces pk/unique."""
-        if column == self.schema.primary_key:
-            return True
-        spec = self.schema.column(column)
-        return bool(spec.unique)
-
-    def drop_index(self, column: str) -> None:
-        """Drop the hash index on ``column``.
-
-        Constraint-backing indexes (primary key, unique columns) cannot
-        be dropped: duplicate detection on insert/update relies on them.
-        """
-        self.schema.column(column)  # raises UnknownColumnError
-        with self._latch:
-            if column not in self._indexes:
-                raise KeyError(column)
-            if self._constraint_backed(column):
-                raise ConstraintViolation(
-                    f"index on {self.name}.{column} backs a "
-                    "primary-key/unique constraint and cannot be dropped"
-                )
-            self._mutations += 1
-            del self._indexes[column]
-            self._group_layouts.pop(column, None)
-            self._slot_bucket_cache.pop(column, None)
-
-    def drop_ordered_index(self, column: str) -> None:
-        """Drop the ordered secondary index on ``column``."""
-        self.schema.column(column)  # raises UnknownColumnError
-        with self._latch:
-            if column not in self._ordered_indexes:
-                raise KeyError(column)
-            del self._ordered_indexes[column]
-            stale = [k for k in self._ordered_cache if k[0] == column]
-            for key in stale:
-                del self._ordered_cache[key]
 
     # ------------------------------------------------------------------
     # Mutation

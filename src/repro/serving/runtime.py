@@ -62,14 +62,6 @@ class RuntimeStats:
     # how often a committing transaction waited behind another writer.
     snapshot_version: int = 0
     commit_waits: int = 0
-    # HTAP replication (zeros/None when no replicas are attached): how
-    # many analytic statements landed on a replica vs fell through to
-    # the primary, and the current frontier in LSNs and seconds.
-    replicas_live: int = 0
-    replica_routes: int = 0
-    primary_fallbacks: int = 0
-    replica_lag_lsn: int = 0
-    replica_lag_seconds: float | None = None
 
 
 @dataclass(frozen=True)
@@ -94,9 +86,6 @@ class SessionStats:
     statements_prepared: int = 0
     # The MVCC generation the session's latest turn pinned.
     snapshot_version: int = 0
-    # Analytic statements this session ran on a replica (via the
-    # runtime's execute_analytic surface).
-    replica_routes: int = 0
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -219,19 +208,6 @@ class AgentRuntime:
         plan_cache = self._plan_cache
         with self._stats_lock:
             turns = self._turns_served
-        manager = self.replica_manager
-        replicas_live = 0
-        replica_routes = 0
-        primary_fallbacks = 0
-        replica_lag_lsn = 0
-        replica_lag_seconds: float | None = None
-        if manager is not None:
-            lag = manager.lag()
-            replicas_live = lag.replicas_live
-            replica_lag_lsn = lag.lsn
-            replica_lag_seconds = lag.seconds
-            replica_routes = manager.replica_routes
-            primary_fallbacks = manager.primary_fallbacks
         return RuntimeStats(
             live_sessions=len(store),
             sessions_created=store.created_count,
@@ -246,11 +222,6 @@ class AgentRuntime:
             plan_cache_evictions=plan_cache.evictions,
             snapshot_version=self.database.data_version,
             commit_waits=self.database.commit_latch.waits,
-            replicas_live=replicas_live,
-            replica_routes=replica_routes,
-            primary_fallbacks=primary_fallbacks,
-            replica_lag_lsn=replica_lag_lsn,
-            replica_lag_seconds=replica_lag_seconds,
         )
 
     def storage_stats(self) -> dict[str, Any]:
@@ -279,7 +250,6 @@ class AgentRuntime:
             executions=conn_stats.executions,
             statements_prepared=conn_stats.statements_prepared,
             snapshot_version=session.last_snapshot_version,
-            replica_routes=session.replica_routes,
         )
 
     def session_connection(self, session_id: str) -> Connection:
@@ -302,66 +272,6 @@ class AgentRuntime:
                     session.connection = connection
         return connection
 
-    # ------------------------------------------------------------------
-    # HTAP replication
-    # ------------------------------------------------------------------
-    @property
-    def replica_manager(self):
-        """The database's attached ReplicaManager (None without one)."""
-        return self.database.replica_manager
-
-    def enable_replicas(self, replicas: int = 1, **options):
-        """Attach ``replicas`` log-shipped analytic replicas.
-
-        Idempotent once attached: the existing manager is returned.
-        ``options`` pass through to
-        :class:`~repro.replication.ReplicaManager` (staleness bound,
-        ring capacity, batch size).  The serve CLIs call this for
-        ``--replicas N``.
-        """
-        manager = self.database.replica_manager
-        if manager is not None:
-            return manager
-        from repro.replication import ReplicaManager
-
-        return ReplicaManager(self.database, replicas=replicas, **options)
-
-    def replica_status(self) -> dict[str, Any]:
-        """Pipe-safe replication status (the ``:replicas`` surface and
-        the shard router's ``replica_status`` op)."""
-        manager = self.replica_manager
-        if manager is None:
-            return {"enabled": False}
-        status = manager.status()
-        status["enabled"] = True
-        return status
-
-    def execute_analytic(
-        self,
-        session_id: str,
-        statement,
-        max_staleness: float | None = None,
-        **binds,
-    ):
-        """Run one analytic statement for a session, replica-first.
-
-        Routes through the session connection's :meth:`analytic`
-        surface — a bounded-staleness replica when one qualifies, the
-        primary otherwise — and charges the route to the session's
-        counters.  Without replicas this is exactly
-        ``session_connection(session_id).execute(...)``.
-        """
-        session = self.sessions.get(session_id)
-        connection = self._session_connection(session)
-        target = connection.analytic(max_staleness=max_staleness)
-        result = target.execute(statement, **binds)
-        # manager.read() may itself have fallen through to the primary;
-        # only a genuinely different database counts as a replica route.
-        if target.database is not self.database:
-            with self._stats_lock:
-                session.replica_routes += 1
-        return result
-
     def advisor(self) -> list[IndexSuggestion]:
         """Ranked CREATE INDEX suggestions across the whole workload.
 
@@ -371,9 +281,3 @@ class AgentRuntime:
         existing index already satisfies are elided.
         """
         return self.database.index_advisor.suggestions(self.database)
-
-    def autotune_status(self) -> dict[str, Any]:
-        """The self-driving policy's status payload (the ``:autotune``
-        surface): enabled flag, applied/retired actions, per-index
-        usage counters, budget and respecialisation counters."""
-        return self.database.autotuner.status()

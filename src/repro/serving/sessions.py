@@ -62,9 +62,6 @@ class Session:
     # The MVCC generation the session's latest turn pinned (set by
     # AgentRuntime.respond(); surfaced in the serve REPL's :stats).
     last_snapshot_version: int = 0
-    # Analytic statements this session ran on a replica (maintained by
-    # AgentRuntime.execute_analytic under the turn-free stats lock).
-    replica_routes: int = 0
     # TranscriptTurn entries when the runtime records transcripts; kept
     # on the session so TTL/LRU reclamation frees them too.
     transcript: list = field(default_factory=list)

@@ -165,14 +165,6 @@ def _serve_request(runtime: Any, op: str, payload: Any) -> Any:
         }
     if op == "compact":
         return runtime.compact()
-    if op == "autotune":
-        # The status dict is already pipe-safe (plain scalars and
-        # lists; column values in MCV buckets are schema types).
-        return runtime.autotune_status()
-    if op == "replica_status":
-        # Pipe-safe by construction (ReplicaManager.status emits plain
-        # scalars); {"enabled": False} when the worker has no replicas.
-        return runtime.replica_status()
     raise ServingError(f"unknown shard op {op!r}")
 
 
@@ -358,30 +350,6 @@ class ShardRouter:
         """Compact every worker's replica; tables resealed per worker."""
         return {
             worker.index: worker.request("compact", None)
-            for worker in self._workers
-        }
-
-    def replica_status(self) -> dict[int, dict[str, Any]]:
-        """Per-worker replication status.
-
-        Each worker owns its database replica *and* (with ``--replicas``)
-        its own analytic replicas of it, so lag and routing counters are
-        inherently per worker.
-        """
-        return {
-            worker.index: worker.request("replica_status", None)
-            for worker in self._workers
-        }
-
-    def autotune_status(self) -> dict[int, dict[str, Any]]:
-        """Per-worker self-driving policy status.
-
-        Replicas tune independently — each worker's policy follows the
-        sessions hashed to it, so the applied index sets can legitimately
-        differ across workers under skewed session traffic.
-        """
-        return {
-            worker.index: worker.request("autotune", None)
             for worker in self._workers
         }
 

@@ -16,6 +16,7 @@ from repro.db.aggregation import (
     min_,
     sum_,
 )
+from repro.db.api import IndexSuggestion
 from repro.db.engine import CountOnly, Filter, IndexEq, SeqScan
 from repro.db.procedures import ProcedureResult
 from repro.db.query import and_, contains, eq, ge, gt, le, or_
@@ -630,6 +631,36 @@ class TestIndexAdvisor:
         before = conn.stats().index_misses
         conn.execute(select("movie").where(eq("title", "Heat"))).all()
         assert conn.stats().index_misses == before
+
+
+class TestApplyIdempotent:
+    def test_apply_creates_then_noops_with_warning(self, database):
+        suggestion = IndexSuggestion("movie", "title", "hash", 10, 10_000)
+        assert suggestion.apply(database) is True
+        assert database.table("movie").has_index("title")
+        with pytest.warns(UserWarning, match="already exists"):
+            assert suggestion.apply(database) is False
+
+    def test_apply_ordered_idempotent(self, database):
+        suggestion = IndexSuggestion(
+            "movie", "duration_minutes", "ordered", 10, 10_000
+        )
+        assert suggestion.apply(database) is True
+        with pytest.warns(UserWarning, match="already exists"):
+            assert suggestion.apply(database) is False
+
+    def test_apply_safe_under_commit_latch(self, database):
+        # The latch is reentrant: applying inside an open write scope
+        # must not deadlock.
+        suggestion = IndexSuggestion("movie", "title", "hash", 10, 10_000)
+        with database.write_locked():
+            assert suggestion.apply(database) is True
+        assert database.table("movie").has_index("title")
+
+    def test_existing_constraint_index_noops(self, database):
+        suggestion = IndexSuggestion("movie", "movie_id", "hash", 10, 10_000)
+        with pytest.warns(UserWarning):
+            assert suggestion.apply(database) is False
 
 
 # ---------------------------------------------------------------------------

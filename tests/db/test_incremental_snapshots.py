@@ -303,23 +303,14 @@ class TestCrashRecovery:
 
 
 class TestOldFormatsStillLoad:
-    """v1/v2/v3 snapshots stay loadable next to v4 (full matrix in
-    test_persistence; this is the incremental feature's guard)."""
+    """v3 snapshots stay loadable next to v4 (the v1/v2 row formats are
+    rejected, see test_persistence; this is the incremental feature's
+    guard)."""
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [3])
     def test_downlevel_bodies_load(self, movie_db, version):
         database, __ = movie_db
         body = json.loads(dumps_database(database))
-        if version < 3:
-            body["format_version"] = version
-            body["rows"] = {
-                name: [
-                    dict(zip(banks, values))
-                    for values in zip(*banks.values())
-                ]
-                for name, banks in body.pop("columns").items()
-            }
-            if version == 1:
-                del body["indexes"]
+        assert body["format_version"] == version
         restored = loads_database(json.dumps(body))
         assert restored.count("movie") == database.count("movie")

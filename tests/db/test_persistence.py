@@ -127,26 +127,6 @@ class TestIndexDDLPersistence:
         for query in queries:
             assert query.explain(restored) == query.explain(database)
 
-    def test_version_1_snapshot_without_indexes_loads(self, movie_db):
-        import json
-
-        database, __ = movie_db
-        body = json.loads(dumps_database(database))
-        body["format_version"] = 1
-        del body["indexes"]
-        # v1 stored one dict per row; rebuild that layout from the
-        # columnar v3 section.
-        body["rows"] = {
-            name: [
-                dict(zip(banks, values)) for values in zip(*banks.values())
-            ]
-            for name, banks in body.pop("columns").items()
-        }
-        restored = loads_database(json.dumps(body))
-        assert restored.count("screening") == database.count("screening")
-        # Schema-implied indexes exist; secondary DDL is (expectedly) gone.
-        assert not restored.table("screening").has_ordered_index("date")
-
     def test_snapshot_indexes_on_unknown_table_rejected(self, movie_db):
         import json
 
@@ -158,7 +138,7 @@ class TestIndexDDLPersistence:
 
 
 class TestColumnarSnapshotFormat:
-    """Format v3: column banks on disk; v1/v2 row layouts still load."""
+    """Format v3: column banks on disk; the v1/v2 row layouts are gone."""
 
     def test_dump_is_version_3_and_columnar(self, movie_db):
         import json
@@ -187,23 +167,21 @@ class TestColumnarSnapshotFormat:
         restored = loads_database(dumps_database(database))
         assert restored.rows("reservation") == database.rows("reservation")
 
-    def test_version_2_row_snapshot_loads(self, movie_db):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_row_snapshot_versions_rejected(self, movie_db, version):
         import json
 
         database, __ = movie_db
         body = json.loads(dumps_database(database))
-        body["format_version"] = 2
+        body["format_version"] = version
         body["rows"] = {
             name: [
                 dict(zip(banks, values)) for values in zip(*banks.values())
             ]
             for name, banks in body.pop("columns").items()
         }
-        restored = loads_database(json.dumps(body))
-        for name in database.table_names:
-            assert restored.rows(name) == database.rows(name)
-        # v2 carried the index DDL section, so access paths survive.
-        assert restored.table("screening").has_ordered_index("date")
+        with pytest.raises(DatabaseError, match="unsupported snapshot version"):
+            loads_database(json.dumps(body))
 
     def test_ragged_v3_banks_rejected(self, movie_db):
         import json
@@ -220,9 +198,5 @@ class TestColumnarSnapshotFormat:
         database, __ = movie_db
         body = json.loads(dumps_database(database))
         del body["columns"]
-        with pytest.raises(DatabaseError):
+        with pytest.raises(DatabaseError, match="'columns' section"):
             loads_database(json.dumps(body))
-        legacy = {"format_version": 2,
-                  "schema": json.loads(dumps_database(database))["schema"]}
-        with pytest.raises(DatabaseError):
-            loads_database(json.dumps(legacy))

@@ -170,6 +170,42 @@ class TestSnapshotVisibility:
         with db.read_locked():
             assert db.count("account") == 3
 
+    def test_vacuum_bound_taken_before_a_pin_spares_its_versions(
+        self, db, monkeypatch
+    ):
+        # An idle vacuum pass takes its bound; then a reader pins and a
+        # writer commits a delete before the pass reaches the table.
+        # The reader's pin predates the delete, so the pass must leave
+        # the version it can still see.
+        table = db.table("account")
+        rid = table.lookup("account_id", 4)[0]
+        vacuum = table.vacuum
+        pinned = threading.Event()
+        release = threading.Event()
+        seen = {}
+
+        def reader():
+            with db.read_locked():
+                pinned.set()
+                release.wait(timeout=10)
+                seen["count"] = db.count("account")
+
+        thread = threading.Thread(target=reader)
+
+        def vacuum_after_race(bound):
+            monkeypatch.setattr(table, "vacuum", vacuum)
+            thread.start()
+            assert pinned.wait(timeout=10)
+            _on_thread(lambda: db.delete("account", rid))
+            return vacuum(bound)
+
+        monkeypatch.setattr(table, "vacuum", vacuum_after_race)
+        db._vacuum_all()
+        release.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen["count"] == 4
+
     def test_update_versions_do_not_tear_for_pinned_reader(self, db):
         rid = db.table("account").lookup("account_id", 2)[0]
         with db.read_locked():

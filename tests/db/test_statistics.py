@@ -168,7 +168,6 @@ class TestDegenerateSelectivity:
         assert stats.selectivity("a") == 0.0
         assert stats.average_selectivity == 0.0
         assert stats.range_selectivity(low=1, high=2) == 0.0
-        assert stats.bucket_selectivity("a") == (0.0, None)
 
     def test_all_null_column_matches_nothing(self):
         stats = self._stats(
@@ -176,9 +175,6 @@ class TestDegenerateSelectivity:
         )
         assert stats.selectivity("a") == 0.0
         assert stats.range_selectivity(low=1) == 0.0
-        estimate, bucket = stats.bucket_selectivity("a")
-        assert estimate == 0.0
-        assert bucket is None
 
     def test_fully_enumerated_mcv_unseen_value_floors(self):
         # distinct_count == len(most_common): statistics claim every
@@ -197,7 +193,6 @@ class TestDegenerateSelectivity:
             row_count=10, distinct_count=1, most_common=(("a", 25),)
         )
         assert stats.selectivity("a") == 1.0
-        assert stats.bucket_selectivity("a") == (1.0, "a")
 
     def test_average_selectivity_overcounted_histogram_clamps(self):
         stats = self._stats(
@@ -205,17 +200,6 @@ class TestDegenerateSelectivity:
             most_common=(("a", 30), ("b", 20)),
         )
         assert 0.0 <= stats.average_selectivity <= 1.0
-
-    def test_bucket_selectivity_tail_bucket_is_none(self):
-        stats = self._stats(
-            row_count=100, distinct_count=10,
-            most_common=(("a", 40), ("b", 20)),
-        )
-        sel_a, bucket_a = stats.bucket_selectivity("a")
-        assert (sel_a, bucket_a) == (0.4, "a")
-        sel_tail, bucket_tail = stats.bucket_selectivity("q")
-        assert bucket_tail is None
-        assert 0.0 < sel_tail < 0.4
 
     def test_range_selectivity_all_null_side(self):
         stats = self._stats(
