@@ -82,9 +82,8 @@ session has its own dialogue state and awareness model.
   :use <id>     switch the active session
   :sessions     list live sessions
   :close <id>   end a session
-  :stats        runtime + storage + per-session connection counters
+  :stats        runtime + per-session connection counters
   :advisor      ranked CREATE INDEX suggestions from observed scans
-  :compact      fold every table's delta into a fresh sealed segment
   :help         this text
   :quit         leave
 Anything else is sent to the active session."""
@@ -98,8 +97,7 @@ all land on its worker).
   :use <id>     switch the active session
   :sessions     list live sessions (all workers)
   :close <id>   end a session
-  :stats        per-worker turn counts, storage, commit waits
-  :compact      reseal every worker replica's delta rows
+  :stats        per-worker turn counts, commit waits
   :help         this text
   :quit         leave
 Anything else is sent to the active session."""
@@ -110,7 +108,7 @@ def _shard_worker_runtime(snapshot_path):
 
     Fork-style workers never call this — they inherit the parent's
     already-synthesized agent; spawn-style workers rebuild from the
-    incremental snapshot directory (sealed base + delta log) the
+    incremental snapshot directory (base image + delta log) the
     parent wrote, restoring without a full re-synthesis pass.
     """
     from repro import CAT
@@ -140,7 +138,7 @@ def _cmd_serve_sharded(session_ttl: float | None, workers: int) -> int:
         router = ShardRouter(workers, bootstrap, start_method="fork")
     else:  # pragma: no cover - non-fork platforms
         # Incremental (v4) snapshot directory: workers restore the
-        # sealed base image and replay the delta log instead of
+        # base image and replay the delta log instead of
         # re-synthesizing, so spawn start stays fast.
         directory = tempfile.mkdtemp(prefix="repro-shard-")
         from repro.db import dump_incremental
@@ -215,21 +213,6 @@ def _cmd_serve_sharded(session_ttl: float | None, workers: int) -> int:
                             f"txns={w.transactions_committed}"
                             f"/{w.transactions_aborted} aborted"
                         )
-                    for index, tables in sorted(
-                        router.storage_stats().items()
-                    ):
-                        print(f"  storage (worker {index}):")
-                        for name, s in sorted(tables.items()):
-                            print(
-                                f"    {name:16s} "
-                                f"sealed={s['sealed_rows']}  "
-                                f"delta={s['delta_rows']}  "
-                                f"retired={s['retired_rows']}  "
-                                f"compactions={s['compactions']}"
-                            )
-                elif text == ":compact":
-                    for index, count in sorted(router.compact().items()):
-                        print(f"  worker {index}: {count} tables resealed")
                 elif text.startswith(":"):
                     print(f"unknown command {text!r} (:help for help)")
                 else:
@@ -295,18 +278,6 @@ def _cmd_serve(session_ttl: float | None) -> int:
                 stats = runtime.stats()
                 for key, value in vars(stats).items():
                     print(f"  {key:24s} {value}")
-                print("  per-table storage (sealed segment + delta):")
-                for name, s in sorted(runtime.storage_stats().items()):
-                    line = (
-                        f"    {name:16s} sealed={s.sealed_rows}  "
-                        f"delta={s.delta_rows}  retired={s.retired_rows}  "
-                        f"compactions={s.compactions}"
-                    )
-                    if s.compactions:
-                        line += (
-                            f"  last={s.last_compaction_seconds * 1000.0:.2f}ms"
-                        )
-                    print(line)
                 session_ids = runtime.session_ids()
                 if session_ids:
                     print("  per-session (connection stats + turn latency):")
@@ -322,8 +293,6 @@ def _cmd_serve(session_ttl: float | None) -> int:
                         f"last_turn={s.last_turn_ms:.2f}ms  "
                         f"snapshot=v{s.snapshot_version}"
                     )
-            elif text == ":compact":
-                print(f"  {runtime.compact()} tables resealed")
             elif text == ":advisor":
                 suggestions = runtime.advisor()
                 if not suggestions:
@@ -632,7 +601,7 @@ def _cmd_snapshot(path: str, incremental: bool = False) -> int:
     database, __ = build_movie_database()
     if incremental:
         dump_incremental(database, path)
-        print(f"wrote {path}/ (sealed base + delta log)")
+        print(f"wrote {path}/ (base image + delta log)")
     else:
         dump_database(database, path)
         print(f"wrote {path}")
@@ -674,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
     snapshot.add_argument(
         "--incremental",
         action="store_true",
-        help="write a format-v4 snapshot directory (sealed base image "
+        help="write a format-v4 snapshot directory (base image "
         "+ append-only delta log) instead of one JSON file",
     )
     _make_explain_parser(

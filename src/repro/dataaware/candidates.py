@@ -159,11 +159,6 @@ class CandidateSet:
         table = self._database.table(self.table)
         return [table.get(rid) for rid in self.row_ids]
 
-    def key_values(self, key_column: str) -> list[Any]:
-        """Values of the entity key over the surviving candidates."""
-        table = self._database.table(self.table)
-        return [table.get(rid)[key_column] for rid in self.row_ids]
-
     def the_row(self) -> dict[str, Any]:
         """The single remaining candidate row."""
         if not self.is_unique:

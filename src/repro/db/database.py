@@ -51,20 +51,12 @@ class Database:
         self.clock = GenerationClock()
         self.commit_latch = CommitLatch()
         self.snapshots = SnapshotManager(
-            self.clock, latch=self.commit_latch, on_idle=self._on_idle
+            self.clock, latch=self.commit_latch, on_idle=self._vacuum_all
         )
         # Incremental persistence: when a DeltaLog is assigned (see
         # ``repro.db.persistence.dump_incremental``) every committed
         # logical mutation is recorded and flushed at the commit point.
         self.delta_log = None
-        # Plan-template stamp: pre-sealed it ticks with every commit
-        # (plans were priced against statistics that just changed);
-        # once compaction has sealed the tables, committed writes leave
-        # it alone — templates stay structurally valid, statistics
-        # merge the delta — and only DDL or a re-seal bumps it.
-        self._plan_ticks = 0
-        self._sealed_mode = False
-        self.autocompact_delta = 512
         for table in self._tables.values():
             table.bind_versioning(
                 self.clock, self.snapshots, self.transactions.in_transaction
@@ -93,18 +85,6 @@ class Database:
     def __contains__(self, name: str) -> bool:
         return name in self._tables
 
-    def add_table(self, schema: TableSchema) -> Table:
-        """Add a new table to an existing database (DDL)."""
-        self.schema.add_table(schema)
-        self.schema.validate()
-        table = Table(schema)
-        table.bind_versioning(
-            self.clock, self.snapshots, self.transactions.in_transaction
-        )
-        self._tables[schema.name] = table
-        self._plan_ticks += 1
-        return table
-
     def create_index(self, table_name: str, column: str) -> None:
         """Build a hash index on ``table.column`` (DDL).
 
@@ -113,7 +93,6 @@ class Database:
         """
         with self.write_locked():
             self.table(table_name).create_index(column)
-            self._plan_ticks += 1
             self.notify_data_changed()
 
     def create_ordered_index(self, table_name: str, column: str) -> None:
@@ -125,7 +104,6 @@ class Database:
         """
         with self.write_locked():
             self.table(table_name).create_ordered_index(column)
-            self._plan_ticks += 1
             self.notify_data_changed()
 
     # ------------------------------------------------------------------
@@ -251,77 +229,12 @@ class Database:
         return self.clock.current if pinned is None else pinned
 
     def _vacuum_all(self) -> None:
-        """Reclaim versions no pinned snapshot can still see."""
+        """Reclaim versions no pinned snapshot can still see (run at
+        commit and rollback points, and by the snapshot manager when
+        the last pin drains)."""
         bound = self.snapshots.reclaim_bound()
         for table in self._tables.values():
             table.vacuum(bound)
-
-    def _on_idle(self) -> None:
-        """Fired by the snapshot manager when the last pin drains."""
-        self._vacuum_all()
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        """Opportunistic compaction once any sealed table's delta has
-        grown past :attr:`autocompact_delta` rows.
-
-        Runs on the pin-drain path, so it must stay out of the way:
-        never mid-transaction, never when a writer holds the latch
-        (the ``locked`` peek is racy, but :meth:`compact` re-checks
-        pins under the mutex — a miss here just defers to the next
-        idle point), and only in sealed mode, where delta growth is
-        what degrades the two-part merges.
-        """
-        threshold = self.autocompact_delta
-        if (
-            not self._sealed_mode
-            or threshold is None
-            or self.transactions.in_transaction()
-            or self.commit_latch.locked
-            or self.snapshots.writes_forbidden()
-        ):
-            return
-        if any(
-            table.is_sealed and table.delta_rows >= threshold
-            for table in self._tables.values()
-        ):
-            self.compact()
-
-    def compact(self) -> int:
-        """Fold every table's delta into a fresh sealed segment.
-
-        Takes the commit latch and blocks new snapshot pins for the
-        duration; returns the number of tables resealed (0 when a
-        pinned reader made compaction unsafe — callers just retry at
-        the next idle point).  First use switches the database into
-        sealed mode: analytic memos become epoch-stable and committed
-        writes stop churning the plan-template stamp.
-        """
-        from repro.errors import TransactionError
-
-        if self.transactions.in_transaction():
-            raise TransactionError(
-                "cannot compact inside an open transaction"
-            )
-        with self.write_locked():
-            with self.snapshots.pins_blocked() as quiesced:
-                if not quiesced:
-                    return 0
-                compacted = 0
-                for table in self._tables.values():
-                    if table.compact():
-                        compacted += 1
-                if compacted:
-                    self._sealed_mode = True
-                    self._plan_ticks += 1
-                return compacted
-
-    def storage_stats(self) -> dict[str, Any]:
-        """Per-table sealed/delta/compaction figures (``:stats``)."""
-        return {
-            name: table.storage_stats()
-            for name, table in self._tables.items()
-        }
 
     # ------------------------------------------------------------------
     # Change tracking
@@ -337,17 +250,10 @@ class Database:
         with self._listener_lock:
             self._change_listeners.append(listener)
 
-    @property
-    def plan_stamp(self) -> int:
-        """The plan cache's version stamp (see ``_plan_ticks``)."""
-        return self._plan_ticks
-
     def notify_data_changed(self) -> None:
         """Commit point: publish pending stamps and fan out to listeners."""
         with self._listener_lock:
             self.clock.advance()
-            if not self._sealed_mode:
-                self._plan_ticks += 1
             log = self.delta_log
             if log is not None:
                 log.commit(self.clock.current)

@@ -589,15 +589,7 @@ class PlanCache:
     ) -> None:
         self._database = database
         self._statistics = statistics
-        # Templates stamp on plan_stamp, not data_version: once the
-        # tables are sealed, a committed write leaves cached templates
-        # alive (they stay structurally valid; statistics absorb the
-        # delta), and only DDL or a compaction re-prices them.
-        self._cache = VersionStampedCache(
-            database,
-            max_entries=max_entries,
-            version=lambda: database.plan_stamp,
-        )
+        self._cache = VersionStampedCache(database, max_entries=max_entries)
         self._local = threading.local()
         self._bypass_lock = threading.Lock()
         self._bypasses = 0

@@ -82,7 +82,6 @@ from repro.errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
-    from repro.db.segments import GroupedReduce
 
 __all__ = [
     "execute_plan",
@@ -1441,47 +1440,10 @@ def _index_grouped_agg_scan(
             rows = table.iter_views()
         return _generic_aggregate(rows, (key,), exprs)
     if all(_segmentable(table, e) for e in exprs):
-        # Sealed tables answer from the two-part grouped reduce: the
-        # sealed per-group state is epoch-memoised, so a commit between
-        # turns costs O(groups + delta) here instead of re-flattening
-        # the layout and re-running the prefix sums over the table.
-        reduce = table.grouped_reduce(key)
-        if reduce is not None:
-            return _reduced_grouped_agg(key, exprs, reduce)
         layout = table.grouped_layout(key)
         if layout is not None:
             return _segmented_grouped_agg(table, key, exprs, layout)
     return _banked_aggregate(table, table.scan_slots(), (key,), exprs)
-
-
-def _reduced_grouped_agg(
-    key: str, exprs: tuple[AggExpr, ...], reduce: GroupedReduce
-) -> list[Row]:
-    """Emit grouped-aggregate rows straight off a two-part reduce.
-
-    Group keys and counts are already merged; sums and averages read
-    the per-group ``(sum, non-NULL count)`` pairs, where averaging by
-    the non-NULL count matches both of the segmented path's branches
-    (with no NULLs in a group, that count equals the group size).
-    """
-    keys = reduce.keys
-    columns: list[Iterable] = []
-    for expr in exprs:
-        if expr.kind == "count":
-            columns.append(reduce.sizes)
-            continue
-        sums, nn = reduce.sums(expr.column)
-        if expr.kind == "sum":
-            columns.append(sums)
-        else:
-            columns.append(
-                t / c if c else None for t, c in zip(sums, nn)
-            )
-    if len(exprs) == 1:
-        name = exprs[0].name
-        return [{key: k, name: v} for k, v in zip(keys, columns[0])]
-    names = (key, *(e.name for e in exprs))
-    return [dict(zip(names, row)) for row in zip(keys, *columns)]
 
 
 def _segmentable(table: Table, expr: AggExpr) -> bool:

@@ -40,11 +40,6 @@ class CommitLatch:
     def held_by_current_thread(self) -> bool:
         return self._owner == threading.get_ident()
 
-    @property
-    def locked(self) -> bool:
-        """Whether any thread currently owns the latch (racy peek)."""
-        return self._owner is not None
-
     def acquire(self) -> None:
         me = threading.get_ident()
         with self._cond:

@@ -14,6 +14,16 @@ Stored procedures are Python callables and cannot be serialised; a
 loaded database starts with an empty procedure registry and the caller
 re-registers its workload (exactly like restoring a SQL dump and
 re-applying the function definitions).
+
+Snapshot files are replaced atomically (see :func:`_replace_file`), so
+a failed or interrupted dump leaves the previous snapshot loadable.
+
+An *incremental* snapshot (format v4) is a directory holding a base
+image plus a :class:`DeltaLog` of committed logical mutations, one
+CRC-protected JSON line per commit.  :func:`load_incremental` restores
+the base and replays the log; :func:`read_delta_records` cuts a torn or
+corrupt tail, so a crash mid-append recovers to the last fully
+committed generation instead of failing the restore.
 """
 
 from __future__ import annotations
@@ -21,11 +31,12 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import os
-from typing import Any
+import threading
+import zlib
+from typing import Any, Callable
 
 from repro.db.database import Database
 from repro.db.schema import Column, DatabaseSchema, ForeignKey, TableSchema
-from repro.db.segments import DeltaLog, read_delta_records
 from repro.db.types import DataType
 from repro.errors import DatabaseError
 
@@ -305,10 +316,31 @@ def loads_database(payload: str) -> Database:
     return database
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` all or nothing.
+
+    The text lands in a temp file beside ``path``, which is flushed,
+    fsynced and then renamed over ``path``; on any failure the temp
+    file is removed and the previous ``path`` is left as it was.  The
+    temp name is unique per process and thread, and plain ``open``
+    gives the file the same umask-derived mode a direct write would.
+    """
+    temp_path = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    handle = open(temp_path, "w")
+    try:
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_path, path)
+    except BaseException:
+        os.unlink(temp_path)
+        raise
+
+
 def dump_database(database: Database, path: str) -> None:
-    """Write a JSON snapshot to ``path``."""
-    with open(path, "w") as handle:
-        handle.write(dumps_database(database))
+    """Write a JSON snapshot to ``path``, replacing it atomically."""
+    _replace_file(path, dumps_database(database))
 
 
 def load_database(path: str) -> Database:
@@ -320,6 +352,178 @@ def load_database(path: str) -> Database:
 # ---------------------------------------------------------------------------
 # Incremental snapshots (format v4 base image + delta log)
 # ---------------------------------------------------------------------------
+
+def _record_crc(generation: int, ops: list) -> int:
+    """CRC32 over the canonical encoding of one record's content."""
+    canonical = json.dumps(
+        [generation, ops], separators=(",", ":"), sort_keys=True
+    )
+    return zlib.crc32(canonical.encode("utf-8"))
+
+
+def _identity(value: Any) -> Any:
+    return value
+
+
+class DeltaLog:
+    """Append-only log of committed logical mutations.
+
+    One op is ``[kind, table, row_id, payload]``: ``kind`` is "insert"
+    (payload: the full coerced row), "update" (payload: the new values
+    of the changed columns) or "delete" (payload: None).  The database
+    records each statement's op into a pending buffer;
+    :meth:`commit` flushes the buffer as one atomic record tagged with
+    the committed generation.  Savepoints mirror the transaction
+    manager's: :meth:`rollback_to` truncates the pending tail exactly
+    like the undo log replays its inverse tail, and :meth:`discard`
+    drops a rolled-back transaction's ops entirely — only committed
+    state ever reaches the log.
+
+    When attached to a file each record is one JSON line carrying a
+    CRC32 of its content, flushed at the commit point, so a reader can
+    always cut a torn tail back to the last fully committed record.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pending: list[list] = []
+        self._marks: dict[str, int] = {}
+        self._handle = None
+
+    # ------------------------------------------------------------------
+    # Recording (called under the database's commit latch)
+    # ------------------------------------------------------------------
+    def record(
+        self, kind: str, table: str, row_id: int, payload: Any = None
+    ) -> None:
+        """Buffer one logical op until the owning commit point."""
+        self._pending.append([kind, table, row_id, payload])
+
+    def savepoint(self, name: str) -> None:
+        self._marks[name] = len(self._pending)
+
+    def rollback_to(self, name: str) -> None:
+        mark = self._marks.get(name)
+        if mark is not None:
+            del self._pending[mark:]
+
+    def discard(self) -> None:
+        """Drop the pending buffer (transaction rollback)."""
+        self._pending.clear()
+        self._marks.clear()
+
+    def commit(self, generation: int) -> None:
+        """Flush pending ops as one record tagged with ``generation``."""
+        ops = self._pending
+        self._pending = []
+        self._marks.clear()
+        if ops:
+            with self._lock:
+                if self._handle is not None:
+                    self._write_locked(generation, ops)
+
+    def _write_locked(self, generation: int, ops: list[list]) -> None:
+        ops = [
+            [kind, table, row_id,
+             None if payload is None else {
+                 column: _encode_value(value)
+                 for column, value in payload.items()
+             }]
+            for kind, table, row_id, payload in ops
+        ]
+        line = json.dumps(
+            {
+                "generation": generation,
+                "ops": ops,
+                "crc": _record_crc(generation, ops),
+            },
+            separators=(",", ":"),
+        )
+        self._handle.write(line + "\n")
+        self._handle.flush()
+
+    def attach(self, path: str) -> None:
+        """Start a fresh log file at ``path`` (one JSON line per commit).
+
+        The caller just wrote a base image that already contains
+        everything committed so far, so the file starts empty.
+        """
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+            self._handle = open(path, "w")
+
+
+def read_delta_records(
+    path: str, decoder: Callable[[Any], Any] | None = None
+) -> tuple[list[dict[str, Any]], bool]:
+    """Read a delta-log file tolerantly: ``(records, clean)``.
+
+    Stops at the first torn or corrupt line — a truncated JSON tail, a
+    CRC mismatch, a malformed record or a non-monotonic generation —
+    and returns everything before it.  ``clean`` is False when such a
+    tail was cut, which is exactly the crash-mid-append case: the
+    records returned are the last fully committed state.
+    """
+    decode = decoder if decoder is not None else _identity
+    records: list[dict[str, Any]] = []
+    clean = True
+    last_generation = None
+    # Frame in binary: a crash (or a copy taken mid-append) can cut the
+    # file at *any* byte offset, including inside a multi-byte UTF-8
+    # sequence — text-mode iteration would raise UnicodeDecodeError on
+    # such a tail instead of cutting it.  Split on the newline framing
+    # first, decode each complete line on its own, and treat any decode
+    # failure like every other torn-tail symptom.
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    chunks = raw.split(b"\n")
+    if chunks[-1] != b"":
+        # No trailing newline: the final chunk is a torn append (the
+        # writer emits record+terminator in one write), however far it
+        # got — zero bytes of payload or all of them.
+        clean = False
+    chunks = chunks[:-1]
+    for chunk in chunks:
+        try:
+            line = chunk.decode("utf-8")
+            body = json.loads(line)
+            generation = body["generation"]
+            ops = body["ops"]
+            crc = body["crc"]
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+            clean = False
+            break
+        if not isinstance(generation, int) or not isinstance(ops, list):
+            clean = False
+            break
+        if crc != _record_crc(generation, ops):
+            clean = False
+            break
+        if last_generation is not None and generation <= last_generation:
+            clean = False
+            break
+        try:
+            decoded_ops = [
+                (
+                    kind,
+                    table,
+                    row_id,
+                    None if payload is None else {
+                        column: decode(value)
+                        for column, value in payload.items()
+                    },
+                )
+                for kind, table, row_id, payload in ops
+            ]
+        except (TypeError, ValueError, AttributeError, DatabaseError):
+            clean = False
+            break
+        last_generation = generation
+        records.append({"generation": generation, "ops": decoded_ops})
+    return records, clean
+
+
 
 def dump_incremental(database: Database, directory: str) -> str:
     """Write a v4 base image to ``directory`` and start its delta log.
@@ -336,12 +540,11 @@ def dump_incremental(database: Database, directory: str) -> str:
     base_path = os.path.join(directory, BASE_SNAPSHOT_NAME)
     log_path = os.path.join(directory, DELTA_LOG_NAME)
     with database.write_locked():
-        with open(base_path, "w") as handle:
-            handle.write(dumps_database(database, version=4))
+        _replace_file(base_path, dumps_database(database, version=4))
         log = database.delta_log
         if log is None:
             log = DeltaLog()
-        log.attach(log_path, encoder=_encode_value, truncate=True)
+        log.attach(log_path)
         database.delta_log = log
     return directory
 
@@ -351,9 +554,7 @@ def load_incremental(directory: str) -> Database:
 
     Loads the v4 base image, then replays every fully committed
     delta-log record (the tolerant reader cuts a torn or corrupt tail,
-    recovering to the last complete commit), and finally compacts so
-    the restored database starts sealed — restart lands directly in
-    the cache-retentive storage mode.
+    recovering to the last complete commit).
     """
     base_path = os.path.join(directory, BASE_SNAPSHOT_NAME)
     if not os.path.exists(base_path):
@@ -366,7 +567,6 @@ def load_incremental(directory: str) -> Database:
     if os.path.exists(log_path):
         records, __ = read_delta_records(log_path, decoder=_decode_value)
         _replay_records(database, records)
-    database.compact()
     return database
 
 

@@ -200,10 +200,6 @@ class SnapshotManager:
                 return min(self._pinned)
             return self._clock.current
 
-    def pin_count(self) -> int:
-        with self._mutex:
-            return sum(self._pinned.values())
-
     @contextmanager
     def pins_blocked(self) -> Iterator[bool]:
         """Hold new pin registration; yields whether no pin is live.

@@ -35,7 +35,6 @@ __all__ = [
     "ColumnStatistics",
     "TableStatistics",
     "StatisticsCatalog",
-    "column_statistics_from_counts",
 ]
 
 
@@ -222,49 +221,6 @@ def compute_column_statistics(
     )
 
 
-def column_statistics_from_counts(
-    table_name: str,
-    column: str,
-    counts: Counter,
-    null_count: int,
-    most_common_k: int = 16,
-) -> ColumnStatistics:
-    """Build :class:`ColumnStatistics` from a value histogram.
-
-    The sealed-storage path: :meth:`Table.column_counts` merges the
-    epoch-memoised sealed counter with the delta, so the catalog never
-    rescans a sealed column — every figure here derives from the
-    ``value -> count`` histogram exactly as the rescan derives it from
-    the raw values (NULLs stay their own entropy category).
-    """
-    non_null = sum(counts.values())
-    row_count = non_null + null_count
-    try:
-        min_value = min(counts) if counts else None
-        max_value = max(counts) if counts else None
-    except TypeError:  # mixed/unorderable values
-        min_value = max_value = None
-    bits = 0.0
-    if row_count:
-        for count in counts.values():
-            p = count / row_count
-            bits -= p * math.log2(p)
-        if null_count:
-            p = null_count / row_count
-            bits -= p * math.log2(p)
-    return ColumnStatistics(
-        table=table_name,
-        column=column,
-        row_count=row_count,
-        distinct_count=len(counts),
-        null_count=null_count,
-        entropy=bits,
-        most_common=tuple(counts.most_common(most_common_k)),
-        min_value=min_value,
-        max_value=max_value,
-    )
-
-
 @dataclass(frozen=True)
 class TableStatistics:
     """Statistics for all columns of one table."""
@@ -346,30 +302,17 @@ class StatisticsCatalog:
 
     def _compute(self, table_name: str) -> TableStatistics:
         table = self._database.table(table_name)
-        columns: dict[str, ColumnStatistics] = {}
-        # Sealed tables answer from merged histograms (sealed counter
-        # memoised per epoch + delta adjustments) — a commit between
-        # turns costs O(distinct + delta) per column, not a rescan.
-        # Unsealed tables (or a stale pinned reader) read the columns
-        # straight from the banks in one shared slot pass.  Not
-        # assembled from :meth:`column` entries — a whole-table
-        # consumer would then count one miss per column, and the two
-        # access patterns rarely overlap.
-        arrays = None
-        sealed = table.is_sealed
-        for column in table.schema.column_names:
-            merged = table.column_counts(column) if sealed else None
-            if merged is not None:
-                columns[column] = column_statistics_from_counts(
-                    table_name, column, merged[0], merged[1],
-                    self._most_common_k,
-                )
-                continue
-            if arrays is None:
-                arrays = table.column_arrays()
-            columns[column] = compute_column_statistics(
-                table_name, column, arrays[column], self._most_common_k
+        # The columns come straight from the banks in one shared slot
+        # pass.  Not assembled from :meth:`column` entries — a
+        # whole-table consumer would then count one miss per column,
+        # and the two access patterns rarely overlap.
+        arrays = table.column_arrays()
+        columns = {
+            column: compute_column_statistics(
+                table_name, column, values, self._most_common_k
             )
+            for column, values in arrays.items()
+        }
         return TableStatistics(
             table=table_name, row_count=len(table), columns=columns
         )
@@ -380,12 +323,6 @@ class StatisticsCatalog:
         table = self._database.table(table_name)
         if not table.schema.has_column(column):
             raise KeyError(column)
-        merged = table.column_counts(column) if table.is_sealed else None
-        if merged is not None:
-            return column_statistics_from_counts(
-                table_name, column, merged[0], merged[1],
-                self._most_common_k,
-            )
         return compute_column_statistics(
             table_name, column, table.column_arrays()[column],
             self._most_common_k,

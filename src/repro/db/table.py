@@ -26,21 +26,6 @@ current-state structures, and a table not attached to a database (or
 one with no pinned reader) mutates in place exactly as the pre-MVCC
 code did.
 
-Once a table has been *compacted* (:meth:`Table.compact`) its banks
-additionally split into an immutable **sealed segment** — the slot
-prefix below ``_sealed_len``, dense and in row-id order, whose cells,
-ids and creation stamps never change again — and a small mutable
-**delta** past it, where every subsequent append, version-append and
-free-slot reuse lands.  Tombstoning a sealed slot *retires* it (the
-cells stay readable) rather than freeing it; only the next compaction
-reclaims sealed space.  The payoff is cache stability: the expensive
-batch structures (join build buckets, grouped-aggregate state, column
-value counts) memoise their sealed part keyed by ``_sealed_epoch`` —
-bumped once per compaction, never per write — and merge in the delta
-per mutation generation, so analytic reads survive writer traffic at
-O(delta) instead of rebuilding O(table).  A table that was never
-compacted has ``_sealed_len == 0`` and behaves exactly as before.
-
 Structure reads and mutations synchronise on a short per-table latch
 (``_latch``) held per operation — never for a whole turn; whole writer
 transactions serialise on the database's commit latch above this layer.
@@ -67,16 +52,13 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
 from collections.abc import Mapping
 from itertools import accumulate, repeat
 from operator import itemgetter
-from time import perf_counter
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.db.ordering import ordering_key
 from repro.db.schema import TableSchema
-from repro.db.segments import GroupedReduce, TableStorageStats
 from repro.db.snapshots import GenerationClock, SnapshotManager
 from repro.db.types import coerce, is_null
 from repro.errors import ConstraintViolation, UnknownColumnError
@@ -171,9 +153,6 @@ class _HashIndex:
 
     def count(self, value: Any) -> int:
         return len(self._buckets.get(value, ()))
-
-    def distinct_values(self) -> list[Any]:
-        return list(self._buckets)
 
     def __len__(self) -> int:
         return len(self._buckets)
@@ -364,22 +343,6 @@ class Table:
         self._group_layouts: dict[str, tuple[int, Any]] = {}
         self._group_tallies: dict[tuple[str, str], tuple[int, Any]] = {}
         self._slot_bucket_cache: dict[str, tuple[int, Any]] = {}
-        # Sealed-segment state (see module docstring).  The sealed-part
-        # memos are keyed by the epoch they were built at and survive
-        # every write; the merged two-part memos below them are keyed
-        # per mutation generation like the caches above.
-        self._sealed_len = 0
-        self._sealed_epoch = 0
-        self._compactions = 0
-        self._last_compaction_seconds = 0.0
-        self._sealed_buckets: dict[str, tuple[int, dict]] = {}
-        self._sealed_sums: dict[tuple[str, str], tuple[int, dict]] = {}
-        self._sealed_counts: dict[str, tuple[int, tuple]] = {}
-        self._delta_cache: tuple[int, tuple] | None = None
-        self._scan_cache: tuple[int, list[int]] | None = None
-        self._reduce_cache: dict[str, tuple[int, GroupedReduce | None]] = {}
-        self._reduce_sums_cache: dict[tuple[str, str], tuple[int, tuple]] = {}
-        self._counts_cache: dict[str, tuple[int, tuple]] = {}
         # Per-generation snapshot structures for stale pinned readers:
         # generation -> (epoch, visible slots ascending by rid, rid map)
         # and (column, generation) -> (epoch, snapshot ordered index).
@@ -617,13 +580,6 @@ class Table:
                 return self._visible(generation)[0]
             if self._dense:
                 return range(len(self._id_at))
-            if self._sealed_len:
-                cached = self._scan_cache
-                if cached is not None and cached[0] == self._mutations:
-                    return cached[1]
-                merged = self._merged_scan()
-                self._scan_cache = (self._mutations, merged)
-                return merged
             slot_of = self._slot_of
             return [slot_of[rid] for rid in sorted(slot_of)]
 
@@ -640,15 +596,6 @@ class Table:
         """
         slot_of = self._visible_map()
         return [slot_of[r] for r in row_ids]
-
-    def index_buckets(self, column: str) -> dict[Any, set[int]]:
-        """The hash index's ``value -> row-id set`` buckets for
-        ``column`` (read-only by convention; current state — pinned
-        readers resolve through the visibility-aware surfaces instead).
-        NULLs are not indexed, so the buckets cover ``len(table)`` rows
-        only when the column holds no NULL.  Raises ``KeyError`` when
-        the column is unindexed."""
-        return self._indexes[column]._buckets
 
     def grouped_layout(
         self, column: str
@@ -730,10 +677,7 @@ class Table:
             cached = self._slot_bucket_cache.get(column)
             if cached is not None and cached[0] == epoch:
                 return cached[1]
-            if self._sealed_len:
-                buckets = self._merged_buckets(column)
-            else:
-                buckets = self._bucket_build(column, self.scan_slots())
+            buckets = self._bucket_build(column, self.scan_slots())
             self._slot_bucket_cache[column] = (epoch, buckets)
             return buckets
 
@@ -954,13 +898,7 @@ class Table:
         self._check_unique(new, exclude_row_id=row_id)
         snapshots = self._snapshots
         with self._latch:
-            if slot < self._sealed_len:
-                # Sealed cells are immutable even with no reader pinned:
-                # the epoch-keyed sealed memos reference them, and the
-                # next merge must still read the pre-update image to
-                # subtract it.  Version-append into the delta instead.
-                self._append_version(row_id, slot, old, new)
-            elif snapshots is None or self._created[slot] == self._clock.pending:
+            if snapshots is None or self._created[slot] == self._clock.pending:
                 self._update_in_place(row_id, slot, old, new)
             elif self._in_transaction is not None and self._in_transaction():
                 # Mid-transaction, "no pins right now" is not enough: a
@@ -1114,16 +1052,10 @@ class Table:
                 bound = min_pinned
             created = self._created
             deleted = self._deleted
-            sealed_len = self._sealed_len
-            # Sealed slots are never freed here: their cells must stay
-            # readable so the two-part merges can subtract the retired
-            # values from the epoch-keyed sealed memos.  Compaction is
-            # what reclaims sealed space.
             freed = [
                 slot
                 for slot in self._dead
-                if slot >= sealed_len
-                and (deleted[slot] <= bound or created[slot] == deleted[slot])
+                if deleted[slot] <= bound or created[slot] == deleted[slot]
             ]
             if not freed:
                 return 0
@@ -1138,9 +1070,7 @@ class Table:
                 self._free.add(slot)
             if not self._slot_of and not self._dead:
                 # Table emptied: reset the banks wholesale so a refill
-                # is append-only (dense) again.  (With sealed content
-                # resident the retired slots keep ``_dead`` non-empty,
-                # so this branch implies the sealed segment is gone.)
+                # is append-only (dense) again.
                 self._id_at.clear()
                 self._free.clear()
                 self._created.clear()
@@ -1149,18 +1079,11 @@ class Table:
                     bank.clear()
                 self._dense = True
                 self._id_ordered = True
-                self._sealed_len = 0
-                if self._sealed_epoch:
-                    self._sealed_epoch += 1
             else:
                 # Shed trailing holes so tail-heavy delete patterns keep
                 # the layout hole-free, exactly as the in-delete
-                # compaction used to.  (Sealed slots never become holes,
-                # so the shed cannot cross into the sealed prefix.)
-                while (
-                    len(self._id_at) > self._sealed_len
-                    and self._id_at[-1] is None
-                ):
+                # compaction used to.
+                while self._id_at and self._id_at[-1] is None:
                     tail = len(self._id_at) - 1
                     self._id_at.pop()
                     self._created.pop()
@@ -1171,7 +1094,14 @@ class Table:
                 self._dense = (
                     self._id_ordered and not self._free and not self._dead
                 )
-            self._drop_derived_memos()
+            # Drop every memo keyed to the old slot layout instead of
+            # trusting the mutation counter alone: a freed slot's id
+            # must never leak through a stale layout into a join build.
+            self._group_layouts.clear()
+            self._group_tallies.clear()
+            self._slot_bucket_cache.clear()
+            self._visible_cache.clear()
+            self._ordered_cache.clear()
             # Recompute the newest stamp still resident: once the clock
             # has advanced past every remaining stamp, pinned readers
             # get their exact fast paths back.
@@ -1190,36 +1120,8 @@ class Table:
             return len(freed)
 
     # ------------------------------------------------------------------
-    # Sealed segment: storage introspection
+    # Restore bookkeeping
     # ------------------------------------------------------------------
-    @property
-    def is_sealed(self) -> bool:
-        """True once :meth:`compact` has sealed this table at least once."""
-        return self._sealed_epoch > 0
-
-    @property
-    def sealed_epoch(self) -> int:
-        """Bumped once per compaction — the sealed memos' cache key."""
-        return self._sealed_epoch
-
-    @property
-    def sealed_rows(self) -> int:
-        """Slots inside the sealed segment (live or retired)."""
-        return self._sealed_len
-
-    @property
-    def delta_rows(self) -> int:
-        """Slots past the sealed segment — the per-write rescan cost."""
-        return len(self._id_at) - self._sealed_len
-
-    @property
-    def compactions(self) -> int:
-        return self._compactions
-
-    @property
-    def last_compaction_seconds(self) -> float:
-        return self._last_compaction_seconds
-
     @property
     def next_row_id(self) -> int:
         """The id the next insert will take (snapshot bookkeeping)."""
@@ -1232,453 +1134,6 @@ class Table:
         with self._latch:
             if next_row_id > self._next_row_id:
                 self._next_row_id = next_row_id
-
-    def storage_stats(self) -> TableStorageStats:
-        with self._latch:
-            sealed_len = self._sealed_len
-            return TableStorageStats(
-                table=self.name,
-                sealed_rows=sealed_len,
-                delta_rows=len(self._id_at) - sealed_len,
-                retired_rows=sum(1 for s in self._dead if s < sealed_len),
-                sealed_epoch=self._sealed_epoch,
-                compactions=self._compactions,
-                last_compaction_seconds=self._last_compaction_seconds,
-            )
-
-    # ------------------------------------------------------------------
-    # Sealed segment: memo management
-    # ------------------------------------------------------------------
-    def _drop_derived_memos(self) -> None:
-        """Latch-held: drop every memo keyed to the current slot layout.
-
-        The single place vacuum, compaction and index rebuilds clear
-        slot-addressed derived state, instead of each surface trusting
-        the mutation counter alone — a freed slot's id must never leak
-        through a stale layout into a join build (the regression
-        ``tests/db/test_segments.py`` pins down).  Sealed-part memos are
-        *not* dropped here: they are epoch-keyed and stay valid across
-        vacuum, which is the whole point of the sealed split.
-        """
-        self._group_layouts.clear()
-        self._group_tallies.clear()
-        self._slot_bucket_cache.clear()
-        self._visible_cache.clear()
-        self._ordered_cache.clear()
-        self._scan_cache = None
-        self._delta_cache = None
-        self._reduce_cache.clear()
-        self._reduce_sums_cache.clear()
-        self._counts_cache.clear()
-
-    def _drop_sealed_memos(self) -> None:
-        """Latch-held: drop the epoch-keyed sealed structures (compaction
-        re-seals over a new layout, so every sealed memo is obsolete)."""
-        self._sealed_buckets.clear()
-        self._sealed_sums.clear()
-        self._sealed_counts.clear()
-
-    # ------------------------------------------------------------------
-    # Sealed segment: two-part read surfaces
-    # ------------------------------------------------------------------
-    def _delta_state(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """Latch-held: ``(retired sealed slots asc, delta (rid, slot)
-        pairs asc by rid)`` for the current state — the cheap half every
-        two-part merge recomputes per mutation generation."""
-        cached = self._delta_cache
-        if cached is not None and cached[0] == self._mutations:
-            return cached[1]
-        sealed_len = self._sealed_len
-        dead = self._dead
-        dead_sealed = sorted(s for s in dead if s < sealed_len)
-        id_at = self._id_at
-        pairs = sorted(
-            (rid, slot)
-            for slot in range(sealed_len, len(id_at))
-            if (rid := id_at[slot]) is not None and slot not in dead
-        )
-        state = (dead_sealed, pairs)
-        self._delta_cache = (self._mutations, state)
-        return state
-
-    def _merged_scan(self) -> list[int]:
-        """Latch-held: live slots in ascending row-id order, merged from
-        the sealed prefix (already rid-ordered) and the sorted delta."""
-        dead_sealed, delta = self._delta_state()
-        if dead_sealed:
-            gone = set(dead_sealed)
-            sealed = [s for s in range(self._sealed_len) if s not in gone]
-        else:
-            sealed = list(range(self._sealed_len))
-        if not delta:
-            return sealed
-        id_at = self._id_at
-        out: list[int] = []
-        i, n = 0, len(sealed)
-        for rid, slot in delta:
-            while i < n and id_at[sealed[i]] < rid:
-                out.append(sealed[i])
-                i += 1
-            out.append(slot)
-        out.extend(sealed[i:])
-        return out
-
-    def _sealed_bucket_build(self, column: str) -> dict[Any, list[int]]:
-        """Latch-held: ``value -> sealed slots`` exactly as at the seal.
-
-        Built over the whole sealed prefix (every sealed slot was live
-        at the seal; retired cells are unchanged), so the memo is valid
-        for the epoch's entire lifetime — merges subtract retirements.
-        Bucket insertion order is first-appearance order: the sealed
-        prefix is rid-ordered by construction.
-        """
-        entry = self._sealed_buckets.get(column)
-        if entry is not None and entry[0] == self._sealed_epoch:
-            return entry[1]
-        buckets = self._bucket_build(column, range(self._sealed_len))
-        self._sealed_buckets[column] = (self._sealed_epoch, buckets)
-        return buckets
-
-    def _merged_buckets(self, column: str) -> dict[Any, list[int]]:
-        """Latch-held: current-state slot buckets, sealed part shared.
-
-        Untouched keys reuse the sealed bucket lists by reference (the
-        surface is read-only by convention); only keys with retired or
-        delta rows rebuild, each by one rid-ordered merge — O(touched +
-        delta) per mutation generation instead of O(table).
-        """
-        sealed = self._sealed_bucket_build(column)
-        dead_sealed, delta = self._delta_state()
-        if not dead_sealed and not delta:
-            return sealed
-        bank = self._banks[column]
-        id_at = self._id_at
-        removed: dict[Any, set[int]] = {}
-        for slot in dead_sealed:
-            value = bank[slot]
-            if value is None:
-                continue
-            removed.setdefault(value, set()).add(slot)
-        added: dict[Any, list[int]] = {}
-        for __, slot in delta:
-            value = bank[slot]
-            if value is None:
-                continue
-            added.setdefault(value, []).append(slot)
-        merged = dict(sealed)
-        for value in removed.keys() | added.keys():
-            base = sealed.get(value, ())
-            gone = removed.get(value)
-            live = [s for s in base if s not in gone] if gone else list(base)
-            extra = added.get(value)
-            if extra:
-                out: list[int] = []
-                i, n = 0, len(live)
-                for slot in extra:
-                    rid = id_at[slot]
-                    while i < n and id_at[live[i]] < rid:
-                        out.append(live[i])
-                        i += 1
-                    out.append(slot)
-                out.extend(live[i:])
-                live = out
-            if live:
-                merged[value] = live
-            else:
-                merged.pop(value, None)
-        return merged
-
-    def _sealed_sum_state(
-        self, column: str, value_column: str
-    ) -> dict[Any, tuple[int, int]]:
-        """Latch-held: per-group ``(sum, non-NULL count)`` of
-        ``value_column`` over the sealed segment, grouped by ``column``
-        — computed once per epoch."""
-        memo_key = (column, value_column)
-        entry = self._sealed_sums.get(memo_key)
-        if entry is not None and entry[0] == self._sealed_epoch:
-            return entry[1]
-        vbank = self._banks[value_column]
-        state: dict[Any, tuple[int, int]] = {}
-        for key, slots in self._sealed_bucket_build(column).items():
-            total = 0
-            nn = 0
-            for slot in slots:
-                value = vbank[slot]
-                if value is not None:
-                    total += value
-                    nn += 1
-            state[key] = (total, nn)
-        self._sealed_sums[memo_key] = (self._sealed_epoch, state)
-        return state
-
-    def _sealed_count_state(self, column: str) -> tuple[Counter, int]:
-        """Latch-held: ``(value Counter, NULL count)`` over the sealed
-        segment — computed once per epoch."""
-        entry = self._sealed_counts.get(column)
-        if entry is not None and entry[0] == self._sealed_epoch:
-            return entry[1]
-        counts = Counter(self._banks[column][: self._sealed_len])
-        nulls = counts.pop(None, 0)
-        state = (counts, nulls)
-        self._sealed_counts[column] = (self._sealed_epoch, state)
-        return state
-
-    def grouped_reduce(self, column: str) -> GroupedReduce | None:
-        """Two-part grouped-aggregation state for ``column``.
-
-        The sealed counterpart of :meth:`grouped_layout` +
-        :meth:`grouped_tallies`: group keys in first-appearance scan
-        order with sizes, and per-group sums on demand — but built by
-        adjusting the epoch-keyed sealed group state with the retired
-        and delta rows, so a commit between two analytic turns costs
-        O(groups + delta) instead of an O(table) rebuild.  Returns
-        ``None`` when the table was never compacted, the column is
-        unindexed or holds NULL keys (same coverage rule as the
-        layout), or the reader's snapshot is stale — the executor falls
-        back to the existing paths in each case.
-        """
-        if not self._sealed_epoch:
-            return None
-        index = self._indexes.get(column)
-        if index is None:
-            return None
-        with self._latch:
-            if self._stale(self._pin_generation()):
-                return None
-            generation = self._mutations
-            cached = self._reduce_cache.get(column)
-            if cached is not None and cached[0] == generation:
-                return cached[1]
-            buckets = index._buckets
-            result: GroupedReduce | None
-            if sum(map(len, buckets.values())) != len(self._slot_of):
-                result = None  # NULL group keys: buckets do not cover
-            else:
-                result = self._build_reduce(column, generation)
-            self._reduce_cache[column] = (generation, result)
-            return result
-
-    def _build_reduce(self, column: str, generation: int) -> GroupedReduce:
-        """Latch-held: merge sealed group state with the delta."""
-        sealed = self._sealed_bucket_build(column)
-        dead_sealed, delta = self._delta_state()
-        id_at = self._id_at
-        bank = self._banks[column]
-        if not dead_sealed and not delta:
-            keys = list(sealed)
-            sizes = [len(sealed[k]) for k in keys]
-            return GroupedReduce(
-                self, column, generation, keys, sizes, {}, {}
-            )
-        removed: dict[Any, set[int]] = {}
-        for slot in dead_sealed:
-            value = bank[slot]
-            if value is None:
-                continue
-            removed.setdefault(value, set()).add(slot)
-        added: dict[Any, list[int]] = {}
-        for __, slot in delta:
-            value = bank[slot]
-            if value is None:  # pragma: no cover - coverage check forbids
-                continue
-            added.setdefault(value, []).append(slot)
-        # Rebuild the first-appearance order: retiring a group's oldest
-        # row, or a delta row undercutting it, moves the group — the
-        # minima stay distinct across groups, so the sort never falls
-        # through to comparing (possibly mixed-type) keys.
-        groups: list[tuple[int, Any, int, list[int] | None]] = []
-        for key, base in sealed.items():
-            gone = removed.get(key)
-            extra = added.get(key)
-            if gone is None and extra is None:
-                groups.append((id_at[base[0]], key, len(base), None))
-                continue
-            live = [s for s in base if s not in gone] if gone else base
-            min_rid = id_at[live[0]] if live else None
-            if extra:
-                rid = id_at[extra[0]]
-                if min_rid is None or rid < min_rid:
-                    min_rid = rid
-            size = len(live) + (len(extra) if extra else 0)
-            if size:
-                groups.append((min_rid, key, size, extra))
-        for key, extra in added.items():
-            if key not in sealed:
-                groups.append((id_at[extra[0]], key, len(extra), extra))
-        groups.sort(key=itemgetter(0))
-        keys = [g[1] for g in groups]
-        sizes = [g[2] for g in groups]
-        return GroupedReduce(
-            self, column, generation, keys, sizes, removed, added
-        )
-
-    def reduce_sums(
-        self, reduce: GroupedReduce, value_column: str
-    ) -> tuple[list, list[int]]:
-        """``(sums, non-NULL counts)`` per group of ``reduce`` — the
-        sealed per-group totals adjusted by the retired/delta cells the
-        reduce recorded.  Called through :meth:`GroupedReduce.sums`."""
-        with self._latch:
-            memo_key = (reduce.column, value_column)
-            cached = self._reduce_sums_cache.get(memo_key)
-            if cached is not None and cached[0] == reduce.generation:
-                return cached[1]
-            sealed = self._sealed_sum_state(reduce.column, value_column)
-            vbank = self._banks[value_column]
-            removed = reduce.removed_slots
-            added = reduce.added_slots
-            sums: list = []
-            nns: list[int] = []
-            for key in reduce.keys:
-                total, nn = sealed.get(key, (0, 0))
-                for slot in removed.get(key, ()):
-                    value = vbank[slot]
-                    if value is not None:
-                        total -= value
-                        nn -= 1
-                for slot in added.get(key, ()):
-                    value = vbank[slot]
-                    if value is not None:
-                        total += value
-                        nn += 1
-                sums.append(total)
-                nns.append(nn)
-            result = (sums, nns)
-            self._reduce_sums_cache[memo_key] = (reduce.generation, result)
-            return result
-
-    def column_counts(self, column: str) -> tuple[Counter, int] | None:
-        """``(non-NULL value Counter, NULL count)`` for the calling
-        reader, or ``None`` when the table was never compacted or the
-        snapshot is stale.  The statistics catalog derives per-column
-        summaries from this instead of rescanning: the sealed counter
-        is built once per epoch and merged with the delta per mutation
-        generation.  Read-only by convention — the no-write fast path
-        returns the sealed counter itself.
-        """
-        if not self._sealed_epoch:
-            return None
-        self.schema.column(column)  # raises UnknownColumnError
-        with self._latch:
-            if self._stale(self._pin_generation()):
-                return None
-            generation = self._mutations
-            cached = self._counts_cache.get(column)
-            if cached is not None and cached[0] == generation:
-                return cached[1]
-            sealed_counts, sealed_nulls = self._sealed_count_state(column)
-            dead_sealed, delta = self._delta_state()
-            if not dead_sealed and not delta:
-                result = (sealed_counts, sealed_nulls)
-            else:
-                counts = sealed_counts.copy()
-                nulls = sealed_nulls
-                bank = self._banks[column]
-                for slot in dead_sealed:
-                    value = bank[slot]
-                    if value is None:
-                        nulls -= 1
-                    else:
-                        remaining = counts[value] - 1
-                        if remaining:
-                            counts[value] = remaining
-                        else:
-                            del counts[value]
-                for __, slot in delta:
-                    value = bank[slot]
-                    if value is None:
-                        nulls += 1
-                    else:
-                        counts[value] += 1
-                result = (counts, nulls)
-            self._counts_cache[column] = (generation, result)
-            return result
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-    def compact(self, min_pinned: int | None = None) -> bool:
-        """Fold the delta into a fresh sealed segment; True if resealed.
-
-        Re-densifies the banks in ascending row-id order, reclaims
-        retired sealed slots and superseded delta versions, seals the
-        whole table and bumps the epoch once.  Requires quiesced MVCC
-        state — no uncommitted stamps and no dead versions a pinned
-        snapshot might still need — and returns ``False`` (leaving the
-        table exactly as it was) when that does not hold;
-        :meth:`repro.db.database.Database.compact` blocks pin
-        registration around the call to guarantee it.  The swap
-        publishes entirely new structures, so readers holding the old
-        banks (row views, in-flight scans) stay consistent.
-        """
-        started = perf_counter()
-        with self._latch:
-            self.vacuum(min_pinned)
-            if self._max_stamp > self._clock.current:
-                return False  # uncommitted stamps resident
-            bound = self._clock.current
-            if min_pinned is not None and min_pinned < bound:
-                bound = min_pinned
-            deleted = self._deleted
-            sealed_len = self._sealed_len
-            for slot in self._dead:
-                if slot >= sealed_len:
-                    # Vacuum left it: a pinned snapshot still reads it.
-                    return False
-                if deleted[slot] > bound:
-                    return False  # retired version still pinned
-            if (
-                self._sealed_epoch
-                and sealed_len == len(self._id_at)
-                and not self._free
-                and not self._dead
-            ):
-                return False  # fully sealed already: nothing to fold
-            if self._dense:
-                # Append-only since the last seal (or a fresh dense
-                # table): the layout is already the sealed shape, so
-                # sealing is just moving the boundary.
-                self._sealed_len = len(self._id_at)
-            else:
-                pairs = sorted(self._slot_of.items())
-                slots = [slot for __, slot in pairs]
-                columns = self._columns
-                if len(slots) > 1:
-                    fetch = itemgetter(*slots)
-                    banks = {
-                        column: list(fetch(bank))
-                        for column, bank in zip(columns, self._bank_list)
-                    }
-                elif slots:
-                    only = slots[0]
-                    banks = {
-                        column: [bank[only]]
-                        for column, bank in zip(columns, self._bank_list)
-                    }
-                else:
-                    banks = {column: [] for column in columns}
-                created = self._created
-                self._banks = banks
-                self._bank_list = [banks[c] for c in columns]
-                self._id_at = [rid for rid, __ in pairs]
-                self._slot_of = {
-                    rid: slot for slot, (rid, __) in enumerate(pairs)
-                }
-                self._created = [created[s] for s in slots]
-                self._deleted = [None] * len(slots)
-                self._free = set()
-                self._dead = set()
-                self._dense = True
-                self._id_ordered = True
-                self._sealed_len = len(slots)
-            self._sealed_epoch += 1
-            self._mutations += 1
-            self._drop_derived_memos()
-            self._drop_sealed_memos()
-            self._compactions += 1
-            self._last_compaction_seconds = perf_counter() - started
-            return True
 
     # ------------------------------------------------------------------
     # Lookup

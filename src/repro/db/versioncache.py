@@ -40,21 +40,11 @@ class VersionStampedCache:
         self,
         database: "Database",
         max_entries: int | None = None,
-        version: Callable[[], int] | None = None,
     ) -> None:
-        """``version`` overrides the stamp source: by default entries
-        stamp on ``database.data_version`` (every commit invalidates);
-        a cache whose values survive some commits — the plan cache
-        stamps on ``database.plan_stamp``, which sealed-mode commits
-        leave alone — passes its own monotonic counter.  The callable
-        is read both at the hit check and, inside the pinned snapshot,
-        at compute time, so the store-if-not-newer race rule is
-        unchanged."""
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None to disable)")
         self._database = database
         self._max_entries = max_entries
-        self._version = version
         self._lock = threading.Lock()
         self._entries: OrderedDict[Hashable, tuple[int, Any]] = OrderedDict()
         self.hits = 0
@@ -68,26 +58,16 @@ class VersionStampedCache:
         the value purely from the database contents it observes.
         """
         bounded = self._max_entries is not None
-        version_of = self._version
         with self._lock:
             entry = self._entries.get(key)
-            current_version = (
-                self._database.data_version
-                if version_of is None
-                else version_of()
-            )
-            if entry is not None and entry[0] == current_version:
+            if entry is not None and entry[0] == self._database.data_version:
                 self.hits += 1
                 if bounded:
                     self._entries.move_to_end(key)
                 return entry[1]
             self.misses += 1
         with self._database.read_locked():
-            version = (
-                self._database.snapshot_version()
-                if version_of is None
-                else version_of()
-            )
+            version = self._database.snapshot_version()
             value = compute()
             dirty = (
                 self._database.commit_latch.held_by_current_thread

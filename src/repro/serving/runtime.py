@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.agent.agent import AgentReply, ConversationalAgent
 from repro.agent.artifacts import AgentArtifacts
@@ -223,15 +223,6 @@ class AgentRuntime:
             snapshot_version=self.database.data_version,
             commit_waits=self.database.commit_latch.waits,
         )
-
-    def storage_stats(self) -> dict[str, Any]:
-        """Per-table sealed/delta/compaction figures (``:stats``)."""
-        return self.database.storage_stats()
-
-    def compact(self) -> int:
-        """Fold every table's delta into a fresh sealed segment; returns
-        the number of tables resealed (the ``:compact`` command)."""
-        return self.database.compact()
 
     def session_stats(self, session_id: str) -> SessionStats:
         """Per-session counters (peek: does not refresh TTL/LRU)."""

@@ -151,20 +151,6 @@ def _serve_request(runtime: Any, op: str, payload: Any) -> Any:
             "snapshot_version": stats.snapshot_version,
             "commit_waits": stats.commit_waits,
         }
-    if op == "storage_stats":
-        return {
-            name: {
-                "sealed_rows": s.sealed_rows,
-                "delta_rows": s.delta_rows,
-                "retired_rows": s.retired_rows,
-                "sealed_epoch": s.sealed_epoch,
-                "compactions": s.compactions,
-                "last_compaction_seconds": s.last_compaction_seconds,
-            }
-            for name, s in runtime.storage_stats().items()
-        }
-    if op == "compact":
-        return runtime.compact()
     raise ServingError(f"unknown shard op {op!r}")
 
 
@@ -295,10 +281,6 @@ class ShardRouter:
         self._closed = False
 
     # ------------------------------------------------------------------
-    @property
-    def worker_count(self) -> int:
-        return len(self._workers)
-
     def shard_of(self, session_id: str) -> int:
         """The worker index owning ``session_id`` (stable affinity)."""
         return zlib.crc32(session_id.encode("utf-8")) % len(self._workers)
@@ -338,20 +320,6 @@ class ShardRouter:
             raw = worker.request("stats", None)
             per_worker.append(WorkerStats(worker=worker.index, **raw))
         return ShardStats(workers=tuple(per_worker))
-
-    def storage_stats(self) -> dict[int, dict[str, dict[str, Any]]]:
-        """Per-worker, per-table sealed/delta/compaction figures."""
-        return {
-            worker.index: worker.request("storage_stats", None)
-            for worker in self._workers
-        }
-
-    def compact(self) -> dict[int, int]:
-        """Compact every worker's replica; tables resealed per worker."""
-        return {
-            worker.index: worker.request("compact", None)
-            for worker in self._workers
-        }
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -47,10 +47,6 @@ class SlotSource:
     dtype: DataType
     attribute: ColumnRef | None = None  # None for plain task parameters
 
-    @property
-    def is_attribute(self) -> bool:
-        return self.attribute is not None
-
 
 class SlotVocabulary:
     """All slot names known for one agent, with their sources."""

@@ -18,8 +18,11 @@ from repro.db import (
     load_incremental,
     loads_database,
 )
-from repro.db.persistence import BASE_SNAPSHOT_NAME, DELTA_LOG_NAME
-from repro.db.segments import _record_crc
+from repro.db.persistence import (
+    BASE_SNAPSHOT_NAME,
+    DELTA_LOG_NAME,
+    _record_crc,
+)
 from repro.errors import DatabaseError
 
 
@@ -117,9 +120,6 @@ class TestIncrementalRoundtrip:
         assert restored.table("item").row_ids() == (
             database.table("item").row_ids()
         )
-        # The restore compacts: analytic memos are epoch-stable from
-        # the first turn.
-        assert restored.table("item").is_sealed
 
     def test_only_committed_state_reaches_the_log(self, tmp_path):
         database = _make_db()

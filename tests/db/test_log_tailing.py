@@ -17,8 +17,7 @@ from repro.db import (
     TableSchema,
     dump_incremental,
 )
-from repro.db.persistence import DELTA_LOG_NAME
-from repro.db.segments import read_delta_records
+from repro.db.persistence import DELTA_LOG_NAME, read_delta_records
 
 
 def _make_db() -> Database:

@@ -1,5 +1,7 @@
 """Tests for database JSON snapshots."""
 
+import os
+
 import pytest
 
 from repro.db import (
@@ -10,10 +12,13 @@ from repro.db import (
     ForeignKey,
     TableSchema,
     dump_database,
+    dump_incremental,
     dumps_database,
     load_database,
+    load_incremental,
     loads_database,
 )
+from repro.db import persistence
 from repro.errors import DatabaseError
 
 
@@ -200,3 +205,63 @@ class TestColumnarSnapshotFormat:
         del body["columns"]
         with pytest.raises(DatabaseError, match="'columns' section"):
             loads_database(json.dumps(body))
+
+
+class _InjectedFailure(Exception):
+    pass
+
+
+def _fail(*args, **kwargs):
+    raise _InjectedFailure("injected")
+
+
+class TestCrashSafeWrites:
+    """A dump that fails part-way must leave the previous snapshot
+    loadable and no temp file behind."""
+
+    @staticmethod
+    def _item_db() -> Database:
+        schema = DatabaseSchema(
+            [
+                TableSchema(
+                    "item",
+                    [Column("item_id", DataType.INTEGER),
+                     Column("label", DataType.TEXT)],
+                    primary_key="item_id",
+                )
+            ]
+        )
+        database = Database(schema)
+        for i in range(1, 6):
+            database.insert("item", {"item_id": i, "label": f"i{i}"})
+        return database
+
+    @pytest.mark.parametrize("failing", ["dumps_database", "fsync"])
+    @pytest.mark.parametrize(
+        "dump, load, target",
+        [
+            (dump_database, load_database, "snapshot.json"),
+            (dump_incremental, load_incremental, "snapshot-dir"),
+        ],
+        ids=["dump_database", "dump_incremental"],
+    )
+    def test_failed_redump_keeps_old_snapshot(
+        self, tmp_path, monkeypatch, dump, load, target, failing
+    ):
+        database = self._item_db()
+        path = str(tmp_path / target)
+        dump(database, path)
+        # Make the failed re-dump's content differ from what is on disk.
+        database.insert("item", {"item_id": 6, "label": "i6"})
+        expected = load(path).rows("item")
+        directory = path if os.path.isdir(path) else str(tmp_path)
+        files_before = sorted(os.listdir(directory))
+        if failing == "fsync":
+            monkeypatch.setattr(os, "fsync", _fail)
+        else:
+            monkeypatch.setattr(persistence, "dumps_database", _fail)
+        with pytest.raises(_InjectedFailure):
+            dump(database, path)
+        monkeypatch.undo()
+        assert load(path).rows("item") == expected
+        assert sorted(os.listdir(directory)) == files_before

@@ -1,8 +1,18 @@
 """Tests for row storage, indexes and constraints."""
 
+from collections import Counter
+
 import pytest
 
-from repro.db import Column, DataType, TableSchema
+from repro.db import (
+    Column,
+    Database,
+    DatabaseSchema,
+    DataType,
+    Query,
+    TableSchema,
+)
+from repro.db.aggregation import aggregate_query, count
 from repro.db.table import Table
 from repro.errors import ConstraintViolation, UnknownColumnError
 
@@ -168,3 +178,91 @@ class TestColumnValues:
         for row in customers:
             row["name"] = "mutated"
         assert customers.get(1)["name"] == "Ada"
+
+
+BUCKETS = ("red", "green", "blue", "amber")
+
+
+def _item_db() -> Database:
+    """A 40-row ``item`` table with a hash index on ``bucket``."""
+    schema = DatabaseSchema(
+        [
+            TableSchema(
+                "item",
+                [
+                    Column("item_id", DataType.INTEGER),
+                    Column("bucket", DataType.TEXT),
+                    Column("qty", DataType.INTEGER),
+                ],
+                primary_key="item_id",
+            )
+        ]
+    )
+    database = Database(schema)
+    database.create_index("item", "bucket")
+    for i in range(1, 41):
+        database.insert(
+            "item",
+            {"item_id": i, "bucket": BUCKETS[i % len(BUCKETS)], "qty": i % 7},
+        )
+    return database
+
+
+def _row_id_of(database: Database, item_id: int) -> int:
+    return database.table("item").lookup("item_id", item_id)[0]
+
+
+class TestSlotBuckets:
+    def test_slot_buckets_rebuild_after_insert(self):
+        database = _item_db()
+        table = database.table("item")
+        before = table.slot_buckets("bucket")
+        database.insert(
+            "item", {"item_id": 41, "bucket": "red", "qty": 2}
+        )
+        after = table.slot_buckets("bucket")
+        assert after["green"] is not before["green"]
+        assert len(after["red"]) == len(before["red"]) + 1
+
+
+class TestVacuumMemoInvalidation:
+    """Regression: vacuum's wholesale reset used to leave memoised
+    layouts keyed to pre-vacuum slot ids."""
+
+    def _bucket_rids(self, table, column):
+        return {
+            key: sorted(table.ids_for_slots(slots))
+            for key, slots in table.slot_buckets(column).items()
+        }
+
+    def test_slot_buckets_valid_after_vacuum_reset(self):
+        database = _item_db()
+        table = database.table("item")
+        table.slot_buckets("bucket")  # prime the memo
+        # Delete most rows so vacuum takes its wholesale-reset path.
+        for item_id in range(1, 31):
+            database.delete("item", _row_id_of(database, item_id))
+        table.vacuum(None)
+        expected = {}
+        for row_id in table.row_ids():
+            row = table.get(row_id)
+            expected.setdefault(row["bucket"], []).append(row_id)
+        assert self._bucket_rids(table, "bucket") == {
+            key: sorted(rids) for key, rids in expected.items()
+        }
+
+    def test_join_parity_after_vacuum(self):
+        database = _item_db()
+        table = database.table("item")
+        table.grouped_layout("bucket")
+        table.slot_buckets("bucket")
+        for item_id in range(1, 31):
+            database.delete("item", _row_id_of(database, item_id))
+        table.vacuum(None)
+        result = aggregate_query(
+            database, Query("item"), {"n": count()}, ["bucket"]
+        )
+        expected = Counter(
+            row["bucket"] for row in database.rows("item")
+        )
+        assert {r["bucket"]: r["n"] for r in result} == dict(expected)

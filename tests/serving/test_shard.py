@@ -38,16 +38,6 @@ class _FakeStats:
         self.commit_waits = 0
 
 
-class _FakeTableStorage:
-    def __init__(self, tag):
-        self.sealed_rows = 100 + tag
-        self.delta_rows = tag
-        self.retired_rows = 0
-        self.sealed_epoch = 1
-        self.compactions = 1
-        self.last_compaction_seconds = 0.001
-
-
 class FakeRuntime:
     """AgentRuntime-shaped stand-in tagging replies with its worker."""
 
@@ -55,7 +45,6 @@ class FakeRuntime:
         self.tag = tag
         self.sessions = {}
         self.turns = 0
-        self.compactions = 0
 
     def create_session(self, session_id):
         if session_id in self.sessions:
@@ -79,13 +68,6 @@ class FakeRuntime:
 
     def stats(self):
         return _FakeStats(len(self.sessions), self.turns)
-
-    def storage_stats(self):
-        return {"item": _FakeTableStorage(self.tag)}
-
-    def compact(self):
-        self.compactions += 1
-        return 1
 
 
 _tag_counter = itertools.count()
@@ -155,19 +137,6 @@ class TestRouting:
     def test_unknown_session_error_crosses_the_router(self, router):
         with pytest.raises(UnknownSessionError):
             router.respond("never-created", "hello")
-
-    def test_storage_stats_per_worker_as_plain_dicts(self, router):
-        stats = router.storage_stats()
-        assert sorted(stats) == [0, 1, 2, 3]
-        for index, tables in stats.items():
-            figures = tables["item"]
-            assert figures["sealed_rows"] == 100 + index
-            assert figures["delta_rows"] == index
-            assert figures["compactions"] == 1
-            assert "last_compaction_seconds" in figures
-
-    def test_compact_fans_out_to_every_worker(self, router):
-        assert router.compact() == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 class TestConstruction:

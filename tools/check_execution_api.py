@@ -8,7 +8,7 @@ go through ``database.connect()`` / ``Connection.prepare`` /
 ``Connection.execute`` so per-connection stats, the index advisor and
 prepared-statement amortisation actually see the traffic.
 
-A second rule keeps the sealed-segment/delta split private to the
+A second rule keeps the tables' MVCC version stamps private to the
 storage layer.
 
 Run from the repository root (CI does)::
@@ -39,23 +39,16 @@ FORBIDDEN = (
     re.compile(r"\baggregate_query\("),
 )
 
-# Files allowed to touch sealed-segment/delta storage internals: the
-# bank store itself and the segment support module.  Everyone else
-# reads through the public Table surface (scan_slots, slot_buckets,
-# grouped_reduce, storage_stats, ...), which keeps the sealed/delta
-# split an implementation detail the storage layer can evolve.
-# (``database.delta_log`` carries no leading underscore and stays
-# lint-clean — it is the public persistence attachment point.)
-STORAGE_ALLOWED = {
-    SRC / "db" / "table.py",
-    SRC / "db" / "segments.py",
-}
+# The only file allowed to touch a table's per-slot version stamps: the
+# bank store itself.  Everyone else reads through the public Table
+# surface (scan_slots, slot_buckets, grouped_layout, ...), which keeps
+# the MVCC slot layout an implementation detail the storage layer can
+# evolve.
+STORAGE_ALLOWED = {SRC / "db" / "table.py"}
 
-# ``self.`` receivers stay clean: an object's own ``_sealed_mode``-style
+# ``self.`` receivers stay clean: an object's own ``_created``-style
 # attribute is its own state, not a reach into a table's banks.
 STORAGE_FORBIDDEN = (
-    re.compile(r"(?<!self)\._sealed\w*"),
-    re.compile(r"(?<!self)\._delta\w*"),
     re.compile(r"(?<!self)\.(_created|_deleted|_max_stamp)\b"),
 )
 
@@ -93,10 +86,9 @@ def main() -> int:
             print(f"  {violation}", file=sys.stderr)
     if storage_violations:
         print(
-            "sealed/delta storage internals touched outside "
-            "repro/db/table.py and repro/db/segments.py (use the public "
-            "Table surface — scan_slots, slot_buckets, grouped_reduce, "
-            "column_counts, storage_stats, compact — instead):",
+            "table version stamps (_created/_deleted/_max_stamp) touched "
+            "outside repro/db/table.py (use the public Table surface — "
+            "scan_slots, slot_buckets, grouped_layout — instead):",
             file=sys.stderr,
         )
         for violation in storage_violations:
