@@ -295,7 +295,10 @@ def _insert_v3_rows(database: Database, body: dict[str, Any]) -> None:
 
 def loads_database(payload: str) -> Database:
     """Rebuild a database from :func:`dumps_database` output."""
-    body = json.loads(payload)
+    return _database_from_body(json.loads(payload))
+
+
+def _database_from_body(body: dict[str, Any]) -> Database:
     version = body.get("format_version")
     if version not in _READABLE_VERSIONS:
         raise DatabaseError(f"unsupported snapshot version {version!r}")
@@ -553,8 +556,15 @@ def load_incremental(directory: str) -> Database:
     """Restore a database from an incremental snapshot directory.
 
     Loads the v4 base image, then replays every fully committed
-    delta-log record (the tolerant reader cuts a torn or corrupt tail,
-    recovering to the last complete commit).
+    delta-log record newer than the image (the tolerant reader cuts a
+    torn or corrupt tail, recovering to the last complete commit).
+
+    Records at or below the image's ``generation`` are already in it:
+    a crash between :func:`dump_incremental`'s base replace and its log
+    truncation leaves the previous log beside the new image.  The
+    restored database's generation clock resumes at the newest
+    generation restored, so a later :func:`dump_incremental` of it
+    stamps its image above every record of the log it replaces.
     """
     base_path = os.path.join(directory, BASE_SNAPSHOT_NAME)
     if not os.path.exists(base_path):
@@ -562,11 +572,24 @@ def load_incremental(directory: str) -> Database:
             f"no incremental snapshot at {directory!r}: "
             f"missing {BASE_SNAPSHOT_NAME}"
         )
-    database = load_database(base_path)
+    with open(base_path) as handle:
+        body = json.load(handle)
+    database = _database_from_body(body)
+    # A base without a generation (format v3) predates every record.
+    generation = body.get("generation", 0)
+    if not isinstance(generation, int):
+        raise DatabaseError(
+            f"incremental snapshot base: generation {generation!r} "
+            "is not an integer"
+        )
     log_path = os.path.join(directory, DELTA_LOG_NAME)
     if os.path.exists(log_path):
         records, __ = read_delta_records(log_path, decoder=_decode_value)
+        records = [r for r in records if r["generation"] > generation]
         _replay_records(database, records)
+        if records:
+            generation = records[-1]["generation"]
+    database.clock.advance_to(generation)
     return database
 
 

@@ -79,6 +79,12 @@ class GenerationClock:
         self.current += 1
         return self.current
 
+    def advance_to(self, generation: int) -> None:
+        """Move forward to ``generation`` if behind it (a restore resumes
+        the clock of the database it restores)."""
+        if generation > self.current:
+            self.current = generation
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GenerationClock(current={self.current})"
 

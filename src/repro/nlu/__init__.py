@@ -17,13 +17,6 @@ from repro.nlu.pipeline import (
 )
 from repro.nlu.slots import SlotTagger
 from repro.nlu.tokenizer import Token, bio_to_spans, spans_to_bio, tokenize
-from repro.textutil import (
-    best_match,
-    levenshtein,
-    normalized_edit_similarity,
-    trigram_similarity,
-    trigrams,
-)
 
 __all__ = [
     "FALLBACK_INTENT",
@@ -40,13 +33,8 @@ __all__ = [
     "NearestNeighborIntentBaseline",
     "SlotTagger",
     "Token",
-    "best_match",
     "build_gazetteers",
     "bio_to_spans",
-    "levenshtein",
-    "normalized_edit_similarity",
     "spans_to_bio",
     "tokenize",
-    "trigram_similarity",
-    "trigrams",
 ]

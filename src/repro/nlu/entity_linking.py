@@ -17,7 +17,7 @@ from repro.db.database import Database
 from repro.db.types import DataType, TypeMismatchError, coerce, render
 from repro.db.versioncache import VersionStampedCache
 from repro.synthesis.templates import SlotVocabulary
-from repro.textutil import best_match
+from repro.textutil import FuzzyIndex
 
 __all__ = ["LinkedValue", "EntityLinker"]
 
@@ -59,10 +59,10 @@ class EntityLinker:
         self._vocabulary = vocabulary
         self._fuzzy_threshold = fuzzy_threshold
         self.reference_date = reference_date
-        # slot -> canonical values; version-stamped like the other
-        # shared caches, since one linker serves every concurrent
-        # session and must see committed inserts (a newly added movie
-        # title must become linkable).
+        # slot -> fuzzy index over the canonical values; version-stamped
+        # like the other shared caches, since one linker serves every
+        # concurrent session and must see committed inserts (a newly
+        # added movie title must become linkable).
         self._text_pools = VersionStampedCache(database)
 
     def link(self, slot: str, raw: str) -> LinkedValue | None:
@@ -100,7 +100,7 @@ class EntityLinker:
         if not pool:
             return LinkedValue(slot=slot, raw=raw, value=raw, score=0.5,
                                corrected=False)
-        match = best_match(raw, pool, threshold=self._fuzzy_threshold)
+        match = pool.lookup(raw, threshold=self._fuzzy_threshold)
         if match is None:
             return None
         value, score = match
@@ -108,8 +108,10 @@ class EntityLinker:
         return LinkedValue(slot=slot, raw=raw, value=value, score=score,
                            corrected=corrected)
 
-    def _text_pool(self, slot: str) -> list[str]:
-        return self._text_pools.lookup(slot, lambda: self._build_pool(slot))
+    def _text_pool(self, slot: str) -> FuzzyIndex:
+        return self._text_pools.lookup(
+            slot, lambda: FuzzyIndex(self._build_pool(slot))
+        )
 
     def _build_pool(self, slot: str) -> list[str]:
         source = self._vocabulary.source(slot)

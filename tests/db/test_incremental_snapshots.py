@@ -21,6 +21,7 @@ from repro.db import (
 from repro.db.persistence import (
     BASE_SNAPSHOT_NAME,
     DELTA_LOG_NAME,
+    DeltaLog,
     _record_crc,
 )
 from repro.errors import DatabaseError
@@ -281,6 +282,51 @@ class TestCrashRecovery:
             handle.writelines(lines)
         restored = load_incremental(directory)
         assert _rows(restored) == states[2]
+
+    @staticmethod
+    def _dump_crashing_before_truncation(database, directory, monkeypatch):
+        """``dump_incremental`` cut by a crash after it replaced the base
+        image and before it truncated the delta log."""
+        def crash(self, path):
+            raise OSError("crash before the delta log is truncated")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DeltaLog, "attach", crash)
+            with pytest.raises(OSError):
+                dump_incremental(database, directory)
+
+    def _commit_after_dump(self, tmp_path):
+        database = _make_db()
+        directory = str(tmp_path / "snap")
+        dump_incremental(database, directory)
+        for step in range(4):
+            database.insert(
+                "item", {"item_id": 40 + step, "bucket": "b2", "qty": step}
+            )
+        database.delete(
+            "item", database.table("item").lookup("item_id", 2)[0]
+        )
+        return database, directory
+
+    def test_crash_between_base_replace_and_log_truncation(
+        self, tmp_path, monkeypatch
+    ):
+        """The old log's records are already in the new base: replaying
+        them again would re-insert rows the base holds."""
+        database, directory = self._commit_after_dump(tmp_path)
+        self._dump_crashing_before_truncation(database, directory,
+                                              monkeypatch)
+        assert _rows(load_incremental(directory)) == _rows(database)
+
+    def test_crash_window_after_a_restore(self, tmp_path, monkeypatch):
+        """A restored database's clock resumes past the log it replayed,
+        so its own base image outranks that log's records."""
+        database, directory = self._commit_after_dump(tmp_path)
+        restored = load_incremental(directory)
+        assert restored.data_version >= database.data_version
+        self._dump_crashing_before_truncation(restored, directory,
+                                              monkeypatch)
+        assert _rows(load_incremental(directory)) == _rows(database)
 
     def test_mismatched_log_rejected(self, tmp_path):
         """A log whose insert ids disagree with the base is an error,
