@@ -1,26 +1,27 @@
-"""Columnar batch-execution benchmark: batched vs row-at-a-time mode.
+"""Columnar execution benchmark: the engine vs the row-at-a-time oracle.
 
-The engine executes bank-friendly plans (unary pipelines over a
-sequential scan) in *batch mode* by default: predicates narrow slot
-lists columnwise over the table's column banks, aggregates reduce
-column lists per group, and only surviving rows are materialised.  Row
-mode — the pre-columnar behaviour of streaming one row view at a time —
-remains as the fallback for joins and index probes, and can be forced
-process-wide with :func:`repro.db.engine.execution_mode`.
+The engine executes every plan columnwise: predicates narrow slot lists
+over the table's column banks, aggregates reduce column lists per
+group, and only surviving rows are materialised.  The baseline is the
+row-at-a-time reference executor the differential tests hold the
+engine to (``tests/db/reference_executor.py``): it streams one row view
+at a time through the same plan and aggregates over that stream, with
+one-pass accumulator folds for a grouped single aggregate.
 
-Before timing anything the two modes are differential-checked on a
-randomised workload (>= 500 queries over random predicates — including
-ORs, IN-lists, negations and substring matches — joins, orderings,
-limits, projections, counts, grouped aggregates and HAVING filters):
-every query must produce byte-identical results in both modes.
+Before timing anything the two are differential-checked on a randomised
+workload (>= 500 statements over random predicates — including ORs,
+IN-lists, negations, substring matches and mixed-type comparisons —
+and grouped or global aggregates): every statement must produce
+byte-identical results in both.
 
-The timed section replays scan-heavy filter, grouped-aggregate and
-join workloads (the shapes the batched pipeline exists for) in both
-modes; each gated workload carries a per-workload speedup floor
-(``GATED_WORKLOADS``), and ``--require-speedup X`` raises every floor
-to at least ``X``.
+The timed section replays scan-heavy filter and grouped-aggregate
+workloads in both; each gated workload carries a per-workload speedup
+floor (``GATED_WORKLOADS``), and ``--require-speedup X`` raises every
+floor to at least ``X``.
 
-Run standalone (CI runs the smoke profile and archives the JSON):
+Run from the repository root (CI runs the smoke profile and archives the
+JSON; the script puts the repository root on ``sys.path`` itself, for
+the ``tests.`` import):
 
     PYTHONPATH=src python benchmarks/bench_columnar.py --smoke \
         --output BENCH_columnar.json
@@ -31,15 +32,29 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
+import os
 import random
 import statistics as stats
 import sys
 import time
 
-from repro.datasets import MovieConfig, build_movie_database
-from repro.db import Query, and_, contains, eq, ge, in_, le, ne, not_, or_
-from repro.db.aggregation import (
-    aggregate_query,
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from repro.datasets import MovieConfig, build_movie_database  # noqa: E402
+from repro.db import (  # noqa: E402
+    Query,
+    and_,
+    api,
+    contains,
+    eq,
+    ge,
+    in_,
+    le,
+    ne,
+    not_,
+    or_,
+)
+from repro.db.aggregation import (  # noqa: E402
     avg,
     count,
     count_distinct,
@@ -47,31 +62,28 @@ from repro.db.aggregation import (
     min_,
     sum_,
 )
-from repro.db.engine import execution_mode
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError  # noqa: E402
+from tests.db import reference_executor as reference  # noqa: E402
 
 # Workloads the CI gate applies to, with per-workload speedup floors:
-# scan-heavy selective filters, grouped aggregates and the vectorized
-# join — the shapes batch mode accelerates.  ``grouped_sum`` carries a
-# higher floor because the memoised grouped layout answers it with
-# segment arithmetic rather than a per-row accumulator pass;
-# ``filter_join`` is gated now that joins run columnwise over the
-# slot-space build instead of falling back to the row path.
+# scan-heavy selective filters and grouped aggregates — the shapes
+# columnar execution accelerates.  ``grouped_sum`` carries a higher
+# floor because the memoised grouped layout answers it with segment
+# arithmetic rather than a per-row accumulator pass.
 # Materialisation-bound shapes (a wide filter that keeps most rows) are
-# reported but ungated — their batch win is real yet bounded by the
-# per-output-row dict construction both modes share.
+# reported but ungated — their columnar win is real yet bounded by the
+# per-output-row dict construction both executors share.
 GATED_WORKLOADS = {
     "scan_filter_narrow": 3.0,
     "count_filter": 3.0,
     "grouped_sum": 4.0,
     "grouped_count": 3.0,
     "grouped_multi": 3.0,
-    "filter_join": 3.0,
 }
 
 
 # ---------------------------------------------------------------------------
-# Differential check: batch mode vs row mode, byte-identical
+# Differential check: engine vs reference, byte-identical
 # ---------------------------------------------------------------------------
 
 _ROOMS = tuple(f"room {chr(ord('A') + i)}" for i in range(5))
@@ -121,50 +133,15 @@ def _random_predicate(rng: random.Random, config: MovieConfig, table: str):
     return rng.choice(choices[table])()
 
 
-def _random_query(rng: random.Random, config: MovieConfig):
-    """A random row query; returns ``(query, runner_kind)``."""
+def _random_statement(rng: random.Random, config: MovieConfig):
+    """A random row or aggregate statement over one movie table."""
     table = rng.choice(("screening", "reservation", "movie"))
-    query = Query(table)
-    for __ in range(rng.randrange(0, 3)):
-        query.where(_random_predicate(rng, config, table))
-    if table == "screening" and rng.random() < 0.3:
-        query.join("movie_id", "movie", "movie_id")
-    elif table == "reservation":
-        # Join shapes over the vectorized probe: single, and chained
-        # two-table (exercises the multi-part join-output adapter).
-        roll = rng.random()
-        if roll < 0.2:
-            query.join("screening_id", "screening", "screening_id")
-        elif roll < 0.35:
-            query.join("screening_id", "screening", "screening_id")
-            query.join("customer_id", "customer", "customer_id")
-    if rng.random() < 0.3:
-        order_cols = {
-            "screening": ("date", "price", "room"),
-            "reservation": ("no_tickets", "reservation_id"),
-            "movie": ("year", "title"),
-        }[table]
-        query.order_by(rng.choice(order_cols),
-                       descending=rng.random() < 0.5)
-    if rng.random() < 0.3:
-        query.limit(rng.randrange(0, 25))
-    if rng.random() < 0.2:
-        select_cols = {
-            "screening": ("screening_id", "room", "price"),
-            "reservation": ("reservation_id", "no_tickets"),
-            "movie": ("title", "year"),
-        }[table]
-        query.select(*select_cols)
-    kind = "count" if rng.random() < 0.2 else "rows"
-    return query, kind
-
-
-def _random_aggregate(rng: random.Random, config: MovieConfig):
-    """A random grouped aggregate; returns its aggregate_query args."""
-    table = rng.choice(("screening", "reservation"))
-    query = Query(table)
-    if rng.random() < 0.5:
-        query.where(_random_predicate(rng, config, table))
+    predicates = [
+        _random_predicate(rng, config, table)
+        for __ in range(rng.randrange(0, 3))
+    ]
+    if table == "movie" or rng.random() < 0.6:
+        return Query(table).where(and_(*predicates))
     numeric = {
         "screening": ("price", "capacity"),
         "reservation": ("no_tickets",),
@@ -173,61 +150,39 @@ def _random_aggregate(rng: random.Random, config: MovieConfig):
         "screening": ["room", "movie_id"],
         "reservation": ["screening_id", "customer_id"],
     }[table]
-    # Aggregates over joins: some rewrite below the join (NOT NULL FK
-    # elision, group-keyed unique semi-join), some keep it (prefixed
-    # group keys force the aggregate to run above the join output).
-    if rng.random() < 0.3:
-        if table == "screening":
-            query.join("movie_id", "movie", "movie_id")
-            categorical = categorical + ["movie.genre"]
-        else:
-            query.join("screening_id", "screening", "screening_id")
-            categorical = categorical + ["screening.room"]
-    group_by = (
-        rng.sample(categorical, rng.randrange(1, 3))
-        if rng.random() < 0.8 else None
-    )
     aggregates = {"n": count()}
     for i in range(rng.randrange(0, 3)):
         kind = rng.choice((sum_, avg, min_, max_, count_distinct))
         aggregates[f"a{i}"] = kind(rng.choice(numeric))
-    having = ge("n", rng.randrange(1, 4)) if rng.random() < 0.3 else None
-    return query, aggregates, group_by, having
+    statement = api.aggregate(table, aggregates).where(and_(*predicates))
+    if rng.random() < 0.8:
+        statement.group_by(*rng.sample(categorical, rng.randrange(1, 3)))
+    return statement
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DatabaseError as exc:
+        return ("error", type(exc).__name__, str(exc))
 
 
 def run_differential(database, config: MovieConfig, n_queries: int,
                      seed: int = 61) -> int:
-    """Row vs batch mode on ``n_queries`` random queries; returns the
-    number checked (raises on the first mismatch)."""
+    """Engine vs reference on ``n_queries`` random statements; returns
+    the number checked (raises on the first mismatch)."""
     rng = random.Random(seed)
+    conn = database.connect()
     for i in range(n_queries):
-        if rng.random() < 0.25:
-            query, aggregates, group_by, having = _random_aggregate(
-                rng, config
-            )
-            run = lambda: aggregate_query(  # noqa: E731
-                database, query, aggregates, group_by, having
-            )
-        else:
-            query, kind = _random_query(rng, config)
-            if kind == "count":
-                run = lambda: query.count(database)  # noqa: E731
-            else:
-                run = lambda: query.run(database)  # noqa: E731
-        with execution_mode("row"):
-            try:
-                expected = run()
-            except DatabaseError as exc:
-                expected = ("error", type(exc).__name__, str(exc))
-        with execution_mode("batch"):
-            try:
-                actual = run()
-            except DatabaseError as exc:
-                actual = ("error", type(exc).__name__, str(exc))
-        if actual != expected:
+        statement = _random_statement(rng, config)
+        result = conn.execute(statement)
+        expected = _outcome(
+            lambda: reference.execute_rows(database, result.plan)
+        )
+        if _outcome(result.all) != expected:
             raise AssertionError(
-                f"differential query {i}: batch result differs from row "
-                f"result (table={query.table})"
+                f"differential statement {i}: engine result differs from "
+                f"the reference (table={statement.table})"
             )
     return n_queries
 
@@ -236,81 +191,30 @@ def run_differential(database, config: MovieConfig, n_queries: int,
 # Timed workloads
 # ---------------------------------------------------------------------------
 
-def make_workloads(config: MovieConfig):
-    """``name -> (callable, gated)``; each callable runs one query."""
-    day = config.start_date + dt.timedelta(days=config.n_days // 2)
-
-    def scan_filter_wide(database):
-        # Unindexable disjunct-free inequality: SeqScan + Filter keeping
-        # most rows — the materialisation-heavy shape.
-        return Query("screening").where(ne("room", "room A")).run(database)
-
-    def scan_filter_narrow(database):
+def make_workloads():
+    """``name -> statement``: one query shape per workload."""
+    return {
+        # Unindexable inequality: SeqScan + Filter keeping most rows —
+        # the materialisation-heavy shape.
+        "scan_filter_wide": Query("screening").where(ne("room", "room A")),
         # Conjunctive scan keeping few rows: the filter dominates.  No
         # predicate is index-serviceable (substring + unindexed column),
-        # so this stays a full SeqScan in both modes.
-        return (
-            Query("screening")
-            .where(and_(contains("room", "b"), ge("capacity", 120)))
-            .run(database)
-        )
-
-    def count_filter(database):
-        return Query("screening").where(ne("room", "room A")).count(database)
-
-    def grouped_sum(database):
-        return aggregate_query(
-            database,
-            Query("reservation"),
-            {"booked": sum_("no_tickets")},
-            ["screening_id"],
-        )
-
-    def grouped_count(database):
-        return aggregate_query(
-            database, Query("screening"), {"n": count()}, ["movie_id"]
-        )
-
-    def grouped_multi(database):
-        return aggregate_query(
-            database,
-            Query("screening"),
-            {"n": count(), "lo": min_("price"), "hi": max_("price")},
-            ["room"],
-        )
-
-    def grouped_having(database):
-        return aggregate_query(
-            database,
-            Query("reservation"),
-            {"booked": sum_("no_tickets")},
-            ["screening_id"],
-            having=ge("booked", 4),
-        )
-
-    def filter_join(database):
-        # Vectorized join: a week's date range narrows slots columnwise,
-        # the probe walks the memoised slot-space build of ``movie``, and
-        # rows widen only at the output boundary.  The window is wide
-        # enough that per-row join cost, not fixed per-query overhead,
-        # dominates both modes.
-        week_end = day + dt.timedelta(days=6)
-        return (
-            Query("screening")
-            .where(and_(ge("date", day), le("date", week_end)))
-            .join("movie_id", "movie", "movie_id")
-            .run(database)
-        )
-
-    return {
-        "scan_filter_wide": scan_filter_wide,
-        "scan_filter_narrow": scan_filter_narrow,
-        "count_filter": count_filter,
-        "grouped_sum": grouped_sum,
-        "grouped_count": grouped_count,
-        "grouped_multi": grouped_multi,
-        "grouped_having": grouped_having,
-        "filter_join": filter_join,
+        # so this stays a full SeqScan.
+        "scan_filter_narrow": Query("screening").where(
+            and_(contains("room", "b"), ge("capacity", 120))
+        ),
+        "count_filter": api.aggregate("screening", n=count()).where(
+            ne("room", "room A")
+        ),
+        "grouped_sum": api.aggregate(
+            "reservation", booked=sum_("no_tickets")
+        ).group_by("screening_id"),
+        "grouped_count": api.aggregate(
+            "screening", n=count()
+        ).group_by("movie_id"),
+        "grouped_multi": api.aggregate(
+            "screening", n=count(), lo=min_("price"), hi=max_("price")
+        ).group_by("room"),
     }
 
 
@@ -364,27 +268,29 @@ def run_benchmark(smoke: bool) -> dict:
         "differential_queries": checked,
         "workloads": {},
     }
-    for name, fn in make_workloads(config).items():
-        with execution_mode("row"):
-            row_result = fn(database)
-        with execution_mode("batch"):
-            batch_result = fn(database)
-        if row_result != batch_result:
+    conn = database.connect()
+    for name, statement in make_workloads().items():
+        prepared = conn.prepare(statement)
+
+        def engine(prepared=prepared):
+            return prepared.execute().all()
+
+        def row(prepared=prepared):
+            return reference.execute_rows(database, prepared.plan())
+
+        engine_result = engine()
+        row_result = row()
+        if row_result != engine_result:
             raise AssertionError(
-                f"workload {name!r}: batch result differs from row result"
+                f"workload {name!r}: engine result differs from reference"
             )
-        with execution_mode("row"):
-            row_s = _time(lambda: fn(database), min_seconds, max_iterations)
-        with execution_mode("batch"):
-            batch_s = _time(lambda: fn(database), min_seconds, max_iterations)
-        size = (
-            row_result if isinstance(row_result, int) else len(row_result)
-        )
+        row_s = _time(row, min_seconds, max_iterations)
+        batch_s = _time(engine, min_seconds, max_iterations)
         results["workloads"][name] = {
             "row_ms": round(row_s * 1000, 4),
             "batch_ms": round(batch_s * 1000, 4),
             "speedup": round(row_s / batch_s, 2) if batch_s > 0 else None,
-            "rows": size,
+            "rows": len(row_result),
             "gated": name in GATED_WORKLOADS,
             "floor": GATED_WORKLOADS.get(name),
         }
@@ -401,20 +307,20 @@ def main(argv: list[str] | None = None) -> int:
         "--require-speedup", type=float, nargs="?", const=3.0, default=None,
         metavar="X",
         help="fail unless every gated workload (scan filters, grouped "
-        "aggregates, joins) beats row mode by its per-workload floor, "
-        "raised to at least this factor (default 3)",
+        "aggregates) beats the row-at-a-time reference by its "
+        "per-workload floor, raised to at least this factor (default 3)",
     )
     args = parser.parse_args(argv)
 
     results = run_benchmark(smoke=args.smoke)
     width = max(len(n) for n in results["workloads"])
-    print(f"columnar batch-execution benchmark ({results['profile']}, "
-          f"{results['differential_queries']} differential queries ok):")
+    print(f"columnar execution benchmark ({results['profile']}, "
+          f"{results['differential_queries']} differential statements ok):")
     for name, row in results["workloads"].items():
         gate = "*" if row["gated"] else " "
         print(
             f" {gate} {name:<{width}}  row {row['row_ms']:9.3f} ms   "
-            f"batch {row['batch_ms']:9.3f} ms   {row['speedup']:8.1f}x"
+            f"columnar {row['batch_ms']:9.3f} ms   {row['speedup']:8.1f}x"
         )
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)

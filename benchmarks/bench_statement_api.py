@@ -1,18 +1,20 @@
-"""Statement-API benchmark: prepare/execute vs the implicit plan-cache path.
+"""Statement-API benchmark: prepare/execute vs one-shot execution.
 
 The unified execution API's claim is that ``conn.prepare(...)`` +
-``stmt.execute(**binds)`` amortises everything the implicit path pays
-per call: ``Query.run`` re-builds the fluent query object and
-re-fingerprints the whole spec tree on every execution just to find the
-plan template the statement already holds a key for.  This benchmark
-replays repeated-turn serving shapes — point probes, counts, the
-booked-seats aggregate, a date-range scan — with fresh constants every
-turn through both surfaces and gates the prepared path's speedup.
+``stmt.execute(**binds)`` amortises everything a one-shot
+``conn.execute(statement)`` with inlined constants pays per call: the
+one-shot path re-builds the statement and re-fingerprints the whole
+spec tree on every execution just to find the plan template the
+prepared statement already holds a key for.  This benchmark replays
+repeated-turn serving shapes — point probes, counts, the booked-seats
+aggregate, a date-range scan — with fresh constants every turn through
+both paths and gates the prepared path's speedup.
 
 Before timing anything the two paths are differential-checked on a
-randomised workload (>= 500 queries over random predicates, joins,
-orderings, limits, counts and aggregates): ``PreparedStatement.execute``
-must be byte-identical to ``Query.run`` / ``aggregate_query``.
+randomised workload (>= 500 statements over random predicates, counts
+and grouped aggregates): ``PreparedStatement.execute`` must be
+byte-identical to the one-shot execution of the same statement with
+its constants inlined.
 
 Run standalone (CI runs the smoke profile and archives the JSON):
 
@@ -31,8 +33,8 @@ import sys
 import time
 
 from repro.datasets import MovieConfig, build_movie_database
-from repro.db import Param, Query, api, select
-from repro.db.aggregation import aggregate_query, avg, count, max_, min_, sum_
+from repro.db import Param, api, select
+from repro.db.aggregation import avg, count, max_, min_, sum_
 from repro.db.query import and_, eq, ge, gt, le, lt
 
 # Workloads whose speedup the CI gate applies to: the plan-acquisition-
@@ -46,30 +48,28 @@ GATED_WORKLOADS = ("point_unique", "point_count", "booked_sum")
 # ---------------------------------------------------------------------------
 
 def _random_case(rng: random.Random, config: MovieConfig):
-    """One random (query_factory, statement, binds) triple.
+    """One random ``(mode, statement_factory, binds)`` triple.
 
-    The factory builds the implicit-path ``Query`` with the constants
-    inlined; the statement carries :class:`Param` placeholders bound by
-    ``binds`` — both must produce identical rows.
+    ``statement_factory(inline)`` builds the statement with
+    :class:`Param` placeholders (bound by ``binds``) or, with
+    ``inline=True``, with the constants written in — both must produce
+    identical rows.
     """
     table = rng.choice(("screening", "reservation", "movie"))
     mode = rng.choice(("rows", "rows", "rows", "count", "aggregate"))
     binds: dict = {}
-    statement = (
-        api.aggregate(
-            table,
-            n=count(),
-            a=rng.choice(
-                {
-                    "screening": (sum_("price"), min_("capacity"), avg("price")),
-                    "reservation": (sum_("no_tickets"), max_("no_tickets")),
-                    "movie": (min_("year"), avg("duration_minutes")),
-                }[table]
-            ),
-        )
-        if mode == "aggregate"
-        else select(table)
+    aggregate = rng.choice(
+        {
+            "screening": (sum_("price"), min_("capacity"), avg("price")),
+            "reservation": (sum_("no_tickets"), max_("no_tickets")),
+            "movie": (min_("year"), avg("duration_minutes")),
+        }[table]
     )
+    group_key = {
+        "screening": "room",
+        "reservation": "screening_id",
+        "movie": "genre",
+    }[table] if mode == "aggregate" and rng.random() < 0.6 else None
     predicates = []
 
     def bind(name, value):
@@ -91,7 +91,6 @@ def _random_case(rng: random.Random, config: MovieConfig):
         elif shape == 2:
             room = f"room {chr(ord('A') + rng.randrange(5))}"
             predicates.append(("room", "==", room, bind("room", room)))
-        order_by = rng.choice((None, "date", "price"))
     elif table == "reservation":
         if rng.random() < 0.7:
             value = rng.randrange(1, config.n_screenings + 1)
@@ -99,80 +98,53 @@ def _random_case(rng: random.Random, config: MovieConfig):
         if rng.random() < 0.3:
             n = rng.randrange(1, 6)
             predicates.append(("no_tickets", ">", n, bind("n", n)))
-        order_by = rng.choice((None, "no_tickets"))
     else:
         if rng.random() < 0.8:
             year = rng.randrange(1960, 2022)
             predicates.append(("year", ">=", year, bind("y", year)))
-        order_by = rng.choice((None, "year", "title"))
-    limit = rng.choice((None, None, 5, 20))
 
     ops = {"==": eq, ">=": ge, "<=": le, ">": gt, "<": lt}
-    for column, op, __, param in predicates:
-        statement.where(ops[op](column, param))
-    if mode == "rows" and order_by is not None:
-        statement.order_by(order_by, descending=rng.random() < 0.5)
-    if mode != "aggregate" and limit is not None:
-        statement.limit(limit)
-    if mode == "count":
-        statement.count()
-    elif mode == "aggregate" and rng.random() < 0.6:
-        statement.group_by(
-            {
-                "screening": "room",
-                "reservation": "screening_id",
-                "movie": "genre",
-            }[table]
-        )
 
-    def query_factory():
-        query = Query(table)
-        for column, op, value, __ in predicates:
-            query.where(ops[op](column, value))
-        if mode == "rows" and order_by is not None:
-            query.order_by(order_by, descending=statement._descending)
-        if mode != "aggregate" and limit is not None:
-            query.limit(limit)
-        return query
+    def statement_factory(inline: bool = False):
+        if mode == "count":
+            statement = api.aggregate(table, n=count())
+        elif mode == "aggregate":
+            statement = api.aggregate(table, n=count(), a=aggregate)
+            if group_key is not None:
+                statement.group_by(group_key)
+        else:
+            statement = select(table)
+        for column, op, value, param in predicates:
+            statement.where(ops[op](column, value if inline else param))
+        return statement
 
-    return mode, statement, binds, query_factory
+    return mode, statement_factory, binds
 
 
 def run_differential(
     database, config: MovieConfig, n_queries: int, seed: int = 71
 ) -> int:
-    """Prepared vs implicit on ``n_queries`` random statements; returns
+    """Prepared vs one-shot on ``n_queries`` random statements; returns
     the number checked (raises on the first mismatch)."""
     rng = random.Random(seed)
     connection = database.connect(name="differential")
     for i in range(n_queries):
-        mode, statement, binds, query_factory = _random_case(rng, config)
-        prepared = connection.prepare(statement)
-        query = query_factory()
-        if mode == "rows":
-            expected = query.run(database)
-            actual = prepared.execute(**binds).all()
-        elif mode == "count":
-            expected = query.count(database)
-            actual = prepared.execute(**binds).scalar()
-        else:
-            expected = aggregate_query(
-                database, query, statement._aggregates,
-                list(statement._group_by) or None,
-            )
-            actual = prepared.execute(**binds).all()
+        mode, statement_factory, binds = _random_case(rng, config)
+        prepared = connection.prepare(statement_factory())
+        expected = connection.execute(statement_factory(inline=True)).all()
+        actual = prepared.execute(**binds).all()
         if actual != expected:
             raise AssertionError(
                 f"differential case {i}: prepared result differs "
-                f"(mode={mode}, table={statement.table}, binds={binds})"
+                f"(mode={mode}, table={prepared.statement.table}, "
+                f"binds={binds})"
             )
-        if mode == "rows":
-            # Re-execute the SAME prepared statement: bindings must not
-            # leak between executions of one compiled template.
-            if prepared.execute(**binds).all() != expected:
-                raise AssertionError(
-                    f"differential case {i}: repeated execute diverged"
-                )
+        # Re-execute the SAME prepared statement: bindings must not
+        # leak between executions of one compiled template.
+        if prepared.execute(**binds).all() != expected:
+            raise AssertionError(
+                f"differential case {i}: repeated execute diverged"
+            )
     return n_queries
 
 
@@ -184,9 +156,9 @@ def make_workloads(database, config: MovieConfig):
     """name -> (implicit_fn(turn), prepared_fn(turn)) pairs.
 
     Both sides receive the turn number and derive the same constants
-    from it; the implicit side rebuilds its Query each call (exactly
-    what callers of ``Query.run`` do), the prepared side binds into the
-    statement compiled once up front.
+    from it; the implicit side builds its statement with the constants
+    inlined and executes it one-shot each call, the prepared side binds
+    into the statement compiled once up front.
     """
     connection = database.connect(name="bench")
     day0 = config.start_date
@@ -198,7 +170,9 @@ def make_workloads(database, config: MovieConfig):
         select("screening").where(eq("movie_id", Param("m")))
     )
     point_count = connection.prepare(
-        select("screening").where(eq("movie_id", Param("m"))).count()
+        api.aggregate("screening", n=count()).where(
+            eq("movie_id", Param("m"))
+        )
     )
     booked = connection.prepare(
         api.aggregate("reservation", booked=sum_("no_tickets")).where(
@@ -222,42 +196,40 @@ def make_workloads(database, config: MovieConfig):
 
     return {
         "point_unique": (
-            lambda t: Query("screening")
-            .where(eq("screening_id", screening_id(t)))
-            .run(database),
+            lambda t: connection.execute(
+                select("screening").where(eq("screening_id", screening_id(t)))
+            ).all(),
             lambda t: point_unique.execute(s=screening_id(t)).all(),
         ),
         "point_eq": (
-            lambda t: Query("screening")
-            .where(eq("movie_id", movie_id(t)))
-            .run(database),
+            lambda t: connection.execute(
+                select("screening").where(eq("movie_id", movie_id(t)))
+            ).all(),
             lambda t: point_eq.execute(m=movie_id(t)).all(),
         ),
         "point_count": (
-            lambda t: Query("screening")
-            .where(eq("movie_id", movie_id(t)))
-            .count(database),
+            lambda t: connection.execute(
+                api.aggregate("screening", n=count())
+                .where(eq("movie_id", movie_id(t)))
+            ).scalar(),
             lambda t: point_count.execute(m=movie_id(t)).scalar(),
         ),
         "booked_sum": (
-            lambda t: aggregate_query(
-                database,
-                Query("reservation").where(
-                    eq("screening_id", screening_id(t))
-                ),
-                {"booked": sum_("no_tickets")},
-            )[0]["booked"],
+            lambda t: connection.execute(
+                api.aggregate("reservation", booked=sum_("no_tickets"))
+                .where(eq("screening_id", screening_id(t)))
+            ).scalar(),
             lambda t: booked.execute(s=screening_id(t)).scalar(),
         ),
         "date_range": (
-            lambda t: Query("screening")
-            .where(
-                and_(
-                    ge("date", day(t)),
-                    le("date", day(t) + dt.timedelta(days=1)),
+            lambda t: connection.execute(
+                select("screening").where(
+                    and_(
+                        ge("date", day(t)),
+                        le("date", day(t) + dt.timedelta(days=1)),
+                    )
                 )
-            )
-            .run(database),
+            ).all(),
             lambda t: date_range.execute(
                 lo=day(t), hi=day(t) + dt.timedelta(days=1)
             ).all(),
@@ -341,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="PATH", help="where to write the JSON record")
     parser.add_argument(
         "--require-speedup", type=float, default=None, metavar="X",
-        help="fail unless every gated workload's prepared path beats the "
-        "implicit Query.run plan-cache path by at least this factor",
+        help="fail unless every gated workload's prepared path beats "
+        "one-shot execution with inlined constants by at least this factor",
     )
     args = parser.parse_args(argv)
 

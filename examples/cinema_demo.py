@@ -55,9 +55,9 @@ def scripted_demo(database, agent) -> None:
     # Read through the unified execution API: one connection, prepared
     # statements with named parameters, streaming results.
     conn = database.connect()
-    reservation = conn.execute(select("reservation").limit(1)).fetchone()
+    reservation = conn.execute(select("reservation")).fetchone()
     customer = conn.prepare(
-        select("customer").where(eq("customer_id", Param("c"))).limit(1)
+        select("customer").where(eq("customer_id", Param("c")))
     ).execute(c=reservation["customer_id"]).fetchone()
     scenario(
         "Scenario 2: cancel a reservation",
@@ -69,7 +69,7 @@ def scripted_demo(database, agent) -> None:
         ],
     )
 
-    title = conn.execute(select("movie").project("title")).fetchmany(3)[2]["title"]
+    title = conn.execute(select("movie")).fetchmany(3)[2]["title"]
     scenario(
         "Scenario 3: list screenings (read-only, no confirmation)",
         [f"when is {title} playing"],

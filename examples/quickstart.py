@@ -60,7 +60,7 @@ def main() -> None:
             eq("screening_id", Param("s"))
         )
     )
-    for screening in conn.execute(select("screening").limit(3)):
+    for screening in conn.execute(select("screening")).fetchmany(3):
         sid = screening["screening_id"]
         rows = reservations.execute(s=sid).all()
         seats = booked.execute(s=sid).scalar()

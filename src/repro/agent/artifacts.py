@@ -73,8 +73,8 @@ class AgentArtifacts:
             vocabulary=vocabulary,
             # The same catalog instance the query planner prices plans
             # with: one rebuild per data version serves both — and the
-            # same prepared-plan cache every Query.run() reads through,
-            # so the first session of the day compiles the turn-query
+            # same prepared-plan cache every statement reads through, so
+            # the first session of the day compiles the turn-query
             # templates and every other session binds into them.
             statistics=database.statistics,
             value_cache=AttributeValueCache(database, catalog),

@@ -8,7 +8,6 @@ Commands mirror the demo workflow of Section 5:
 * ``report``    — print the synthesis report (tasks, data, actions).
 * ``policies``  — compare data-aware / static / random slot selection.
 * ``snapshot``  — dump the cinema database to a JSON file.
-* ``explain``   — show the cost-based plan the query engine picks.
 """
 
 from __future__ import annotations
@@ -363,237 +362,6 @@ def _cmd_policies() -> int:
     return 0
 
 
-_EXPLAIN_OPS = (">=", "<=", "!=", "==", "~", ">", "<", "=")
-
-_EXPLAIN_DEMOS = [
-    "screening --where date>=2022-03-27 --where date<=2022-03-30",
-    "screening --where screening_id=5",
-    "screening --join movie_id:movie:movie_id --where movie.year>1990 "
-    "--order-by date --limit 5",
-    "screening --where room='room A' --count",
-    "movie --order-by year --desc --limit 3 --select title,year",
-    # Aggregate pushdown: bucket-walking group-by and index-only MIN/MAX.
-    "reservation --agg booked=sum:no_tickets --group-by screening_id",
-    "screening --agg lo=min:price --agg hi=max:price --agg n=count",
-    # A filtered group-by streams through the group-hash aggregate.
-    "reservation --where no_tickets>=2 --agg booked=sum:no_tickets "
-    "--group-by screening_id",
-    # Aggregate pushdown below joins: a NOT NULL FK join is elided, a
-    # group-keyed join onto a unique column becomes a per-group semi
-    # probe above the aggregate.
-    "reservation --join screening_id:screening:screening_id "
-    "--agg booked=sum:no_tickets --group-by screening_id",
-    "movie --join language_id:language:language_id "
-    "--agg n=count --group-by language_id",
-    # HAVING: a post-aggregate Filter selecting on the aggregate output.
-    "reservation --agg booked=sum:no_tickets --group-by screening_id "
-    "--having booked>=10",
-    # OR of indexable equalities: a union of hash-index probes.
-    "screening --where \"room='room A'|movie_id=3\"",
-    # Three joins: the planner orders them by estimated cardinality.
-    "screening --join screening_id:reservation:screening_id "
-    "--join movie_id:movie:movie_id "
-    "--join movie.language_id:language:language_id",
-]
-
-_AGG_KINDS = ("count", "sum", "avg", "min", "max", "count_distinct")
-
-
-def _parse_explain_value(text: str):
-    from repro.db import DataType, coerce
-    from repro.errors import TypeMismatchError
-
-    text = text.strip().strip("'\"")
-    for dtype in (DataType.INTEGER, DataType.FLOAT, DataType.DATE,
-                  DataType.TIME):
-        try:
-            return coerce(text, dtype)
-        except TypeMismatchError:
-            continue
-    return text
-
-
-def _split_disjuncts(text: str) -> list[str]:
-    """Split on ``|`` outside quotes, so quoted values may contain pipes."""
-    parts: list[str] = []
-    buf: list[str] = []
-    quote = None
-    for ch in text:
-        if quote is not None:
-            buf.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-            buf.append(ch)
-        elif ch == "|":
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return parts
-
-
-def _parse_explain_condition(text: str):
-    from repro.db import query as q
-    from repro.errors import QueryError
-
-    disjuncts = _split_disjuncts(text)
-    if len(disjuncts) > 1:
-        # A disjunction: cond|cond|...  (e.g. "room='room A'|movie_id=3")
-        return q.or_(
-            *[_parse_explain_condition(part) for part in disjuncts]
-        )
-    for op in _EXPLAIN_OPS:
-        if op in text:
-            column, __, value = text.partition(op)
-            column = column.strip()
-            parsed = _parse_explain_value(value)
-            if op == "~":
-                return q.contains(column, str(parsed))
-            op = "==" if op == "=" else op
-            return q.Comparison(column, op, parsed)
-    raise QueryError(
-        f"cannot parse condition {text!r} (use column<op>value with one of "
-        f"{', '.join(_EXPLAIN_OPS)})"
-    )
-
-
-def _parse_aggregates(specs):
-    """``name=kind[:column]`` strings into an Aggregate dict (or an error)."""
-    from repro.db import aggregation
-
-    factories = {
-        "count": lambda column: aggregation.count(),
-        "sum": aggregation.sum_,
-        "avg": aggregation.avg,
-        "min": aggregation.min_,
-        "max": aggregation.max_,
-        "count_distinct": aggregation.count_distinct,
-    }
-    aggregates = {}
-    for item in specs:
-        name, sep, rest = item.partition("=")
-        kind, __, column = rest.partition(":")
-        name, kind, column = name.strip(), kind.strip(), column.strip()
-        if not sep or not name or kind not in _AGG_KINDS:
-            return None, (
-                f"bad --agg {item!r} (expected name=kind[:column] with "
-                f"kind one of {', '.join(_AGG_KINDS)})"
-            )
-        if kind == "count":
-            if column:
-                return None, f"bad --agg {item!r} (count takes no column)"
-            aggregates[name] = factories[kind](None)
-        else:
-            if not column:
-                return None, f"bad --agg {item!r} ({kind} needs a column)"
-            aggregates[name] = factories[kind](column)
-    return aggregates, None
-
-
-def _explain_one(database, args) -> int:
-    from repro.db import api
-    from repro.errors import DatabaseError
-
-    if args.group_by and not args.agg:
-        print("--group-by requires at least one --agg")
-        return 2
-    if args.having and not args.agg:
-        print("--having requires at least one --agg")
-        return 2
-    if args.agg and args.count:
-        print("--count cannot be combined with --agg "
-              "(use --agg n=count instead)")
-        return 2
-    try:
-        if args.agg:
-            aggregates, error = _parse_aggregates(args.agg)
-            if aggregates is None:
-                print(error)
-                return 2
-            statement = api.aggregate(args.table, aggregates)
-        else:
-            statement = api.select(args.table)
-        for condition in args.where or ():
-            statement.where(_parse_explain_condition(condition))
-        for join in args.join or ():
-            parts = join.split(":")
-            if len(parts) != 3:
-                print(f"bad --join {join!r} (expected column:table:target)")
-                return 2
-            statement.join(*parts)
-        if args.order_by:
-            statement.order_by(args.order_by, descending=args.desc)
-        if args.limit is not None:
-            statement.limit(args.limit)
-        if args.select:
-            statement.project(*[c.strip() for c in args.select.split(",")])
-        if args.count:
-            statement.count()
-        if args.group_by:
-            statement.group_by(
-                *[c.strip() for c in args.group_by.split(",")]
-            )
-        if args.having:
-            from repro.db.query import and_
-
-            statement.having(
-                and_(*[_parse_explain_condition(c) for c in args.having])
-            )
-        # The unified path: compile + fingerprint once, explain the
-        # plan the statement would execute.
-        print(database.default_connection.prepare(statement).explain())
-    except DatabaseError as exc:
-        print(f"error: {exc}")
-        return 2
-    return 0
-
-
-def _cmd_explain(args) -> int:
-    import shlex
-
-    from repro.datasets import build_movie_database
-
-    database, __ = build_movie_database()
-    if args.table is not None:
-        return _explain_one(database, args)
-    # No table given: walk the showcase queries.
-    parser = _make_explain_parser(argparse.ArgumentParser(prog="explain"))
-    for demo in _EXPLAIN_DEMOS:
-        print(f"$ python -m repro explain {demo}")
-        status = _explain_one(database, parser.parse_args(shlex.split(demo)))
-        if status != 0:
-            return status
-        print()
-    return 0
-
-
-def _make_explain_parser(parser):
-    parser.add_argument("table", nargs="?", default=None,
-                        help="root table (omit to show showcase plans)")
-    parser.add_argument("--where", action="append", metavar="COND",
-                        help="condition, e.g. date>=2022-03-27 or title~gump")
-    parser.add_argument("--join", action="append", metavar="COL:TABLE:TARGET",
-                        help="equi-join root.COL = TABLE.TARGET")
-    parser.add_argument("--order-by", metavar="COLUMN")
-    parser.add_argument("--desc", action="store_true")
-    parser.add_argument("--limit", type=int, metavar="N")
-    parser.add_argument("--select", metavar="COL,COL")
-    parser.add_argument("--count", action="store_true",
-                        help="plan COUNT(*) instead of row retrieval")
-    parser.add_argument("--agg", action="append", metavar="NAME=KIND[:COL]",
-                        help="aggregate, e.g. booked=sum:no_tickets or "
-                        "n=count (repeatable)")
-    parser.add_argument("--group-by", metavar="COL,COL",
-                        help="group the aggregates by these columns")
-    parser.add_argument("--having", action="append", metavar="COND",
-                        help="post-aggregate condition over the aggregate "
-                        "output, e.g. booked>=10 (repeatable)")
-    return parser
-
-
 def _cmd_snapshot(path: str, incremental: bool = False) -> int:
     from repro.datasets import build_movie_database
     from repro.db import dump_database, dump_incremental
@@ -646,13 +414,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write a format-v4 snapshot directory (base image "
         "+ append-only delta log) instead of one JSON file",
     )
-    _make_explain_parser(
-        sub.add_parser(
-            "explain",
-            help="show the cost-based query plan on the cinema database",
-        )
-    )
-
     args = parser.parse_args(argv)
     if args.command == "demo":
         return _cmd_demo()
@@ -668,8 +429,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_policies()
     if args.command == "snapshot":
         return _cmd_snapshot(args.path, incremental=args.incremental)
-    if args.command == "explain":
-        return _cmd_explain(args)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover
 

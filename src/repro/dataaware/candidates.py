@@ -129,8 +129,8 @@ class CandidateSet:
         With a predicate, seeding executes through the database's
         shared connection (and therefore the prepared-plan cache —
         repeated seeds of the same constraint shape reuse one compiled
-        plan): the access path pushes the constraints into hash/ordered
-        indexes instead of materialising every row id and filtering
+        plan): the access path pushes an equality constraint into a
+        hash index instead of materialising every row id and filtering
         afterwards.
         """
         if where is None:

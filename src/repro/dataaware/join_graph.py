@@ -100,17 +100,15 @@ def map_values(
     Rows whose chain dead-ends (NULL FK, no referencing rows) map to an
     empty set.  NULL attribute values are dropped from the result sets.
 
-    Each hop picks its join strategy like the query engine's planner: a
-    frontier wider than the next table builds one shared probe map (the
-    HashJoin operator's build side); a narrow frontier against an
-    indexed column probes the hash index per row instead.
+    Each hop picks a join strategy: a frontier wider than the next
+    table builds one shared probe map (a hash join's build side); a
+    narrow frontier against an indexed column probes the hash index per
+    row instead.
     """
     if attribute.table != path.target:
         raise PolicyError(
             f"attribute {attribute} does not live on path target {path.target!r}"
         )
-    from repro.db.engine import build_probe_map
-
     root_table = database.table(path.root)
     # frontier: root_row_id -> set of current-table row ids
     frontier: dict[int, set[int]] = {rid: {rid} for rid in root_row_ids}
@@ -119,12 +117,12 @@ def map_values(
         next_table = database.table(step.to_table)
         dtype = next_table.schema.column(step.target_column).dtype
         frontier_size = sum(len(ids) for ids in frontier.values())
-        # The same build-vs-probe decision the planner makes for joins,
-        # priced with the statistics catalog: probing pays one index
-        # lookup per expected match per frontier row, building pays one
-        # pass over the next table.  A narrow frontier against a
-        # low-fanout column probes; a wide frontier (or a fat fanout,
-        # e.g. a junction table) amortises a single build pass.
+        # A build-vs-probe decision priced with the statistics catalog:
+        # probing pays one index lookup per expected match per frontier
+        # row, building pays one pass over the next table.  A narrow
+        # frontier against a low-fanout column probes; a wide frontier
+        # (or a fat fanout, e.g. a junction table) amortises a single
+        # build pass.
         use_index = (
             next_table.has_index(step.target_column)
             and frontier_size * database.statistics.matches_per_key(
@@ -160,3 +158,19 @@ def map_values(
                 values.add(value)
         result[root_id] = frozenset(values)
     return result
+
+
+def build_probe_map(table, column: str) -> dict[Any, list[int]]:
+    """``value -> row ids`` (ascending) for one column — the build side
+    of a hash join.  Values are the stored, canonical column values;
+    NULLs are excluded.  Reads the column's bank directly.
+    """
+    bank = table.bank_map()[column]
+    slots = table.scan_slots()
+    ids = table.ids_for_slots(slots)
+    probe: dict[Any, list[int]] = {}
+    for rid, value in zip(ids, map(bank.__getitem__, slots)):
+        if value is None:
+            continue
+        probe.setdefault(value, []).append(rid)
+    return probe

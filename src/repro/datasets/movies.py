@@ -472,11 +472,9 @@ def annotate_movie_schema(database: Database) -> SchemaAnnotations:
 
 
 def _create_secondary_indexes(database: Database) -> None:
-    """Hash indexes on the FK columns the procedures and joins probe
-    (plus the low-cardinality categorical columns that serve IN-list
-    probe unions and COUNT DISTINCT index reads), ordered indexes on
-    the columns users constrain with ranges or that back ``ORDER BY``
-    (dates, times, prices, years)."""
+    """Hash indexes on the FK columns the procedures and join paths
+    probe, plus the low-cardinality categorical columns whose value
+    pools group by their index buckets."""
     for table, column in [
         ("screening", "movie_id"),
         ("reservation", "screening_id"),
@@ -487,13 +485,6 @@ def _create_secondary_indexes(database: Database) -> None:
         ("screening", "room"),
     ]:
         database.create_index(table, column)
-    for table, column in [
-        ("screening", "date"),
-        ("screening", "start_time"),
-        ("screening", "price"),
-        ("movie", "year"),
-    ]:
-        database.create_ordered_index(table, column)
 
 
 def build_movie_database(

@@ -5,7 +5,7 @@ Public surface:
 * :class:`~repro.db.database.Database` — tables, FK enforcement,
   transactions, stored procedures, change notification.
 * :mod:`~repro.db.schema` — declarative schemas.
-* :mod:`~repro.db.query` — predicates and single-root queries with joins.
+* :mod:`~repro.db.query` — predicates and single-table queries.
 * :mod:`~repro.db.statistics` — entropy/selectivity statistics with a
   version-stamped cache.
 * :class:`~repro.db.catalog.Catalog` — introspection for task extraction.
@@ -93,8 +93,6 @@ __all__ += [
 
 from repro.db.aggregation import (
     Aggregate,
-    aggregate,
-    aggregate_query,
     avg,
     count,
     count_distinct,
@@ -105,8 +103,6 @@ from repro.db.aggregation import (
 
 __all__ += [
     "Aggregate",
-    "aggregate",
-    "aggregate_query",
     "avg",
     "count",
     "count_distinct",
@@ -116,9 +112,8 @@ __all__ += [
 ]
 
 # The unified execution API (Connection / PreparedStatement / Result).
-# The aggregate-statement builder is NOT re-exported here because its
-# name collides with the row reducer above; reach it via
-# ``from repro.db import api`` → ``api.aggregate(...)``.
+# The aggregate-statement builder is reached as ``api.aggregate(...)``
+# (``from repro.db import api``).
 from repro.db import api
 from repro.db.api import (
     CallStatement,

@@ -1,36 +1,25 @@
-"""Aggregation over query results: group-by with count/sum/avg/min/max.
+"""Aggregates for grouped statements: count/sum/avg/min/max/count distinct.
 
 Complements :mod:`repro.db.query` with the handful of aggregates an OLTP
-workload needs (e.g. "seats already booked for this screening").
-:func:`aggregate` reduces already-materialised rows;
-:func:`aggregate_query` runs a :class:`~repro.db.query.Query` through
-the planned executor first (and answers a bare ``COUNT(*)`` with a
-CountOnly plan, skipping row materialisation entirely).
+workload needs (e.g. "seats already booked for this screening").  The
+constructors here name a reduction; an aggregate statement
+(:func:`repro.db.api.aggregate`) runs them inside the engine.
 
 Example
 -------
->>> from repro.db.aggregation import aggregate, count, sum_
->>> aggregate(rows, group_by=["screening_id"],
-...           aggregates={"booked": sum_("no_tickets"),
-...                       "reservations": count()})     # doctest: +SKIP
+>>> from repro.db import api
+>>> from repro.db.aggregation import count, sum_
+>>> statement = api.aggregate("reservation", booked=sum_("no_tickets"),
+...                           reservations=count()).group_by("screening_id")
+>>> rows = database.connect().execute(statement).all()   # doctest: +SKIP
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
-
-from repro.db.table import Row
-from repro.errors import QueryError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.db.database import Database
-    from repro.db.query import Predicate, Query
+from dataclasses import dataclass
 
 __all__ = [
     "Aggregate",
-    "aggregate",
-    "aggregate_query",
     "count",
     "sum_",
     "avg",
@@ -42,159 +31,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Aggregate:
-    """A named reduction over a group of rows.
+    """A reduction over a group of rows.
 
-    ``builtin`` marks instances made by this module's constructors,
-    whose semantics the engine knows and may push down; a hand-built
-    Aggregate (any custom reducer, whatever its name) always runs its
-    own reducer on materialised rows.
+    ``name`` is the reduction (``count``, ``sum``, ``avg``, ``min``,
+    ``max`` or ``count_distinct``); ``column`` is its input, ``None``
+    for ``COUNT(*)``.  NULL values never reach a column reduction.
     """
 
     name: str
     column: str | None
-    reducer: Callable[[list[Any]], Any]
-    builtin: bool = field(default=False, compare=False, repr=False)
-
-    def apply(self, rows: list[Row]) -> Any:
-        if self.column is None:
-            values: list[Any] = rows  # count(*) semantics
-        else:
-            values = [
-                row[self.column] for row in rows if row.get(self.column) is not None
-            ]
-        return self.reducer(values)
 
 
 def count() -> Aggregate:
     """``COUNT(*)`` — number of rows in the group."""
-    return Aggregate("count", None, len, builtin=True)
+    return Aggregate("count", None)
 
 
 def count_distinct(column: str) -> Aggregate:
     """``COUNT(DISTINCT column)`` over non-NULL values."""
-    return Aggregate("count_distinct", column, lambda vs: len(set(vs)),
-                     builtin=True)
+    return Aggregate("count_distinct", column)
 
 
 def sum_(column: str) -> Aggregate:
     """``SUM(column)`` over non-NULL values (0 for empty groups)."""
-    return Aggregate("sum", column, lambda vs: sum(vs) if vs else 0,
-                     builtin=True)
+    return Aggregate("sum", column)
 
 
 def avg(column: str) -> Aggregate:
     """``AVG(column)`` over non-NULL values (None for empty groups)."""
-    return Aggregate("avg", column,
-                     lambda vs: sum(vs) / len(vs) if vs else None,
-                     builtin=True)
+    return Aggregate("avg", column)
 
 
 def min_(column: str) -> Aggregate:
-    return Aggregate("min", column, lambda vs: min(vs) if vs else None,
-                     builtin=True)
+    """``MIN(column)`` over non-NULL values (None for empty groups)."""
+    return Aggregate("min", column)
 
 
 def max_(column: str) -> Aggregate:
-    return Aggregate("max", column, lambda vs: max(vs) if vs else None,
-                     builtin=True)
-
-
-def aggregate(
-    rows: list[Row],
-    aggregates: dict[str, Aggregate],
-    group_by: list[str] | None = None,
-    having: "Predicate | None" = None,
-) -> list[Row]:
-    """Group ``rows`` and apply ``aggregates`` per group.
-
-    Without ``group_by`` the whole input forms a single group (one output
-    row).  Group keys appear in the output rows alongside the aggregate
-    results; output order follows first appearance of each group.
-    ``having`` filters the *output* rows (group keys + aggregate names),
-    like SQL's HAVING clause.
-    """
-    if not aggregates:
-        raise QueryError("at least one aggregate is required")
-    keys = group_by or []
-    groups: dict[tuple, list[Row]] = {}
-    order: list[tuple] = []
-    for row in rows:
-        try:
-            key = tuple(row[k] for k in keys)
-        except KeyError as exc:
-            raise QueryError(f"unknown group-by column {exc.args[0]!r}") from None
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-    if not keys and not rows:
-        groups[()] = []
-        order.append(())
-    result: list[Row] = []
-    for key in order:
-        out: Row = dict(zip(keys, key))
-        for name, agg in aggregates.items():
-            out[name] = agg.apply(groups[key])
-        result.append(out)
-    if having is not None:
-        result = [row for row in result if having.matches(row)]
-    return result
-
-
-def _engine_exprs(aggregates: dict[str, Aggregate]):
-    """The :class:`~repro.db.engine.plan.AggExpr` tuple for built-in
-    aggregates, or ``None`` when any entry carries a custom reducer."""
-    from repro.db.engine import AggExpr
-
-    exprs = []
-    for name, agg in aggregates.items():
-        if not agg.builtin:
-            return None
-        if agg.name == "count" and agg.column is None:
-            exprs.append(AggExpr(name, "count", None))
-        elif (
-            agg.name in ("sum", "avg", "min", "max", "count_distinct")
-            and agg.column is not None
-        ):
-            exprs.append(AggExpr(name, agg.name, agg.column))
-        else:  # pragma: no cover - constructors only emit the above
-            return None
-    return tuple(exprs)
-
-
-def aggregate_query(
-    database: "Database",
-    query: "Query",
-    aggregates: dict[str, Aggregate],
-    group_by: list[str] | None = None,
-    having: "Predicate | None" = None,
-) -> list[Row]:
-    """Aggregate the result of ``query`` inside the planned executor.
-
-    .. deprecated::
-        Thin shim over the unified execution API; prefer an aggregate
-        statement through a connection::
-
-            conn = database.connect()
-            stmt = conn.prepare(
-                api.aggregate("reservation", booked=sum_("no_tickets"))
-                   .where(eq("screening_id", api.Param("s")))
-            )
-            booked = stmt.execute(s=screening_id).scalar()
-
-        (see :mod:`repro.db.api`).
-
-    Built-in aggregates (the constructors in this module) compile into
-    the engine's streaming :class:`~repro.db.engine.plan.HashAggregate`
-    (or, for whole-table MIN/MAX/COUNT, an
-    :class:`~repro.db.engine.plan.IndexAggScan` that reads the answer
-    from the indexes) through the database's prepared-plan cache.
-    ``having`` filters the aggregate output rows inside the plan; an
-    ungrouped, lone ``COUNT(*)`` without HAVING short-circuits to a
-    CountOnly plan; aggregates with custom reducers fall back to
-    materialise-then-reduce via :func:`aggregate`, whose results the
-    engine path reproduces exactly.
-    """
-    return database.default_connection.run_aggregate(
-        query, aggregates, group_by, having
-    )
+    """``MAX(column)`` over non-NULL values (None for empty groups)."""
+    return Aggregate("max", column)

@@ -1,24 +1,24 @@
 """The unified execution API: ``Connection`` → ``PreparedStatement`` → ``Result``.
 
-Everything the database can execute — scalar queries, aggregates with
-HAVING, counts and stored-procedure calls — goes through one calling
-convention, the classic prepare/execute split of DB client interfaces::
+Everything the database can execute — row queries, grouped aggregates
+and stored-procedure calls — goes through one calling convention, the
+classic prepare/execute split of DB client interfaces::
 
     conn = database.connect()
     stmt = conn.prepare(
-        select("screening").where(eq("movie_id", Param("m"))).limit(5)
+        select("screening").where(eq("movie_id", Param("m")))
     )
     for row in stmt.execute(m=3):          # a streaming Result cursor
         ...
 
 Why prepare/execute: the serving runtime issues the same handful of
 statement *shapes* on every turn, differing only in their constants.
-The implicit path (``Query.run``) re-fingerprints the whole query tree
-on every call to find its cached plan template; ``prepare`` fingerprints
-ONCE and every ``execute`` binds the call's constants straight into the
-cached template — one stable compiled artifact, many cheap
-parameterised executions (the trade-off hybrid-join and HTAP designs
-lean on).  ``benchmarks/bench_statement_api.py`` gates the difference.
+A one-shot ``Connection.execute`` re-fingerprints the whole query tree
+on every call to find its cached plan template; ``prepare``
+fingerprints ONCE and every ``execute`` binds the call's constants
+straight into the cached template — one stable compiled artifact, many
+cheap parameterised executions.  ``benchmarks/bench_statement_api.py``
+gates the difference.
 
 The three objects:
 
@@ -36,15 +36,15 @@ The three objects:
   defers materialisation to the consumer instead of always returning
   ``list[Row]``.  Consume it within the read scope it was produced in.
 
-Statements come from three builders: :func:`select` (rows and counts),
-:func:`aggregate` (grouped aggregates + HAVING) and :func:`call`
-(stored procedures).  Plain :class:`~repro.db.query.Query` objects are
-also accepted by ``prepare``/``execute`` for easy migration.
+Statements come from three builders: :func:`select` (rows),
+:func:`aggregate` (grouped aggregates) and :func:`call` (stored
+procedures).  Plain :class:`~repro.db.query.Query` objects are also
+accepted by ``prepare``/``execute``.
 
-Cached plan *templates* are shared with the implicit ``Query.run`` path
-through the database's :class:`~repro.db.engine.cache.PlanCache`, so
-both surfaces warm each other and invalidate together on data-version
-bumps (committed mutations, index DDL).
+Cached plan *templates* live in the database's
+:class:`~repro.db.engine.cache.PlanCache`, shared by every connection
+and invalidated together on data-version bumps (committed mutations,
+index DDL).
 """
 
 from __future__ import annotations
@@ -56,15 +56,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Mapping
 
-from repro.db.aggregation import Aggregate, _engine_exprs
-from repro.db.aggregation import aggregate as _reduce_rows
+from repro.db.aggregation import Aggregate
 from repro.db.engine import (
+    AggExpr,
     Filter,
-    HashJoin,
     PlanNode,
     QuerySpec,
     SeqScan,
-    execute_count,
     execute_iter,
     execute_row_ids,
     execute_rows,
@@ -113,8 +111,7 @@ __all__ = [
 class Param:
     """A named placeholder for one statement constant.
 
-    Appears wherever a predicate constant, HAVING constant or procedure
-    argument would: ``eq("movie_id", Param("m"))``.  ``execute(m=3)``
+    Appears wherever a predicate constant or procedure argument would: ``eq("movie_id", Param("m"))``.  ``execute(m=3)``
     binds it.  Distinct from the engine's positional
     :class:`~repro.db.engine.plan.Param` slots, which the plan cache
     derives internally.
@@ -196,12 +193,9 @@ def _bind_predicate(
 
 def _bind_spec(spec: QuerySpec, binds: Mapping[str, Any]) -> QuerySpec:
     predicate = _bind_predicate(spec.predicate, binds)
-    having = (
-        None if spec.having is None else _bind_predicate(spec.having, binds)
-    )
-    if predicate is spec.predicate and having is spec.having:
+    if predicate is spec.predicate:
         return spec
-    return replace(spec, predicate=predicate, having=having)
+    return replace(spec, predicate=predicate)
 
 
 # ---------------------------------------------------------------------------
@@ -213,70 +207,22 @@ class Statement:
 
 
 class SelectStatement(Statement, Query):
-    """A fluent query/aggregate/count statement with named parameters.
+    """A fluent row or aggregate statement with named parameters.
 
-    Extends the fluent :class:`~repro.db.query.Query` builder (``where``
-    / ``join`` / ``order_by`` / ``limit`` / projection) with ``count()``,
-    grouped aggregation (``group_by`` / ``having``) and named
-    :class:`Param` placeholders anywhere a constant goes.
+    Extends the fluent :class:`~repro.db.query.Query` builder (``where``)
+    with grouped aggregation (``group_by``, for statements built by
+    :func:`aggregate`) and named :class:`Param` placeholders anywhere a
+    constant goes.
     """
 
     def __init__(self, table: str) -> None:
         Query.__init__(self, table)
-        self._count_only = False
         self._aggregates: dict[str, Aggregate] | None = None
         self._group_by: tuple[str, ...] = ()
-        self._having: Predicate | None = None
-
-    # Builder extensions ---------------------------------------------------
-    def project(self, *columns: str) -> "SelectStatement":
-        """Restrict output columns (alias of ``Query.select``)."""
-        self.select(*columns)
-        return self
-
-    def count(self) -> "SelectStatement":
-        """Turn the statement into a COUNT(*): ``execute().scalar()``."""
-        self._count_only = True
-        return self
 
     def group_by(self, *columns: str) -> "SelectStatement":
         self._group_by = tuple(columns)
         return self
-
-    def having(self, predicate: Predicate) -> "SelectStatement":
-        """Post-aggregate filter over group keys + aggregate names."""
-        self._having = predicate
-        return self
-
-    # Legacy-surface overrides ---------------------------------------------
-    # Query.run/plan/explain compile only the row query and would
-    # silently drop count()/aggregates/group_by/having; statements
-    # route through the prepared path instead (parameterised
-    # statements require prepare + execute(**binds)).
-    def run(self, database: "Database") -> list[Row]:
-        """Execute through the database's shared connection.
-
-        Honours ``count()`` (returns ``[{"count": n}]``) and
-        aggregates, unlike ``Query.run``.
-        """
-        return database.default_connection.execute(self).all()
-
-    def plan(self, database: "Database", count_only: bool = False):
-        if count_only and not self._count_only:
-            raise QueryError(
-                "pass count_only via select(...).count(), not plan()"
-            )
-        prepared = database.default_connection.prepare(self)
-        prepared._check_binds({})
-        node, __, __profile = prepared._plan_for({})
-        return node
-
-    def explain(self, database: "Database", count_only: bool = False) -> str:
-        if count_only and not self._count_only:
-            raise QueryError(
-                "pass count_only via select(...).count(), not explain()"
-            )
-        return database.default_connection.prepare(self).explain()
 
 
 class CallStatement(Statement):
@@ -288,7 +234,7 @@ class CallStatement(Statement):
 
 
 def select(table: str) -> SelectStatement:
-    """Start a row-returning (or, with ``.count()``, counting) statement."""
+    """Start a row-returning statement."""
     return SelectStatement(table)
 
 
@@ -300,14 +246,32 @@ def aggregate(
     """Start an aggregate statement: ``aggregate("reservation",
     booked=sum_("no_tickets")).group_by("screening_id")``.
 
-    Built-in aggregates push down into the engine; custom reducers fall
-    back to materialise-then-reduce, byte-identically.
+    A lone ``count()`` gives ``COUNT(*)``:
+    ``conn.execute(aggregate("movie", n=count())).scalar()``.
     """
     statement = SelectStatement(table)
     merged: dict[str, Aggregate] = dict(aggregates or {})
     merged.update(named)
     statement._aggregates = merged
     return statement
+
+
+_AGGREGATE_KINDS = ("sum", "avg", "min", "max", "count_distinct")
+
+
+def _aggregate_exprs(aggregates: Mapping[str, Aggregate]) -> tuple[AggExpr, ...]:
+    """The engine's :class:`AggExpr` per named aggregate."""
+    if not aggregates:
+        raise QueryError("at least one aggregate is required")
+    exprs = []
+    for name, agg in aggregates.items():
+        if agg.name == "count" and agg.column is None:
+            exprs.append(AggExpr(name, "count", None))
+        elif agg.name in _AGGREGATE_KINDS and agg.column is not None:
+            exprs.append(AggExpr(name, agg.name, agg.column))
+        else:
+            raise QueryError(f"unknown aggregate {agg!r} for {name!r}")
+    return tuple(exprs)
 
 
 def call(procedure: str, **arguments: Any) -> CallStatement:
@@ -321,18 +285,16 @@ def call(procedure: str, **arguments: Any) -> CallStatement:
 
 @dataclass(frozen=True)
 class IndexSuggestion:
-    """One ranked ``CREATE INDEX`` recommendation."""
+    """One ranked ``CREATE INDEX`` recommendation (a hash index)."""
 
     table: str
     column: str
-    kind: str            # "hash" (equality/IN probes) or "ordered" (ranges)
     misses: int          # executions that scanned instead of probing
     rows_scanned: int    # total rows those scans visited
 
     @property
     def statement(self) -> str:
-        using = " USING ordered" if self.kind == "ordered" else ""
-        return f"CREATE INDEX ON {self.table} ({self.column}){using}"
+        return f"CREATE INDEX ON {self.table} ({self.column})"
 
     def apply(self, database: "Database") -> bool:
         """Create the suggested index on ``database`` (DDL); idempotent.
@@ -344,52 +306,37 @@ class IndexSuggestion:
         ``False`` on the already-exists no-op.
         """
         with database.write_locked():
-            table = database.table(self.table)
-            exists = (
-                table.has_ordered_index(self.column)
-                if self.kind == "ordered"
-                else table.has_index(self.column)
-            )
-            if exists:
+            if database.table(self.table).has_index(self.column):
                 warnings.warn(
                     f"{self.statement}: equivalent index already exists; "
                     "skipping",
                     stacklevel=2,
                 )
                 return False
-            if self.kind == "ordered":
-                database.create_ordered_index(self.table, self.column)
-            else:
-                database.create_index(self.table, self.column)
+            database.create_index(self.table, self.column)
             return True
 
 
 class IndexAdvisor:
-    """Tallies SeqScan+Filter executions an index would have served.
+    """Tallies SeqScan+Filter executions a hash index would have served.
 
-    The planner settles for a sequential scan whenever an
-    equality/range predicate names a column without a hash/ordered
-    index; every such execution records a *miss* here, weighted by the
-    rows the scan visited, so :meth:`suggestions` ranks the indexes by
-    the work they would have saved.
+    The planner settles for a sequential scan whenever an equality or
+    IN predicate names a column without a hash index; every such
+    execution records a *miss* here, weighted by the rows the scan
+    visited, so :meth:`suggestions` ranks the indexes by the work they
+    would have saved.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (table, column, kind) -> [misses, rows_scanned]
-        self._misses: dict[tuple[str, str, str], list[int]] = {}
+        # (table, column) -> [misses, rows_scanned]
+        self._misses: dict[tuple[str, str], list[int]] = {}
 
-    def record(self, table: str, column: str, kind: str, rows: int) -> None:
+    def record(self, table: str, column: str, rows: int) -> None:
         with self._lock:
-            entry = self._misses.setdefault((table, column, kind), [0, 0])
+            entry = self._misses.setdefault((table, column), [0, 0])
             entry[0] += 1
             entry[1] += rows
-
-    def record_all(
-        self, misses: list[tuple[str, str, str, int]]
-    ) -> None:
-        for table, column, kind, rows in misses:
-            self.record(table, column, kind, rows)
 
     @property
     def total_misses(self) -> int:
@@ -401,25 +348,21 @@ class IndexAdvisor:
     ) -> list[IndexSuggestion]:
         """Ranked recommendations, most rows-saved first.
 
-        With ``database``, columns that have since gained the suggested
-        index (``suggestion.apply``, manual DDL) are filtered out — the
+        With ``database``, columns that have since gained an index
+        (``suggestion.apply``, manual DDL) are filtered out — the
         tallies record history, the suggestions describe what is still
         missing.
         """
         with self._lock:
             items = [
-                IndexSuggestion(table, column, kind, misses, rows)
-                for (table, column, kind), (misses, rows)
-                in self._misses.items()
+                IndexSuggestion(table, column, misses, rows)
+                for (table, column), (misses, rows) in self._misses.items()
             ]
         if database is not None:
             items = [
                 s for s in items
-                if s.table in database and not (
-                    database.table(s.table).has_ordered_index(s.column)
-                    if s.kind == "ordered"
-                    else database.table(s.table).has_index(s.column)
-                )
+                if s.table in database
+                and not database.table(s.table).has_index(s.column)
             ]
         items.sort(key=lambda s: (-s.rows_scanned, -s.misses, s.table, s.column))
         return items
@@ -427,38 +370,26 @@ class IndexAdvisor:
 
 def _index_misses(
     database: "Database", plan: PlanNode
-) -> list[tuple[str, str, str, int]]:
-    """``(table, column, kind, rows_scanned)`` per advisable predicate
-    in ``plan``'s SeqScan+Filter subtrees and per unindexed join key."""
-    out: list[tuple[str, str, str, int]] = []
+) -> tuple[tuple[str, str], ...]:
+    """``(table, column)`` per advisable predicate in ``plan``'s
+    SeqScan+Filter: an equality or IN-list on an unindexed column."""
+    out: list[tuple[str, str]] = []
     stack = [plan]
     while stack:
         node = stack.pop()
-        if isinstance(node, HashJoin):
-            # The planner builds a transient hash table per execution;
-            # a hash index on the inner key would unlock the
-            # index-nested-loop (and the vectorized bucket-probe) path.
-            inner = database.table(node.table)
-            if not inner.has_index(node.target_column):
-                out.append(
-                    (node.table, node.target_column, "hash", len(inner))
-                )
         if isinstance(node, Filter) and isinstance(node.child, SeqScan):
             table = database.table(node.child.table)
             names = table.schema.column_names  # tuple; few entries
             for part in _and_parts(node.predicate):
-                if not isinstance(part, Comparison) or part.column not in names:
-                    continue
-                if part.op in ("==", "in"):
-                    if not table.has_index(part.column):
-                        out.append((table.name, part.column, "hash", len(table)))
-                elif part.op in ("<", "<=", ">", ">="):
-                    if not table.has_ordered_index(part.column):
-                        out.append(
-                            (table.name, part.column, "ordered", len(table))
-                        )
+                if (
+                    isinstance(part, Comparison)
+                    and part.column in names
+                    and part.op in ("==", "in")
+                    and not table.has_index(part.column)
+                ):
+                    out.append((table.name, part.column))
         stack.extend(node.children())
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +418,6 @@ class Result:
         connection: "Connection",
         *,
         plan: PlanNode | None = None,
-        stream: bool = False,
-        rows: list[Row] | None = None,
         procedure_result: "ProcedureResult | None" = None,
     ) -> None:
         self._connection = connection
@@ -498,11 +427,9 @@ class Result:
         # take the bulk executor path (columnwise materialisation, no
         # per-row generator frame); the first fetch/iteration switches
         # to the lazy cursor.
-        self._pending = stream and plan is not None
-        if rows is not None:
-            self._source: Iterator[Row] = iter(rows)
-        elif procedure_result is not None:
-            self._source = iter(procedure_result.rows())
+        self._pending = plan is not None
+        if procedure_result is not None:
+            self._source: Iterator[Row] = iter(procedure_result.rows())
         else:
             self._source = iter(())
 
@@ -581,8 +508,8 @@ class Result:
     def scalar(self) -> Any:
         """First value of the next row (``None`` when exhausted/empty).
 
-        The natural reader for counts and ungrouped aggregates:
-        ``conn.execute(select("movie").count()).scalar()``.
+        The natural reader for ungrouped aggregates:
+        ``conn.execute(aggregate("movie", n=count())).scalar()``.
         """
         row = self.fetchone()
         if row is None:
@@ -590,7 +517,7 @@ class Result:
         return next(iter(row.values()), None)
 
     def row_ids(self) -> list[int]:
-        """Root-table row ids of an access-path/filter-only plan.
+        """Row ids of an access-path/filter-only plan.
 
         Independent of the cursor (re-runs the plan id-wise); used by
         candidate tracking, which keys snapshots on internal row ids.
@@ -650,77 +577,23 @@ class PreparedStatement:
             _value_param_names(value, names)
         self._param_names = frozenset(names)
         self._spec = None
-        self._aggregates: dict[str, Aggregate] | None = None
-        self._having: Predicate | None = None
-        self._group_by: tuple[str, ...] = ()
 
     def _init_query(self, statement: Query) -> None:
         aggregates = getattr(statement, "_aggregates", None)
-        count_only = getattr(statement, "_count_only", False)
-        having = getattr(statement, "_having", None)
         group_by = getattr(statement, "_group_by", ())
+        self._kind = "rows"
         self._procedure = None
         self._arguments = {}
-        self._aggregates = None
-        self._having = None
-        self._group_by = ()
-        self._count_name = "count"
+        spec = statement.compile()
         if aggregates is not None:
-            if count_only:
-                raise QueryError(
-                    "count() cannot be combined with aggregates "
-                    "(use a count() aggregate instead)"
-                )
-            self._compile_aggregate(statement, aggregates, group_by, having)
-        elif group_by or having is not None:
-            raise QueryError("group_by/having require aggregates")
-        elif count_only:
-            self._kind = "count"
-            self._fingerprint_spec(statement.compile(count_only=True))
-        else:
-            self._kind = "rows"
-            self._fingerprint_spec(statement.compile())
-
-    def _compile_aggregate(
-        self,
-        statement: Query,
-        aggregates: dict[str, Aggregate],
-        group_by: tuple[str, ...],
-        having: Predicate | None,
-    ) -> None:
-        if not aggregates:
-            raise QueryError("at least one aggregate is required")
-        exprs = _engine_exprs(aggregates)
-        if exprs is None:
-            # Custom reducers: plan the row query, reduce in Python —
-            # exactly the aggregate_query fallback.
-            self._kind = "aggregate_python"
-            self._aggregates = dict(aggregates)
-            self._group_by = tuple(group_by)
-            self._having = having
-            self._fingerprint_spec(statement.compile())
-            if having is not None:
-                names = set(self._param_names)
-                _predicate_param_names(having, names)
-                self._param_names = frozenset(names)
-            return
-        if having is None and not group_by and len(aggregates) == 1:
-            (name, agg), = aggregates.items()
-            if agg.builtin and agg.column is None and agg.name == "count":
-                # Bare COUNT(*): a CountOnly plan, no materialisation.
-                self._kind = "aggregate_count"
-                self._count_name = name
-                self._fingerprint_spec(statement.compile(count_only=True))
-                return
-        self._kind = "rows"
-        self._fingerprint_spec(
-            replace(
-                statement.compile(),
-                aggregates=exprs,
+            spec = replace(
+                spec,
+                aggregates=_aggregate_exprs(aggregates),
                 group_by=tuple(group_by),
-                having=having,
             )
-        )
+        elif group_by:
+            raise QueryError("group_by requires aggregates")
+        self._fingerprint_spec(spec)
 
     def _fingerprint_spec(self, spec: QuerySpec) -> None:
         """The one-time shape analysis every ``execute`` amortises.
@@ -736,13 +609,11 @@ class PreparedStatement:
         self._spec = spec
         fingerprint, slots = fingerprint_spec(spec)
         if fingerprint is None:
-            # Value-dependent shape: planned per execution, uncached.
+            # Opaque predicate: planned per execution, uncached.
             self._fingerprint = None
             self._slots: tuple = ()
             names: set[str] = set()
             _predicate_param_names(spec.predicate, names)
-            if spec.having is not None:
-                _predicate_param_names(spec.having, names)
         else:
             self._fingerprint = fingerprint
             self._slots = slots
@@ -775,15 +646,14 @@ class PreparedStatement:
 
         The hot path.  ``hit`` and ``profile`` are ``None`` on the
         uncacheable-shape path (planned per execution through
-        :meth:`PlanCache.plan`, which attributes its own bypass/hit
-        accounting).  The profile is returned, never stored on the
-        statement: instances are shared across threads, and a stashed
+        :meth:`PlanCache.plan_uncached`, which counts a bypass).  The
+        profile is returned, never stored on the statement: instances are shared across threads, and a stashed
         profile could be overwritten by a concurrent execution that
         observed a newer template.
         """
         cache = self._database.plan_cache
         if self._fingerprint is None:
-            return cache.plan(_bind_spec(self._spec, binds)), None, None
+            return cache.plan_uncached(_bind_spec(self._spec, binds)), None, None
         params = tuple(_resolve_value(v, binds) for v in self._slots)
         template, hit = cache.template_for(
             self._fingerprint, self._spec, params
@@ -806,40 +676,24 @@ class PreparedStatement:
             }
             outcome = connection._call_procedure(self._procedure, arguments)
             return Result(connection, procedure_result=outcome)
-        database = self._database
         plan, hit, profile = self._plan_for(binds)
-        if profile is None:
-            # Uncacheable shape: attribute against the bound plan.
-            connection._note_execution(
-                plan, int(hit is True), int(hit is False)
-            )
-        else:
-            connection._note_prepared(hit, profile[2])
-        if self._kind == "count":
-            n = execute_count(database, plan)
-            return Result(connection, plan=plan, rows=[{"count": n}])
-        if self._kind == "aggregate_count":
-            n = execute_count(database, plan)
-            return Result(connection, plan=plan, rows=[{self._count_name: n}])
-        if self._kind == "aggregate_python":
-            rows = execute_rows(database, plan)
-            having = (
-                None if self._having is None
-                else _bind_predicate(self._having, binds)
-            )
-            reduced = _reduce_rows(
-                rows, self._aggregates, list(self._group_by) or None, having
-            )
-            return Result(connection, plan=plan, rows=reduced)
-        return Result(connection, plan=plan, stream=True)
+        connection._note_execution(
+            hit, _index_misses(self._database, plan)
+            if profile is None else profile[2]
+        )
+        return Result(connection, plan=plan)
 
-    def explain(self, **binds: Any) -> str:
-        """EXPLAIN output for the plan ``execute(**binds)`` would run."""
+    def plan(self, **binds: Any) -> PlanNode:
+        """The plan ``execute(**binds)`` would run."""
         if self._kind == "call":
             raise QueryError("procedure calls have no query plan")
         self._check_binds(binds)
         plan, __, __profile = self._plan_for(binds)
-        return render_plan(plan)
+        return plan
+
+    def explain(self, **binds: Any) -> str:
+        """EXPLAIN output for the plan ``execute(**binds)`` would run."""
+        return render_plan(self.plan(**binds))
 
 
 # ---------------------------------------------------------------------------
@@ -986,42 +840,6 @@ class Connection:
                         self._transactions_committed += 1
 
     # ------------------------------------------------------------------
-    # Shim surface (Query.run / aggregate_query delegate here)
-    # ------------------------------------------------------------------
-    def run_query(self, query: Query) -> list[Row]:
-        """Materialised rows of ``query`` (the ``Query.run`` shim path)."""
-        plan = self._plan_spec(query.compile())
-        rows = execute_rows(self._database, plan)
-        self._note_rows(len(rows))
-        return rows
-
-    def count_query(self, query: Query) -> int:
-        """Matching-row count of ``query`` (the ``Query.count`` shim path)."""
-        plan = self._plan_spec(query.compile(count_only=True))
-        return execute_count(self._database, plan)
-
-    def run_aggregate(
-        self,
-        query: Query,
-        aggregates: Mapping[str, Aggregate],
-        group_by: list[str] | None = None,
-        having: Predicate | None = None,
-    ) -> list[Row]:
-        """Aggregate ``query`` in the engine (the ``aggregate_query`` shim).
-
-        Delegates to the prepared path: the statement adopts the
-        query's builder state, so the shim and
-        :class:`PreparedStatement` aggregates cannot diverge.
-        """
-        statement = SelectStatement(query.table)
-        statement.__dict__.update(query.__dict__)
-        statement._count_only = False
-        statement._aggregates = dict(aggregates)
-        statement._group_by = tuple(group_by or ())
-        statement._having = having
-        return self.prepare(statement).execute().all()
-
-    # ------------------------------------------------------------------
     # Stats / advisor
     # ------------------------------------------------------------------
     def stats(self) -> ConnectionStats:
@@ -1055,47 +873,26 @@ class Connection:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _plan_spec(self, spec: QuerySpec) -> PlanNode:
-        cache = self._database.plan_cache
-        hits0, misses0 = cache.local_counters()
-        plan = cache.plan(spec)
-        hits1, misses1 = cache.local_counters()
-        self._note_execution(plan, hits1 - hits0, misses1 - misses0)
-        return plan
-
     def _note_execution(
-        self, plan: PlanNode, cache_hits: int, cache_misses: int
+        self, hit: bool | None, misses: tuple[tuple[str, str], ...]
     ) -> None:
+        """Per-execute accounting: the template lookup already
+        established hit/miss (``None`` for an uncacheable shape), and
+        the advisor misses come with the plan — (table, column),
+        weighted by the table's live cardinality at record time."""
         with self._lock:
             self._executions += 1
-            self._plan_cache_hits += cache_hits
-            self._plan_cache_misses += cache_misses
-        database = self._database
-        misses = _index_misses(database, plan)
-        if misses:
-            self._advisor.record_all(misses)
-            database.index_advisor.record_all(misses)
-
-    def _note_prepared(
-        self, hit: bool, misses: tuple[tuple[str, str, str], ...]
-    ) -> None:
-        """Per-execute accounting on the prepared hot path: the template
-        lookup already established hit/miss, and the advisor misses were
-        precomputed per template — (table, column, kind), weighted by
-        the table's live cardinality at record time."""
-        with self._lock:
-            self._executions += 1
-            if hit:
+            if hit is True:
                 self._plan_cache_hits += 1
-            else:
+            elif hit is False:
                 self._plan_cache_misses += 1
         database = self._database
         if misses:
             shared = database.index_advisor
-            for table, column, kind in misses:
+            for table, column in misses:
                 rows = len(database.table(table))
-                self._advisor.record(table, column, kind, rows)
-                shared.record(table, column, kind, rows)
+                self._advisor.record(table, column, rows)
+                shared.record(table, column, rows)
 
     def _note_rows(self, n: int) -> None:
         with self._lock:
@@ -1119,11 +916,7 @@ class Connection:
             entry = (
                 template,
                 compile_binder(self._database, template),
-                tuple(
-                    (table, column, kind)
-                    for table, column, kind, __ in
-                    _index_misses(self._database, template)
-                ),
+                _index_misses(self._database, template),
             )
             with self._lock:
                 if len(self._profiles) >= self._MAX_PROFILES:

@@ -95,17 +95,6 @@ class Database:
             self.table(table_name).create_index(column)
             self.notify_data_changed()
 
-    def create_ordered_index(self, table_name: str, column: str) -> None:
-        """Build an ordered secondary index on ``table.column`` (DDL).
-
-        Ordered indexes let the query planner push range predicates and
-        ``ORDER BY`` down instead of scanning and sorting.  Bumps the
-        data version so cached plan templates pick the new path up.
-        """
-        with self.write_locked():
-            self.table(table_name).create_ordered_index(column)
-            self.notify_data_changed()
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
@@ -133,8 +122,8 @@ class Database:
 
         Created lazily; version-stamped like the statistics catalog, so
         committed mutations invalidate cached plan templates without
-        explicit coordination.  ``Query.run``/``count`` and
-        ``aggregate_query`` read through it.
+        explicit coordination.  Every prepared statement reads its plan
+        template through it.
         """
         cache = self._plan_cache
         if cache is None:
@@ -162,8 +151,8 @@ class Database:
 
     @property
     def default_connection(self):
-        """The shared connection behind the legacy ``Query.run`` /
-        ``aggregate_query`` shims and long-lived internal components.
+        """The shared connection behind ``Query.plan``/``explain`` and
+        long-lived internal components.
 
         Its prepared-statement pool amortises compilation across every
         session the way the plan cache amortises planning.

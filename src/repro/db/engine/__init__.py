@@ -1,100 +1,64 @@
 """Cost-based query engine: plan tree, planner, executor, plan cache, EXPLAIN.
 
-``Query.run()`` compiles the fluent query into a :class:`QuerySpec`,
-reads a physical plan through the database's :class:`PlanCache` (one
-compilation per query shape and data version; constants bind into the
-cached template) and executes the resulting plan tree.  The
-:class:`Planner` consults the database's
-:class:`~repro.db.statistics.StatisticsCatalog` for row counts,
-distinct counts and most-common-value selectivities, prices access
-paths (including IN-list probe unions and OR-of-equality probe
-unions), orders 3+-join queries by estimated intermediate cardinality,
-and pushes aggregation down into streaming :class:`HashAggregate` /
-index-only :class:`IndexAggScan` operators (with HAVING as a
-post-aggregate Filter).  Execution defaults to the *batched* columnar
-mode — predicates and reductions run directly over the table's column
-banks; :func:`execution_mode` forces the row-at-a-time path for
-measurement.  ``Query.explain()`` renders the chosen plan with cost
-estimates.
+A statement compiles into a :class:`QuerySpec`, reads a physical plan
+through the database's :class:`PlanCache` (one compilation per query
+shape and data version; constants bind into the cached template) and
+executes the resulting plan tree.  The :class:`Planner` consults the
+database's :class:`~repro.db.statistics.StatisticsCatalog` for row
+counts and most-common-value selectivities to choose between a
+sequential scan and a hash-index equality probe, filters with the
+statement's predicate, and aggregates through :class:`HashAggregate`
+(or, for a whole-table group-by on an indexed key,
+:class:`IndexGroupedAggScan`).  Execution runs columnwise over the
+tables' column banks.  :func:`render_plan` renders the chosen plan with
+its cost estimates.
 """
 
 from repro.db.engine.cache import (
     DEFAULT_MAX_ENTRIES,
     PlanCache,
-    bind_plan,
+    compile_binder,
     fingerprint_spec,
     parameterize_spec,
 )
 from repro.db.engine.executor import (
-    build_probe_map,
-    plan_mode,
-    execute_count,
     execute_iter,
-    execute_plan,
     execute_row_ids,
     execute_rows,
-    execution_mode,
 )
 from repro.db.engine.explain import render_plan
 from repro.db.engine.plan import (
     AggExpr,
-    CountOnly,
     Filter,
-    GroupSemiJoin,
     HashAggregate,
-    HashJoin,
-    IndexAggScan,
     IndexEq,
     IndexGroupedAggScan,
-    IndexInList,
-    IndexNestedLoopJoin,
-    IndexOrUnion,
-    IndexRange,
     Param,
     PlanNode,
-    Project,
     QuerySpec,
     SeqScan,
-    Sort,
-    TopN,
 )
 from repro.db.engine.planner import Planner, plan_query
 
 __all__ = [
     "AggExpr",
-    "CountOnly",
     "DEFAULT_MAX_ENTRIES",
     "Filter",
-    "GroupSemiJoin",
     "HashAggregate",
-    "HashJoin",
-    "IndexAggScan",
     "IndexEq",
     "IndexGroupedAggScan",
-    "IndexInList",
-    "IndexNestedLoopJoin",
-    "IndexOrUnion",
-    "IndexRange",
     "Param",
     "PlanCache",
     "PlanNode",
     "Planner",
-    "Project",
     "QuerySpec",
     "SeqScan",
-    "Sort",
-    "TopN",
-    "bind_plan",
-    "build_probe_map",
-    "execute_count",
+    "compile_binder",
     "execute_iter",
-    "execute_plan",
     "execute_row_ids",
     "execute_rows",
-    "execution_mode",
     "fingerprint_spec",
     "parameterize_spec",
-    "plan_mode",
     "plan_query",
     "render_plan",
 ]

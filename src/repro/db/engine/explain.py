@@ -2,21 +2,15 @@
 
 The format follows the usual engine convention: one node per line,
 children indented below their parent, with the planner's row/cost
-estimates and the executor's mode (``[batch]`` columnwise over banks,
-``[row]`` streaming row views) on every node::
+estimates on every node::
 
-    Project [title]  (rows~5, cost~40.0)  [batch]
-      TopN 5 by year desc  (rows~5, cost~35.0)  [batch]
-        Filter (year >= 1990)  (rows~12, cost~28.0)  [batch]
-          IndexRange on movie using year [1990, +inf)  (rows~12, cost~16.0)  [batch]
-
-Mixed pipelines show where the batch path hands over — e.g. a HAVING
-filter runs ``[row]`` over the ``[batch]`` aggregate below it.
+    HashAggregate [booked=sum(no_tickets)]  (rows~1, cost~4.06818)
+      Filter screening_id = 3  (rows~1.02273, cost~3.04545)
+        IndexEq on reservation using screening_id = 3  (rows~1.02273, cost~2.02273)
 """
 
 from __future__ import annotations
 
-from repro.db.engine.executor import plan_mode
 from repro.db.engine.plan import PlanNode
 
 __all__ = ["render_plan"]
@@ -31,7 +25,6 @@ def render_plan(plan: PlanNode) -> str:
 
 def _render(node: PlanNode, depth: int, lines: list[str]) -> None:
     estimate = f"  (rows~{node.estimated_rows:g}, cost~{node.cost:g})"
-    mode = f"  [{plan_mode(node)}]"
-    lines.append("  " * depth + node.describe() + estimate + mode)
+    lines.append("  " * depth + node.describe() + estimate)
     for child in node.children():
         _render(child, depth + 1, lines)

@@ -1,20 +1,13 @@
 """Physical plan nodes and the compiled query spec.
 
 A plan is a tree of frozen dataclass nodes.  Leaves are access paths on
-the root table (:class:`SeqScan`, :class:`IndexEq`, :class:`IndexRange`,
-:class:`IndexInList`, :class:`IndexOrUnion`); unary nodes transform one
-input (:class:`Filter`,
-:class:`Sort`, :class:`TopN`, :class:`Project`, :class:`CountOnly`,
-:class:`HashAggregate`); join nodes widen root rows with one joined
-table per node (:class:`HashJoin`, :class:`IndexNestedLoopJoin`);
-:class:`IndexAggScan` answers whole-table MIN/MAX/COUNT aggregates
-straight from the indexes without visiting rows, and
-:class:`IndexGroupedAggScan` does the same per group by walking a hash
-index's buckets.  :class:`GroupSemiJoin` keeps aggregate output groups
-whose key matches a row of another table — the shape the planner emits
-when it pushes a grouped aggregate *below* a join.  Every node carries the
-planner's row and cost estimates so EXPLAIN can show *why* a plan was
-chosen.
+the queried table (:class:`SeqScan`, :class:`IndexEq`); :class:`Filter`
+narrows its input by a predicate; :class:`HashAggregate` groups and
+reduces its input, and :class:`IndexGroupedAggScan` answers a
+whole-table single-key group-by from the key's hash-index buckets
+without re-hashing a row.  These five are every shape the agent's
+statements plan to.  Every node carries the planner's row and cost
+estimates so EXPLAIN can show *why* a plan was chosen.
 
 Constants inside a plan may be :class:`Param` placeholders: the plan
 cache compiles one *template* per query shape and binds the concrete
@@ -39,19 +32,8 @@ __all__ = [
     "PlanNode",
     "SeqScan",
     "IndexEq",
-    "IndexRange",
-    "IndexInList",
-    "IndexOrUnion",
     "Filter",
-    "HashJoin",
-    "IndexNestedLoopJoin",
-    "GroupSemiJoin",
-    "Sort",
-    "TopN",
-    "Project",
-    "CountOnly",
     "HashAggregate",
-    "IndexAggScan",
     "IndexGroupedAggScan",
 ]
 
@@ -94,9 +76,7 @@ class AggExpr:
     """One named aggregate the engine knows how to stream.
 
     ``kind`` is one of ``count`` (``column is None``), ``sum``, ``avg``,
-    ``min``, ``max`` or ``count_distinct``.  Aggregates with custom
-    reducers cannot be pushed down and stay on the materialise-then-
-    reduce path in :mod:`repro.db.aggregation`.
+    ``min``, ``max`` or ``count_distinct``.
     """
 
     name: str
@@ -110,24 +90,16 @@ class AggExpr:
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """The logical query compiled from the fluent :class:`~repro.db.query.Query`."""
+    """The logical query compiled from the fluent :class:`~repro.db.query.Query`.
+
+    With ``aggregates`` set the plan root aggregates the filtered rows
+    (grouped by ``group_by``); otherwise the plan returns them.
+    """
 
     table: str
     predicate: "Predicate"
-    joins: tuple[tuple[str, str, str], ...] = ()  # (column, table, target)
-    projection: tuple[str, ...] | None = None
-    order_by: str | None = None
-    descending: bool = False
-    limit: int | None = None
-    count_only: bool = False
-    # Aggregation pushdown: when ``aggregates`` is set the plan root is a
-    # HashAggregate / IndexAggScan over the row-producing query above.
     aggregates: tuple[AggExpr, ...] | None = None
     group_by: tuple[str, ...] = ()
-    # HAVING: a post-aggregate predicate over the aggregate output rows
-    # (group keys + aggregate names); planned as a Filter above the
-    # aggregation root.
-    having: "Predicate | None" = None
 
 
 @dataclass(frozen=True)
@@ -168,86 +140,6 @@ class IndexEq(PlanNode):
         return f"IndexEq on {self.table} using {self.column} = {self.value!r}"
 
 
-@dataclass(frozen=True)
-class IndexRange(PlanNode):
-    """Ordered-index range scan on ``table.column``.
-
-    Open bounds are ``None``; with both bounds open this is a full
-    in-order walk of the index (used to satisfy ORDER BY without a
-    Sort).  ``sorted_output`` marks plans whose output order is the
-    index order (value order); otherwise the executor re-sorts the
-    matched ids into row-id order so results are identical to a scan.
-    """
-
-    table: str
-    column: str
-    low: Any = None
-    high: Any = None
-    low_inclusive: bool = True
-    high_inclusive: bool = True
-    sorted_output: bool = False
-    descending: bool = False
-
-    def describe(self) -> str:
-        left = "(" if self.low is None or not self.low_inclusive else "["
-        right = ")" if self.high is None or not self.high_inclusive else "]"
-        low = "-inf" if self.low is None else repr(self.low)
-        high = "+inf" if self.high is None else repr(self.high)
-        order = ""
-        if self.sorted_output:
-            order = " order=desc" if self.descending else " order=asc"
-        return (
-            f"IndexRange on {self.table} using {self.column} "
-            f"{left}{low}, {high}{right}{order}"
-        )
-
-
-@dataclass(frozen=True)
-class IndexInList(PlanNode):
-    """Union of hash-index equality probes for ``column IN (values)``.
-
-    ``values`` is the tuple of probe constants (or one :class:`Param`
-    slot holding the whole tuple in a plan template).  Matched row ids
-    are deduplicated and re-sorted into row-id order, so output is
-    identical to a SeqScan + Filter over the same predicate.
-    """
-
-    table: str
-    column: str
-    values: Any
-
-    def describe(self) -> str:
-        try:
-            n = len(self.values)
-        except TypeError:
-            n = "?"
-        return (
-            f"IndexInList on {self.table} using {self.column} "
-            f"IN ({n} values)"
-        )
-
-
-@dataclass(frozen=True)
-class IndexOrUnion(PlanNode):
-    """Union of hash-index equality probes for an OR of equalities.
-
-    ``probes`` holds one ``(column, value)`` pair per disjunct of an
-    ``or_(eq(a, x), eq(b, y))`` predicate — the columns may differ, which
-    is what distinguishes this from :class:`IndexInList`.  Values may be
-    :class:`Param` slots in a plan template.  Matched row ids are
-    deduplicated and re-sorted into row-id order, and the planner always
-    re-applies the Or predicate in a Filter above, so output is
-    identical to a SeqScan + Filter over the same predicate.
-    """
-
-    table: str
-    probes: tuple[tuple[str, Any], ...]
-
-    def describe(self) -> str:
-        parts = " OR ".join(f"{c} = {v!r}" for c, v in self.probes)
-        return f"IndexOrUnion on {self.table} ({parts})"
-
-
 # ---------------------------------------------------------------------------
 # Unary operators
 # ---------------------------------------------------------------------------
@@ -264,210 +156,36 @@ class Filter(PlanNode):
         return f"Filter {format_predicate(self.predicate)}"
 
 
-@dataclass(frozen=True)
-class Sort(PlanNode):
-    child: PlanNode
-    column: str
-    descending: bool = False
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        direction = "desc" if self.descending else "asc"
-        return f"Sort by {self.column} {direction}"
-
-
-@dataclass(frozen=True)
-class TopN(PlanNode):
-    """Bounded sort-and-limit; with ``column=None`` it is a plain LIMIT."""
-
-    child: PlanNode
-    n: int
-    column: str | None = None
-    descending: bool = False
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        if self.column is None:
-            return f"Limit {self.n}"
-        direction = "desc" if self.descending else "asc"
-        return f"TopN {self.n} by {self.column} {direction}"
-
-
-@dataclass(frozen=True)
-class Project(PlanNode):
-    child: PlanNode
-    columns: tuple[str, ...]
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return f"Project [{', '.join(self.columns)}]"
-
-
-@dataclass(frozen=True)
-class CountOnly(PlanNode):
-    """Count the child's rows without materialising or projecting them.
-
-    ``limit`` caps the count (``Query.limit(n).count()`` historically
-    counted the limited result).
-    """
-
-    child: PlanNode
-    limit: int | None = None
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        cap = f" (cap {self.limit})" if self.limit is not None else ""
-        return f"CountOnly{cap}"
-
-
-# ---------------------------------------------------------------------------
-# Joins
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HashJoin(PlanNode):
-    """Build a hash map over the joined table, probe with outer rows."""
-
-    child: PlanNode
-    table: str
-    column: str          # outer join key (root/bare column name)
-    target_column: str   # inner join key
-    reordered: bool = field(default=False, kw_only=True)
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        note = " [reordered]" if self.reordered else ""
-        return (
-            f"HashJoin {self.table} on "
-            f"{self.column} = {self.table}.{self.target_column} "
-            f"(build inner){note}"
-        )
-
-
-@dataclass(frozen=True)
-class IndexNestedLoopJoin(PlanNode):
-    """Probe the joined table's hash index once per outer row."""
-
-    child: PlanNode
-    table: str
-    column: str
-    target_column: str
-    reordered: bool = field(default=False, kw_only=True)
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        note = " [reordered]" if self.reordered else ""
-        return (
-            f"IndexNestedLoopJoin {self.table} on "
-            f"{self.column} = {self.table}.{self.target_column}{note}"
-        )
-
-
-@dataclass(frozen=True)
-class GroupSemiJoin(PlanNode):
-    """Keep child rows whose ``column`` matches a row of ``table``.
-
-    Emitted above an aggregation root when the planner pushes a grouped
-    aggregate below a join: the join's only effect on the aggregate
-    output was to drop groups without a partner (``target_column`` is
-    unique, so matching groups are never duplicated), which this node
-    replays with one index probe per *group* instead of one per row.
-    """
-
-    child: PlanNode
-    table: str
-    column: str          # group-key column of the child's output rows
-    target_column: str   # unique join key in ``table``
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return (
-            f"GroupSemiJoin {self.table} on "
-            f"{self.column} = {self.table}.{self.target_column}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HashAggregate(PlanNode):
-    """Streaming group-hash aggregation over the child's row stream.
+    """Group-hash aggregation over the child's column banks.
 
-    One pass over the child iterator, nothing spilled, no row copied:
-    the hot single-aggregate shapes keep per-group accumulators, wider
-    aggregate lists bank row views per group and reduce them with
-    C-level builtins.  Output groups appear in first-appearance order
-    of their key, exactly like the materialise-then-reduce
-    :func:`repro.db.aggregation.aggregate`.
+    One pass over the child's surviving slots, no row copied: the hot
+    single-aggregate shapes keep per-group accumulators, wider
+    aggregate lists bank slots per group and reduce each group's column
+    values with C-level builtins.  Output groups appear in
+    first-appearance order of their key.
     """
 
     child: PlanNode
     aggregates: tuple[AggExpr, ...]
     group_by: tuple[str, ...] = ()
-    # Joins proven redundant (NOT NULL FK onto a unique key: every row
-    # has exactly one partner) and dropped by the below-join pushdown;
-    # kept for EXPLAIN so the rewrite is visible.
-    elided_joins: tuple[tuple[str, str, str], ...] = field(
-        default=(), kw_only=True
-    )
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
     def describe(self) -> str:
         aggs = ", ".join(a.describe() for a in self.aggregates)
-        note = "".join(
-            f" [join {table} elided by fk]"
-            for __, table, __t in self.elided_joins
-        )
         if self.group_by:
             return (
                 f"HashAggregate [{aggs}] "
-                f"group by [{', '.join(self.group_by)}]{note}"
+                f"group by [{', '.join(self.group_by)}]"
             )
-        return f"HashAggregate [{aggs}]{note}"
-
-
-@dataclass(frozen=True)
-class IndexAggScan(PlanNode):
-    """Whole-table aggregates answered from indexes without visiting rows.
-
-    MIN/MAX read the first/last entry of the column's ordered index
-    (O(log n) maintenance, O(1) read), COUNT(*) is the table cardinality
-    and COUNT(DISTINCT col) the hash-index bucket count.  Only eligible
-    for unfiltered, unjoined, ungrouped, unlimited queries — anything
-    else streams through :class:`HashAggregate`.
-    """
-
-    table: str
-    aggregates: tuple[AggExpr, ...]
-    elided_joins: tuple[tuple[str, str, str], ...] = field(
-        default=(), kw_only=True
-    )
-
-    def describe(self) -> str:
-        aggs = ", ".join(a.describe() for a in self.aggregates)
-        note = "".join(
-            f" [join {table} elided by fk]"
-            for __, table, __t in self.elided_joins
-        )
-        return f"IndexAggScan on {self.table} [{aggs}]{note}"
+        return f"HashAggregate [{aggs}]"
 
 
 @dataclass(frozen=True)
@@ -479,26 +197,19 @@ class IndexGroupedAggScan(PlanNode):
     of re-hashing every row: COUNT(*) per group is the bucket size
     without visiting a single row, and the other builtin aggregates
     reduce each bucket's bank values columnwise.  Falls back to the
-    streaming :class:`HashAggregate` behaviour at runtime when the key
-    column holds NULLs (the index skips those rows, but NULL forms a
-    group).  Only eligible for unfiltered, unlimited single-key
-    group-bys — like :class:`IndexAggScan`, anything fancier streams.
+    :class:`HashAggregate` behaviour at runtime when the key column
+    holds NULLs (the index skips those rows, but NULL forms a group).
+    Only eligible for unfiltered single-key group-bys; anything else
+    goes through :class:`HashAggregate`.
     """
 
     table: str
     key: str
     aggregates: tuple[AggExpr, ...]
-    elided_joins: tuple[tuple[str, str, str], ...] = field(
-        default=(), kw_only=True
-    )
 
     def describe(self) -> str:
         aggs = ", ".join(a.describe() for a in self.aggregates)
-        note = "".join(
-            f" [join {table} elided by fk]"
-            for __, table, __t in self.elided_joins
-        )
         return (
             f"IndexGroupedAggScan on {self.table} [{aggs}] "
-            f"group by [{self.key}]{note}"
+            f"group by [{self.key}]"
         )

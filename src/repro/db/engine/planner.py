@@ -1,40 +1,23 @@
 """Cost-based planner: compile a :class:`QuerySpec` into a physical plan.
 
-The planner is deliberately System-R-shaped for a single-root query:
-
 1. split the predicate into AND parts and classify each part as
-   *pushable* (mentions only root-table columns, so it can filter before
-   the joins) or *residual* (mentions joined ``table.column`` keys or
-   unknown columns — evaluated after the joins, preserving the seed
-   query's error semantics for bad column names);
-2. enumerate access paths over the pushable equality/range/IN/OR
-   bindings — hash-index equality probes, IN-list probe unions, unions
-   of index probes for disjunctions of indexable equalities, ordered-
-   index range scans, and the sequential scan — cost each with the
-   statistics catalog (row counts, most-common-value selectivities,
-   min/max interpolation) and keep the cheapest;
-3. pick a join strategy per join — an index nested-loop when the inner
-   table has a hash index on the join key and the outer side is small,
-   otherwise a build-side hash join; with more than two joins the join
-   *order* is chosen greedily by estimated output cardinality (smallest
-   intermediate result first) instead of the query-stated order,
-   respecting joins that key on an earlier join's output columns;
-4. satisfy ``ORDER BY`` from an ordered index when the access path
-   already walks one (or can), else insert Sort/TopN; ``count()``
-   queries terminate in a CountOnly node that skips sorting,
-   projection and row materialisation entirely.
-5. aggregate queries (``spec.aggregates``) wrap the row-producing plan
-   in a streaming :class:`HashAggregate`; whole-table MIN/MAX/COUNT
-   collapse to an :class:`IndexAggScan` that reads the answer straight
-   from the ordered/hash indexes; a HAVING predicate (``spec.having``)
-   becomes a Filter above the aggregation root, selecting on the
-   aggregate output rows.
+   *pushable* (mentions only the table's columns) or *residual*
+   (mentions unknown columns — evaluated last, so a bad column name
+   raises only when a row survives the pushable parts);
+2. choose the access path: a hash-index equality probe on a unique
+   column wins outright; otherwise every indexed equality is priced
+   with the statistics catalog's most-common-value selectivities
+   against the sequential scan, and the cheapest is kept;
+3. aggregate specs (``spec.aggregates``) wrap the row plan in a
+   :class:`HashAggregate`, or — for an unfiltered single-key group-by
+   on a hash-indexed column — become an :class:`IndexGroupedAggScan`
+   that walks the index's buckets.
 
 Every predicate part is re-applied as a Filter even when an index
 pre-selected rows: index probes coerce values to the column type while
 predicate evaluation compares raw values, so the index result is a
 *superset* of the final answer and the filter keeps results identical
-to the seed scan path.
+to a scan.
 
 When planning a cache *template* the spec's constants are
 :class:`~repro.db.engine.plan.Param` slots and the planner receives the
@@ -45,34 +28,20 @@ be re-bound to any constants (see :mod:`repro.db.engine.cache`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.db.engine.plan import (
-    AggExpr,
-    CountOnly,
     Filter,
-    GroupSemiJoin,
     HashAggregate,
-    HashJoin,
-    IndexAggScan,
     IndexEq,
     IndexGroupedAggScan,
-    IndexInList,
-    IndexNestedLoopJoin,
-    IndexOrUnion,
-    IndexRange,
     Param,
     PlanNode,
-    Project,
     QuerySpec,
     SeqScan,
-    Sort,
-    TopN,
 )
-from repro.db.ordering import ordering_key
-from repro.db.query import And, Comparison, Or, Predicate, TruePredicate, and_
+from repro.db.query import And, Comparison, Predicate, TruePredicate, and_
 from repro.db.types import TypeMismatchError, coerce
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -84,11 +53,8 @@ __all__ = ["Planner", "plan_query"]
 # Default selectivity guesses for predicates the statistics cannot price.
 _SEL_CONTAINS = 0.25
 _SEL_NE = 0.9
+_SEL_RANGE = 1 / 3
 _SEL_DEFAULT = 0.5
-
-# Join-order search only kicks in beyond this many joins; below it the
-# stated order is kept (and is what the seed semantics tests pin down).
-_REORDER_THRESHOLD = 2
 
 
 def plan_query(
@@ -139,9 +105,6 @@ class Planner:
         residual = [p for p in parts if not (p.columns() <= root_columns)]
 
         node = self._access_path(spec, table, pushable)
-        sorted_by_index = (
-            isinstance(node, IndexRange) and node.sorted_output
-        )
         if pushable:
             if node.estimated_rows <= 1.0:
                 # A unique probe: the residual filter cannot shrink the
@@ -157,35 +120,11 @@ class Planner:
                 estimated_rows=est,
                 cost=node.cost + node.estimated_rows,
             )
-
-        for column, join_table, target_column, reordered in \
-                self._join_order(spec, node):
-            node = self._join(node, column, join_table, target_column,
-                              reordered=reordered)
-
         if residual:
             node = Filter(
                 child=node,
                 predicate=and_(*residual),
                 estimated_rows=node.estimated_rows * _SEL_DEFAULT,
-                cost=node.cost + node.estimated_rows,
-            )
-
-        if spec.count_only:
-            return CountOnly(
-                child=node,
-                limit=spec.limit,
-                estimated_rows=1,
-                cost=node.cost,
-            )
-
-        node = self._order_and_limit(spec, node, sorted_by_index)
-
-        if spec.projection is not None:
-            node = Project(
-                child=node,
-                columns=tuple(spec.projection),
-                estimated_rows=node.estimated_rows,
                 cost=node.cost + node.estimated_rows,
             )
         return node
@@ -195,37 +134,6 @@ class Planner:
     # ------------------------------------------------------------------
     def _plan_aggregate(self, spec: QuerySpec) -> PlanNode:
         assert spec.aggregates is not None
-        spec, semis, elided = self._push_aggregate_below_joins(spec)
-        root = self._aggregate_root(spec, elided)
-        for column, join_table, target_column in semis:
-            # One unique-index probe per surviving *group* replaces the
-            # per-row join the pushdown removed.
-            root = GroupSemiJoin(
-                child=root,
-                table=join_table,
-                column=column,
-                target_column=target_column,
-                estimated_rows=max(1.0, root.estimated_rows * 0.9),
-                cost=root.cost + root.estimated_rows * 2.0,
-            )
-        return self._having_filter(spec, root)
-
-    def _aggregate_root(
-        self,
-        spec: QuerySpec,
-        elided: tuple[tuple[str, str, str], ...],
-    ) -> PlanNode:
-        assert spec.aggregates is not None
-        if self._index_agg_eligible(spec):
-            return IndexAggScan(
-                table=spec.table,
-                aggregates=spec.aggregates,
-                elided_joins=elided,
-                estimated_rows=1.0,
-                # One index read per aggregate; the log term is the
-                # ordered-index descent the maintenance already paid.
-                cost=2.0 * len(spec.aggregates),
-            )
         if self._index_grouped_agg_eligible(spec):
             table = self._database.table(spec.table)
             est = self._group_count_estimate(spec, float(len(table)))
@@ -240,13 +148,10 @@ class Planner:
                 table=spec.table,
                 key=spec.group_by[0],
                 aggregates=spec.aggregates,
-                elided_joins=elided,
                 estimated_rows=est,
                 cost=est * (1.0 + per_group),
             )
-        child = self._plan_rows(
-            replace(spec, aggregates=None, group_by=(), having=None)
-        )
+        child = self._plan_rows(replace(spec, aggregates=None, group_by=()))
         if spec.group_by:
             est = self._group_count_estimate(spec, child.estimated_rows)
         else:
@@ -255,144 +160,16 @@ class Planner:
             child=child,
             aggregates=spec.aggregates,
             group_by=spec.group_by,
-            elided_joins=elided,
             estimated_rows=est,
             cost=child.cost + child.estimated_rows,
         )
 
-    def _push_aggregate_below_joins(
-        self, spec: QuerySpec
-    ) -> tuple[
-        QuerySpec,
-        list[tuple[str, str, str]],
-        tuple[tuple[str, str, str], ...],
-    ]:
-        """Drop joins that cannot change the aggregate's output.
-
-        Returns ``(rewritten spec, semi joins, elided joins)``.  The
-        rewrite fires only when the whole aggregate — group keys,
-        aggregate inputs and every predicate part — reads the root
-        table alone, so the joins' sole contribution is row
-        multiplicity and dropping unmatched rows.  Two proofs remove
-        them:
-
-        * **elision** — the join key carries a NOT NULL foreign key
-          onto exactly the joined column (which FK validation requires
-          to be unique): every root row has exactly one partner, so the
-          join neither duplicates nor drops anything;
-        * **semi join** — the join key is itself a group key and the
-          target is unique: matches cannot duplicate rows (fanout ≤ 1)
-          and all rows of a group share the key, so the join's only
-          effect is dropping whole groups — reproduced *after*
-          aggregation with one index probe per group
-          (:class:`GroupSemiJoin`).
-
-        Any join that fits neither proof keeps the original
-        aggregate-over-join plan (no partial rewrite: join order would
-        otherwise change which rows later joins see).
-        """
-        no_push = (spec, [], ())
-        if not spec.joins or spec.aggregates is None:
-            return no_push
-        if (
-            spec.projection is not None
-            or spec.order_by is not None
-            or spec.limit is not None
-            or spec.count_only
-        ):
-            return no_push
-        schema = self._database.table(spec.table).schema
-        root_columns = set(schema.column_names)
-        for part in _and_parts(spec.predicate):
-            if not (part.columns() <= root_columns):
-                return no_push
-        if any(key not in root_columns for key in spec.group_by):
-            return no_push
-        if any(
-            agg.column is not None and "." in agg.column
-            for agg in spec.aggregates
-        ):
-            return no_push
-        semis: list[tuple[str, str, str]] = []
-        elided: list[tuple[str, str, str]] = []
-        for column, join_table, target_column in spec.joins:
-            if column not in root_columns:
-                return no_push
-            fk = schema.foreign_key_for(column)
-            col = schema.column(column)
-            not_null = not col.nullable or column == schema.primary_key
-            if (
-                fk is not None
-                and fk.target_table == join_table
-                and fk.target_column == target_column
-                and not_null
-            ):
-                # Referential integrity (checked on every write) makes
-                # the fanout exactly one: the join is a no-op here.
-                elided.append((column, join_table, target_column))
-                continue
-            if column in spec.group_by and _is_unique_column(
-                self._database.table(join_table), target_column
-            ):
-                semis.append((column, join_table, target_column))
-                continue
-            return no_push
-        return replace(spec, joins=()), semis, tuple(elided)
-
     def _index_grouped_agg_eligible(self, spec: QuerySpec) -> bool:
         """True when a whole-table single-key group-by can walk the
         group key's hash-index buckets instead of scanning."""
-        if len(spec.group_by) != 1 or spec.joins \
-                or spec.limit is not None or spec.order_by is not None \
-                or spec.projection is not None or spec.count_only:
-            return False
-        if _and_parts(spec.predicate):
+        if len(spec.group_by) != 1 or _and_parts(spec.predicate):
             return False
         return self._database.table(spec.table).has_index(spec.group_by[0])
-
-    def _having_filter(self, spec: QuerySpec, root: PlanNode) -> PlanNode:
-        """Wrap the aggregation root in the post-aggregate HAVING filter.
-
-        The predicate sees the aggregate output rows (group keys plus
-        aggregate names), so it can select on aggregate results the way
-        SQL's HAVING does.
-        """
-        if spec.having is None or isinstance(spec.having, TruePredicate):
-            return root
-        return Filter(
-            child=root,
-            predicate=spec.having,
-            estimated_rows=root.estimated_rows * _SEL_DEFAULT,
-            cost=root.cost + root.estimated_rows,
-        )
-
-    def _index_agg_eligible(self, spec: QuerySpec) -> bool:
-        """True when every aggregate is answerable from indexes alone.
-
-        Requires a bare query — any predicate, join, limit, projection
-        or grouping changes which rows aggregate and forces the
-        streaming path.
-        """
-        if spec.group_by or spec.joins or spec.limit is not None \
-                or spec.projection is not None:
-            return False
-        if _and_parts(spec.predicate):
-            return False
-        table = self._database.table(spec.table)
-        for agg in spec.aggregates or ():
-            if agg.kind == "count" and agg.column is None:
-                continue
-            if agg.column is None:
-                return False
-            if agg.kind in ("min", "max"):
-                if not table.has_ordered_index(agg.column):
-                    return False
-            elif agg.kind == "count_distinct":
-                if not table.has_index(agg.column):
-                    return False
-            else:  # sum/avg must see every value
-                return False
-        return True
 
     def _group_count_estimate(
         self, spec: QuerySpec, input_rows: float
@@ -430,9 +207,9 @@ class Planner:
                 table=spec.table, column=column, value=value,
                 estimated_rows=1.0, cost=2.0,
             )
-        candidates: list[PlanNode] = [
-            SeqScan(table=spec.table, estimated_rows=n_rows, cost=n_rows + 1.0)
-        ]
+        best: PlanNode = SeqScan(
+            table=spec.table, estimated_rows=n_rows, cost=n_rows + 1.0
+        )
         for column, value in equalities.items():
             if not table.has_index(column):
                 continue
@@ -440,250 +217,15 @@ class Planner:
             if coerced is _UNUSABLE:
                 continue
             est = n_rows * self._eq_selectivity(spec.table, column, coerced)
-            candidates.append(
-                IndexEq(
+            if 1.0 + est < best.cost:
+                best = IndexEq(
                     table=spec.table,
                     column=column,
                     value=value,
                     estimated_rows=est,
                     cost=1.0 + est,
                 )
-            )
-        for column, values in _in_list_bindings(pushable).items():
-            if not table.has_index(column):
-                continue
-            probes = self._coerced_in_list(table, column, values)
-            if probes is _UNUSABLE:
-                continue
-            per_value = self._eq_selectivity_many(spec.table, column, probes)
-            est = n_rows * min(1.0, per_value)
-            candidates.append(
-                IndexInList(
-                    table=spec.table,
-                    column=column,
-                    values=values,
-                    estimated_rows=est,
-                    # One probe per list element, the matched rows, and
-                    # a small re-sort term for the row-id merge.
-                    cost=1.0 + len(probes) + 1.2 * est,
-                )
-            )
-        for part in pushable:
-            probes = self._or_probes(table, part)
-            if probes is None:
-                continue
-            per_probe = sum(
-                self._eq_selectivity(spec.table, column, coerced)
-                for column, __, coerced in probes
-            )
-            est = n_rows * min(1.0, per_probe)
-            candidates.append(
-                IndexOrUnion(
-                    table=spec.table,
-                    probes=tuple((c, v) for c, v, __ in probes),
-                    estimated_rows=est,
-                    # One probe per disjunct, the matched rows, and a
-                    # small re-sort term for the row-id merge (the Or
-                    # predicate is re-checked by the Filter above).
-                    cost=1.0 + len(probes) + 1.2 * est,
-                )
-            )
-        for column, bounds in _range_bindings(pushable).items():
-            if not table.has_ordered_index(column):
-                continue
-            low, low_coerced, low_inc, high, high_coerced, high_inc = \
-                self._coerced_bounds(table, column, bounds)
-            if low is _UNUSABLE or high is _UNUSABLE:
-                continue
-            est = n_rows * self._range_selectivity(
-                spec.table, column, low_coerced, high_coerced
-            )
-            sorted_output = spec.order_by == column and not spec.count_only
-            candidates.append(
-                IndexRange(
-                    table=spec.table,
-                    column=column,
-                    low=low,
-                    high=high,
-                    low_inclusive=low_inc,
-                    high_inclusive=high_inc,
-                    sorted_output=sorted_output,
-                    descending=spec.descending and sorted_output,
-                    estimated_rows=est,
-                    # log-height descent plus the matched range; a small
-                    # constant keeps a full-range scan pricier than SeqScan.
-                    cost=4.0 + est + (0.1 * est if not sorted_output else 0.0),
-                )
-            )
-        best = min(candidates, key=lambda c: c.cost)
-        if (
-            isinstance(best, SeqScan)
-            and spec.order_by is not None
-            and not spec.count_only
-            and table.has_ordered_index(spec.order_by)
-        ):
-            # No filtering index won: walk the order-by index instead of
-            # scanning and sorting.  NULL ordering is handled by the
-            # executor (index entries exclude NULLs).
-            return IndexRange(
-                table=spec.table,
-                column=spec.order_by,
-                sorted_output=True,
-                descending=spec.descending,
-                estimated_rows=n_rows,
-                cost=n_rows + 1.0,
-            )
         return best
-
-    def _or_probes(
-        self, table, part: Predicate
-    ) -> list[tuple[str, Any, Any]] | None:
-        """``(column, emitted value, coerced value)`` per disjunct of an
-        indexable OR, or ``None`` when the disjunction cannot become a
-        probe union.
-
-        Every disjunct must be an equality on a hash-indexed column
-        whose constant coerces to the column type — one unindexable (or
-        uncoercible) disjunct would make the union miss rows the Or
-        predicate matches, so such queries keep the SeqScan + Filter
-        plan.  The emitted value keeps a Param slot when parameterised
-        (binding re-coerces); probing coerces exactly like IndexEq.
-        """
-        if not isinstance(part, Or):
-            return None
-        probes: list[tuple[str, Any, Any]] = []
-        for disjunct in part.parts:
-            if not isinstance(disjunct, Comparison) or disjunct.op != "==":
-                return None
-            if not table.has_index(disjunct.column):
-                return None
-            coerced = self._coerced(table, disjunct.column, disjunct.value)
-            if coerced is _UNUSABLE:
-                return None
-            probes.append((disjunct.column, disjunct.value, coerced))
-        return probes
-
-    # ------------------------------------------------------------------
-    # Joins
-    # ------------------------------------------------------------------
-    def _join_order(
-        self, spec: QuerySpec, access: PlanNode
-    ) -> list[tuple[str, str, str, bool]]:
-        """The join sequence to execute, tagged with reorder markers.
-
-        Up to two joins keep the query-stated order (which is also the
-        order the seed semantics emit rows in).  Beyond that the order
-        is chosen greedily: at each step take the not-yet-applied join
-        with the smallest estimated output cardinality whose key column
-        is available — either a root column or an earlier join's
-        ``table.column`` output.
-        """
-        stated = list(spec.joins)
-        if len(stated) <= _REORDER_THRESHOLD:
-            return [(c, t, tc, False) for c, t, tc in stated]
-        ordered: list[tuple[str, str, str, bool]] = []
-        remaining = stated[:]
-        est = max(access.estimated_rows, 1.0)
-        while remaining:
-            best_i = None
-            best_est = math.inf
-            for i, (column, join_table, target_column) in enumerate(remaining):
-                if self._depends_on_pending(column, remaining, i):
-                    continue
-                fanout = self._matches_per_key(join_table, target_column)
-                candidate_est = est * fanout
-                if candidate_est < best_est:
-                    best_i, best_est = i, candidate_est
-            if best_i is None:
-                # A dependency cycle (or a key on a never-joined table):
-                # fall back to the stated order for what's left.
-                ordered.extend(
-                    (c, t, tc, False) for c, t, tc in remaining
-                )
-                break
-            column, join_table, target_column = remaining.pop(best_i)
-            reordered = stated[len(ordered)][1] != join_table
-            ordered.append((column, join_table, target_column, reordered))
-            est = max(best_est, 1.0)
-        return ordered
-
-    @staticmethod
-    def _depends_on_pending(
-        column: str, remaining: list[tuple[str, str, str]], skip: int
-    ) -> bool:
-        """Does the join key reference a table that has not joined yet?"""
-        return any(
-            column.startswith(f"{table}.")
-            for i, (__, table, __tc) in enumerate(remaining)
-            if i != skip
-        )
-
-    def _join(
-        self, outer: PlanNode, column: str, join_table: str,
-        target_column: str, reordered: bool = False,
-    ) -> PlanNode:
-        inner = self._database.table(join_table)
-        inner_rows = len(inner)
-        outer_est = max(outer.estimated_rows, 1.0)
-        matches_per_probe = self._matches_per_key(join_table, target_column)
-        est = outer_est * matches_per_probe
-        hash_cost = outer.cost + inner_rows + outer_est + est
-        if inner.has_index(target_column):
-            inlj_cost = outer.cost + outer_est * (1.0 + matches_per_probe)
-            if inlj_cost <= hash_cost:
-                return IndexNestedLoopJoin(
-                    child=outer,
-                    table=join_table,
-                    column=column,
-                    target_column=target_column,
-                    estimated_rows=est,
-                    cost=inlj_cost,
-                    reordered=reordered,
-                )
-        return HashJoin(
-            child=outer,
-            table=join_table,
-            column=column,
-            target_column=target_column,
-            estimated_rows=est,
-            cost=hash_cost,
-            reordered=reordered,
-        )
-
-    # ------------------------------------------------------------------
-    # Order / limit
-    # ------------------------------------------------------------------
-    def _order_and_limit(
-        self, spec: QuerySpec, node: PlanNode, sorted_by_index: bool
-    ) -> PlanNode:
-        needs_sort = spec.order_by is not None and not sorted_by_index
-        if needs_sort and spec.limit is not None:
-            return TopN(
-                child=node,
-                n=spec.limit,
-                column=spec.order_by,
-                descending=spec.descending,
-                estimated_rows=min(node.estimated_rows, spec.limit),
-                cost=node.cost + node.estimated_rows,
-            )
-        if needs_sort:
-            n = max(node.estimated_rows, 1.0)
-            return Sort(
-                child=node,
-                column=spec.order_by,
-                descending=spec.descending,
-                estimated_rows=node.estimated_rows,
-                cost=node.cost + n * math.log2(n + 1),
-            )
-        if spec.limit is not None:
-            return TopN(
-                child=node,
-                n=spec.limit,
-                column=None,
-                estimated_rows=min(node.estimated_rows, spec.limit),
-                cost=node.cost + min(node.estimated_rows, spec.limit),
-            )
-        return node
 
     # ------------------------------------------------------------------
     # Statistics helpers
@@ -702,25 +244,6 @@ class Planner:
             return _SEL_DEFAULT
         return stats.selectivity(value)
 
-    def _eq_selectivity_many(
-        self, table: str, column: str, values: tuple
-    ) -> float:
-        stats = self._column_stats(table, column)
-        if stats is None:
-            return len(values) * _SEL_DEFAULT / 4
-        return sum(stats.selectivity(v) for v in values)
-
-    def _range_selectivity(
-        self, table: str, column: str, low: Any, high: Any
-    ) -> float:
-        stats = self._column_stats(table, column)
-        if stats is None:
-            return (1 / 3) ** ((low is not None) + (high is not None))
-        return stats.range_selectivity(low, high)
-
-    def _matches_per_key(self, table: str, column: str) -> float:
-        return self._statistics.matches_per_key(table, column)
-
     def _filter_selectivity(
         self, table: str, parts: list[Predicate]
     ) -> float:
@@ -734,14 +257,8 @@ class Planner:
             value = self._resolve(part.value)
             if part.op == "==":
                 return self._eq_selectivity(table, part.column, value)
-            if part.op in ("<", "<="):
-                return self._range_selectivity(
-                    table, part.column, None, value
-                )
-            if part.op in (">", ">="):
-                return self._range_selectivity(
-                    table, part.column, value, None
-                )
+            if part.op in ("<", "<=", ">", ">="):
+                return _SEL_RANGE
             if part.op == "!=":
                 return _SEL_NE
             if part.op == "contains":
@@ -759,72 +276,13 @@ class Planner:
                 return min(1.0, n * per_value)
         return _SEL_DEFAULT
 
-    # ------------------------------------------------------------------
-    # Value coercion for index bounds
-    # ------------------------------------------------------------------
     def _coerced(self, table, column: str, value: Any) -> Any:
+        """``value`` coerced to the column type, or ``_UNUSABLE`` when it
+        cannot serve as an index probe."""
         try:
             return coerce(self._resolve(value), table.schema.column(column).dtype)
         except TypeMismatchError:
             return _UNUSABLE
-
-    def _coerced_in_list(self, table, column: str, values: Any) -> Any:
-        """All IN-list elements coerced, or ``_UNUSABLE``.
-
-        A single element that cannot coerce to the column type disables
-        the probe union for this query (the SeqScan + Filter fallback
-        keeps the seed comparison semantics for such lists).  A plain
-        string is *not* a list of probes: ``value in "room A"`` is a
-        substring test, which only the filter can evaluate.
-        """
-        resolved = self._resolve(values)
-        if isinstance(resolved, (str, bytes)):
-            return _UNUSABLE
-        try:
-            elements = tuple(resolved)
-        except TypeError:
-            return _UNUSABLE
-        coerced = []
-        for element in elements:
-            value = self._coerced(table, column, element)
-            if value is _UNUSABLE or value is None:
-                return _UNUSABLE
-            coerced.append(value)
-        return tuple(coerced)
-
-    def _coerced_bounds(
-        self, table, column: str, bounds: list[tuple[str, Any]]
-    ) -> tuple[Any, Any, bool, Any, Any, bool]:
-        """Fold op/value pairs into emitted + coerced range bounds.
-
-        Returns ``(low, low_coerced, low_inc, high, high_coerced,
-        high_inc)`` where the emitted ``low``/``high`` keep a Param slot
-        when the winning bound is parameterised (binding re-coerces) and
-        are the coerced constant otherwise.
-        """
-        low: Any = None
-        low_coerced: Any = None
-        low_inc = True
-        high: Any = None
-        high_coerced: Any = None
-        high_inc = True
-        for op, value in bounds:
-            coerced = self._coerced(table, column, value)
-            if coerced is _UNUSABLE or coerced is None:
-                return _UNUSABLE, None, True, _UNUSABLE, None, True
-            emitted = value if isinstance(value, Param) else coerced
-            key = ordering_key(coerced)
-            if op in (">", ">="):
-                if low is None or key > ordering_key(low_coerced) or (
-                    key == ordering_key(low_coerced) and op == ">"
-                ):
-                    low, low_coerced, low_inc = emitted, coerced, op == ">="
-            else:  # "<", "<="
-                if high is None or key < ordering_key(high_coerced) or (
-                    key == ordering_key(high_coerced) and op == "<"
-                ):
-                    high, high_coerced, high_inc = emitted, coerced, op == "<="
-        return low, low_coerced, low_inc, high, high_coerced, high_inc
 
 
 def _is_unique_column(table, column: str) -> bool:
@@ -864,20 +322,4 @@ def _equality_bindings(parts: list[Predicate]) -> dict[str, Any]:
     for part in parts:
         if isinstance(part, Comparison) and part.op == "==":
             out[part.column] = part.value
-    return out
-
-
-def _in_list_bindings(parts: list[Predicate]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for part in parts:
-        if isinstance(part, Comparison) and part.op == "in":
-            out[part.column] = part.value
-    return out
-
-
-def _range_bindings(parts: list[Predicate]) -> dict[str, list[tuple[str, Any]]]:
-    out: dict[str, list[tuple[str, Any]]] = {}
-    for part in parts:
-        if isinstance(part, Comparison) and part.op in ("<", "<=", ">", ">="):
-            out.setdefault(part.column, []).append((part.op, part.value))
     return out

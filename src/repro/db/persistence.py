@@ -6,9 +6,11 @@ the columnar bank storage: one value list per column, parallel by row
 banks — no per-row dict is built on the way out — and typically smaller
 (column names appear once per table instead of once per row).
 
-Secondary-index DDL (hash and ordered indexes) is part of the snapshot,
-so a loaded database presents the query planner with exactly the
-access paths the dumped one had and plans identically.
+Secondary hash-index DDL is part of the snapshot, so a loaded database
+presents the query planner with exactly the access paths the dumped one
+had and plans identically.  Snapshots written before ordered indexes
+were removed also list ``"ordered"`` columns per table; loading ignores
+that list.
 
 Stored procedures are Python callables and cannot be serialised; a
 loaded database starts with an empty procedure registry and the caller
@@ -138,11 +140,11 @@ def _schema_from_payload(payload: list[dict[str, Any]]) -> DatabaseSchema:
 
 
 def _index_payload(database: Database) -> dict[str, dict[str, list[str]]]:
-    """Secondary-index DDL per table.
+    """Secondary hash-index DDL per table.
 
     Hash indexes implied by the schema (primary key, unique columns)
     are rebuilt by table construction and excluded here; everything
-    else — FK probe indexes, ordered range/ORDER BY indexes — must be
+    else — FK probe indexes, categorical group-by keys — must be
     recorded or a loaded database silently plans worse.
     """
     payload: dict[str, dict[str, list[str]]] = {}
@@ -154,12 +156,8 @@ def _index_payload(database: Database) -> dict[str, dict[str, list[str]]]:
         hash_columns = [
             c for c in table.hash_index_columns() if c not in implied
         ]
-        ordered_columns = table.ordered_index_columns()
-        if hash_columns or ordered_columns:
-            payload[name] = {
-                "hash": hash_columns,
-                "ordered": ordered_columns,
-            }
+        if hash_columns:
+            payload[name] = {"hash": hash_columns}
     return payload
 
 
@@ -312,10 +310,10 @@ def _database_from_body(body: dict[str, Any]) -> Database:
             raise DatabaseError(
                 f"snapshot indexes reference unknown table {name!r}"
             )
+        # An "ordered" list (written before ordered indexes were
+        # removed) names range indexes no plan uses; it is ignored.
         for column in indexes.get("hash", ()):
             database.create_index(name, column)
-        for column in indexes.get("ordered", ()):
-            database.create_ordered_index(name, column)
     return database
 
 

@@ -2,18 +2,16 @@
 
 This is not a SQL parser; it is a small relational-algebra API sufficient
 for the agent runtime: typed comparison predicates with boolean
-combinators, single-root selection with equi-joins along foreign keys,
-projection, ordering and limits.  Execution is delegated to the
-cost-based engine in :mod:`repro.db.engine` — ``run()`` compiles the
-query, plans it against the statistics catalog (hash-index equality,
-ordered-index ranges and ORDER BY, costed join strategies) and executes
-the plan; ``explain()`` shows the chosen plan.
+combinators over one table.  Execution goes through the unified API in
+:mod:`repro.db.api` — a connection prepares the query, the cost-based
+engine in :mod:`repro.db.engine` plans it against the statistics
+catalog and executes the plan; ``explain()`` shows the chosen plan.
 
 Example
 -------
 >>> from repro.db.query import eq, and_, Query
 >>> query = Query("screening").where(and_(eq("movie_id", 3), eq("date", "2022-03-26")))
->>> rows = query.run(database)        # doctest: +SKIP
+>>> rows = database.connect().execute(query).all()   # doctest: +SKIP
 """
 
 from __future__ import annotations
@@ -249,101 +247,29 @@ def not_(part: Predicate) -> Not:
 # ---------------------------------------------------------------------------
 
 class Query:
-    """A fluent single-root query with optional foreign-key joins.
+    """A fluent single-table query: ``Query("movie").where(eq("year", 1995))``.
 
-    Joined columns appear in the result rows under ``table.column`` keys,
-    while the root table's columns keep their bare names (mirroring how the
-    paper's candidate tracking widens entity rows with joined attributes).
+    Execute it through a connection (``conn.execute(query)`` or
+    ``conn.prepare(query)``); :func:`repro.db.api.select` builds the
+    same query as a statement with named parameters.
     """
 
     def __init__(self, table: str) -> None:
         self.table = table
         self._predicate: Predicate = TruePredicate()
-        self._joins: list[tuple[str, str, str]] = []  # (column, table, target)
-        self._projection: list[str] | None = None
-        self._order_by: str | None = None
-        self._descending = False
-        self._limit: int | None = None
 
-    # Builder API ----------------------------------------------------------
     def where(self, predicate: Predicate) -> "Query":
+        """AND ``predicate`` into the query's filter."""
         self._predicate = and_(self._predicate, predicate)
         return self
 
-    def join(self, column: str, table: str, target_column: str) -> "Query":
-        """Equi-join ``root.column == table.target_column``."""
-        self._joins.append((column, table, target_column))
-        return self
-
-    def select(self, *columns: str) -> "Query":
-        self._projection = list(columns)
-        return self
-
-    def order_by(self, column: str, descending: bool = False) -> "Query":
-        self._order_by = column
-        self._descending = descending
-        return self
-
-    def limit(self, n: int) -> "Query":
-        if n < 0:
-            raise QueryError("limit must be non-negative")
-        self._limit = n
-        return self
-
-    # Execution --------------------------------------------------------------
-    def run(self, database: "Database") -> list[Row]:
-        """Execute against ``database`` and return materialised rows.
-
-        .. deprecated::
-            Thin shim over the unified execution API — new code should
-            hold a connection and prepare statements instead::
-
-                conn = database.connect()
-                rows = conn.execute(select(...)).all()          # one-shot
-                stmt = conn.prepare(select(...))                # hot shapes
-                rows = stmt.execute(x=...).all()
-
-            ``prepare``/``execute`` skips the per-call fingerprinting
-            this path pays on every run (see :mod:`repro.db.api`).
-
-        Results are identical to a scan-filter-sort evaluation; the
-        cost-based plan just gets there faster.
-        """
-        return database.default_connection.run_query(self)
-
-    def count(self, database: "Database") -> int:
-        """Number of matching rows, via a CountOnly plan.
-
-        .. deprecated::
-            Thin shim over the unified execution API; prefer
-            ``conn.execute(select(...).count()).scalar()`` (see
-            :mod:`repro.db.api`).
-
-        Rows are neither materialised, projected nor sorted — the
-        executor counts matches directly (and short-circuits once a
-        ``limit`` is reached).
-        """
-        return database.default_connection.count_query(self)
-
-    # Planning ---------------------------------------------------------------
-    def compile(self, count_only: bool = False):
+    def compile(self):
         """The logical :class:`~repro.db.engine.plan.QuerySpec` of this query."""
         from repro.db.engine import QuerySpec
 
-        return QuerySpec(
-            table=self.table,
-            predicate=self._predicate,
-            joins=tuple(self._joins),
-            projection=tuple(self._projection)
-            if self._projection is not None
-            else None,
-            order_by=self._order_by,
-            descending=self._descending,
-            limit=self._limit,
-            count_only=count_only,
-        )
+        return QuerySpec(table=self.table, predicate=self._predicate)
 
-    def plan(self, database: "Database", count_only: bool = False):
+    def plan(self, database: "Database"):
         """The costed physical plan the engine would execute.
 
         Read through the database's prepared-plan cache: the first
@@ -351,10 +277,8 @@ class Query:
         of the same shape (same structure, any constants) bind their
         constants into the cached template instead of re-planning.
         """
-        return database.plan_cache.plan(self.compile(count_only=count_only))
+        return database.default_connection.prepare(self).plan()
 
-    def explain(self, database: "Database", count_only: bool = False) -> str:
+    def explain(self, database: "Database") -> str:
         """EXPLAIN output: the chosen plan with row/cost estimates."""
-        from repro.db.engine import render_plan
-
-        return render_plan(self.plan(database, count_only=count_only))
+        return database.default_connection.prepare(self).explain()

@@ -17,7 +17,6 @@ primitives for that live here:
 
 from __future__ import annotations
 
-import datetime as _dt
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -83,8 +82,6 @@ class ColumnStatistics:
     null_count: int
     entropy: float
     most_common: tuple[tuple[Any, int], ...]
-    min_value: Any = None
-    max_value: Any = None
 
     @property
     def null_fraction(self) -> float:
@@ -145,54 +142,6 @@ class ColumnStatistics:
         non_null = self.row_count - self.null_count
         return non_null > 0 and self.distinct_count >= 0.99 * non_null
 
-    def range_selectivity(self, low: Any = None, high: Any = None) -> float:
-        """Estimated fraction of rows inside ``[low, high]``.
-
-        Interpolates linearly between the observed min/max when the
-        column and bounds are numeric or date-like; otherwise falls back
-        to the textbook default of 1/3 per bounded side.  Inclusivity is
-        ignored — the estimate is for planning, not for results.
-        """
-        non_null = self.row_count - self.null_count
-        if self.row_count == 0 or non_null <= 0:
-            return 0.0
-        default = (1 / 3) ** ((low is not None) + (high is not None))
-        span = _numeric_span(self.min_value, self.max_value)
-        if span is None or span <= 0:
-            return default
-        lo_n = _as_number(low) if low is not None else None
-        hi_n = _as_number(high) if high is not None else None
-        if (low is not None and lo_n is None) or (high is not None and hi_n is None):
-            return default
-        min_n = _as_number(self.min_value)
-        start = min_n if lo_n is None else max(min_n, lo_n)
-        stop = min_n + span if hi_n is None else min(min_n + span, hi_n)
-        fraction = max(0.0, stop - start) / span
-        return min(1.0, fraction) * (non_null / self.row_count)
-
-
-def _as_number(value: Any) -> float | None:
-    """Map orderable values onto a number line for interpolation."""
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, _dt.datetime):
-        return value.timestamp()
-    if isinstance(value, _dt.date):
-        return float(value.toordinal())
-    if isinstance(value, _dt.time):
-        return value.hour * 3600.0 + value.minute * 60.0 + value.second
-    return None
-
-
-def _numeric_span(min_value: Any, max_value: Any) -> float | None:
-    lo = _as_number(min_value)
-    hi = _as_number(max_value)
-    if lo is None or hi is None:
-        return None
-    return hi - lo
-
 
 def compute_column_statistics(
     table_name: str,
@@ -203,11 +152,6 @@ def compute_column_statistics(
     """Build :class:`ColumnStatistics` from raw column values."""
     non_null = [v for v in values if v is not None]
     counts = Counter(non_null)
-    try:
-        min_value = min(non_null) if non_null else None
-        max_value = max(non_null) if non_null else None
-    except TypeError:  # mixed/unorderable values
-        min_value = max_value = None
     return ColumnStatistics(
         table=table_name,
         column=column,
@@ -216,8 +160,6 @@ def compute_column_statistics(
         null_count=len(values) - len(non_null),
         entropy=entropy(list(values)),
         most_common=tuple(counts.most_common(most_common_k)),
-        min_value=min_value,
-        max_value=max_value,
     )
 
 
@@ -283,9 +225,8 @@ class StatisticsCatalog:
 
         ``(non-null rows) / (distinct values)`` — always >= 1 when the
         column has data, since every distinct value occupies at least
-        one row.  Shared by the join-cost model, the greedy join
-        ordering and the dataaware join-path walker.  Falls back to 1.0
-        when the column is unknown or empty.
+        one row.  Used by the dataaware join-path walker to price join
+        fanout.  Falls back to 1.0 when the column is unknown or empty.
         """
         try:
             stats = self.column(table_name, column)

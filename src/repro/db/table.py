@@ -1,4 +1,4 @@
-"""Columnar MVCC row storage for one relation, with hash + ordered indexes.
+"""Columnar MVCC row storage for one relation, with hash indexes.
 
 Rows are stored column-oriented: one append-only Python list per column
 (a *bank*), parallel by storage *slot*.  A row id — internal and
@@ -35,13 +35,9 @@ lazy :class:`RowView` mapping backed by the banks (read-only by
 convention), and :meth:`Table.get` materialises a fresh dict.  Every
 column can carry a hash index (value -> set of row ids); primary-key
 and unique columns always do, since the constraint check needs the
-index anyway.  Columns can additionally carry an *ordered* secondary
-index (a bisect-maintained sorted array of ``(ordering key, row id)``
-pairs) so the query engine can push range predicates and ``ORDER BY``
-down instead of scanning and sorting.  Indexes describe the *current*
-state (writers maintain them eagerly); a pinned reader whose snapshot
-is older falls back to visibility-filtered scans and a memoised
-snapshot-built ordered index.  The :class:`Table` exposes a low-level
+index anyway.  Indexes describe the *current* state (writers maintain
+them eagerly); a pinned reader whose snapshot is older falls back to
+visibility-filtered scans.  The :class:`Table` exposes a low-level
 mutation API (``insert``/``update``/``delete``) used by
 :class:`repro.db.database.Database`, which layers transactions and
 foreign-key enforcement on top.
@@ -49,15 +45,12 @@ foreign-key enforcement on top.
 
 from __future__ import annotations
 
-import math
 import threading
-from bisect import bisect_left, bisect_right, insort
 from collections.abc import Mapping
 from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.db.ordering import ordering_key
 from repro.db.schema import TableSchema
 from repro.db.snapshots import GenerationClock, SnapshotManager
 from repro.db.types import coerce, is_null
@@ -68,11 +61,10 @@ __all__ = ["Row", "RowView", "Table"]
 Row = dict[str, Any]
 """A materialised row: column name -> value."""
 
-# Bounded memo sizes for per-generation snapshot structures.  Stale
-# pins are transient (one serving turn overlapping one commit), so a
-# handful of generations in flight is already a pathological case.
+# Bounded memo size for per-generation snapshot structures.  Stale pins
+# are transient (one serving turn overlapping one commit), so a handful
+# of generations in flight is already a pathological case.
 _VISIBLE_CACHE_CAP = 8
-_ORDERED_CACHE_CAP = 16
 
 
 class RowView(Mapping):
@@ -158,149 +150,6 @@ class _HashIndex:
         return len(self._buckets)
 
 
-class _OrderedIndex:
-    """A sorted-array index of ``(ordering key, row id)`` pairs.
-
-    NULLs are excluded (as in the hash index); key collisions keep row
-    ids ascending, so an in-order walk is exactly the stable sort of a
-    row-id scan by the column — which is what lets the executor drop the
-    Sort node when it scans through this index.
-    """
-
-    def __init__(self) -> None:
-        self._entries: list[tuple[tuple, int]] = []
-
-    def add(self, value: Any, row_id: int) -> None:
-        if is_null(value):
-            return
-        insort(self._entries, (ordering_key(value), row_id))
-
-    def remove(self, value: Any, row_id: int) -> None:
-        if is_null(value):
-            return
-        entry = (ordering_key(value), row_id)
-        i = bisect_left(self._entries, entry)
-        if i < len(self._entries) and self._entries[i] == entry:
-            del self._entries[i]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def first_id(self) -> int | None:
-        """Row id of the smallest key (smallest row id on ties)."""
-        return self._entries[0][1] if self._entries else None
-
-    def last_id(self) -> int | None:
-        """Row id of the largest key (largest row id on ties)."""
-        return self._entries[-1][1] if self._entries else None
-
-    def _bounds(
-        self,
-        low: Any,
-        high: Any,
-        low_inclusive: bool,
-        high_inclusive: bool,
-    ) -> tuple[int, int]:
-        start = 0
-        end = len(self._entries)
-        if low is not None:
-            key = ordering_key(low)
-            if low_inclusive:
-                start = bisect_left(self._entries, (key,))
-            else:
-                start = bisect_right(self._entries, (key, math.inf))
-        if high is not None:
-            key = ordering_key(high)
-            if high_inclusive:
-                end = bisect_right(self._entries, (key, math.inf))
-            else:
-                end = bisect_left(self._entries, (key,))
-        return start, max(start, end)
-
-    def range_ids(
-        self,
-        low: Any = None,
-        high: Any = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> list[int]:
-        """Row ids with ``low <op> column <op> high``, in value order.
-
-        ``None`` bounds are open.  Ties on the key come out in row-id
-        order (stable).
-        """
-        start, end = self._bounds(low, high, low_inclusive, high_inclusive)
-        return [rid for __, rid in self._entries[start:end]]
-
-    def descending_range_ids(
-        self,
-        low: Any = None,
-        high: Any = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> Iterator[int]:
-        """Row ids by key descending, ties in *ascending* row-id order.
-
-        This mirrors a stable ``sort(reverse=True)``, which keeps equal
-        keys in their original (row-id) order rather than reversing them.
-        """
-        start, i = self._bounds(low, high, low_inclusive, high_inclusive)
-        while i > start:
-            key = self._entries[i - 1][0]
-            j = bisect_left(self._entries, (key,), start, i)
-            for __, rid in self._entries[j:i]:
-                yield rid
-            i = j
-
-
-class _OrderedIndexHandle:
-    """The ordered index as seen by one reader.
-
-    The executor holds this handle across a scan; every call resolves
-    the right structure under the table latch — the live bisect index
-    for current-state reads, a memoised snapshot-built copy for a
-    pinned reader whose generation predates newer stamps — and extracts
-    what it needs before releasing the latch, so a concurrent writer's
-    ``insort`` can never tear a bisect walk.
-    """
-
-    __slots__ = ("_table", "_column")
-
-    def __init__(self, table: "Table", column: str) -> None:
-        self._table = table
-        self._column = column
-
-    def __len__(self) -> int:
-        table = self._table
-        with table._latch:
-            return len(table._ordered_for_read(self._column))
-
-    def first_id(self) -> int | None:
-        table = self._table
-        with table._latch:
-            return table._ordered_for_read(self._column).first_id()
-
-    def last_id(self) -> int | None:
-        table = self._table
-        with table._latch:
-            return table._ordered_for_read(self._column).last_id()
-
-    def range_ids(self, *args, **kwargs) -> list[int]:
-        table = self._table
-        with table._latch:
-            return table._ordered_for_read(self._column).range_ids(
-                *args, **kwargs
-            )
-
-    def descending_range_ids(self, *args, **kwargs) -> Iterator[int]:
-        # Materialised under the latch: the laziness of the underlying
-        # generator is not worth letting it race writer insorts.
-        table = self._table
-        with table._latch:
-            index = table._ordered_for_read(self._column)
-            return iter(list(index.descending_range_ids(*args, **kwargs)))
-
-
 class Table:
     """Mutable columnar MVCC storage for the rows of one table schema."""
 
@@ -336,21 +185,16 @@ class Table:
         self._id_ordered = True
         self._next_row_id = 1
         self._indexes: dict[str, _HashIndex] = {}
-        self._ordered_indexes: dict[str, _OrderedIndex] = {}
         # Grouped scan layouts derived from the hash indexes, memoised
         # per mutation generation (see grouped_layout()).
         self._mutations = 0
         self._group_layouts: dict[str, tuple[int, Any]] = {}
         self._group_tallies: dict[tuple[str, str], tuple[int, Any]] = {}
         self._slot_bucket_cache: dict[str, tuple[int, Any]] = {}
-        # Per-generation snapshot structures for stale pinned readers:
-        # generation -> (epoch, visible slots ascending by rid, rid map)
-        # and (column, generation) -> (epoch, snapshot ordered index).
+        # Per-generation snapshot structure for stale pinned readers:
+        # generation -> (epoch, visible slots ascending by rid, rid map).
         self._visible_cache: dict[
             int, tuple[int, list[int], dict[int, int]]
-        ] = {}
-        self._ordered_cache: dict[
-            tuple[str, int], tuple[int, _OrderedIndex]
         ] = {}
         if schema.primary_key:
             self.create_index(schema.primary_key)
@@ -440,36 +284,6 @@ class Table:
                 return self._slot_of
             return self._visible(generation)[1]
 
-    def _snapshot_ordered(
-        self, column: str, generation: int
-    ) -> _OrderedIndex:
-        """Latch-held: ordered index over the rows visible at ``generation``."""
-        key = (column, generation)
-        entry = self._ordered_cache.get(key)
-        if entry is not None and entry[0] == self._mutations:
-            return entry[1]
-        slots, __ = self._visible(generation)
-        bank = self._banks[column]
-        id_at = self._id_at
-        index = _OrderedIndex()
-        entries = index._entries
-        for slot in slots:
-            value = bank[slot]
-            if not is_null(value):
-                entries.append((ordering_key(value), id_at[slot]))
-        entries.sort()
-        if len(self._ordered_cache) >= _ORDERED_CACHE_CAP:
-            self._ordered_cache.pop(next(iter(self._ordered_cache)))
-        self._ordered_cache[key] = (self._mutations, index)
-        return index
-
-    def _ordered_for_read(self, column: str) -> _OrderedIndex:
-        """Latch-held: the right ordered index for the calling reader."""
-        generation = self._pin_generation()
-        if self._stale(generation):
-            return self._snapshot_ordered(column, generation)
-        return self._ordered_indexes[column]
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -519,42 +333,18 @@ class Table:
     def row_view(self, row_id: int) -> RowView:
         """A lazy bank-backed view of one row — read-only by convention.
 
-        The query executor filters and joins over views to avoid one
-        dict copy per visited row; anything handed back to callers is
-        copied (or rebuilt) at the output boundary.
+        Readers that touch a few columns of a row (the join-path walker,
+        predicate subclasses the executor cannot evaluate columnwise)
+        use views to avoid one dict copy per visited row.
         """
         return RowView(self._banks, self._visible_map()[row_id])
-
-    def iter_view_items(self) -> Iterator[tuple[int, RowView]]:
-        """``(row_id, row view)`` pairs in row-id order (read-only)."""
-        banks = self._banks
-        id_at = self._id_at
-        return ((id_at[s], RowView(banks, s)) for s in self.scan_slots())
-
-    def iter_views(self) -> Iterator[RowView]:
-        """Row views in row-id order (read-only) — the sequential scan's
-        row stream for the executor's row-at-a-time mode."""
-        banks = self._banks
-        return (RowView(banks, s) for s in self.scan_slots())
 
     def has_index(self, column: str) -> bool:
         return column in self._indexes
 
-    def has_ordered_index(self, column: str) -> bool:
-        return column in self._ordered_indexes
-
-    def ordered_index(self, column: str) -> _OrderedIndexHandle:
-        if column not in self._ordered_indexes:
-            raise KeyError(column)
-        return _OrderedIndexHandle(self, column)
-
     def hash_index_columns(self) -> list[str]:
         """Columns carrying a hash index (sorted; includes pk/unique)."""
         return sorted(self._indexes)
-
-    def ordered_index_columns(self) -> list[str]:
-        """Columns carrying an ordered secondary index (sorted)."""
-        return sorted(self._ordered_indexes)
 
     # ------------------------------------------------------------------
     # Columnar access (the batched executor's surface)
@@ -659,11 +449,10 @@ class Table:
     def slot_buckets(self, column: str) -> dict[Any, list[int]]:
         """``value -> visible slots`` (scan order) for ``column``.
 
-        The build side of a batched hash join, memoised per mutation
-        generation like :meth:`grouped_layout` — a join index in slot
-        space, so repeated probes skip both the per-query build pass
-        and any row-id-to-slot translation.  NULLs never match an
-        equi-join, so they get no bucket.  Works for any column,
+        A hash-join build side in slot space, memoised per mutation
+        generation like :meth:`grouped_layout`, so repeated probes skip
+        both the build pass and any row-id-to-slot translation.  NULLs
+        never match an equi-join, so they get no bucket.  Works for any column,
         indexed or not.  A stale pinned reader gets a fresh (unmemoised)
         build over its visible slots.
         """
@@ -747,21 +536,12 @@ class Table:
         banks = self._banks
         return (RowView(banks, s) for s in slots)
 
-    def materialise_slots(
-        self, slots: Sequence[int], columns: Sequence[str] | None = None
-    ) -> list[Row]:
-        """Fresh row dicts for ``slots``, built columnwise.
-
-        ``columns`` restricts (and orders) the output keys — the batched
-        Project path; unknown names raise ``KeyError`` exactly like
-        ``row[column]`` on the row path would.
-        """
+    def materialise_slots(self, slots: Sequence[int]) -> list[Row]:
+        """Fresh row dicts for ``slots``, built columnwise."""
         if not len(slots):
-            # The row path never touches a column for zero rows, so an
-            # unknown projected name must not raise here either.
             return []
-        names = self._columns if columns is None else tuple(columns)
-        banks = [self._banks[c] for c in names]
+        names = self._columns
+        banks = self._bank_list
         if type(slots) is range:
             # A pinned reader's range is a *prefix*: writers may have
             # appended past it since the snapshot was taken, so only
@@ -774,7 +554,7 @@ class Table:
                 selected = banks
         elif len(slots) > 1:
             # One C-level gather per bank instead of a Python loop per
-            # bank — this is what keeps wide projections columnar.
+            # bank — this is what keeps wide rows columnar.
             fetch = itemgetter(*slots)
             selected = [fetch(bank) for bank in banks]
         else:
@@ -798,16 +578,6 @@ class Table:
             for row_id, slot in self._slot_of.items():
                 index.add(bank[slot], row_id)
             self._indexes[column] = index
-
-    def create_ordered_index(self, column: str) -> None:
-        """Build (or rebuild) an ordered secondary index on ``column``."""
-        self.schema.column(column)  # raises UnknownColumnError
-        with self._latch:
-            index = _OrderedIndex()
-            bank = self._banks[column]
-            for row_id, slot in self._slot_of.items():
-                index.add(bank[slot], row_id)
-            self._ordered_indexes[column] = index
 
     # ------------------------------------------------------------------
     # Mutation
@@ -872,8 +642,6 @@ class Table:
             self._write_slot(slot, row)
             for column, index in self._indexes.items():
                 index.add(row[column], row_id)
-            for column, ordered in self._ordered_indexes.items():
-                ordered.add(row[column], row_id)
         self._autocommit()
         return row_id
 
@@ -924,10 +692,6 @@ class Table:
             if old[column] != new[column]:
                 index.remove(old[column], row_id)
                 index.add(new[column], row_id)
-        for column, ordered in self._ordered_indexes.items():
-            if old[column] != new[column]:
-                ordered.remove(old[column], row_id)
-                ordered.add(new[column], row_id)
         banks = self._banks
         for column, value in new.items():
             if old[column] is not value:
@@ -950,10 +714,6 @@ class Table:
             if old[column] != new[column]:
                 index.remove(old[column], row_id)
                 index.add(new[column], row_id)
-        for column, ordered in self._ordered_indexes.items():
-            if old[column] != new[column]:
-                ordered.remove(old[column], row_id)
-                ordered.add(new[column], row_id)
 
     def delete(self, row_id: int) -> Row:
         """Delete a row; returns a copy of it (for undo logs).
@@ -973,8 +733,6 @@ class Table:
             self._dense = False
             for column, index in self._indexes.items():
                 index.remove(row[column], row_id)
-            for column, ordered in self._ordered_indexes.items():
-                ordered.remove(row[column], row_id)
         self._autocommit()
         return row
 
@@ -993,8 +751,6 @@ class Table:
             self._next_row_id = max(self._next_row_id, row_id + 1)
             for column, index in self._indexes.items():
                 index.add(row.get(column), row_id)
-            for column, ordered in self._ordered_indexes.items():
-                ordered.add(row.get(column), row_id)
         self._autocommit()
 
     # ------------------------------------------------------------------
@@ -1101,7 +857,6 @@ class Table:
             self._group_tallies.clear()
             self._slot_bucket_cache.clear()
             self._visible_cache.clear()
-            self._ordered_cache.clear()
             # Recompute the newest stamp still resident: once the clock
             # has advanced past every remaining stamp, pinned readers
             # get their exact fast paths back.

@@ -5,7 +5,10 @@ attribute-value maps, entity-linker text pools, plan templates) follows
 one subtle concurrency protocol, kept in exactly one place here:
 
 1. fast path — check the stamped entry under the cache mutex; a hit
-   requires the stamp to equal the current data version;
+   requires the stamp to equal the generation the caller's reads
+   observe (:meth:`Database.snapshot_version`: its pinned generation,
+   or the current one when unpinned), so a reader pinned at ``s`` is
+   never served an entry another session built at ``s + 1``;
 2. miss — *release* the mutex (so a slow rebuild of one key never
    blocks hits on others), recompute under a pinned snapshot, stamping
    with the generation the pin observes (the snapshot is immutable, so
@@ -60,7 +63,10 @@ class VersionStampedCache:
         bounded = self._max_entries is not None
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry[0] == self._database.data_version:
+            if (
+                entry is not None
+                and entry[0] == self._database.snapshot_version()
+            ):
                 self.hits += 1
                 if bounded:
                     self._entries.move_to_end(key)

@@ -2,7 +2,9 @@
 
 A deliberately simple but competitive model for short-utterance intent
 classification: bag-of-n-grams features into a softmax layer trained
-with mini-batch gradient descent, L2 regularisation and early stopping.
+with mini-batch gradient descent and L2 regularisation for a fixed
+number of epochs (``epochs``, 60 by default; there is no early
+stopping), with inverse-frequency sample weights.
 This stands in for the neural intent classifier RASA would train; the
 paper's claim (synthesized training data suffices) is model-agnostic.
 """

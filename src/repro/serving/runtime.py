@@ -111,7 +111,7 @@ class AgentRuntime:
         # its (unused here) default context, so all sessions reuse it.
         self._agent = ConversationalAgent(database, artifacts)
         # The bundle's prepared-plan cache (the same instance every
-        # Query.run on this database reads through).
+        # statement on this database reads through).
         self._plan_cache = artifacts.plan_cache
         self.sessions = SessionStore(
             context_factory=artifacts.new_context,

@@ -8,19 +8,23 @@ import threading
 import pytest
 
 from repro.db import Param, Query, api, select
-from repro.db.aggregation import (
-    Aggregate,
-    aggregate_query,
-    count,
-    max_,
-    min_,
-    sum_,
-)
+from repro.db.aggregation import count, sum_
 from repro.db.api import IndexSuggestion
-from repro.db.engine import CountOnly, Filter, IndexEq, SeqScan
+from repro.db.engine import Filter, IndexEq, SeqScan
 from repro.db.procedures import ProcedureResult
-from repro.db.query import and_, contains, eq, ge, gt, le, or_
+from repro.db.query import contains, eq, ge, gt, le, or_
 from repro.errors import ProcedureError, QueryError
+
+from tests.db.reference_executor import aggregate
+
+
+def scan(database, query):
+    """Reference rows of ``query``: every row of its table in row-id
+    order, kept when the predicate matches."""
+    predicate = query.compile().predicate
+    return [
+        row for row in database.rows(query.table) if predicate.matches(row)
+    ]
 
 
 @pytest.fixture()
@@ -74,7 +78,9 @@ class TestConnection:
 
     def test_reading_scope_allows_queries(self, conn):
         with conn.reading():
-            assert conn.execute(select("movie").count()).scalar() > 0
+            assert conn.execute(
+                api.aggregate("movie", n=count())
+            ).scalar() > 0
 
     def test_prepare_rejects_unknown_statement_types(self, conn):
         with pytest.raises(QueryError):
@@ -117,7 +123,7 @@ class TestTransactionScope:
 
 
 # ---------------------------------------------------------------------------
-# PreparedStatement: select/count parity with the legacy surface
+# PreparedStatement: select/count parity with a reference scan
 # ---------------------------------------------------------------------------
 
 class TestPreparedSelect:
@@ -126,41 +132,31 @@ class TestPreparedSelect:
             select("screening").where(eq("movie_id", Param("m")))
         )
         for movie_id in (1, 2, 3, 99):
-            expected = Query("screening").where(
+            expected = scan(database, Query("screening").where(
                 eq("movie_id", movie_id)
-            ).run(database)
+            ))
             assert stmt.execute(m=movie_id).all() == expected
 
     def test_literal_constants_need_no_binds(self, conn, database):
         stmt = conn.prepare(select("movie").where(ge("year", 2000)))
         assert stmt.param_names == frozenset()
         assert stmt.execute().all() == \
-            Query("movie").where(ge("year", 2000)).run(database)
-
-    def test_order_limit_projection(self, conn, database):
-        stmt = conn.prepare(
-            select("movie").where(ge("year", Param("y")))
-            .order_by("year", descending=True).limit(5).project("title", "year")
-        )
-        expected = (
-            Query("movie").where(ge("year", 1990))
-            .order_by("year", descending=True).limit(5).select("title", "year")
-            .run(database)
-        )
-        assert stmt.execute(y=1990).all() == expected
+            scan(database, Query("movie").where(ge("year", 2000)))
 
     def test_count_statement(self, conn, database):
         stmt = conn.prepare(
-            select("screening").where(eq("movie_id", Param("m"))).count()
+            api.aggregate("screening", n=count())
+            .where(eq("movie_id", Param("m")))
         )
         for movie_id in (1, 5):
-            assert stmt.execute(m=movie_id).scalar() == \
-                Query("screening").where(eq("movie_id", movie_id)).count(database)
+            assert stmt.execute(m=movie_id).scalar() == len(scan(
+                database, Query("screening").where(eq("movie_id", movie_id))
+            ))
 
     def test_plain_query_is_preparable(self, conn, database):
         stmt = conn.prepare(Query("movie").where(ge("year", 2000)))
         assert stmt.execute().all() == \
-            Query("movie").where(ge("year", 2000)).run(database)
+            scan(database, Query("movie").where(ge("year", 2000)))
 
     def test_missing_binding_rejected(self, conn):
         stmt = conn.prepare(select("movie").where(eq("year", Param("y"))))
@@ -178,9 +174,9 @@ class TestPreparedSelect:
                 or_(eq("movie_id", Param("x")), eq("room", Param("x")))
             )
         )
-        expected = Query("screening").where(
+        expected = scan(database, Query("screening").where(
             or_(eq("movie_id", 2), eq("room", 2))
-        ).run(database)
+        ))
         assert stmt.execute(x=2).all() == expected
 
     def test_param_name_must_be_identifier(self):
@@ -194,28 +190,10 @@ class TestPreparedSelect:
             select("screening").where(eq("movie_id", Param("m")))
         )
         stmt.execute(m=3).all()  # compile the template with a good value
-        expected = Query("screening").where(
+        expected = scan(database, Query("screening").where(
             eq("movie_id", "not-an-int")
-        ).run(database)
+        ))
         assert stmt.execute(m="not-an-int").all() == expected
-
-    def test_value_dependent_shape_plans_per_execution(self, conn, database):
-        # Two lower bounds on one column: the plan cache refuses the
-        # shape, so the statement plans each execution directly.
-        stmt = conn.prepare(
-            select("screening").where(
-                and_(gt("price", Param("a")), gt("price", Param("b")))
-            )
-        )
-        expected = Query("screening").where(
-            and_(gt("price", 10.0), gt("price", 12.0))
-        ).run(database)
-        assert stmt.execute(a=10.0, b=12.0).all() == expected
-        # And with the fold winner swapped.
-        expected = Query("screening").where(
-            and_(gt("price", 14.0), gt("price", 9.0))
-        ).run(database)
-        assert stmt.execute(a=14.0, b=9.0).all() == expected
 
     def test_in_list_param_binds_whole_tuple(self, conn, database):
         from repro.db.query import in_
@@ -223,10 +201,10 @@ class TestPreparedSelect:
         stmt = conn.prepare(
             select("screening").where(in_("movie_id", Param("ids")))
         )
-        expected = Query("screening").where(in_("movie_id", (1, 3))).run(database)
+        expected = scan(database, Query("screening").where(in_("movie_id", (1, 3))))
         assert stmt.execute(ids=(1, 3)).all() == expected
         # A second shape through the same template, different list size.
-        expected = Query("screening").where(in_("movie_id", (2,))).run(database)
+        expected = scan(database, Query("screening").where(in_("movie_id", (2,))))
         assert stmt.execute(ids=(2,)).all() == expected
 
     def test_data_changes_invalidate_template(self, conn, database):
@@ -262,25 +240,29 @@ class TestPreparedSelect:
         assert "IndexEq on screening using screening_id" in text
 
     def test_statement_run_honours_count_and_aggregates(self, database):
-        # Query.run would compile only the row query; the statement
-        # overrides route through the prepared path instead.
-        assert select("movie").count().run(database) == \
-            [{"count": database.count("movie")}]
-        expected = aggregate_query(
-            database, Query("reservation"), {"booked": sum_("no_tickets")},
+        # A one-shot execute routes aggregate statements through the
+        # aggregate plan, not just the row query underneath them.
+        counted = database.connect().execute(
+            api.aggregate("movie", count=count())
+        )
+        assert counted.all() == [{"count": database.count("movie")}]
+        assert "HashAggregate" in counted.explain()
+        grouped = database.connect().execute(
+            api.aggregate("reservation", booked=sum_("no_tickets"))
+            .group_by("screening_id")
+        )
+        assert grouped.all() == aggregate(
+            scan(database, Query("reservation")),
+            {"booked": sum_("no_tickets")},
             group_by=["screening_id"],
         )
-        assert api.aggregate("reservation", booked=sum_("no_tickets")) \
-            .group_by("screening_id").run(database) == expected
-        assert "CountOnly" in select("movie").count().explain(database)
-        assert "IndexGroupedAggScan" in api.aggregate(
-            "reservation", booked=sum_("no_tickets")
-        ).group_by("screening_id").explain(database)
+        assert "IndexGroupedAggScan" in grouped.explain()
 
     def test_statement_run_with_unbound_params_rejected(self, database):
         with pytest.raises(QueryError, match="missing parameter"):
-            select("movie").where(eq("year", Param("y"))).run(database)
-
+            database.connect().execute(
+                select("movie").where(eq("year", Param("y")))
+            )
 
 # ---------------------------------------------------------------------------
 # Aggregate statements
@@ -288,13 +270,13 @@ class TestPreparedSelect:
 
 class TestPreparedAggregates:
     def test_grouped_aggregate_matches_aggregate_query(self, conn, database):
+        # The materialise-then-reduce result aggregate_query defined.
         stmt = conn.prepare(
             api.aggregate("reservation", booked=sum_("no_tickets"), n=count())
             .group_by("screening_id")
         )
-        expected = aggregate_query(
-            database,
-            Query("reservation"),
+        expected = aggregate(
+            scan(database, Query("reservation")),
             {"booked": sum_("no_tickets"), "n": count()},
             group_by=["screening_id"],
         )
@@ -306,60 +288,13 @@ class TestPreparedAggregates:
             .where(eq("screening_id", Param("s")))
         )
         for screening_id in (1, 2, 3):
-            expected = aggregate_query(
-                database,
-                Query("reservation").where(eq("screening_id", screening_id)),
+            expected = aggregate(
+                scan(database, Query("reservation").where(
+                    eq("screening_id", screening_id)
+                )),
                 {"booked": sum_("no_tickets")},
             )
             assert stmt.execute(s=screening_id).all() == expected
-
-    def test_having_with_param(self, conn, database):
-        stmt = conn.prepare(
-            api.aggregate("reservation", booked=sum_("no_tickets"))
-            .group_by("screening_id")
-            .having(ge("booked", Param("min_booked")))
-        )
-        expected = aggregate_query(
-            database,
-            Query("reservation"),
-            {"booked": sum_("no_tickets")},
-            group_by=["screening_id"],
-            having=ge("booked", 3),
-        )
-        assert stmt.execute(min_booked=3).all() == expected
-
-    def test_bare_count_short_circuits_to_count_plan(self, conn, database):
-        stmt = conn.prepare(api.aggregate("screening", n=count()))
-        result = stmt.execute()
-        assert isinstance(result.plan, CountOnly)
-        assert result.all() == [{"n": database.count("screening")}]
-
-    def test_custom_reducer_falls_back(self, conn, database):
-        spread = Aggregate(
-            "spread", "price", lambda vs: max(vs) - min(vs) if vs else None
-        )
-        stmt = conn.prepare(
-            api.aggregate("screening", spread=spread).group_by("room")
-        )
-        expected = aggregate_query(
-            database, Query("screening"), {"spread": spread},
-            group_by=["room"],
-        )
-        assert stmt.execute().all() == expected
-
-    def test_custom_reducer_having_with_param(self, conn, database):
-        spread = Aggregate(
-            "spread", "price", lambda vs: max(vs) - min(vs) if vs else None
-        )
-        stmt = conn.prepare(
-            api.aggregate("screening", spread=spread).group_by("room")
-            .having(ge("spread", Param("s")))
-        )
-        expected = aggregate_query(
-            database, Query("screening"), {"spread": spread},
-            group_by=["room"], having=ge("spread", 1.0),
-        )
-        assert stmt.execute(s=1.0).all() == expected
 
     def test_empty_aggregates_rejected(self, conn):
         with pytest.raises(QueryError):
@@ -368,17 +303,6 @@ class TestPreparedAggregates:
     def test_group_by_without_aggregates_rejected(self, conn):
         with pytest.raises(QueryError):
             conn.prepare(select("screening").group_by("room"))
-
-    def test_count_combined_with_aggregates_rejected(self, conn):
-        with pytest.raises(QueryError):
-            conn.prepare(api.aggregate("screening", n=count()).count())
-
-    def test_min_max_uses_index_agg_scan(self, conn):
-        stmt = conn.prepare(
-            api.aggregate("screening", lo=min_("price"), hi=max_("price"))
-        )
-        assert "IndexAggScan" in stmt.explain()
-
 
 # ---------------------------------------------------------------------------
 # Procedure call statements + ProcedureResult protocol
@@ -432,9 +356,9 @@ class TestCallStatements:
         result = conn.call("list_screenings", movie_id=movie["movie_id"])
         rows = result.all()
         assert rows == result.procedure_result.rows()
-        assert rows == Query("screening").where(
+        assert rows == scan(database, Query("screening").where(
             eq("movie_id", movie["movie_id"])
-        ).run(database)
+        ))
 
 
 class TestProcedureResultProtocol:
@@ -473,10 +397,10 @@ class TestProcedureResultProtocol:
 class TestResultCursor:
     def test_iteration_streams_all_rows(self, conn, database):
         rows = list(conn.execute(select("screening")))
-        assert rows == Query("screening").run(database)
+        assert rows == scan(database, Query("screening"))
 
     def test_fetchmany_pages_through(self, conn, database):
-        expected = Query("screening").run(database)
+        expected = scan(database, Query("screening"))
         result = conn.execute(select("screening"))
         pages = []
         while True:
@@ -488,15 +412,16 @@ class TestResultCursor:
         assert pages == expected
 
     def test_all_after_partial_fetch_returns_remainder(self, conn, database):
-        expected = Query("screening").run(database)
+        expected = scan(database, Query("screening"))
         result = conn.execute(select("screening"))
         head = result.fetchmany(3)
         assert head == expected[:3]
         assert result.all() == expected[3:]
         assert result.all() == []
 
-    def test_fetchone_then_exhaustion(self, conn):
-        result = conn.execute(select("movie").limit(1))
+    def test_fetchone_then_exhaustion(self, conn, database):
+        movie_id = database.rows("movie")[0]["movie_id"]
+        result = conn.execute(select("movie").where(eq("movie_id", movie_id)))
         assert result.fetchone() is not None
         assert result.fetchone() is None
 
@@ -546,20 +471,10 @@ class TestIndexAdvisor:
         conn.execute(select("movie").where(eq("title", "Heat"))).all()
         suggestions = conn.advisor()
         assert any(
-            s.table == "movie" and s.column == "title" and s.kind == "hash"
+            s.table == "movie" and s.column == "title"
             for s in suggestions
         )
         assert "CREATE INDEX ON movie (title)" in suggestions[0].statement
-
-    def test_range_miss_suggests_ordered_index(self, conn, database):
-        assert not database.table("movie").has_ordered_index("duration_minutes")
-        conn.execute(
-            select("movie").where(ge("duration_minutes", 100))
-        ).all()
-        assert any(
-            s.column == "duration_minutes" and s.kind == "ordered"
-            for s in conn.advisor()
-        )
 
     def test_indexed_probe_records_no_miss(self, conn, database):
         conn.execute(select("screening").where(eq("movie_id", 1))).all()
@@ -567,20 +482,6 @@ class TestIndexAdvisor:
 
     def test_contains_predicate_not_advisable(self, conn):
         conn.execute(select("movie").where(contains("title", "the"))).all()
-        assert conn.advisor() == []
-
-    def test_hash_join_on_unindexed_key_suggests_index(self, conn, database):
-        assert not database.table("movie").has_index("title")
-        conn.execute(select("actor").join("name", "movie", "title")).all()
-        title = next(s for s in conn.advisor() if s.column == "title")
-        assert title.table == "movie"
-        assert title.kind == "hash"
-        assert title.rows_scanned == len(database.table("movie"))
-
-    def test_indexed_join_key_records_no_miss(self, conn):
-        conn.execute(
-            select("screening").join("movie_id", "movie", "movie_id")
-        ).all()
         assert conn.advisor() == []
 
     def test_misses_accumulate_and_rank(self, conn, database):
@@ -635,30 +536,22 @@ class TestIndexAdvisor:
 
 class TestApplyIdempotent:
     def test_apply_creates_then_noops_with_warning(self, database):
-        suggestion = IndexSuggestion("movie", "title", "hash", 10, 10_000)
+        suggestion = IndexSuggestion("movie", "title", 10, 10_000)
         assert suggestion.apply(database) is True
         assert database.table("movie").has_index("title")
-        with pytest.warns(UserWarning, match="already exists"):
-            assert suggestion.apply(database) is False
-
-    def test_apply_ordered_idempotent(self, database):
-        suggestion = IndexSuggestion(
-            "movie", "duration_minutes", "ordered", 10, 10_000
-        )
-        assert suggestion.apply(database) is True
         with pytest.warns(UserWarning, match="already exists"):
             assert suggestion.apply(database) is False
 
     def test_apply_safe_under_commit_latch(self, database):
         # The latch is reentrant: applying inside an open write scope
         # must not deadlock.
-        suggestion = IndexSuggestion("movie", "title", "hash", 10, 10_000)
+        suggestion = IndexSuggestion("movie", "title", 10, 10_000)
         with database.write_locked():
             assert suggestion.apply(database) is True
         assert database.table("movie").has_index("title")
 
     def test_existing_constraint_index_noops(self, database):
-        suggestion = IndexSuggestion("movie", "movie_id", "hash", 10, 10_000)
+        suggestion = IndexSuggestion("movie", "movie_id", 10, 10_000)
         with pytest.warns(UserWarning):
             assert suggestion.apply(database) is False
 
@@ -676,7 +569,7 @@ class TestConcurrentExecution:
             {row["movie_id"] for row in database.rows("screening")}
         )[:16] or [1]
         expected = {
-            m: Query("screening").where(eq("movie_id", m)).run(database)
+            m: scan(database, Query("screening").where(eq("movie_id", m)))
             for m in movie_ids
         }
         errors: list[BaseException] = []
@@ -708,7 +601,7 @@ class TestConcurrentExecution:
 
 
 # ---------------------------------------------------------------------------
-# Randomised differential: PreparedStatement.execute ≡ Query.run
+# Randomised differential: PreparedStatement.execute ≡ a reference scan
 # ---------------------------------------------------------------------------
 
 class TestRandomisedParity:
@@ -736,33 +629,37 @@ class TestRandomisedParity:
                 statement.where(op(column, Param(name)))
                 query.where(op(column, value))
                 binds[name] = value
-            if rng.random() < 0.4:
-                column = rng.choice(numeric)
-                descending = rng.random() < 0.5
-                statement.order_by(column, descending=descending)
-                query.order_by(column, descending=descending)
-            if rng.random() < 0.4:
-                n = rng.randrange(0, 10)
-                statement.limit(n)
-                query.limit(n)
             counting = rng.random() < 0.25
             if counting:
-                statement.count()
-                assert conn.prepare(statement).execute(**binds).scalar() \
-                    == query.count(database), f"case {case}"
+                counted = api.aggregate(table, n=count())
+                counted.where(statement.compile().predicate)
+                assert conn.prepare(counted).execute(**binds).scalar() \
+                    == len(scan(database, query)), f"case {case}"
             else:
                 assert conn.prepare(statement).execute(**binds).all() \
-                    == query.run(database), f"case {case}"
+                    == scan(database, query), f"case {case}"
 
 
 # ---------------------------------------------------------------------------
-# The execution-API lint (internal callers stay on the new surface)
+# The execution-API lint (one execution surface; storage stamps private)
 # ---------------------------------------------------------------------------
 
 class TestExecutionApiLint:
     def test_src_has_no_direct_legacy_executions(self, capsys):
         import sys
         from pathlib import Path
+
+        from repro.db import Connection, aggregation
+
+        # The legacy shims are gone, so no caller can execute through
+        # them: a call to one fails here instead of in a lint.
+        assert not hasattr(Query, "run") and not hasattr(Query, "count")
+        assert not hasattr(aggregation, "aggregate_query")
+        assert not any(
+            hasattr(Connection, name)
+            for name in ("run_query", "count_query", "run_aggregate")
+        )
+        # The lint keeps the storage-stamp rule.
 
         tools = Path(__file__).resolve().parents[2] / "tools"
         sys.path.insert(0, str(tools))

@@ -1,11 +1,11 @@
-"""Tests for the columnar storage refactor and batched execution.
+"""Tests for the columnar storage and the columnar executor.
 
 Covers the bank/slot layout (insert/update/delete/restore slot reuse,
-dense fast path, RowView semantics) and the batch-vs-row execution
-parity the differential benchmark gates: a 500-query randomised
-workload plus the error-semantics corners (unknown columns, mixed-type
-comparisons, OR short-circuiting) must behave identically in both
-modes.
+dense fast path, RowView semantics) and parity between the columnar
+executor and the row-at-a-time reference in
+``tests/db/reference_executor.py``: a 500-query randomised workload
+plus the error-semantics corners (unknown columns, mixed-type
+comparisons, OR short-circuiting) must behave identically in both.
 """
 
 import datetime as dt
@@ -31,8 +31,8 @@ from repro.db import (
     not_,
     or_,
 )
+from repro.db import api
 from repro.db.aggregation import (
-    aggregate_query,
     avg,
     count,
     count_distinct,
@@ -40,9 +40,11 @@ from repro.db.aggregation import (
     min_,
     sum_,
 )
-from repro.db.engine import execute_row_ids, execution_mode
+from repro.db.engine import execute_row_ids
 from repro.db.table import RowView, Table
 from repro.errors import QueryError
+
+from tests.db import reference_executor as reference
 
 
 @pytest.fixture()
@@ -233,7 +235,7 @@ class TestRowView:
 
 
 # ---------------------------------------------------------------------------
-# Batch vs row execution parity
+# Columnar vs row-at-a-time execution parity
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -292,20 +294,33 @@ def db():
     # Mix of access paths: some deletes so slots are non-dense.
     for rid in database.table("screening").lookup("screening_id", 17):
         database.delete("screening", rid)
-    database.create_ordered_index("screening", "date")
     return database
 
 
-def _both_modes(fn):
-    """Run ``fn`` in row then batch mode; errors become comparable values."""
+def _both_modes(db, statement):
+    """``statement``'s rows from the row-at-a-time reference, then from
+    the columnar executor, over the plan the engine chose; errors
+    become comparable values."""
+    plan = db.connect().prepare(statement).plan()
     out = []
-    for mode in ("row", "batch"):
-        with execution_mode(mode):
-            try:
-                out.append(fn())
-            except QueryError as exc:
-                out.append(("error", str(exc)))
+    for run in (
+        lambda: reference.execute_rows(db, plan),
+        lambda: db.connect().execute(statement).all(),
+    ):
+        try:
+            out.append(run())
+        except QueryError as exc:
+            out.append(("error", str(exc)))
     return out
+
+
+def _aggregate(query, aggregates, group_by=None):
+    """An aggregate statement over ``query``'s table and predicate."""
+    statement = api.aggregate(query.table, aggregates)
+    statement.where(query.compile().predicate)
+    if group_by:
+        statement.group_by(*group_by)
+    return statement
 
 
 class TestBatchRowParity:
@@ -331,29 +346,18 @@ class TestBatchRowParity:
             query = Query("screening")
             for __p in range(rng.randrange(0, 3)):
                 query.where(rng.choice(predicates)())
-            if rng.random() < 0.25:
-                query.join("movie_id", "movie", "movie_id")
-            if rng.random() < 0.3:
-                query.order_by(rng.choice(("date", "price", "room")),
-                               descending=rng.random() < 0.5)
-            if rng.random() < 0.3:
-                query.limit(rng.randrange(0, 12))
-            if rng.random() < 0.15:
-                query.select("screening_id", "room")
             roll = rng.random()
             if roll < 0.2:
-                runner = lambda: query.count(db)  # noqa: B023, E731
+                statement = _aggregate(query, {"n": count()})
             elif roll < 0.4:
                 aggs = {"n": count(),
                         "p": rng.choice((sum_, avg, min_, max_,
                                          count_distinct))("price")}
                 group = rng.choice((None, ["room"], ["movie_id", "room"]))
-                runner = lambda: aggregate_query(  # noqa: B023, E731
-                    db, query, aggs, group
-                )
+                statement = _aggregate(query, aggs, group)
             else:
-                runner = lambda: query.run(db)  # noqa: B023, E731
-            row_result, batch_result = _both_modes(runner)
+                statement = query
+            row_result, batch_result = _both_modes(db, statement)
             assert row_result == batch_result
             checked += 1
         assert checked == 500
@@ -367,14 +371,13 @@ class TestBatchRowParity:
             Query("screening"),
         ]
         for query in plans:
-            results = _both_modes(
-                lambda: execute_row_ids(db, query.plan(db))  # noqa: B023
-            )
-            assert results[0] == results[1]
+            plan = query.plan(db)
+            assert execute_row_ids(db, plan) == \
+                reference.execute_row_ids(db, plan)
 
     def test_unknown_filter_column_raises_in_both_modes(self, db):
         query = Query("screening").where(eq("nope", 1))
-        row_result, batch_result = _both_modes(lambda: query.run(db))
+        row_result, batch_result = _both_modes(db, query)
         assert row_result == batch_result
         assert row_result[0] == "error"
 
@@ -384,7 +387,7 @@ class TestBatchRowParity:
         query = Query("screening").where(
             and_(eq("room", "no such room"), eq("nope", 1))
         )
-        row_result, batch_result = _both_modes(lambda: query.run(db))
+        row_result, batch_result = _both_modes(db, query)
         assert row_result == batch_result == []
 
     def test_or_short_circuit_error_parity(self, db):
@@ -393,133 +396,47 @@ class TestBatchRowParity:
         query = Query("screening").where(
             or_(eq("room", "room A"), eq("nope", 1))
         )
-        row_result, batch_result = _both_modes(lambda: query.run(db))
+        row_result, batch_result = _both_modes(db, query)
         assert row_result == batch_result
         assert row_result[0] == "error"
-
-    def test_limit_zero_never_evaluates_the_predicate(self, db):
-        # islice(rows, 0) pulls no row on the row path, so an unknown
-        # column is never seen; the batch path must not evaluate either.
-        query = Query("screening").where(eq("nope", 1)).limit(0)
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result == []
-
-    def test_limited_filter_parity_across_chunk_sizes(self, db):
-        from repro.db.engine import executor
-
-        query = Query("screening").where(ne("room", "room A")).limit(7)
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result
-        assert len(batch_result) == 7
-        # Force multiple chunks to cover the early-exit loop.
-        original = executor._FILTER_CHUNK
-        executor._FILTER_CHUNK = 8
-        try:
-            with execution_mode("batch"):
-                assert query.run(db) == batch_result
-        finally:
-            executor._FILTER_CHUNK = original
-
-    def test_limited_count_parity(self, db):
-        query = Query("screening").where(ne("room", "room A")).limit(5)
-        row_result, batch_result = _both_modes(lambda: query.count(db))
-        assert row_result == batch_result == 5
-
-    def test_limit_satisfied_before_erroring_row_stays_silent(self, db):
-        # The first row's room matches disjunct one, so islice stops
-        # before any row reaches the unknown-column disjunct; the
-        # chunked batch path must replay row-wise and stay silent too.
-        first_room = db.table("screening").get(1)["room"]
-        query = Query("screening").where(
-            or_(eq("room", first_room), eq("nope", 1))
-        ).limit(1)
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result
-        assert len(row_result) == 1
-        counts = _both_modes(lambda: query.count(db))
-        assert counts[0] == counts[1] == 1
-
-    def test_erroring_row_before_limit_still_raises(self, db):
-        # No row matches the first disjunct, so the very first row
-        # evaluates the unknown column in both modes.
-        query = Query("screening").where(
-            or_(eq("room", "nowhere"), eq("nope", 1))
-        ).limit(1)
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result
-        assert row_result[0] == "error"
-
-    def test_unknown_projection_with_no_survivors_is_silent(self, db):
-        # Zero matching rows: the row path's projection comprehension
-        # never runs, so batch materialisation must not resolve the
-        # unknown column either.
-        query = (
-            Query("screening")
-            .where(eq("room", "nowhere"))
-            .select("nonexistent")
-        )
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result == []
 
     def test_mixed_type_comparison_is_false_not_error(self, db):
         query = Query("screening").where(ge("room", 3))
-        row_result, batch_result = _both_modes(lambda: query.run(db))
+        row_result, batch_result = _both_modes(db, query)
         assert row_result == batch_result == []
 
     def test_contains_non_string_needle_matches_nothing(self, db):
         query = Query("screening").where(contains("room", 3))
-        row_result, batch_result = _both_modes(lambda: query.run(db))
+        row_result, batch_result = _both_modes(db, query)
         assert row_result == batch_result == []
 
     def test_unknown_group_by_column_parity(self, db):
-        runner = lambda: aggregate_query(  # noqa: E731
-            db, Query("screening"), {"n": count()}, ["nope"]
-        )
-        row_result, batch_result = _both_modes(runner)
+        statement = _aggregate(Query("screening"), {"n": count()}, ["nope"])
+        row_result, batch_result = _both_modes(db, statement)
         assert row_result == batch_result
         assert row_result[0] == "error"
 
     def test_unknown_aggregate_column_yields_nulls(self, db):
-        runner = lambda: aggregate_query(  # noqa: E731
-            db, Query("screening"), {"m": min_("nope")}, ["room"]
+        statement = _aggregate(
+            Query("screening"), {"m": min_("nope")}, ["room"]
         )
-        row_result, batch_result = _both_modes(runner)
+        row_result, batch_result = _both_modes(db, statement)
         assert row_result == batch_result
         assert all(row["m"] is None for row in row_result)
 
     def test_grouping_empty_input_parity(self, db):
-        runner = lambda: aggregate_query(  # noqa: E731
-            db,
+        statement = _aggregate(
             Query("screening").where(eq("room", "nowhere")),
             {"n": count(), "s": sum_("price")},
             ["room"],
         )
-        row_result, batch_result = _both_modes(runner)
+        row_result, batch_result = _both_modes(db, statement)
         assert row_result == batch_result == []
 
     def test_global_aggregate_empty_input_parity(self, db):
-        runner = lambda: aggregate_query(  # noqa: E731
-            db,
+        statement = _aggregate(
             Query("screening").where(eq("room", "nowhere")),
             {"n": count(), "s": sum_("price"), "m": max_("price")},
         )
-        row_result, batch_result = _both_modes(runner)
+        row_result, batch_result = _both_modes(db, statement)
         assert row_result == batch_result == [{"n": 0, "s": 0, "m": None}]
-
-
-class TestExecutionMode:
-    def test_mode_restored_after_block(self, db):
-        from repro.db.engine import executor
-
-        assert executor._BATCH_MODE is True
-        with execution_mode("row"):
-            assert executor._BATCH_MODE is False
-            with execution_mode("batch"):
-                assert executor._BATCH_MODE is True
-            assert executor._BATCH_MODE is False
-        assert executor._BATCH_MODE is True
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            with execution_mode("vectorised"):
-                pass  # pragma: no cover

@@ -4,8 +4,11 @@ import datetime as dt
 
 import pytest
 
+from repro.dataaware import JoinPlanner, map_values
 from repro.db import (
+    Catalog,
     Column,
+    ColumnRef,
     Database,
     DatabaseSchema,
     DataType,
@@ -15,21 +18,20 @@ from repro.db import (
     and_,
     eq,
     ge,
-    gt,
     in_,
     le,
     lt,
     or_,
 )
-from repro.db.engine import (
-    CountOnly,
-    IndexEq,
-    IndexRange,
-    SeqScan,
-    execute_row_ids,
-)
-from repro.db.ordering import ordering_key
+from repro.db import api
+from repro.db.aggregation import count
+from repro.db.engine import execute_row_ids
 from repro.errors import QueryError
+
+
+def run(db, query):
+    """Materialised rows of ``query``, executed through a connection."""
+    return db.connect().execute(query).all()
 
 
 @pytest.fixture()
@@ -83,9 +85,6 @@ def db():
                 "room": f"room {chr(ord('A') + i % 3)}",
             },
         )
-    database.create_ordered_index("screening", "date")
-    database.create_ordered_index("screening", "price")
-    database.create_ordered_index("movie", "year")
     return database
 
 
@@ -94,28 +93,9 @@ class TestPlannerChoices:
         explained = Query("screening").where(eq("screening_id", 3)).explain(db)
         assert "IndexEq on screening using screening_id" in explained
 
-    def test_range_on_ordered_index_uses_index_range(self, db):
-        explained = (
-            Query("screening")
-            .where(and_(ge("date", dt.date(2022, 3, 27)),
-                        le("date", dt.date(2022, 3, 28))))
-            .explain(db)
-        )
-        assert "IndexRange on screening using date" in explained
-        assert "SeqScan" not in explained
-
     def test_no_index_means_seq_scan(self, db):
         explained = Query("screening").where(eq("room", "room A")).explain(db)
         assert "SeqScan on screening" in explained
-
-    def test_or_of_indexable_equalities_unions_probes(self, db):
-        explained = (
-            Query("screening")
-            .where(or_(eq("screening_id", 1), eq("screening_id", 2)))
-            .explain(db)
-        )
-        assert "IndexOrUnion on screening" in explained
-        assert "Filter" in explained  # the Or predicate is re-checked
 
     def test_or_with_unindexable_disjunct_stays_seq_scan(self, db):
         explained = (
@@ -124,42 +104,7 @@ class TestPlannerChoices:
             .explain(db)
         )
         assert "SeqScan on screening" in explained
-        assert "IndexOrUnion" not in explained
-
-    def test_order_by_with_ordered_index_skips_sort(self, db):
-        explained = Query("screening").order_by("date").explain(db)
-        assert "order=asc" in explained
-        assert "Sort" not in explained
-
-    def test_order_by_without_index_sorts(self, db):
-        explained = Query("screening").order_by("room").explain(db)
-        assert "Sort by room asc" in explained
-
-    def test_order_by_with_limit_becomes_top_n(self, db):
-        explained = Query("screening").order_by("room").limit(3).explain(db)
-        assert "TopN 3 by room asc" in explained
-
-    def test_count_plans_count_only(self, db):
-        plan = Query("screening").where(eq("room", "room A")).plan(
-            db, count_only=True
-        )
-        assert isinstance(plan, CountOnly)
-        assert "CountOnly" in Query("screening").explain(db, count_only=True)
-
-    def test_join_strategy_is_costed(self, db):
-        # movie.movie_id is the primary key (hash-indexed): with 20 outer
-        # rows against a 5-row build side, either strategy is defensible,
-        # but the planner must pick one of the two join operators.
-        explained = (
-            Query("screening").join("movie_id", "movie", "movie_id").explain(db)
-        )
-        assert "Join movie on movie_id = movie.movie_id" in explained
-
-    def test_hash_join_when_inner_not_indexed(self, db):
-        explained = (
-            Query("movie").join("year", "screening", "price").explain(db)
-        )
-        assert "HashJoin screening" in explained
+        assert "IndexEq" not in explained
 
     def test_selective_equality_beats_range(self, db):
         # Both access paths are available; the point lookup is cheaper.
@@ -173,12 +118,11 @@ class TestPlannerChoices:
 
 class TestExecutorParity:
     def test_range_results_match_scan_order(self, db):
-        rows = (
+        rows = run(db, (
             Query("screening")
             .where(and_(ge("date", dt.date(2022, 3, 27)),
                         le("date", dt.date(2022, 3, 29))))
-            .run(db)
-        )
+        ))
         ids = [r["screening_id"] for r in rows]
         assert ids == sorted(ids)  # row-id order, like a scan
         assert all(
@@ -186,139 +130,50 @@ class TestExecutorParity:
             for r in rows
         )
 
-    def test_ordered_scan_equals_stable_sort(self, db):
-        via_index = Query("screening").order_by("date").run(db)
-        expected = Query("screening").run(db)
-        expected.sort(key=lambda r: ordering_key(r["date"]))
-        assert via_index == expected
-
-    def test_descending_ties_keep_row_id_order(self, db):
-        via_index = Query("screening").order_by("date", descending=True).run(db)
-        expected = Query("screening").run(db)
-        expected.sort(key=lambda r: ordering_key(r["date"]), reverse=True)
-        assert via_index == expected
-
-    def test_order_by_nullable_indexed_column_keeps_nulls_last(self, db):
-        rows = Query("movie").order_by("year").run(db)
-        assert rows[-1]["title"] == "Alien"
-        assert [r["year"] for r in rows[:-1]] == [1982, 1985, 1995, 2016]
-
-    def test_order_by_nullable_indexed_column_descending_nulls_first(self, db):
-        rows = Query("movie").order_by("year", descending=True).run(db)
-        assert rows[0]["title"] == "Alien"
-        assert [r["year"] for r in rows[1:]] == [2016, 1995, 1985, 1982]
-
-    def test_top_n_matches_full_sort_prefix(self, db):
-        limited = Query("screening").order_by("price").limit(5).run(db)
-        everything = Query("screening").order_by("price").run(db)
-        assert limited == everything[:5]
-
-    def test_top_n_descending_matches_full_sort_prefix(self, db):
-        limited = (
-            Query("screening").order_by("room", descending=True).limit(4).run(db)
-        )
-        everything = Query("screening").order_by("room", descending=True).run(db)
-        assert limited == everything[:4]
-
     def test_results_are_fresh_dicts(self, db):
-        rows = Query("movie").run(db)
+        rows = run(db, Query("movie"))
         rows[0]["title"] = "mutated"
-        assert Query("movie").run(db)[0]["title"] == "Heat"
+        assert run(db, Query("movie"))[0]["title"] == "Heat"
 
 
 class TestCountOnly:
+    """COUNT(*) is an aggregate statement: ``aggregate(t, n=count())``."""
+
     def test_count_equals_len_run(self, db):
-        query = Query("screening").where(eq("room", "room A"))
-        assert query.count(db) == len(query.run(db))
+        where = eq("room", "room A")
+        counted = db.connect().execute(
+            api.aggregate("screening", n=count()).where(where)
+        ).scalar()
+        assert counted == len(run(db, Query("screening").where(where)))
 
     def test_count_whole_table_is_cardinality(self, db):
-        assert Query("screening").count(db) == 20
-
-    def test_count_respects_limit(self, db):
-        assert Query("screening").limit(7).count(db) == 7
-        assert Query("screening").where(eq("room", "room A")).limit(2).count(db) == 2
+        statement = api.aggregate("screening", n=count())
+        assert db.connect().execute(statement).scalar() == 20
 
 
 class TestJoinSemantics:
-    def test_joined_columns_widen_under_table_dot_column(self, db):
-        rows = (
-            Query("screening").join("movie_id", "movie", "movie_id").limit(1).run(db)
-        )
-        row = rows[0]
-        assert "movie.title" in row and "movie.year" in row
-        assert "screening_id" in row  # root columns keep bare names
+    def test_join_with_unknown_predicate_column_raises(self, db):
+        query = Query("screening").where(eq("missing_column", 1))
+        with pytest.raises(QueryError):
+            run(db, query)
 
     def test_none_join_keys_are_skipped(self, db):
+        # The FK walk of the data-aware layer is the one join left.
         db.insert(
             "screening",
             {"screening_id": 99, "movie_id": None, "date": dt.date(2022, 4, 1),
              "price": 9.0, "room": "room Z"},
         )
-        rows = Query("screening").join("movie_id", "movie", "movie_id").run(db)
-        assert all(r["movie_id"] is not None for r in rows)
-        assert len(rows) == 20  # the NULL-keyed row is dropped
-
-    def test_predicate_over_joined_column(self, db):
-        rows = (
-            Query("screening")
-            .join("movie_id", "movie", "movie_id")
-            .where(eq("movie.title", "Heat"))
-            .run(db)
-        )
-        assert rows and all(r["movie.title"] == "Heat" for r in rows)
-
-    def test_root_predicate_pushes_below_join(self, db):
-        explained = (
-            Query("screening")
-            .join("movie_id", "movie", "movie_id")
-            .where(and_(eq("screening_id", 3), gt("movie.year", 1980)))
-            .explain(db)
-        )
-        # The root filter sits under the join, the joined-column filter above.
-        join_at = explained.index("Join movie")
-        assert explained.index("movie.year > 1980") < join_at
-        assert explained.index("screening_id = 3") > join_at
-
-    def test_join_with_unknown_predicate_column_raises(self, db):
-        query = Query("screening").where(eq("missing_column", 1))
-        with pytest.raises(QueryError):
-            query.run(db)
-
-
-class TestMixedTypeOrdering:
-    def test_ordering_key_is_total(self):
-        values = [3, "b", None, 1.5, dt.date(2022, 1, 1), dt.time(12, 0),
-                  True, "a", None, 2]
-        ordered = sorted(values, key=ordering_key)
-        # Numerics first (bool included), then text, date, time, NULLs last.
-        assert ordered[:4] == [True, 1.5, 2, 3]
-        assert ordered[4:6] == ["a", "b"]
-        assert ordered[6] == dt.date(2022, 1, 1)
-        assert ordered[7] == dt.time(12, 0)
-        assert ordered[8:] == [None, None]
-
-    def test_order_by_mixed_type_column_does_not_raise(self, db):
-        # Simulate drifted data via the un-coercing restore() path: a
-        # movie whose year is a string.  The seed sort key raised
-        # TypeError here; the type-ranked key orders it deterministically.
-        table = db.table("movie")
-        row = table.get(1)
-        table.delete(1)
-        row["year"] = "nineteen ninety-five"
-        table.restore(1, row)
-        rows = Query("movie").order_by("year").run(db)
-        years = [r["year"] for r in rows]
-        assert years == [1982, 1985, 2016, "nineteen ninety-five", None]
-
-    def test_mixed_type_ordering_is_deterministic(self, db):
-        table = db.table("movie")
-        row = table.get(2)
-        table.delete(2)
-        row["year"] = "eighty-five"
-        table.restore(2, row)
-        first = Query("movie").order_by("year").run(db)
-        second = Query("movie").order_by("year").run(db)
-        assert first == second
+        path = JoinPlanner(Catalog(db), "screening").path_to("movie")
+        title = ColumnRef("movie", "title")
+        null_rid = db.table("screening").lookup("screening_id", 99)[0]
+        # 21 roots against 5 movies build a probe map; one root probes
+        # the primary-key index.  Neither matches the NULL key.
+        values = map_values(db, path, title, db.table("screening").row_ids())
+        assert values[null_rid] == frozenset()
+        assert sum(1 for v in values.values() if v) == 20
+        assert map_values(db, path, title, [null_rid]) == \
+            {null_rid: frozenset()}
 
 
 class TestExecuteRowIds:
@@ -339,59 +194,28 @@ class TestExecuteRowIds:
             .plan(db)
         )
         ids = execute_row_ids(db, plan)
-        rows = Query("screening").where(ge("date", dt.date(2022, 4, 1))).run(db)
+        rows = run(db, Query("screening").where(ge("date", dt.date(2022, 4, 1))))
         assert len(ids) == len(rows)
 
     def test_non_id_preserving_plan_rejected(self, db):
-        plan = Query("screening").join("movie_id", "movie", "movie_id").plan(db)
+        plan = api.aggregate("screening", n=count()).plan(db)
         with pytest.raises(QueryError):
             execute_row_ids(db, plan)
 
 
 class TestOrderedIndexMaintenance:
-    def test_insert_update_delete_keep_index_consistent(self, db):
-        def range_ids():
-            return [
-                r["screening_id"]
-                for r in Query("screening")
-                .where(and_(ge("price", 10.0), le("price", 11.0)))
-                .run(db)
-            ]
-
-        before = range_ids()
-        db.insert(
-            "screening",
-            {"screening_id": 50, "movie_id": 1, "date": dt.date(2022, 4, 2),
-             "price": 10.5, "room": "room A"},
-        )
-        assert 50 in range_ids()
-        db.update("screening", 21, {"price": 20.0})  # row id 21 = screening 50
-        assert 50 not in range_ids()
-        db.update("screening", 21, {"price": 10.5})
-        assert 50 in range_ids()
-        db.delete("screening", 21)
-        assert range_ids() == before
-
     def test_unbounded_lt_gt(self, db):
-        low = Query("screening").where(lt("price", 9.0)).run(db)
-        high = Query("screening").where(ge("price", 9.0)).run(db)
+        low = run(db, Query("screening").where(lt("price", 9.0)))
+        high = run(db, Query("screening").where(ge("price", 9.0)))
         assert len(low) + len(high) == 20
 
 
 class TestInListAccessPath:
-    def test_in_list_on_indexed_column_uses_probe_union(self, db):
-        db.create_index("screening", "movie_id")
-        explained = (
-            Query("screening").where(in_("movie_id", (1, 2))).explain(db)
-        )
-        assert "IndexInList on screening using movie_id" in explained
-        assert "SeqScan" not in explained
-
     def test_in_list_results_match_scan(self, db):
         db.create_index("screening", "movie_id")
-        via_index = Query("screening").where(in_("movie_id", (2, 4))).run(db)
+        via_index = run(db, Query("screening").where(in_("movie_id", (2, 4))))
         scanned = [
-            r for r in Query("screening").run(db) if r["movie_id"] in (2, 4)
+            r for r in run(db, Query("screening")) if r["movie_id"] in (2, 4)
         ]
         assert via_index == scanned
 
@@ -403,21 +227,18 @@ class TestInListAccessPath:
 
     def test_empty_in_list(self, db):
         db.create_index("screening", "movie_id")
-        assert Query("screening").where(in_("movie_id", ())).run(db) == []
+        assert run(db, Query("screening").where(in_("movie_id", ()))) == []
 
     def test_string_in_value_keeps_substring_semantics(self, db):
         # Comparison(col, "in", "room A") is a substring test ("room A"
-        # contains the value), not a probe list — a probe union over the
-        # string's characters would return nothing.
+        # contains the value), not a list of candidate values.
         from repro.db.query import Comparison
 
         db.create_index("screening", "room")
         predicate = Comparison("room", "in", "room A")
-        explained = Query("screening").where(predicate).explain(db)
-        assert "IndexInList" not in explained
-        via_engine = Query("screening").where(predicate).run(db)
+        via_engine = run(db, Query("screening").where(predicate))
         scanned = [
-            r for r in Query("screening").run(db) if r["room"] in "room A"
+            r for r in run(db, Query("screening")) if r["room"] in "room A"
         ]
         assert via_engine == scanned and via_engine
 
@@ -429,125 +250,8 @@ class TestInListAccessPath:
         assert ids
 
 
-class TestJoinReordering:
-    @pytest.fixture()
-    def multi_db(self):
-        schema = DatabaseSchema(
-            [
-                TableSchema(
-                    "genre",
-                    [
-                        Column("genre_id", DataType.INTEGER),
-                        Column("name", DataType.TEXT),
-                    ],
-                    primary_key="genre_id",
-                ),
-                TableSchema(
-                    "movie",
-                    [
-                        Column("movie_id", DataType.INTEGER),
-                        Column("genre_id", DataType.INTEGER),
-                        Column("title", DataType.TEXT),
-                    ],
-                    primary_key="movie_id",
-                    foreign_keys=[ForeignKey("genre_id", "genre", "genre_id")],
-                ),
-                TableSchema(
-                    "screening",
-                    [
-                        Column("screening_id", DataType.INTEGER),
-                        Column("movie_id", DataType.INTEGER),
-                    ],
-                    primary_key="screening_id",
-                    foreign_keys=[ForeignKey("movie_id", "movie", "movie_id")],
-                ),
-                TableSchema(
-                    "reservation",
-                    [
-                        Column("reservation_id", DataType.INTEGER),
-                        Column("screening_id", DataType.INTEGER),
-                    ],
-                    primary_key="reservation_id",
-                    foreign_keys=[
-                        ForeignKey("screening_id", "screening", "screening_id")
-                    ],
-                ),
-            ]
-        )
-        database = Database(schema)
-        for genre_id in range(1, 4):
-            database.insert("genre", {"genre_id": genre_id, "name": f"g{genre_id}"})
-        for movie_id in range(1, 6):
-            database.insert(
-                "movie",
-                {"movie_id": movie_id, "genre_id": (movie_id % 3) + 1,
-                 "title": f"m{movie_id}"},
-            )
-        for screening_id in range(1, 21):
-            database.insert(
-                "screening",
-                {"screening_id": screening_id,
-                 "movie_id": (screening_id % 5) + 1},
-            )
-        # A fat fanout: many reservations per screening.
-        rid = 1
-        for screening_id in range(1, 21):
-            for __ in range(4):
-                database.insert(
-                    "reservation",
-                    {"reservation_id": rid, "screening_id": screening_id},
-                )
-                rid += 1
-        database.create_index("reservation", "screening_id")
-        return database
-
-    def _three_join_query(self):
-        return (
-            Query("screening")
-            .join("screening_id", "reservation", "screening_id")
-            .join("movie_id", "movie", "movie_id")
-            .join("movie.genre_id", "genre", "genre_id")
-        )
-
-    def test_three_joins_schedule_fat_fanout_last(self, multi_db):
-        explained = self._three_join_query().explain(multi_db)
-        # reservation multiplies rows 4x; movie and genre keep 1:1 —
-        # the greedy order must run reservation last even though the
-        # query states it first.  (Deeper in the tree = earlier.)
-        assert explained.index("reservation") < explained.index("movie")
-        assert "[reordered]" in explained
-
-    def test_dependent_join_stays_after_its_source(self, multi_db):
-        explained = self._three_join_query().explain(multi_db)
-        # genre keys on movie.genre_id, so movie must join first, i.e.
-        # appear deeper (later in the rendered tree) than genre.
-        assert explained.index("IndexNestedLoopJoin movie") > \
-            explained.index("genre_id = genre.genre_id")
-
-    def test_reordered_results_match_stated_order_semantics(self, multi_db):
-        rows = self._three_join_query().run(multi_db)
-        assert len(rows) == 80  # 20 screenings x 4 reservations x 1 x 1
-        assert all(
-            "reservation.reservation_id" in r
-            and "movie.title" in r
-            and "genre.name" in r
-            for r in rows
-        )
-
-    def test_two_joins_keep_stated_order(self, multi_db):
-        explained = (
-            Query("screening")
-            .join("screening_id", "reservation", "screening_id")
-            .join("movie_id", "movie", "movie_id")
-            .explain(multi_db)
-        )
-        assert "[reordered]" not in explained
-        # Stated first join sits deepest in the tree.
-        assert explained.index("reservation") > explained.index("movie")
-
-
 class TestOrUnionExecution:
-    """OR-of-equality probe unions: results identical to the scan plan."""
+    """OR-of-equality predicates: results identical to a row-wise scan."""
 
     def _expected(self, db, predicate):
         return [
@@ -556,12 +260,12 @@ class TestOrUnionExecution:
 
     def test_results_match_scan_semantics(self, db):
         predicate = or_(eq("screening_id", 3), eq("screening_id", 7))
-        rows = Query("screening").where(predicate).run(db)
+        rows = run(db, Query("screening").where(predicate))
         assert rows == self._expected(db, predicate)
 
     def test_union_deduplicates_overlapping_probes(self, db):
         predicate = or_(eq("screening_id", 3), eq("screening_id", 3))
-        rows = Query("screening").where(predicate).run(db)
+        rows = run(db, Query("screening").where(predicate))
         assert rows == self._expected(db, predicate)
         assert len(rows) == 1
 
@@ -573,28 +277,26 @@ class TestOrUnionExecution:
     def test_template_rebinds_constants(self, db):
         cache = db.plan_cache
 
-        def run(a, b):
-            return Query("screening").where(
+        def run_or(a, b):
+            return run(db, Query("screening").where(
                 or_(eq("screening_id", a), eq("screening_id", b))
-            ).run(db)
+            ))
 
-        run(1, 2)
+        run_or(1, 2)
         misses = cache.misses
-        rows = run(5, 6)
+        rows = run_or(5, 6)
         assert cache.misses == misses  # same shape: bound, not replanned
         assert sorted(r["screening_id"] for r in rows) == [5, 6]
 
     def test_uncoercible_constant_falls_back_to_scan(self, db):
         predicate = or_(eq("screening_id", 1),
                         eq("screening_id", "not-an-int"))
-        rows = Query("screening").where(predicate).run(db)
+        rows = run(db, Query("screening").where(predicate))
         assert rows == self._expected(db, predicate)
         assert [r["screening_id"] for r in rows] == [1]
 
     def test_or_across_different_columns(self, db):
         db.create_index("screening", "movie_id")
         predicate = or_(eq("movie_id", 2), eq("screening_id", 7))
-        explained = Query("screening").where(predicate).explain(db)
-        assert "IndexOrUnion" in explained
-        rows = Query("screening").where(predicate).run(db)
+        rows = run(db, Query("screening").where(predicate))
         assert rows == self._expected(db, predicate)

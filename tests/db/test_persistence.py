@@ -110,8 +110,6 @@ class TestIndexDDLPersistence:
             table = database.table(name)
             loaded = restored.table(name)
             assert loaded.hash_index_columns() == table.hash_index_columns()
-            assert loaded.ordered_index_columns() == \
-                table.ordered_index_columns()
 
     def test_loaded_database_plans_identically(self, movie_db):
         import datetime as dt
@@ -127,10 +125,33 @@ class TestIndexDDLPersistence:
             ),
             Query("screening").where(eq("movie_id", 3)),
             Query("reservation").where(eq("screening_id", 5)),
-            Query("movie").order_by("year", descending=True).limit(3),
         ]
         for query in queries:
             assert query.explain(restored) == query.explain(database)
+
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_ordered_index_list_is_ignored_on_load(self, movie_db, version):
+        # Snapshots written while ordered indexes existed list them per
+        # table; every movie snapshot of that era has one.  Loading
+        # ignores the list and restores the same rows and hash indexes.
+        import json
+
+        database, __ = movie_db
+        body = json.loads(dumps_database(database, version=version))
+        assert "ordered" not in json.dumps(body["indexes"])
+        body["indexes"].setdefault("screening", {"hash": []})["ordered"] = [
+            "date", "start_time", "price",
+        ]
+        body["indexes"].setdefault("movie", {"hash": []})["ordered"] = [
+            "year"
+        ]
+        restored = loads_database(json.dumps(body))
+        for name in database.table_names:
+            assert restored.rows(name) == database.rows(name)
+            assert restored.table(name).row_ids() == \
+                database.table(name).row_ids()
+            assert restored.table(name).hash_index_columns() == \
+                database.table(name).hash_index_columns()
 
     def test_snapshot_indexes_on_unknown_table_rejected(self, movie_db):
         import json

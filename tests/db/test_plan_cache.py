@@ -2,6 +2,7 @@
 
 import datetime as dt
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -13,19 +14,47 @@ from repro.db import (
     Query,
     TableSchema,
     and_,
+    api,
+    count,
     eq,
     ge,
-    gt,
     in_,
     le,
+    ne,
 )
 from repro.db.engine import (
-    bind_plan,
+    AggExpr,
+    compile_binder,
     fingerprint_spec,
     parameterize_spec,
     plan_query,
     render_plan,
 )
+
+
+def run(db, query):
+    """Materialised rows of ``query``, executed through a connection."""
+    return db.connect().execute(query).all()
+
+
+def prepared_plan(db, query):
+    """The plan a prepared ``query`` binds from the shared plan cache."""
+    return db.connect().prepare(query).plan()
+
+
+def small_cache(db, max_entries):
+    """Give ``db`` a fresh plan cache holding at most ``max_entries``."""
+    from repro.db.engine import PlanCache
+
+    db._plan_cache = PlanCache(db, max_entries=max_entries)
+    return db._plan_cache
+
+
+def count_rows(db, query):
+    """COUNT(*) over ``query``'s predicate, as an aggregate statement."""
+    statement = api.aggregate(query.table, n=count())
+    statement.where(query.compile().predicate)
+    return db.connect().execute(statement).scalar()
 
 
 @pytest.fixture()
@@ -59,7 +88,6 @@ def db():
             },
         )
     database.create_index("screening", "movie_id")
-    database.create_ordered_index("screening", "date")
     return database
 
 
@@ -68,34 +96,35 @@ class TestTemplateSharing:
         cache = db.plan_cache
         misses_before = cache.misses
         for movie_id in range(1, 9):
-            rows = Query("screening").where(eq("movie_id", movie_id)).run(db)
+            rows = run(db, Query("screening").where(eq("movie_id", movie_id)))
             assert all(r["movie_id"] == movie_id for r in rows)
         assert cache.misses - misses_before == 1
         assert cache.hits >= 7
 
     def test_bound_plan_matches_direct_planning(self, db):
-        spec = Query("screening").where(
+        query = Query("screening").where(
             and_(ge("date", dt.date(2022, 3, 28)),
                  le("date", dt.date(2022, 3, 30)))
-        ).compile()
-        cached = db.plan_cache.plan(spec)
-        direct = plan_query(db, spec)
+        )
+        prepared_plan(db, query)  # compile the template
+        cached = prepared_plan(db, query)
+        direct = plan_query(db, query.compile())
         assert render_plan(cached) == render_plan(direct)
 
     def test_cached_results_equal_uncached(self, db):
-        query = Query("screening").where(ge("price", 10.0)).order_by("date")
-        spec = query.compile()
+        query = Query("screening").where(ge("price", 10.0))
         from repro.db.engine import execute_rows
 
-        assert execute_rows(db, db.plan_cache.plan(spec)) == execute_rows(
-            db, plan_query(db, spec)
+        prepared_plan(db, query)
+        assert execute_rows(db, prepared_plan(db, query)) == execute_rows(
+            db, plan_query(db, query.compile())
         )
 
     def test_in_list_constants_share_template(self, db):
         cache = db.plan_cache
         misses_before = cache.misses
-        a = Query("screening").where(in_("movie_id", (1, 2))).run(db)
-        b = Query("screening").where(in_("movie_id", (3, 4, 5))).run(db)
+        a = run(db, Query("screening").where(in_("movie_id", (1, 2))))
+        b = run(db, Query("screening").where(in_("movie_id", (3, 4, 5))))
         assert cache.misses - misses_before == 1
         assert {r["movie_id"] for r in a} <= {1, 2}
         assert {r["movie_id"] for r in b} <= {3, 4, 5}
@@ -103,12 +132,14 @@ class TestTemplateSharing:
 
 class TestFingerprints:
     def test_different_shapes_do_not_collide(self, db):
+        by_movie = Query("screening").where(eq("movie_id", 3)).compile()
+        counted = replace(by_movie, aggregates=(AggExpr("n", "count"),))
         specs = [
-            Query("screening").where(eq("movie_id", 3)).compile(),
+            by_movie,
             Query("screening").where(ge("movie_id", 3)).compile(),
             Query("screening").where(eq("screening_id", 3)).compile(),
-            Query("screening").where(eq("movie_id", 3)).compile(count_only=True),
-            Query("screening").where(eq("movie_id", 3)).limit(2).compile(),
+            counted,
+            replace(counted, group_by=("room",)),
             Query("screening").where(in_("movie_id", (3,))).compile(),
         ]
         fingerprints = [fingerprint_spec(s)[0] for s in specs]
@@ -121,18 +152,28 @@ class TestFingerprints:
         assert fingerprint_spec(a)[1] == (1,)
         assert fingerprint_spec(b)[1] == (999,)
 
-    def test_value_dependent_shape_is_uncacheable(self, db):
-        spec = Query("screening").where(
-            and_(gt("price", 8.0), ge("price", 9.0))
-        ).compile()
-        fingerprint, params = fingerprint_spec(spec)
-        assert fingerprint is None and params == ()
+    def test_opaque_predicate_is_planned_per_execution(self, db):
+        # A predicate subclass hides its constants from the fingerprint,
+        # so its statements bypass the template cache and the executor
+        # evaluates it row by row.
+        from repro.db.query import Predicate
+
+        class PriceAbove(Predicate):
+            def __init__(self, floor):
+                self.floor = floor
+
+            def matches(self, row):
+                return row["price"] > self.floor
+
+            def columns(self):
+                return {"price"}
+
+        spec = Query("screening").where(PriceAbove(10.0)).compile()
+        assert fingerprint_spec(spec) == (None, ())
         bypasses_before = db.plan_cache.bypasses
-        rows = Query("screening").where(
-            and_(gt("price", 8.0), ge("price", 9.0))
-        ).run(db)
+        rows = run(db, Query("screening").where(PriceAbove(10.0)))
         assert db.plan_cache.bypasses == bypasses_before + 1
-        assert all(r["price"] >= 9.0 for r in rows)
+        assert rows == [r for r in db.rows("screening") if r["price"] > 10.0]
 
     def test_parameterize_and_bind_round_trip(self, db):
         spec = Query("screening").where(
@@ -140,7 +181,7 @@ class TestFingerprints:
         ).compile()
         shape, params = parameterize_spec(spec)
         template = plan_query(db, shape, params=params)
-        bound = bind_plan(db, template, params)
+        bound = compile_binder(db, template)(params)
         assert render_plan(bound) == render_plan(plan_query(db, spec))
 
 
@@ -152,11 +193,11 @@ class TestRepeatedTurns:
         for turn in range(50):
             movie_id = turn % 8 + 1
             day = dt.date(2022, 3, 26) + dt.timedelta(days=turn % 10)
-            Query("screening").where(eq("movie_id", movie_id)).run(db)
-            Query("screening").where(eq("movie_id", movie_id)).count(db)
-            Query("screening").where(
+            run(db, Query("screening").where(eq("movie_id", movie_id)))
+            count_rows(db, Query("screening").where(eq("movie_id", movie_id)))
+            run(db, Query("screening").where(
                 and_(ge("date", day), le("date", day + dt.timedelta(days=1)))
-            ).run(db)
+            ))
         hits = cache.hits - hits_before
         misses = cache.misses - misses_before
         assert hits / (hits + misses) > 0.9
@@ -165,29 +206,29 @@ class TestRepeatedTurns:
 class TestInvalidation:
     def test_insert_invalidates_template(self, db):
         query = Query("screening").where(eq("movie_id", 1))
-        before = query.count(db)
+        before = count_rows(db, query)
         misses_before = db.plan_cache.misses
         db.insert(
             "screening",
             {"screening_id": 99, "movie_id": 1, "date": dt.date(2022, 4, 9),
              "price": 9.0, "room": "room A"},
         )
-        assert query.count(db) == before + 1
+        assert count_rows(db, query) == before + 1
         assert db.plan_cache.misses > misses_before  # recompiled
 
     def test_update_and_delete_keep_results_fresh(self, db):
         query = Query("screening").where(eq("movie_id", 2))
-        baseline_ids = {r["screening_id"] for r in query.run(db)}
+        baseline_ids = {r["screening_id"] for r in run(db, query)}
         victim = sorted(baseline_ids)[0]
         rid = db.table("screening").lookup("screening_id", victim)[0]
         db.update("screening", rid, {"movie_id": 3})
-        after_update = {r["screening_id"] for r in query.run(db)}
+        after_update = {r["screening_id"] for r in run(db, query)}
         assert after_update == baseline_ids - {victim}
         rid2 = db.table("screening").lookup(
             "screening_id", sorted(after_update)[0]
         )[0]
         db.delete("screening", rid2)
-        after_delete = {r["screening_id"] for r in query.run(db)}
+        after_delete = {r["screening_id"] for r in run(db, query)}
         assert after_delete == after_update - {sorted(after_update)[0]}
 
     def test_create_index_invalidates_cached_templates(self, db):
@@ -200,21 +241,15 @@ class TestInvalidation:
         assert "IndexEq on screening using room" in explained
         assert "SeqScan" not in explained
 
-    def test_create_ordered_index_invalidates_cached_templates(self, db):
-        query = Query("screening").where(ge("price", 10.0))
-        assert "SeqScan" in query.explain(db)
-        db.create_ordered_index("screening", "price")
-        assert "IndexRange on screening using price" in query.explain(db)
-
     def test_unbindable_constant_falls_back(self, db):
         # Compile the template with a proper date, then reuse the shape
         # with a string that cannot coerce to DATE: the cache must fall
         # back to direct planning and reproduce scan semantics.
         good = Query("screening").where(ge("date", dt.date(2022, 3, 28)))
-        good_rows = good.run(db)
+        good_rows = run(db, good)
         assert good_rows
         bad = Query("screening").where(ge("date", "not a date"))
-        assert bad.run(db) == []  # comparison semantics: nothing matches
+        assert run(db, bad) == []  # comparison semantics: nothing matches
 
 
 class TestThreadSafety:
@@ -227,13 +262,13 @@ class TestThreadSafety:
                 barrier.wait(timeout=10)
                 for i in range(40):
                     movie_id = (seed + i) % 8 + 1
-                    rows = Query("screening").where(
+                    rows = run(db, Query("screening").where(
                         eq("movie_id", movie_id)
-                    ).run(db)
+                    ))
                     assert all(r["movie_id"] == movie_id for r in rows)
-                    n = Query("screening").where(
+                    n = count_rows(db, Query("screening").where(
                         ge("price", 8.0 + (i % 5))
-                    ).count(db)
+                    ))
                     assert n >= 0
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -270,7 +305,7 @@ class TestThreadSafety:
         def reader() -> None:
             try:
                 while not stop.is_set():
-                    rows = Query("screening").where(eq("movie_id", 3)).run(db)
+                    rows = run(db, Query("screening").where(eq("movie_id", 3)))
                     assert all(r["movie_id"] == 3 for r in rows)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -283,7 +318,7 @@ class TestThreadSafety:
             t.join(timeout=60)
         assert not errors
         # After the writer finishes, cached plans serve the final state.
-        final = Query("screening").where(eq("movie_id", 3)).run(db)
+        final = run(db, Query("screening").where(eq("movie_id", 3)))
         direct = [
             r for r in db.rows("screening") if r["movie_id"] == 3
         ]
@@ -292,41 +327,38 @@ class TestThreadSafety:
 
 class TestLRUBound:
     def test_eviction_beyond_cap(self, db):
-        from repro.db.engine import PlanCache
-
-        cache = PlanCache(db, max_entries=4)
-        for i in range(6):
-            # One distinct shape per projection column set.
-            cache.plan(Query("screening").select(f"c{i}").compile())
+        cache = small_cache(db, 4)
+        predicates = [eq("movie_id", 1), ge("movie_id", 1), eq("room", "A"),
+                      ge("price", 9.0), le("date", dt.date(2022, 4, 1)),
+                      ne("room", "A")]
+        for predicate in predicates:
+            # One distinct shape per predicate.
+            prepared_plan(db, Query("screening").where(predicate))
         assert len(cache) == 4
         assert cache.evictions == 2
 
     def test_hit_refreshes_recency(self, db):
-        from repro.db.engine import PlanCache
-
-        cache = PlanCache(db, max_entries=2)
-        a = Query("screening").select("room").compile()
-        b = Query("screening").select("price").compile()
-        c = Query("screening").select("date").compile()
-        cache.plan(a)
-        cache.plan(b)
-        cache.plan(a)        # touch a: b is now the LRU entry
-        cache.plan(c)        # evicts b, not a
+        cache = small_cache(db, 2)
+        a = Query("screening").where(eq("room", "A"))
+        b = Query("screening").where(eq("price", 9.0))
+        c = Query("screening").where(eq("date", dt.date(2022, 4, 1)))
+        prepared_plan(db, a)
+        prepared_plan(db, b)
+        prepared_plan(db, a)        # touch a: b is now the LRU entry
+        prepared_plan(db, c)        # evicts b, not a
         misses = cache.misses
-        cache.plan(a)
+        prepared_plan(db, a)
         assert cache.misses == misses  # still cached
-        cache.plan(b)
+        prepared_plan(db, b)
         assert cache.misses == misses + 1  # was evicted, recompiles
 
     def test_evicted_shape_recompiles_correctly(self, db):
-        from repro.db.engine import PlanCache
-
-        cache = PlanCache(db, max_entries=1)
+        cache = small_cache(db, 1)
         q1 = Query("screening").where(eq("movie_id", 3))
         q2 = Query("screening").where(ge("price", 9.0))
-        plan1 = cache.plan(q1.compile())
-        cache.plan(q2.compile())
-        plan1_again = cache.plan(q1.compile())
+        plan1 = prepared_plan(db, q1)
+        prepared_plan(db, q2)
+        plan1_again = prepared_plan(db, q1)
         assert plan1_again == plan1
         assert cache.evictions >= 1
 
@@ -339,7 +371,7 @@ class TestLRUBound:
 
     def test_invalidation_does_not_count_as_eviction(self, db):
         cache = db.plan_cache
-        cache.plan(Query("screening").where(eq("movie_id", 1)).compile())
+        prepared_plan(db, Query("screening").where(eq("movie_id", 1)))
         before = cache.evictions
         cache.invalidate()
         assert cache.evictions == before

@@ -256,20 +256,31 @@ class TestSnapshotVisibility:
             assert db.snapshot_version() == pinned
         assert db.snapshot_version() == base + 1
 
-    def test_ordered_index_snapshot(self, db):
-        db.create_ordered_index("account", "balance")
-        rid = db.table("account").lookup("account_id", 1)[0]
-        with db.read_locked():
-            handle = db.table("account").ordered_index("balance")
-            assert len(handle.range_ids(low=100)) == 0
-            _on_thread(
-                lambda: db.update("account", rid, {"balance": 500})
-            )
-            # The live index moved; our snapshot-built one did not.
-            assert len(handle.range_ids(low=100)) == 0
-        with db.read_locked():
-            handle = db.table("account").ordered_index("balance")
-            assert handle.range_ids(low=100) == [rid]
+class TestPinnedCacheReads:
+    """A version-stamped cache serves a pinned reader only entries built
+    at the generation its pin observes."""
+
+    def test_pinned_reader_never_served_a_newer_entry(self, movie_db):
+        database, __ = movie_db
+        table = database.table("reservation")
+        statistics = database.statistics
+        with database.read_locked():
+            pinned_rows = len(table)
+
+            def other_session():
+                # Commit a delete, then rebuild the entry at the newer
+                # generation, as a concurrent turn would.
+                database.delete("reservation", table.row_ids()[0])
+                return statistics.column("reservation", "no_tickets")
+
+            newer = _on_thread(other_session)
+            assert newer.row_count == pinned_rows - 1
+            assert len(table) == pinned_rows
+            cached = statistics.column("reservation", "no_tickets")
+            assert cached.row_count == pinned_rows
+        assert statistics.column(
+            "reservation", "no_tickets"
+        ).row_count == pinned_rows - 1
 
 
 class TestConcurrentStress:

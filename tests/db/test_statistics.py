@@ -64,14 +64,6 @@ class TestColumnStatistics:
         stats = compute_column_statistics("t", "c", ["a", "a", "b"])
         assert stats.most_common[0] == ("a", 2)
 
-    def test_min_max(self):
-        stats = compute_column_statistics("t", "c", [3, 1, 2])
-        assert stats.min_value == 1 and stats.max_value == 3
-
-    def test_mixed_unorderable_min_max_none(self):
-        stats = compute_column_statistics("t", "c", ["a", 1])
-        assert stats.min_value is None and stats.max_value is None
-
     def test_selectivity_known_value(self):
         stats = compute_column_statistics("t", "c", ["a", "a", "b", "b"])
         assert stats.selectivity("a") == pytest.approx(0.5)
@@ -167,14 +159,12 @@ class TestDegenerateSelectivity:
         stats = self._stats(row_count=0, distinct_count=0, most_common=())
         assert stats.selectivity("a") == 0.0
         assert stats.average_selectivity == 0.0
-        assert stats.range_selectivity(low=1, high=2) == 0.0
 
     def test_all_null_column_matches_nothing(self):
         stats = self._stats(
             row_count=50, distinct_count=0, null_count=50, most_common=()
         )
         assert stats.selectivity("a") == 0.0
-        assert stats.range_selectivity(low=1) == 0.0
 
     def test_fully_enumerated_mcv_unseen_value_floors(self):
         # distinct_count == len(most_common): statistics claim every
@@ -200,10 +190,3 @@ class TestDegenerateSelectivity:
             most_common=(("a", 30), ("b", 20)),
         )
         assert 0.0 <= stats.average_selectivity <= 1.0
-
-    def test_range_selectivity_all_null_side(self):
-        stats = self._stats(
-            row_count=10, distinct_count=0, null_count=10, most_common=(),
-            min_value=None, max_value=None,
-        )
-        assert stats.range_selectivity(low=0, high=1) == 0.0

@@ -9,10 +9,10 @@ from repro.db import (
     Database,
     DatabaseSchema,
     DataType,
-    Query,
     TableSchema,
 )
-from repro.db.aggregation import aggregate_query, count
+from repro.db import api
+from repro.db.aggregation import count
 from repro.db.table import Table
 from repro.errors import ConstraintViolation, UnknownColumnError
 
@@ -259,9 +259,9 @@ class TestVacuumMemoInvalidation:
         for item_id in range(1, 31):
             database.delete("item", _row_id_of(database, item_id))
         table.vacuum(None)
-        result = aggregate_query(
-            database, Query("item"), {"n": count()}, ["bucket"]
-        )
+        result = database.connect().execute(
+            api.aggregate("item", n=count()).group_by("bucket")
+        ).all()
         expected = Counter(
             row["bucket"] for row in database.rows("item")
         )

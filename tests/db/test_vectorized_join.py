@@ -1,19 +1,33 @@
-"""Differential tests for the vectorized (batched) join pipeline.
+"""Grouped-aggregate and join-walk parity on a fact table with NULLs,
+signed zeros and cross-typed keys.
 
-The batched executor narrows parallel slot lists through joins without
-widening rows; these tests pin its output — rows, errors, and error
-*order* — to the row-at-a-time path over a 500-query randomised
-workload, plus the corners the fuzzer cannot reliably hit: NULL join
-keys, TypeMismatch coercion semantics on cross-typed keys, empty build
-sides, self-joins, the skew/pair-cap fallbacks, and the
-aggregate-pushdown rewrite (join-below-aggregate must equal
-aggregate-below-join, group for group).
+A whole-table group-by on a hash-indexed key walks the index's buckets
+(:class:`~repro.db.engine.plan.IndexGroupedAggScan`), falling back to
+the banked scan for NULL keys and order-sensitive float reductions.
+Its output must equal materialise-then-reduce over the table's rows
+(``tests/db/reference_executor.py``), group for group.
+
+The one join left is the data-aware layer's FK walk
+(:func:`~repro.dataaware.join_graph.map_values`).  Each hop either
+builds one probe map over the next table or probes its hash index per
+row; both strategies must agree with a nested-loop reference over a
+500-walk randomised workload, and at the corners the fuzzer skips:
+NULL keys, an empty build side, and keys that do or do not coerce to
+the target column's type.
 """
 
+import math
 import random
 
 import pytest
 
+from repro.dataaware import join_graph
+from repro.dataaware.join_graph import (
+    JoinPath,
+    JoinStep,
+    build_probe_map,
+    map_values,
+)
 from repro.db import (
     Column,
     Database,
@@ -22,27 +36,14 @@ from repro.db import (
     ForeignKey,
     Query,
     TableSchema,
-    and_,
-    eq,
-    ge,
-    in_,
-    le,
-    ne,
-    not_,
-    or_,
+    api,
 )
-from repro.db.aggregation import (
-    aggregate,
-    aggregate_query,
-    avg,
-    count,
-    count_distinct,
-    max_,
-    min_,
-    sum_,
-)
-from repro.db.engine import execution_mode, render_plan
+from repro.db.aggregation import avg, count, min_, sum_
+from repro.db.catalog import ColumnRef
+from repro.db.types import coerce
 from repro.errors import DatabaseError
+
+from tests.db import reference_executor as reference
 
 
 @pytest.fixture()
@@ -59,11 +60,6 @@ def db():
                 primary_key="dim_id",
             ),
             TableSchema(
-                "void",
-                [Column("void_id", DataType.INTEGER)],
-                primary_key="void_id",
-            ),
-            TableSchema(
                 "fact",
                 [
                     Column("fact_id", DataType.INTEGER),
@@ -77,13 +73,15 @@ def db():
                 primary_key="fact_id",
                 foreign_keys=[ForeignKey("dim_req", "dim", "dim_id")],
             ),
+            TableSchema(
+                "void",
+                [Column("void_id", DataType.INTEGER)],
+                primary_key="void_id",
+            ),
         ]
     )
     database = Database(schema)
     rng = random.Random(13)
-    # "label" is heavily skewed towards one value (skew-guard food) and
-    # "code" holds integer-looking text so cross-typed joins onto it
-    # sometimes coerce and sometimes mismatch.
     for i in range(1, 11):
         database.insert(
             "dim",
@@ -108,7 +106,7 @@ def db():
                 "grp": f"g{i % 4}",
             },
         )
-    # Non-dense slots on both sides of the join.
+    # Non-dense slots: scans walk a slot list, not the whole banks.
     for rid in database.table("fact").lookup("fact_id", 60):
         database.delete("fact", rid)
     database.create_index("fact", "grp")
@@ -116,254 +114,217 @@ def db():
     return database
 
 
-def _both_modes(fn):
-    """Run ``fn`` in row then batch mode; errors become comparable values.
-
-    Catches :class:`DatabaseError` (not just ``QueryError``): join-key
-    coercion raises ``TypeMismatchError``, a *sibling* of QueryError.
-    ``KeyError`` is included because an ORDER BY on a column the query
-    never joined in raises it raw from the sort key, in both modes.
-    """
-    out = []
-    for mode in ("row", "batch"):
-        with execution_mode(mode):
-            try:
-                out.append(fn())
-            except (DatabaseError, KeyError) as exc:
-                out.append(("error", type(exc).__name__, str(exc)))
-    return out
-
-
-JOINS = (
-    ("dim_opt", "dim", "dim_id"),     # indexed inner key, NULL probes
-    ("dim_req", "dim", "dim_id"),     # NOT NULL FK (pushdown-elidable)
-    ("word", "dim", "code"),          # TEXT = TEXT, unique inner key
-    ("word", "dim", "dim_id"),        # TEXT -> INTEGER: coerce errors
-    ("qty", "dim", "dim_id"),         # unindexed-probe-side hash join
-    ("dim_opt", "void", "void_id"),   # empty build side
-    ("fact_id", "fact", "fact_id"),   # self join
-    ("word", "dim", "label"),         # skewed, unindexed inner key
-)
-
-
-class TestRandomisedJoinDifferential:
-    def test_500_query_differential(self, db):
-        rng = random.Random(29)
-        predicates = [
-            lambda: eq("grp", f"g{rng.randrange(5)}"),
-            lambda: ne("grp", "g1"),
-            lambda: ge("qty", rng.randrange(6)),
-            lambda: le("val", float(rng.randrange(9))),
-            lambda: in_("dim_opt", tuple(
-                rng.randrange(1, 15) for __ in range(rng.randrange(1, 4))
-            )),
-            lambda: or_(eq("grp", "g2"), eq("qty", rng.randrange(6))),
-            lambda: not_(eq("word", "3")),
-            lambda: and_(ge("fact_id", rng.randrange(1, 90)),
-                         le("fact_id", rng.randrange(30, 121))),
-        ]
-        order_columns = ("fact_id", "qty", "val", "grp", "dim.label",
-                         "dim.code")
-        checked = 0
-        for __ in range(500):
-            query = Query("fact")
-            for __p in range(rng.randrange(0, 3)):
-                query.where(rng.choice(predicates)())
-            n_joins = rng.randrange(0, 3)
-            for column, table, target in rng.sample(JOINS, n_joins):
-                query.join(column, table, target)
-            if rng.random() < 0.3:
-                query.order_by(rng.choice(order_columns),
-                               descending=rng.random() < 0.5)
-            if rng.random() < 0.3:
-                query.limit(rng.randrange(0, 15))
-            if rng.random() < 0.15:
-                query.select("fact_id", "grp")
-            roll = rng.random()
-            if roll < 0.2:
-                runner = lambda: query.count(db)  # noqa: B023, E731
-            elif roll < 0.45:
-                aggs = {"n": count(),
-                        "v": rng.choice((sum_, avg, min_, max_,
-                                         count_distinct))("val")}
-                group = rng.choice((None, ["grp"], ["dim_opt"],
-                                    ["grp", "qty"]))
-                runner = lambda: aggregate_query(  # noqa: B023, E731
-                    db, query, aggs, group
-                )
-            else:
-                runner = lambda: query.run(db)  # noqa: B023, E731
-            row_result, batch_result = _both_modes(runner)
-            assert row_result == batch_result
-            checked += 1
-        assert checked == 500
-
-
-class TestJoinCorners:
-    def test_null_probe_keys_never_match(self, db):
-        query = Query("fact").join("dim_opt", "dim", "dim_id")
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result
-        assert all(r["dim_opt"] is not None for r in batch_result)
-
-    def test_empty_build_side_yields_no_rows(self, db):
-        query = Query("fact").join("dim_opt", "void", "void_id")
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result == []
-
-    def test_cross_type_join_raises_identically(self, db):
-        # "oops" cannot coerce to INTEGER; the error (type and message)
-        # must match the row path's per-probe coercion exactly.
-        query = Query("fact").join("word", "dim", "dim_id")
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result
-        assert row_result[0] == "error"
-        assert row_result[1] == "TypeMismatchError"
-
-    def test_coercible_cross_type_join_matches(self, db):
-        # qty (INTEGER) joined against code (TEXT): every probe coerces
-        # ("3" == str(3)), so results must match without errors.
-        query = Query("fact").where(ge("qty", 1)).join("qty", "dim", "code")
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result
-        assert len(batch_result) > 0
-        assert all(r["dim.code"] == str(r["qty"]) for r in batch_result)
-
-    def test_self_join_widens_with_prefixed_columns(self, db):
-        query = Query("fact").where(eq("grp", "g2")) \
-            .join("fact_id", "fact", "fact_id")
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result
-        assert all(r["fact.fact_id"] == r["fact_id"] for r in batch_result)
-
-    def test_limit_over_join_stays_lazy(self, db):
-        # The first fact row's word ("7") probes cleanly; the second
-        # ("oops") would raise.  The row path's islice stops after one
-        # row and never reaches it — the batch path must not evaluate
-        # the join eagerly and surface it.
-        query = Query("fact").join("word", "dim", "dim_id").limit(1)
-        row_result, batch_result = _both_modes(lambda: query.run(db))
-        assert row_result == batch_result
-        assert row_result != [] and row_result[0] != "error"
-
-    def test_capped_count_over_join_stays_lazy(self, db):
-        query = Query("fact").join("word", "dim", "dim_id").limit(1)
-        row_result, batch_result = _both_modes(lambda: query.count(db))
-        assert row_result == batch_result == 1
-
-    def test_skew_guard_falls_back_to_row_path(self, db):
-        from repro.db.engine import executor
-
-        query = Query("fact").join("word", "dim", "label")
-        expected = _both_modes(lambda: query.run(db))
-        assert expected[0] == expected[1]
-        original = executor._JOIN_SKEW_MIN
-        executor._JOIN_SKEW_MIN = 1  # "common" dominates dim.label
-        try:
-            with execution_mode("batch"):
-                assert query.run(db) == expected[0]
-        finally:
-            executor._JOIN_SKEW_MIN = original
-
-    def test_pair_cap_falls_back_to_row_path(self, db):
-        from repro.db.engine import executor
-
-        query = Query("fact").join("word", "dim", "label")
-        expected = _both_modes(lambda: query.run(db))
-        assert expected[0] == expected[1]
-        saved = executor._JOIN_PAIR_FLOOR, executor._JOIN_PAIR_FACTOR
-        executor._JOIN_PAIR_FLOOR, executor._JOIN_PAIR_FACTOR = 1, 0
-        try:
-            with execution_mode("batch"):
-                assert query.run(db) == expected[0]
-        finally:
-            executor._JOIN_PAIR_FLOOR, executor._JOIN_PAIR_FACTOR = saved
+def _statement(aggs, group):
+    statement = api.aggregate("fact", aggs)
+    if group:
+        statement.group_by(*group)
+    return statement
 
 
 class TestAggregatePushdownParity:
-    """Join-below-aggregate (naive) == aggregate-below-join (rewrite)."""
+    """The engine's grouped aggregates == materialise-then-reduce."""
 
-    def _check(self, db, joins, aggs, group):
-        query = Query("fact")
-        baseline_query = Query("fact")
-        for column, table, target in joins:
-            query.join(column, table, target)
-            baseline_query.join(column, table, target)
-        baseline = aggregate(baseline_query.run(db), aggs, group)
-        row_result, batch_result = _both_modes(
-            lambda: aggregate_query(db, query, aggs, group)
-        )
-        assert row_result == batch_result == baseline
-
-    @staticmethod
-    def _agg_plan(db, query, aggs, group):
-        from dataclasses import replace
-
-        from repro.db.aggregation import _engine_exprs
-
-        exprs = _engine_exprs(aggs)
-        assert exprs is not None
-        spec = replace(
-            query.compile(), aggregates=exprs, group_by=tuple(group or ())
-        )
-        return render_plan(db.plan_cache.plan(spec))
-
-    def test_fk_join_elided(self, db):
-        joins = [("dim_req", "dim", "dim_id")]
-        aggs = {"n": count(), "v": sum_("val")}
-        self._check(db, joins, aggs, ["grp"])
-        plan = self._agg_plan(
-            db, Query("fact").join("dim_req", "dim", "dim_id"), aggs, ["grp"]
-        )
-        assert "[join dim elided by fk]" in plan
-        assert "HashJoin" not in plan and "IndexNestedLoopJoin" not in plan
-
-    def test_semi_join_drops_unmatched_groups(self, db):
-        # dim_opt reaches 1..14 but dim only holds 1..10: the join drops
-        # the groups beyond 10 and the NULL group.
-        joins = [("dim_opt", "dim", "dim_id")]
-        self._check(db, joins, {"n": count()}, ["dim_opt"])
-
-    def test_semi_join_against_empty_table_drops_everything(self, db):
-        joins = [("dim_opt", "void", "void_id")]
-        self._check(db, joins, {"n": count(), "v": min_("val")}, ["dim_opt"])
-
-    def test_elision_and_semi_combine(self, db):
-        joins = [("dim_req", "dim", "dim_id"), ("dim_opt", "dim", "dim_id")]
-        self._check(
-            db, joins, {"n": count(), "v": max_("val")}, ["dim_opt"]
-        )
-
-    def test_prefixed_group_key_keeps_the_join(self, db):
-        # Grouping on the joined table's column cannot push down; the
-        # plan keeps the join and the results still agree everywhere.
-        joins = [("dim_req", "dim", "dim_id")]
-        self._check(db, joins, {"n": count()}, ["dim.label"])
+    def _check(self, db, aggs, group):
+        rows = db.connect().execute(Query("fact")).all()
+        baseline = reference.aggregate(rows, aggs, group)
+        result = db.connect().execute(_statement(aggs, group))
+        assert result.all() == baseline
+        assert reference.execute_rows(db, result.plan) == baseline
 
     def test_float_aggregates_preserve_reduction_order(self, db):
         # val holds -0.0s: sum/min are order-sensitive at the sign-of-
         # zero level, so bucket iteration must reduce in scan order.
-        self._check(db, [], {"s": sum_("val"), "lo": min_("val")}, ["grp"])
+        self._check(db, {"s": sum_("val"), "lo": min_("val")}, ["grp"])
 
     def test_whole_table_group_by_uses_index_buckets(self, db):
-        plan = self._agg_plan(db, Query("fact"), {"n": count()}, ["grp"])
+        plan = _statement({"n": count()}, ["grp"]).explain(db)
         assert "IndexGroupedAggScan on fact" in plan
         assert "group by [grp]" in plan
-        self._check(db, [], {"n": count(), "v": avg("val")}, ["grp"])
-
-    def test_semi_join_explain_shows_group_probe(self, db):
-        plan = self._agg_plan(
-            db, Query("fact").join("dim_opt", "dim", "dim_id"),
-            {"n": count()}, ["dim_opt"],
-        )
-        assert "GroupSemiJoin dim on dim_opt = dim.dim_id" in plan
-        assert "HashJoin" not in plan and "IndexNestedLoopJoin" not in plan
+        self._check(db, {"n": count(), "v": avg("val")}, ["grp"])
 
     def test_group_key_with_nulls_falls_back_at_runtime(self, db):
         # dim_opt is indexed but holds NULLs: the bucket walk cannot see
         # the NULL group, so execution falls back to the banked scan —
         # results must still contain the NULL group.
-        result = aggregate_query(db, Query("fact"), {"n": count()},
-                                 ["dim_opt"])
+        result = db.connect().execute(
+            _statement({"n": count()}, ["dim_opt"])
+        ).all()
         assert any(r["dim_opt"] is None for r in result)
-        self._check(db, [], {"n": count()}, ["dim_opt"])
+        self._check(db, {"n": count()}, ["dim_opt"])
+
+
+def _path(*hops):
+    """A :class:`JoinPath` from ``(from_table, source, to_table, target)``
+    hops."""
+    steps = tuple(
+        JoinStep(from_table, to_table, source, target)
+        for from_table, source, to_table, target in hops
+    )
+    return JoinPath(steps[0].from_table, steps)
+
+
+def _indexless_hops(db, path):
+    """Hops the index strategy still answers with a probe map: targets
+    without a hash index, and empty tables."""
+    return sum(
+        1 for step in path.steps
+        if not (db.table(step.to_table).has_index(step.target_column)
+                and len(db.table(step.to_table)))
+    )
+
+
+def _both_strategies(db, monkeypatch, path, attribute, root_ids):
+    """``map_values`` under each join strategy: one probe map built per
+    hop, then per-row probes of each target's hash index.  Errors become
+    comparable values."""
+    out = []
+    for fanout, builds in ((math.inf, len(path.steps)),
+                           (0.0, _indexless_hops(db, path))):
+        built = []
+
+        def counting_build(table, column):
+            built.append(column)
+            return build_probe_map(table, column)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(db.statistics, "matches_per_key",
+                          lambda *__, f=fanout: f)
+            patch.setattr(join_graph, "build_probe_map", counting_build)
+            try:
+                out.append(map_values(db, path, attribute, root_ids))
+            except DatabaseError as exc:
+                out.append(("error", type(exc).__name__, str(exc)))
+                continue
+        assert len(built) == builds
+    return out
+
+
+
+def _nested_loop(db, path, attribute, root_ids):
+    """Reference ``map_values``: each hop compares every coerced key
+    against every row of the next table."""
+    rows = {
+        name: [(rid, db.table(name).get(rid))
+               for rid in db.table(name).row_ids()]
+        for name in {path.root, *(s.to_table for s in path.steps)}
+    }
+    result = {}
+    for root in root_ids:
+        current, ids = path.root, {root}
+        for step in path.steps:
+            dtype = db.table(step.to_table).schema.column(
+                step.target_column
+            ).dtype
+            keys = {
+                coerce(row[step.source_column], dtype)
+                for rid, row in rows[current] if rid in ids
+            } - {None}
+            ids = {
+                rid for rid, row in rows[step.to_table]
+                if row[step.target_column] in keys
+            }
+            current = step.to_table
+        result[root] = frozenset(
+            row[attribute.column] for rid, row in rows[current]
+            if rid in ids and row[attribute.column] is not None
+        )
+    return result
+
+
+# Hops whose keys always coerce: (from_table, source, to_table, target).
+HOPS = (
+    ("fact", "dim_opt", "dim", "dim_id"),   # NULL and dangling keys
+    ("fact", "dim_req", "dim", "dim_id"),   # NOT NULL FK
+    ("fact", "word", "dim", "code"),        # TEXT = TEXT, unique target
+    ("fact", "qty", "dim", "dim_id"),       # 0 dangles
+    ("fact", "qty", "dim", "code"),         # INTEGER -> TEXT
+    ("fact", "dim_opt", "void", "void_id"),  # empty build side
+    ("fact", "fact_id", "fact", "fact_id"),  # self join
+    ("fact", "word", "dim", "label"),       # skewed, unindexed target
+    ("dim", "dim_id", "fact", "dim_opt"),   # reverse FK, indexed fanout
+    ("dim", "dim_id", "fact", "dim_req"),   # reverse FK, unindexed
+    ("dim", "code", "fact", "word"),        # TEXT, unindexed fanout
+)
+
+COLUMNS = {
+    "fact": ("fact_id", "dim_opt", "word", "val", "qty", "grp"),
+    "dim": ("dim_id", "label", "code"),
+    "void": ("void_id",),
+}
+
+
+class TestRandomisedJoinDifferential:
+    def test_500_query_differential(self, db, monkeypatch):
+        rng = random.Random(29)
+        fact_ids = db.table("fact").row_ids()
+        checked = 0
+        for __ in range(500):
+            hops, table = [], "fact"
+            for __h in range(rng.randrange(1, 3)):
+                options = [hop for hop in HOPS if hop[0] == table]
+                if not options:
+                    break
+                hop = rng.choice(options)
+                hops.append(hop)
+                table = hop[2]
+            path = _path(*hops)
+            attribute = ColumnRef(table, rng.choice(COLUMNS[table]))
+            root_ids = rng.sample(fact_ids, rng.randrange(0, 40))
+            probed, indexed = _both_strategies(
+                db, monkeypatch, path, attribute, root_ids
+            )
+            assert probed == indexed == _nested_loop(
+                db, path, attribute, root_ids
+            )
+            checked += 1
+        assert checked == 500
+
+
+class TestJoinCorners:
+    def test_null_probe_keys_never_match(self, db, monkeypatch):
+        path = _path(("fact", "dim_opt", "dim", "dim_id"))
+        label = ColumnRef("dim", "label")
+        fact = db.table("fact")
+        roots = fact.row_ids()
+        probed, indexed = _both_strategies(
+            db, monkeypatch, path, label, roots
+        )
+        assert probed == indexed == _nested_loop(db, path, label, roots)
+        null_keyed = [r for r in roots if fact.get(r)["dim_opt"] is None]
+        assert null_keyed
+        assert all(probed[r] == frozenset() for r in null_keyed)
+
+    def test_empty_build_side_yields_no_rows(self, db, monkeypatch):
+        path = _path(("fact", "dim_opt", "void", "void_id"))
+        roots = db.table("fact").row_ids()
+        probed, indexed = _both_strategies(
+            db, monkeypatch, path, ColumnRef("void", "void_id"), roots
+        )
+        assert probed == indexed == {r: frozenset() for r in roots}
+
+    def test_cross_type_join_raises_identically(self, db, monkeypatch):
+        # "oops" cannot coerce to INTEGER; the probe map's coercion and
+        # the index probe's must raise the same error at the same root.
+        path = _path(("fact", "word", "dim", "dim_id"))
+        probed, indexed = _both_strategies(
+            db, monkeypatch, path, ColumnRef("dim", "label"),
+            db.table("fact").row_ids(),
+        )
+        assert probed == indexed
+        assert probed[0] == "error"
+        assert probed[1] == "TypeMismatchError"
+
+    def test_coercible_cross_type_join_matches(self, db, monkeypatch):
+        # qty (INTEGER) joined against code (TEXT): every probe coerces
+        # ("3" == str(3)), so both strategies match without errors.
+        path = _path(("fact", "qty", "dim", "code"))
+        fact = db.table("fact")
+        roots = [r for r in fact.row_ids() if fact.get(r)["qty"] >= 1]
+        probed, indexed = _both_strategies(
+            db, monkeypatch, path, ColumnRef("dim", "code"), roots
+        )
+        assert probed == indexed
+        assert len(probed) > 0
+        assert all(
+            probed[r] == {str(fact.get(r)["qty"])} for r in roots
+        )

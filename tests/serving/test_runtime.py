@@ -384,11 +384,11 @@ class TestSessionConnections:
         assert stats.plan_cache_hits + stats.plan_cache_misses > 0
 
     def test_client_statements_counted_per_session(self, runtime):
-        from repro.db import select
+        from repro.db import api, count
 
         sid = runtime.create_session()
         conn = runtime.session_connection(sid)
-        conn.execute(select("movie").count()).scalar()
+        conn.execute(api.aggregate("movie", n=count())).scalar()
         stats = runtime.session_stats(sid)
         assert stats.executions == 1
         assert stats.statements_prepared == 1

@@ -17,141 +17,6 @@ class TestCli:
         database = load_database(str(path))
         assert database.count("movie") > 0
 
-    def test_explain_single_query(self, capsys):
-        status = main(
-            ["explain", "screening", "--where", "screening_id=5"]
-        )
-        assert status == 0
-        out = capsys.readouterr().out
-        assert "IndexEq on screening using screening_id" in out
-
-    def test_explain_range_order_limit(self, capsys):
-        status = main(
-            ["explain", "screening", "--where", "date>=2022-03-27",
-             "--order-by", "date", "--limit", "3"]
-        )
-        assert status == 0
-        out = capsys.readouterr().out
-        assert "IndexRange on screening using date" in out
-        assert "Limit 3" in out
-
-    def test_explain_count(self, capsys):
-        status = main(
-            ["explain", "screening", "--where", "room='room A'", "--count"]
-        )
-        assert status == 0
-        assert "CountOnly" in capsys.readouterr().out
-
-    def test_explain_showcase_without_table(self, capsys):
-        assert main(["explain"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("$ python -m repro explain") >= 3
-        assert "HashJoin" in out or "IndexNestedLoopJoin" in out
-
-    def test_explain_bad_join_spec(self, capsys):
-        assert main(["explain", "screening", "--join", "nonsense"]) == 2
-
-    def test_explain_bad_condition_exits_cleanly(self, capsys):
-        status = main(["explain", "screening", "--where", "date 2022-03-27"])
-        assert status == 2
-        assert "cannot parse condition" in capsys.readouterr().out
-
-    def test_explain_grouped_aggregate(self, capsys):
-        status = main(
-            ["explain", "reservation", "--agg", "booked=sum:no_tickets",
-             "--group-by", "screening_id"]
-        )
-        assert status == 0
-        out = capsys.readouterr().out
-        # Whole-table single-key group-by walks the hash-index buckets.
-        assert "IndexGroupedAggScan on reservation" in out
-        assert "[booked=sum(no_tickets)]" in out
-        assert "group by [screening_id]" in out
-
-    def test_explain_filtered_grouped_aggregate(self, capsys):
-        status = main(
-            ["explain", "reservation", "--where", "no_tickets>=2",
-             "--agg", "booked=sum:no_tickets",
-             "--group-by", "screening_id"]
-        )
-        assert status == 0
-        out = capsys.readouterr().out
-        assert "HashAggregate [booked=sum(no_tickets)]" in out
-        assert "group by [screening_id]" in out
-
-    def test_explain_aggregate_pushdown_below_join(self, capsys):
-        status = main(
-            ["explain", "reservation",
-             "--join", "screening_id:screening:screening_id",
-             "--agg", "booked=sum:no_tickets",
-             "--group-by", "screening_id"]
-        )
-        assert status == 0
-        out = capsys.readouterr().out
-        # The NOT NULL FK join cannot change the aggregate: elided.
-        assert "IndexGroupedAggScan" in out
-        assert "[join screening elided by fk]" in out
-        assert "HashJoin" not in out and "IndexNestedLoopJoin" not in out
-
-    def test_explain_aggregate_semi_join_pushdown(self, capsys):
-        status = main(
-            ["explain", "movie",
-             "--join", "language_id:language:language_id",
-             "--agg", "n=count", "--group-by", "language_id"]
-        )
-        assert status == 0
-        out = capsys.readouterr().out
-        # Nullable FK: not elidable, but the group-keyed unique join
-        # collapses to one probe per group above the aggregate.
-        assert "GroupSemiJoin language on" in out
-        assert "HashAggregate [n=count(*)] group by [language_id]" in out
-        assert "HashJoin" not in out and "IndexNestedLoopJoin" not in out
-
-    def test_explain_annotates_execution_mode(self, capsys):
-        status = main(
-            ["explain", "reservation", "--where", "no_tickets>=2",
-             "--agg", "booked=sum:no_tickets",
-             "--group-by", "screening_id", "--having", "booked>=10"]
-        )
-        assert status == 0
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        having = next(l for l in lines if "Filter booked >= 10" in l)
-        agg = next(l for l in lines if "HashAggregate" in l)
-        assert having.endswith("[row]")
-        assert agg.endswith("[batch]")
-
-    def test_explain_index_agg_scan(self, capsys):
-        status = main(
-            ["explain", "screening", "--agg", "lo=min:price",
-             "--agg", "n=count"]
-        )
-        assert status == 0
-        assert "IndexAggScan on screening" in capsys.readouterr().out
-
-    def test_explain_bad_agg_exits_cleanly(self, capsys):
-        assert main(["explain", "screening", "--agg", "x=median:price"]) == 2
-        assert "bad --agg" in capsys.readouterr().out
-        assert main(["explain", "screening", "--agg", "n=count:price"]) == 2
-
-    def test_explain_group_by_without_agg_rejected(self, capsys):
-        assert main(["explain", "screening", "--group-by", "room"]) == 2
-        assert "--group-by requires" in capsys.readouterr().out
-
-    def test_explain_agg_with_count_rejected(self, capsys):
-        status = main(
-            ["explain", "screening", "--agg", "n=count", "--count"]
-        )
-        assert status == 2
-        assert "--count cannot be combined" in capsys.readouterr().out
-
-    def test_explain_showcase_covers_aggregates_and_reordering(self, capsys):
-        assert main(["explain"]) == 0
-        out = capsys.readouterr().out
-        assert "HashAggregate" in out
-        assert "IndexAggScan" in out
-        assert "[reordered]" in out
-
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
@@ -164,22 +29,3 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
-
-
-class TestExplainConditionParsing:
-    def test_pipe_splits_into_disjunction(self):
-        from repro.cli import _parse_explain_condition
-        from repro.db.query import Or
-
-        predicate = _parse_explain_condition("room='room A'|movie_id=3")
-        assert isinstance(predicate, Or)
-        assert len(predicate.parts) == 2
-
-    def test_quoted_pipe_is_a_value_not_a_split(self):
-        from repro.cli import _parse_explain_condition
-        from repro.db.query import Comparison
-
-        predicate = _parse_explain_condition("title~'rock|roll'")
-        assert isinstance(predicate, Comparison)
-        assert predicate.op == "contains"
-        assert predicate.value == "rock|roll"
