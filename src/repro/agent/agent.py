@@ -428,8 +428,13 @@ class ConversationalAgent:
     def _answer_pending(
         self, ctx: ConversationContext, parse: NLUResult, replies: list[str]
     ) -> bool:
-        """Interpret a bare utterance as the answer to the open question."""
+        """Interpret a bare utterance as the answer to the open question.
+
+        A blank utterance answers nothing: the open question stays open.
+        """
         raw = parse.text.strip()
+        if not raw:
+            return False
         session = ctx.state.identification
         if session is not None and session.pending_question is not None:
             attribute = session.pending_question

@@ -1,13 +1,21 @@
 """Attribute-value cache: the paper's "integrated caching strategy".
 
-Computing the per-row value sets of a joined attribute (e.g. actor names
+Computing the per-row values of a joined attribute (e.g. actor names
 per screening) is the expensive part of a policy step.  The key
-observation is that the *full-table* map only depends on the database
+observation is that the *full-table* entry only depends on the database
 contents, not on the current candidate subset — so we compute it once per
-data version and slice it per candidate set.  Combined with the
+data version and read it per candidate set.  Combined with the
 version-stamped :class:`~repro.db.statistics.StatisticsCatalog`, this is
 what keeps the average response latency at "only a few milliseconds"
 (Section 4) while still reflecting every committed update.
+
+There is one entry per ``(root table, attribute)``: an
+:class:`~repro.dataaware.join_graph.AttributeValues` built by
+:func:`~repro.dataaware.join_graph.attribute_values` straight from the
+column banks.  When no root row reaches more than one row of the
+attribute's table the entry is a ``row id -> value`` column, which
+scoring counts and refinement tests per distinct value; otherwise it
+maps each row id to the frozenset of its values.
 
 The cache is shared by every session of a serving runtime, so it is safe
 for concurrent readers via the shared
@@ -18,7 +26,11 @@ from __future__ import annotations
 
 import threading
 
-from repro.dataaware.join_graph import JoinPlanner, map_values
+from repro.dataaware.join_graph import (
+    AttributeValues,
+    JoinPlanner,
+    attribute_values,
+)
 from repro.db.catalog import Catalog, ColumnRef
 from repro.db.database import Database
 from repro.db.versioncache import VersionStampedCache
@@ -27,14 +39,14 @@ __all__ = ["AttributeValueCache"]
 
 
 class AttributeValueCache:
-    """Version-stamped, concurrency-safe cache of attribute value maps."""
+    """Version-stamped, concurrency-safe cache of attribute value entries."""
 
     def __init__(self, database: Database, catalog: Catalog) -> None:
         self._database = database
         self._catalog = catalog
         self._planner_lock = threading.Lock()
         self._planners: dict[str, JoinPlanner] = {}
-        # (root_table, attribute) -> rid -> value set
+        # (root_table, attribute) -> AttributeValues over every root row
         self._maps = VersionStampedCache(database)
 
     @property
@@ -55,10 +67,11 @@ class AttributeValueCache:
 
     def full_map(
         self, root_table: str, attribute: ColumnRef
-    ) -> dict[int, frozenset]:
-        """``row_id -> value set`` of ``attribute`` for *all* rows of the root.
+    ) -> AttributeValues:
+        """The values of ``attribute`` for *all* rows of the root.
 
         Recomputed lazily whenever the database's data version moves.
+        An attribute no FK path reaches has no values.
         """
         return self._maps.lookup(
             (root_table, attribute),
@@ -67,21 +80,16 @@ class AttributeValueCache:
 
     def _compute(
         self, root_table: str, attribute: ColumnRef
-    ) -> dict[int, frozenset]:
-        row_ids = self._database.table(root_table).row_ids()
-        if attribute.table == root_table:
-            table = self._database.table(root_table)
-            value_map = {}
-            for rid in row_ids:
-                value = table.get(rid).get(attribute.column)
-                value_map[rid] = (
-                    frozenset((value,)) if value is not None else frozenset()
-                )
-            return value_map
+    ) -> AttributeValues:
         path = self.planner(root_table).path_to(attribute.table)
         if path is None:
-            return {rid: frozenset() for rid in row_ids}
-        return map_values(self._database, path, attribute, row_ids)
+            return AttributeValues({}, True)
+        return attribute_values(
+            self._database,
+            path,
+            attribute,
+            self._database.table(root_table).row_ids(),
+        )
 
     def invalidate(self) -> None:
         self._maps.invalidate()

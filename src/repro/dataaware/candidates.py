@@ -12,16 +12,23 @@ state can be rewound cheaply (e.g. when the user corrects themselves).
 Matching semantics: equality after type coercion; for text attributes a
 case-insensitive comparison with optional fuzzy tolerance (edit distance)
 so that misspelled user input still narrows candidates — the demo video's
-"corrects misspellings" behaviour.
+"corrects misspellings" behaviour.  A refinement tests each distinct
+value among the candidates once, not each candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from itertools import compress
+from typing import Any, Callable
 
 from repro.dataaware.caching import AttributeValueCache
-from repro.dataaware.join_graph import JoinPath, JoinPlanner, map_values
+from repro.dataaware.join_graph import (
+    AttributeValues,
+    JoinPath,
+    JoinPlanner,
+    attribute_values,
+)
 from repro.db.api import Param, select
 from repro.db.catalog import Catalog, ColumnRef
 from repro.db.database import Database
@@ -111,7 +118,8 @@ class CandidateSet:
             self._planner = shared_cache.planner(table)
         else:
             self._planner = JoinPlanner(catalog, table)
-        self._value_cache: dict[ColumnRef, dict[int, frozenset]] = {}
+        self._entries: dict[ColumnRef, AttributeValues] = {}
+        self._value_sets: dict[ColumnRef, dict[int, frozenset]] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -173,29 +181,18 @@ class CandidateSet:
     def join_path(self, attribute: ColumnRef) -> JoinPath | None:
         return self._planner.path_to(attribute.table)
 
-    def values_for(self, attribute: ColumnRef) -> dict[int, frozenset]:
-        """Per candidate root row, the value set of ``attribute``.
+    def attribute_values(self, attribute: ColumnRef) -> AttributeValues:
+        """The values of ``attribute`` for the candidate root rows.
 
-        For the root table itself this is just the column; for attributes
-        in FK-reachable tables the values are collected along the join
-        path.  Results are cached per candidate set.
+        With a shared cache this is the cache's whole-table entry;
+        without one it is built for this set's rows.  Either way it is
+        fetched once per candidate set.
         """
-        cached = self._value_cache.get(attribute)
-        if cached is not None:
-            return cached
+        entry = self._entries.get(attribute)
+        if entry is not None:
+            return entry
         if self._shared_cache is not None:
-            full = self._shared_cache.full_map(self.table, attribute)
-            result = {rid: full.get(rid, frozenset()) for rid in self.row_ids}
-            self._value_cache[attribute] = result
-            return result
-        if attribute.table == self.table:
-            table = self._database.table(self.table)
-            result = {}
-            for rid in self.row_ids:
-                value = table.get(rid).get(attribute.column)
-                result[rid] = (
-                    frozenset((value,)) if value is not None else frozenset()
-                )
+            entry = self._shared_cache.full_map(self.table, attribute)
         else:
             path = self.join_path(attribute)
             if path is None:
@@ -203,11 +200,24 @@ class CandidateSet:
                     f"no foreign-key path from {self.table!r} to "
                     f"{attribute.table!r}"
                 )
-            result = map_values(
-                self._database, path, attribute, list(self.row_ids)
+            entry = attribute_values(
+                self._database, path, attribute, self.row_ids
             )
-        self._value_cache[attribute] = result
-        return result
+        self._entries[attribute] = entry
+        return entry
+
+    def values_for(self, attribute: ColumnRef) -> dict[int, frozenset]:
+        """Per candidate root row, the value set of ``attribute``.
+
+        For the root table itself this is just the column; for attributes
+        in FK-reachable tables the values are collected along the join
+        path.  Results are cached per candidate set.
+        """
+        sets = self._value_sets.get(attribute)
+        if sets is None:
+            sets = self.attribute_values(attribute).sets(self.row_ids)
+            self._value_sets[attribute] = sets
+        return sets
 
     # ------------------------------------------------------------------
     # Refinement
@@ -228,22 +238,37 @@ class CandidateSet:
         narrowed = self._index_refine(attribute, needle, dtype)
         if narrowed is not None:
             return self._refined(narrowed, attribute, needle)
-        values = self.values_for(attribute)
+        entry = self.attribute_values(attribute)
         if dtype is DataType.TEXT and isinstance(needle, str):
-            exact = tuple(
-                rid
-                for rid in self.row_ids
-                if any(
-                    isinstance(v, str) and _text_matches_exact(v, needle)
-                    for v in values[rid]
-                )
+            exact = self._keep(
+                entry,
+                lambda v: isinstance(v, str) and _text_matches_exact(v, needle),
             )
             if exact:
                 return self._refined(exact, attribute, needle)
-        surviving = tuple(
-            rid for rid in self.row_ids if self._matches(values[rid], needle, dtype)
+        surviving = self._keep(
+            entry, lambda v: self._matches(v, needle, dtype)
         )
         return self._refined(surviving, attribute, needle)
+
+    def _keep(
+        self, entry: AttributeValues, test: Callable[[Any], bool]
+    ) -> tuple[int, ...]:
+        """Candidates with a value passing ``test``.  The test runs once
+        per distinct value (or value set) among the candidates, and the
+        survivors keep their order."""
+        keys = list(map(entry.values.get, self.row_ids))
+        if entry.single:
+            verdicts = {
+                key: key is not None and test(key)
+                for key in dict.fromkeys(keys)
+            }
+        else:
+            verdicts = {
+                key: bool(key) and any(map(test, key))
+                for key in dict.fromkeys(keys)
+            }
+        return tuple(compress(self.row_ids, map(verdicts.__getitem__, keys)))
 
     def _index_refine(
         self, attribute: ColumnRef, needle: Any, dtype: DataType
@@ -275,7 +300,7 @@ class CandidateSet:
             matched = set(statement.execute(value=needle).row_ids())
         except TypeMismatchError:
             return None
-        return tuple(rid for rid in self.row_ids if rid in matched)
+        return tuple(filter(matched.__contains__, self.row_ids))
 
     def _refined(
         self, surviving: tuple[int, ...], attribute: ColumnRef, needle: Any
@@ -291,14 +316,13 @@ class CandidateSet:
             self._shared_cache,
         )
 
-    def _matches(self, candidate_values: frozenset, needle: Any, dtype: DataType) -> bool:
+    def _matches(self, value: Any, needle: Any, dtype: DataType) -> bool:
         if dtype is DataType.TEXT and isinstance(needle, str):
-            return any(
-                isinstance(v, str)
-                and _text_matches(v, needle, self.fuzzy_threshold)
-                for v in candidate_values
+            return isinstance(value, str) and _text_matches(
+                value, needle, self.fuzzy_threshold
             )
-        return needle in candidate_values
+        # Set membership's test: identity first, then equality.
+        return value is needle or value == needle
 
     def prune_missing(self) -> "CandidateSet":
         """Drop candidates whose rows no longer exist in the table.
@@ -306,12 +330,10 @@ class CandidateSet:
         Snapshots of row ids can go stale between dialogue turns when a
         *different* session's committed transaction deletes rows (e.g.
         two users cancelling reservations of the same table).  Returns
-        ``self`` unchanged when every candidate is still present.
+        ``self`` unchanged when every candidate is still present.  The
+        reader's snapshot is resolved once for the whole set.
         """
-        table = self._database.table(self.table)
-        surviving = tuple(
-            rid for rid in self.row_ids if table.has_row(rid)
-        )
+        surviving = self._database.table(self.table).present(self.row_ids)
         if len(surviving) == len(self.row_ids):
             return self
         return CandidateSet(

@@ -8,22 +8,35 @@ set of values an attribute takes when the attribute's table is joined in
 along the FK path.
 
 :class:`JoinPlanner` finds shortest FK paths from the root table;
-:func:`map_values` walks one path and returns ``root_row_id -> frozenset
-of attribute values``.  One-to-many hops (reverse FK edges) naturally
-yield multiple values per root row.
+:func:`attribute_values` walks one path column by column and returns an
+:class:`AttributeValues` entry: a ``root_row_id -> value`` column while
+every root reaches at most one row, else ``root_row_id -> frozenset of
+values`` (one-to-many hops, i.e. reverse FK edges, yield several values
+per root row).  :func:`map_values` returns the frozenset form either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from itertools import islice, repeat
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.db.catalog import Catalog, ColumnRef
 from repro.db.database import Database
+from repro.db.table import Table
 from repro.db.types import coerce
 from repro.errors import PolicyError
 
-__all__ = ["JoinStep", "JoinPath", "JoinPlanner", "map_values"]
+__all__ = [
+    "AttributeValues",
+    "JoinStep",
+    "JoinPath",
+    "JoinPlanner",
+    "attribute_values",
+    "map_values",
+]
+
+_NO_VALUES: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -54,6 +67,31 @@ class JoinPath:
     @property
     def length(self) -> int:
         return len(self.steps)
+
+
+class AttributeValues(NamedTuple):
+    """One attribute's values per root row id: a value-cache entry.
+
+    A ``single`` entry is a value column: no root row reached more than
+    one row of the attribute's table, so ``values`` maps a row id to its
+    one value (``None`` for NULL).  Otherwise ``values`` maps every root
+    row id to the frozenset of its non-NULL values.  A row id missing
+    from ``values`` has no value either way.
+    """
+
+    values: dict[int, Any]
+    single: bool
+
+    def sets(self, row_ids: Iterable[int]) -> dict[int, frozenset]:
+        """``row_id -> value set`` for ``row_ids`` (empty when none)."""
+        values = self.values
+        if not self.single:
+            return {rid: values.get(rid, _NO_VALUES) for rid in row_ids}
+        return {
+            rid: _NO_VALUES if (value := values.get(rid)) is None
+            else frozenset((value,))
+            for rid in row_ids
+        }
 
 
 class JoinPlanner:
@@ -99,65 +137,114 @@ def map_values(
 
     Rows whose chain dead-ends (NULL FK, no referencing rows) map to an
     empty set.  NULL attribute values are dropped from the result sets.
+    """
+    return attribute_values(database, path, attribute, root_row_ids).sets(
+        root_row_ids
+    )
 
-    Each hop picks a join strategy: a frontier wider than the next
-    table builds one shared probe map (a hash join's build side); a
-    narrow frontier against an indexed column probes the hash index per
-    row instead.
+
+def attribute_values(
+    database: Database,
+    path: JoinPath,
+    attribute: ColumnRef,
+    root_row_ids: Sequence[int],
+) -> AttributeValues:
+    """Per root row, the values of ``attribute`` reachable along ``path``.
+
+    The walk reads columns, not rows: each hop gathers the join column
+    of every row reached so far with one :meth:`Table.column_values`
+    call, so the reader's snapshot visibility is resolved once per hop
+    instead of once per row.  While no root has reached more than one
+    row the walk keeps one current row per root and ends in a value
+    column.  The first fan-out switches it to a row set per root, built
+    and visited in the order a row-at-a-time walk uses, so multi-valued
+    entries hold exactly the frozensets such a walk builds.
     """
     if attribute.table != path.target:
         raise PolicyError(
             f"attribute {attribute} does not live on path target {path.target!r}"
         )
-    root_table = database.table(path.root)
-    # frontier: root_row_id -> set of current-table row ids
-    frontier: dict[int, set[int]] = {rid: {rid} for rid in root_row_ids}
-    current = root_table
+    current = database.table(path.root)
+    # root row id -> the one current-table row it reached (dead ends drop
+    # out) until a hop fans out; from then on root row id -> row set.
+    reached = dict(zip(root_row_ids, root_row_ids))
+    frontier: dict[int, set[int]] | None = None
     for step in path.steps:
-        next_table = database.table(step.to_table)
-        dtype = next_table.schema.column(step.target_column).dtype
-        frontier_size = sum(len(ids) for ids in frontier.values())
-        # A build-vs-probe decision priced with the statistics catalog:
-        # probing pays one index lookup per expected match per frontier
-        # row, building pays one pass over the next table.  A narrow
-        # frontier against a low-fanout column probes; a wide frontier
-        # (or a fat fanout, e.g. a junction table) amortises a single
-        # build pass.
-        use_index = (
-            next_table.has_index(step.target_column)
-            and frontier_size * database.statistics.matches_per_key(
-                step.to_table, step.target_column
-            ) < len(next_table)
-        )
-        probe = (
-            None if use_index
-            else build_probe_map(next_table, step.target_column)
-        )
-        next_frontier: dict[int, set[int]] = {}
-        for root_id, row_ids in frontier.items():
-            matched: set[int] = set()
-            for row_id in row_ids:
-                value = current.row_view(row_id).get(step.source_column)
-                if value is None:
-                    continue
-                if probe is None:
-                    matched.update(
-                        next_table.lookup(step.target_column, value)
-                    )
-                else:
-                    matched.update(probe.get(coerce(value, dtype), ()))
-            next_frontier[root_id] = matched
-        frontier = next_frontier
-        current = next_table
-    result: dict[int, frozenset] = {}
-    for root_id, row_ids in frontier.items():
-        values = set()
-        for row_id in row_ids:
-            value = current.row_view(row_id).get(attribute.column)
-            if value is not None:
-                values.add(value)
-        result[root_id] = frozenset(values)
-    return result
+        if frontier is None:
+            matches = _joined(database, current, step, list(reached.values()))
+            if all(len(match) <= 1 for match in matches):
+                reached = {
+                    root: match[0]
+                    for root, match in zip(reached, matches)
+                    if match
+                }
+            else:
+                matched = dict(zip(reached, map(set, matches)))
+                frontier = {
+                    root: matched.get(root, set()) for root in root_row_ids
+                }
+        else:
+            flat = [row for rows in frontier.values() for row in rows]
+            matches = iter(_joined(database, current, step, flat))
+            next_frontier: dict[int, set[int]] = {}
+            for root, rows in frontier.items():
+                joined: set[int] = set()
+                for match in islice(matches, len(rows)):
+                    joined.update(match)
+                next_frontier[root] = joined
+            frontier = next_frontier
+        current = database.table(step.to_table)
+    if frontier is None:
+        values = current.column_values(attribute.column, list(reached.values()))
+        return AttributeValues(dict(zip(reached, values)), True)
+    flat = [row for rows in frontier.values() for row in rows]
+    values = iter(current.column_values(attribute.column, flat))
+    return AttributeValues(
+        {
+            root: frozenset(
+                {v for v in islice(values, len(rows)) if v is not None}
+            )
+            for root, rows in frontier.items()
+        },
+        False,
+    )
+
+
+def _joined(
+    database: Database, current: Table, step: JoinStep, rows: list[int]
+) -> list[Sequence[int]]:
+    """For each of ``rows`` (row ids of ``current``), the ascending ids of
+    the ``step.to_table`` rows it joins to."""
+    next_table = database.table(step.to_table)
+    # A build-vs-probe decision priced with the statistics catalog:
+    # probing pays one index lookup per expected match per frontier
+    # row, building pays one pass over the next table.  A narrow
+    # frontier against a low-fanout column probes; a wide frontier
+    # (or a fat fanout, e.g. a junction table) amortises a single
+    # build pass.
+    use_index = (
+        next_table.has_index(step.target_column)
+        and len(rows) * database.statistics.matches_per_key(
+            step.to_table, step.target_column
+        ) < len(next_table)
+    )
+    probe = (
+        None if use_index
+        else build_probe_map(next_table, step.target_column)
+    )
+    keys = current.column_values(step.source_column, rows)
+    if probe is None:
+        column = step.target_column
+        return [
+            () if key is None else next_table.lookup(column, key)
+            for key in keys
+        ]
+    dtype = next_table.schema.column(step.target_column).dtype
+    if current.schema.column(step.source_column).dtype is not dtype:
+        # Stored values are canonical for their own column's type, so
+        # only a cross-typed hop needs its keys coerced.
+        keys = [coerce(key, dtype) for key in keys]
+    return list(map(probe.get, keys, repeat(())))
 
 
 def build_probe_map(table, column: str) -> dict[Any, list[int]]:

@@ -12,12 +12,22 @@ over the current candidates (the paper: "we choose the attribute with
 the highest entropy"); distinct-count and Gini measures are provided for
 the ablation benchmarks.  Multi-valued joined attributes (one screening,
 several actors) contribute each of their values with fractional weight.
+
+A single-valued attribute (its cache entry is a value column) is counted
+in one C-level pass, ``Counter(map(column.get, row_ids))``.  The weights
+are then integers in first-occurrence order, with valueless candidates
+under one unknown key, where the per-candidate loop adds ``1.0``s into
+float weights in the same order.  Integer-valued floats below 2**53 are
+exact, and true division and ``log2`` are correctly rounded, so every
+measure and :meth:`AttributeScorer.expected_candidates_after` come out
+float-identical to the loop.  Multi-valued attributes keep the loop.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
@@ -66,7 +76,7 @@ def weighted_entropy(weights_by_value: dict[Any, float]) -> float:
     return result
 
 
-_UNKNOWN = object()  # category for candidates with no value for the attribute
+_UNKNOWN = None  # category for candidates with no value for the attribute
 
 
 class AttributeScorer:
@@ -90,12 +100,16 @@ class AttributeScorer:
 
         Each candidate contributes total weight 1, split uniformly over
         its (possibly joined, possibly multiple) values; candidates
-        without a value contribute to a dedicated *unknown* category.
+        without a value contribute to a dedicated *unknown* category,
+        the key ``None``.
         """
-        values = candidates.values_for(attribute)
+        entry = candidates.attribute_values(attribute)
+        values = entry.values
+        if entry.single:
+            return Counter(map(values.get, candidates.row_ids))
         weights: dict[Any, float] = {}
         for rid in candidates.row_ids:
-            value_set = values.get(rid, frozenset())
+            value_set = values.get(rid)
             if not value_set:
                 weights[_UNKNOWN] = weights.get(_UNKNOWN, 0.0) + 1.0
                 continue

@@ -49,7 +49,7 @@ import threading
 from collections.abc import Mapping
 from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.schema import TableSchema
 from repro.db.snapshots import GenerationClock, SnapshotManager
@@ -190,7 +190,6 @@ class Table:
         self._mutations = 0
         self._group_layouts: dict[str, tuple[int, Any]] = {}
         self._group_tallies: dict[tuple[str, str], tuple[int, Any]] = {}
-        self._slot_bucket_cache: dict[str, tuple[int, Any]] = {}
         # Per-generation snapshot structure for stale pinned readers:
         # generation -> (epoch, visible slots ascending by rid, rid map).
         self._visible_cache: dict[
@@ -320,6 +319,11 @@ class Table:
     def has_row(self, row_id: int) -> bool:
         return row_id in self._visible_map()
 
+    def present(self, row_ids: Iterable[int]) -> tuple[int, ...]:
+        """The ids among ``row_ids`` that the calling reader sees, in the
+        given order — one snapshot resolution for the whole batch."""
+        return tuple(filter(self._visible_map().__contains__, row_ids))
+
     def _row_at(self, slot: int) -> Row:
         """Fresh dict of the row at ``slot`` (bank layout's single exit)."""
         return dict(
@@ -445,47 +449,6 @@ class Table:
                 layout = (keys, [slot_of[r] for r in flat_ids], bounds)
             self._group_layouts[column] = (generation, layout)
             return layout
-
-    def slot_buckets(self, column: str) -> dict[Any, list[int]]:
-        """``value -> visible slots`` (scan order) for ``column``.
-
-        A hash-join build side in slot space, memoised per mutation
-        generation like :meth:`grouped_layout`, so repeated probes skip
-        both the build pass and any row-id-to-slot translation.  NULLs
-        never match an equi-join, so they get no bucket.  Works for any column,
-        indexed or not.  A stale pinned reader gets a fresh (unmemoised)
-        build over its visible slots.
-        """
-        generation = self._pin_generation()
-        with self._latch:
-            if self._stale(generation):
-                return self._bucket_build(
-                    column, self._visible(generation)[0]
-                )
-            epoch = self._mutations
-            cached = self._slot_bucket_cache.get(column)
-            if cached is not None and cached[0] == epoch:
-                return cached[1]
-            buckets = self._bucket_build(column, self.scan_slots())
-            self._slot_bucket_cache[column] = (epoch, buckets)
-            return buckets
-
-    def _bucket_build(
-        self, column: str, slots: Sequence[int]
-    ) -> dict[Any, list[int]]:
-        bank = self._banks[column]
-        buckets: dict[Any, list[int]] = {}
-        get = buckets.get
-        for slot in slots:
-            value = bank[slot]
-            if value is None:
-                continue
-            bucket = get(value)
-            if bucket is None:
-                buckets[value] = [slot]
-            else:
-                bucket.append(slot)
-        return buckets
 
     def grouped_tallies(
         self, column: str, value_column: str
@@ -855,7 +818,6 @@ class Table:
             # must never leak through a stale layout into a join build.
             self._group_layouts.clear()
             self._group_tallies.clear()
-            self._slot_bucket_cache.clear()
             self._visible_cache.clear()
             # Recompute the newest stamp still resident: once the clock
             # has advanced past every remaining stamp, pinned readers

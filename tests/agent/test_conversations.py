@@ -194,3 +194,28 @@ class TestVolunteeredInformation:
         observed_before = len(agent.awareness.observed_attributes())
         session.say("i do not know")
         assert len(agent.awareness.observed_attributes()) >= observed_before
+
+
+class TestBlankReply:
+    """A blank utterance answers nothing: the open question is asked
+    again, and neither the candidates nor the awareness model move."""
+
+    def test_blank_reply_repeats_the_open_question(self, session, trained_agent):
+        __, agent = trained_agent
+        customer = pick_customer(agent)
+        session.say("I want to book tickets")
+        reply = session.say(customer["email"])
+        identification = agent.state.identification
+        question = identification.pending_question
+        assert question is not None and question.table != "customer"
+        asked = set(identification.asked)
+        candidates = identification.candidates
+        observations = agent.awareness.estimate(question).observations
+        for blank in ("   ", ""):
+            repeated = session.say(blank)
+            assert repeated.text.splitlines()[-1] == reply.text.splitlines()[-1]
+            identification = agent.state.identification
+            assert identification.pending_question == question
+            assert identification.asked == asked
+            assert identification.candidates is candidates
+            assert agent.awareness.estimate(question).observations == observations

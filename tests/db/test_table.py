@@ -212,50 +212,14 @@ def _row_id_of(database: Database, item_id: int) -> int:
     return database.table("item").lookup("item_id", item_id)[0]
 
 
-class TestSlotBuckets:
-    def test_slot_buckets_rebuild_after_insert(self):
-        database = _item_db()
-        table = database.table("item")
-        before = table.slot_buckets("bucket")
-        database.insert(
-            "item", {"item_id": 41, "bucket": "red", "qty": 2}
-        )
-        after = table.slot_buckets("bucket")
-        assert after["green"] is not before["green"]
-        assert len(after["red"]) == len(before["red"]) + 1
-
-
 class TestVacuumMemoInvalidation:
     """Regression: vacuum's wholesale reset used to leave memoised
     layouts keyed to pre-vacuum slot ids."""
-
-    def _bucket_rids(self, table, column):
-        return {
-            key: sorted(table.ids_for_slots(slots))
-            for key, slots in table.slot_buckets(column).items()
-        }
-
-    def test_slot_buckets_valid_after_vacuum_reset(self):
-        database = _item_db()
-        table = database.table("item")
-        table.slot_buckets("bucket")  # prime the memo
-        # Delete most rows so vacuum takes its wholesale-reset path.
-        for item_id in range(1, 31):
-            database.delete("item", _row_id_of(database, item_id))
-        table.vacuum(None)
-        expected = {}
-        for row_id in table.row_ids():
-            row = table.get(row_id)
-            expected.setdefault(row["bucket"], []).append(row_id)
-        assert self._bucket_rids(table, "bucket") == {
-            key: sorted(rids) for key, rids in expected.items()
-        }
 
     def test_join_parity_after_vacuum(self):
         database = _item_db()
         table = database.table("item")
         table.grouped_layout("bucket")
-        table.slot_buckets("bucket")
         for item_id in range(1, 31):
             database.delete("item", _row_id_of(database, item_id))
         table.vacuum(None)

@@ -3,7 +3,7 @@
 
 Only ``repro/db/table.py`` may touch a table's per-slot version stamps
 (``_created``, ``_deleted``, ``_max_stamp``); everyone else reads
-through the public Table surface (``scan_slots``, ``slot_buckets``,
+through the public Table surface (``scan_slots``, ``column_values``,
 ``grouped_layout``, ...), which keeps the MVCC slot layout an
 implementation detail the storage layer can evolve.
 
@@ -49,7 +49,7 @@ def main() -> int:
         print(
             "table version stamps (_created/_deleted/_max_stamp) touched "
             "outside repro/db/table.py (use the public Table surface — "
-            "scan_slots, slot_buckets, grouped_layout — instead):",
+            "scan_slots, column_values, grouped_layout — instead):",
             file=sys.stderr,
         )
         for violation in violations:
