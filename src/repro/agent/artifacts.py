@@ -9,7 +9,7 @@ the evaluation harness — while all per-conversation mutable state lives
 in :class:`~repro.dialogue.context.ConversationContext`.
 
 The statistics catalog and the attribute-value cache are part of the
-bundle even though their *contents* move with the data version: they are
+bundle even though their *contents* move with the data: they are
 concurrency-safe caches over the (shared) database, and sharing them
 across sessions is exactly the paper's "integrated caching strategy" —
 the first conversation of the day pays the rebuild, every other session
@@ -72,7 +72,7 @@ class AgentArtifacts:
             dm_model=dm_model,
             vocabulary=vocabulary,
             # The same catalog instance the query planner prices plans
-            # with: one rebuild per data version serves both — and the
+            # with: one rebuild per commit to a table serves both — and the
             # same prepared-plan cache every statement reads through, so
             # the first session of the day compiles the turn-query
             # templates and every other session binds into them.

@@ -2,9 +2,10 @@
 
 Computing the per-row values of a joined attribute (e.g. actor names
 per screening) is the expensive part of a policy step.  The key
-observation is that the *full-table* entry only depends on the database
-contents, not on the current candidate subset — so we compute it once per
-data version and read it per candidate set.  Combined with the
+observation is that the *full-table* entry only depends on the contents
+of the tables along its join path, not on the current candidate subset —
+so we compute it once per commit that writes one of those tables and read
+it per candidate set.  Combined with the
 version-stamped :class:`~repro.db.statistics.StatisticsCatalog`, this is
 what keeps the average response latency at "only a few milliseconds"
 (Section 4) while still reflecting every committed update.
@@ -70,8 +71,9 @@ class AttributeValueCache:
     ) -> AttributeValues:
         """The values of ``attribute`` for *all* rows of the root.
 
-        Recomputed lazily whenever the database's data version moves.
-        An attribute no FK path reaches has no values.
+        Recomputed lazily once a commit writes the root or a table on
+        the join path to the attribute.  An attribute no FK path reaches
+        has no values.
         """
         return self._maps.lookup(
             (root_table, attribute),
@@ -80,16 +82,18 @@ class AttributeValueCache:
 
     def _compute(
         self, root_table: str, attribute: ColumnRef
-    ) -> AttributeValues:
+    ) -> tuple[AttributeValues, tuple[str, ...]]:
+        """The entry and the tables it was read from."""
         path = self.planner(root_table).path_to(attribute.table)
         if path is None:
-            return AttributeValues({}, True)
-        return attribute_values(
+            return AttributeValues({}, True), ()
+        values = attribute_values(
             self._database,
             path,
             attribute,
             self._database.table(root_table).row_ids(),
         )
+        return values, (root_table, *(step.to_table for step in path.steps))
 
     def invalidate(self) -> None:
         self._maps.invalidate()

@@ -88,8 +88,9 @@ class Database:
     def create_index(self, table_name: str, column: str) -> None:
         """Build a hash index on ``table.column`` (DDL).
 
-        Bumps the data version: cached plan templates were priced
-        without this access path and must recompile to use it.
+        Bumps the data version and the table's write generation:
+        cached plan templates of the table were priced without this
+        access path and must recompile to use it.
         """
         with self.write_locked():
             self.table(table_name).create_index(column)
@@ -121,9 +122,9 @@ class Database:
         """The shared :class:`~repro.db.engine.cache.PlanCache`.
 
         Created lazily; version-stamped like the statistics catalog, so
-        committed mutations invalidate cached plan templates without
-        explicit coordination.  Every prepared statement reads its plan
-        template through it.
+        a committed write to a table invalidates that table's plan
+        templates without explicit coordination.  Every prepared
+        statement reads its plan template through it.
         """
         cache = self._plan_cache
         if cache is None:

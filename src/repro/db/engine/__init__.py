@@ -2,7 +2,7 @@
 
 A statement compiles into a :class:`QuerySpec`, reads a physical plan
 through the database's :class:`PlanCache` (one compilation per query
-shape and data version; constants bind into the cached template) and
+shape per write to its table; constants bind into the cached template) and
 executes the resulting plan tree.  The :class:`Planner` consults the
 database's :class:`~repro.db.statistics.StatisticsCatalog` for row
 counts and most-common-value selectivities to choose between a

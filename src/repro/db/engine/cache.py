@@ -4,8 +4,8 @@ The serving runtime issues the same handful of query shapes on every
 turn — candidate refinement probes, the booked-seats aggregate, the
 linker's value pools — differing only in their constants.  Planning one
 of these costs a statistics-catalog consultation plus access-path
-enumeration; this module amortises that to one compilation per (shape,
-data version):
+enumeration; this module amortises that to one compilation per shape
+and commit to its table:
 
 1. :func:`fingerprint_spec` reduces a :class:`QuerySpec` to a structural
    *fingerprint* (a nested plain tuple — cheap to hash on every lookup)
@@ -16,10 +16,11 @@ data version):
    the planner to compile.
 2. The fingerprint maps to a compiled plan *template* through the shared
    :class:`~repro.db.versioncache.VersionStampedCache` protocol, so a
-   committed mutation invalidates templates exactly like it invalidates
-   the statistics the planner priced them with.  The template is planned
-   with the first execution's constants (classic generic-plan
-   behaviour) but its nodes carry the slots.
+   committed write to the spec's table (rows or index DDL) invalidates
+   its templates exactly like it invalidates the statistics the planner
+   priced them with.  The template is planned with the first
+   execution's constants (classic generic-plan behaviour) but its nodes
+   carry the slots.
 3. :func:`compile_binder` turns a template into a bind function that
    substitutes an execution's constants into a fresh plan tree.  A
    constant the template cannot absorb (an index probe value that does
@@ -299,13 +300,15 @@ class PlanCache:
     """Version-stamped, LRU-bounded ``shape -> plan template`` cache.
 
     Thread-safe via the shared :class:`VersionStampedCache` protocol:
-    hits never take the database lock, rebuilds run under the shared
-    read lock and stamp the data version they observed, racing rebuilds
-    converge on the freshest template.  Entries are capped at
-    ``max_entries`` with least-recently-used eviction (like the serving
-    session store), so unbounded query-shape churn cannot exhaust
-    memory; evictions are counted for the runtime's observability
-    surface.
+    hits never take the database lock, rebuilds run under a pinned
+    snapshot and stamp the data version they observed, racing rebuilds
+    converge on the freshest template.  A template depends on its
+    spec's one table only (its statistics, size and indexes), so a
+    commit recompiles just the templates of the tables it wrote.
+    Entries are capped at ``max_entries`` with least-recently-used
+    eviction (like the serving session store), so unbounded query-shape
+    churn cannot exhaust memory; evictions are counted for the
+    runtime's observability surface.
     """
 
     def __init__(
@@ -387,13 +390,14 @@ class PlanCache:
         """
         computed = False
 
-        def compile_template() -> PlanNode:
+        def compile_template() -> tuple[PlanNode, tuple[str]]:
             nonlocal computed
             computed = True
             shape, __ = parameterize_spec(spec)
-            return plan_query(
+            plan = plan_query(
                 self._database, shape, self._statistics, params=params
             )
+            return plan, (spec.table,)
 
         template = self._cache.lookup(fingerprint, compile_template)
         self._count(hit=not computed)

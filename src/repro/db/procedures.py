@@ -225,8 +225,7 @@ class ProcedureRegistry:
         shared read lock instead — concurrently with each other and
         with read-only dialogue turns — and skip the transaction
         entirely, so they neither queue behind the write lock nor bump
-        the data version (which would needlessly invalidate every
-        statistics/value cache).
+        the data version.
         """
         procedure = self.get(name)
         bound = procedure.bind(arguments)

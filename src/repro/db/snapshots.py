@@ -185,6 +185,19 @@ class SnapshotManager:
             return None
         return stack[-1].generation
 
+    def read_generation(self) -> int:
+        """The generation this thread's reads observe, as a number.
+
+        The pinned generation, or the current one when unpinned; a
+        thread holding the commit latch reads every stamp up to the
+        pending generation, its own uncommitted writes included.
+        """
+        latch = self._latch
+        if latch is not None and latch.held_by_current_thread:
+            return self._clock.current + 1
+        stack = getattr(self._local, "stack", None)
+        return stack[-1].generation if stack else self._clock.current
+
     def writes_forbidden(self) -> bool:
         """True when any pin on this thread's stack is read-only."""
         stack = getattr(self._local, "stack", None)

@@ -11,8 +11,9 @@ primitives for that live here:
   keep, used as the *a-priori* signal for deciding which related tables
   are worth joining in,
 * :class:`StatisticsCatalog` — lazily computed, version-stamped statistics
-  for a whole database; recomputed automatically when the data version
-  changes, which is what lets the agent adapt without retraining.
+  for a whole database; an entry is recomputed automatically once a
+  commit writes its table, which is what lets the agent adapt without
+  retraining.
 """
 
 from __future__ import annotations
@@ -178,8 +179,8 @@ class TableStatistics:
 class StatisticsCatalog:
     """Version-stamped statistics over a whole database.
 
-    Statistics are computed lazily per table and cached until the
-    database's data version changes.  This is the "integrated caching
+    Statistics are computed lazily per table (or column) and cached
+    until a commit writes that table.  This is the "integrated caching
     strategy" of Section 4 — the policy can consult statistics on every
     turn at millisecond latency while staying consistent with updates.
 
@@ -203,21 +204,23 @@ class StatisticsCatalog:
     def table(self, table_name: str) -> TableStatistics:
         """Statistics for ``table_name``, recomputing if stale."""
         return self._cache.lookup(
-            table_name, lambda: self._compute(table_name)
+            table_name, lambda: (self._compute(table_name), (table_name,))
         )
 
     def column(self, table_name: str, column: str) -> ColumnStatistics:
         """Statistics for one column, cached independently.
 
         The planner prices one predicate column at a time; computing
-        (and re-computing, every commit) the whole table's histograms
-        for that would make each OLTP commit pay for the widest
-        key-like column nobody asked about.  Per-column entries share
-        the catalog's version-stamped cache with the table entries.
+        (and re-computing, every commit to the table) the whole table's
+        histograms for that would make each OLTP commit pay for the
+        widest key-like column nobody asked about.  Per-column entries
+        share the catalog's version-stamped cache with the table entries.
         """
         return self._cache.lookup(
             (table_name, column),
-            lambda: self._compute_column(table_name, column),
+            lambda: (
+                self._compute_column(table_name, column), (table_name,)
+            ),
         )
 
     def matches_per_key(self, table_name: str, column: str) -> float:
@@ -265,6 +268,6 @@ class StatisticsCatalog:
         if not table.schema.has_column(column):
             raise KeyError(column)
         return compute_column_statistics(
-            table_name, column, table.column_arrays()[column],
+            table_name, column, table.column_values(column),
             self._most_common_k,
         )

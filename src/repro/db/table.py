@@ -169,6 +169,8 @@ class Table:
         self._deleted: list[int | None] = []
         self._dead: set[int] = set()
         self._max_stamp = 0
+        # See write_generation; unlike _max_stamp, vacuum never lowers it.
+        self._write_generation = 0
         # Standalone tables own a private clock and advance it per
         # mutation (single-threaded semantics, immediate reclamation);
         # Database rebinds both to its shared clock/snapshot manager.
@@ -274,14 +276,17 @@ class Table:
         return slots, rid_map
 
     def _visible_map(self) -> dict[int, int]:
-        """rid -> slot for the calling thread's read (pin-aware)."""
+        """Latch-held: rid -> slot for the calling thread's read
+        (pin-aware).
+
+        Often the live ``_slot_of``, which writers change under the
+        latch (a delete pops a row, a version append repoints it): keep
+        holding the latch for as long as the map is read.
+        """
         generation = self._pin_generation()
-        if generation is None:
+        if generation is None or not self._stale(generation):
             return self._slot_of
-        with self._latch:
-            if not self._stale(generation):
-                return self._slot_of
-            return self._visible(generation)[1]
+        return self._visible(generation)[1]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -317,12 +322,14 @@ class Table:
             return sorted(self._slot_of)
 
     def has_row(self, row_id: int) -> bool:
-        return row_id in self._visible_map()
+        with self._latch:
+            return row_id in self._visible_map()
 
     def present(self, row_ids: Iterable[int]) -> tuple[int, ...]:
         """The ids among ``row_ids`` that the calling reader sees, in the
         given order — one snapshot resolution for the whole batch."""
-        return tuple(filter(self._visible_map().__contains__, row_ids))
+        with self._latch:
+            return tuple(filter(self._visible_map().__contains__, row_ids))
 
     def _row_at(self, slot: int) -> Row:
         """Fresh dict of the row at ``slot`` (bank layout's single exit)."""
@@ -332,7 +339,8 @@ class Table:
 
     def get(self, row_id: int) -> Row:
         """Return a fresh dict copy of the row with internal id ``row_id``."""
-        return self._row_at(self._visible_map()[row_id])
+        with self._latch:
+            return self._row_at(self._visible_map()[row_id])
 
     def row_view(self, row_id: int) -> RowView:
         """A lazy bank-backed view of one row — read-only by convention.
@@ -341,7 +349,21 @@ class Table:
         predicate subclasses the executor cannot evaluate columnwise)
         use views to avoid one dict copy per visited row.
         """
-        return RowView(self._banks, self._visible_map()[row_id])
+        with self._latch:
+            return RowView(self._banks, self._visible_map()[row_id])
+
+    @property
+    def write_generation(self) -> int:
+        """The newest generation any write or index DDL stamped on this
+        table, pending (uncommitted) writes included.
+
+        Monotone: vacuum and rollback never lower it.  A derived value
+        built at generation ``v`` from this table is still exact at
+        generation ``s`` when ``write_generation <= min(v, s)`` — no
+        write to the table lies between the two — which is the rule
+        :class:`~repro.db.versioncache.VersionStampedCache` serves by.
+        """
+        return self._write_generation
 
     def has_index(self, column: str) -> bool:
         return column in self._indexes
@@ -388,8 +410,9 @@ class Table:
         The bridge from index lookups (which speak row ids) back into
         the batched executor's slot world.
         """
-        slot_of = self._visible_map()
-        return [slot_of[r] for r in row_ids]
+        with self._latch:
+            slot_of = self._visible_map()
+            return [slot_of[r] for r in row_ids]
 
     def grouped_layout(
         self, column: str
@@ -536,6 +559,9 @@ class Table:
         self.schema.column(column)  # raises UnknownColumnError
         with self._latch:
             self._mutations += 1
+            # DDL is a write for caches: plan templates priced without
+            # this access path must recompile.
+            self._mark_written()
             index = _HashIndex()
             bank = self._banks[column]
             for row_id, slot in self._slot_of.items():
@@ -576,9 +602,17 @@ class Table:
         for column, bank in zip(self._columns, self._bank_list):
             bank[slot] = row[column]
 
-    def _stamp(self) -> int:
-        """The pending generation, recorded as this table's newest stamp."""
+    def _mark_written(self) -> int:
+        """Latch-held: record a write at the pending generation."""
         stamp = self._clock.pending
+        if stamp > self._write_generation:
+            self._write_generation = stamp
+        return stamp
+
+    def _stamp(self) -> int:
+        """The pending generation, recorded as this table's newest stamp
+        (and as a write)."""
+        stamp = self._mark_written()
         if stamp > self._max_stamp:
             self._max_stamp = stamp
         return stamp
@@ -651,6 +685,8 @@ class Table:
     ) -> None:
         """Latch-held: overwrite the slot's cells (no visible snapshot)."""
         self._mutations += 1
+        # No new version slot, so no stamp — but still a write.
+        self._mark_written()
         for column, index in self._indexes.items():
             if old[column] != new[column]:
                 index.remove(old[column], row_id)
@@ -907,8 +943,9 @@ class Table:
                 # Slice to the snapshot prefix: the bank may have grown.
                 return bank[: slots.stop]
             return [bank[s] for s in slots]
-        slot_of = self._visible_map()
-        return [bank[slot_of[rid]] for rid in row_ids]
+        with self._latch:
+            slot_of = self._visible_map()
+            return [bank[slot_of[rid]] for rid in row_ids]
 
     def column_arrays(self) -> dict[str, list]:
         """Every column's values in row-id order, from one slot pass.

@@ -62,7 +62,8 @@ class EntityLinker:
         # slot -> fuzzy index over the canonical values; version-stamped
         # like the other shared caches, since one linker serves every
         # concurrent session and must see committed inserts (a newly
-        # added movie title must become linkable).
+        # added movie title must become linkable).  A pool is rebuilt
+        # only once a commit writes the table its column lives in.
         self._text_pools = VersionStampedCache(database)
 
     def link(self, slot: str, raw: str) -> LinkedValue | None:
@@ -110,7 +111,11 @@ class EntityLinker:
 
     def _text_pool(self, slot: str) -> FuzzyIndex:
         return self._text_pools.lookup(
-            slot, lambda: FuzzyIndex(self._build_pool(slot))
+            slot,
+            lambda: (
+                FuzzyIndex(self._build_pool(slot)),
+                (self._vocabulary.source(slot).attribute.table,),
+            ),
         )
 
     def _build_pool(self, slot: str) -> list[str]:
@@ -121,8 +126,8 @@ class EntityLinker:
         # A grouped streaming aggregate prepared once per attribute and
         # pooled on the shared connection: one row per *distinct*
         # column value, no per-row dict materialisation.  Rebuilds
-        # happen once per data version per slot, so even that cost is
-        # off the turn path.
+        # happen once per commit to the table per slot, so even that
+        # cost is off the turn path.
         from repro.db import api
         from repro.db.aggregation import count
 
@@ -138,8 +143,8 @@ class EntityLinker:
         return sorted(values)
 
     def invalidate(self) -> None:
-        """Drop cached value pools (they also refresh automatically when
-        the data version moves)."""
+        """Drop cached value pools (they also refresh automatically once
+        a commit writes their table)."""
         self._text_pools.invalidate()
 
 

@@ -645,10 +645,21 @@ class TestRandomisedParity:
 # ---------------------------------------------------------------------------
 
 class TestExecutionApiLint:
-    def test_src_has_no_direct_legacy_executions(self, capsys):
+    @pytest.fixture()
+    def lint(self):
         import sys
         from pathlib import Path
 
+        tools = Path(__file__).resolve().parents[2] / "tools"
+        sys.path.insert(0, str(tools))
+        try:
+            import check_execution_api
+
+            yield check_execution_api
+        finally:
+            sys.path.remove(str(tools))
+
+    def test_src_has_no_direct_legacy_executions(self, lint):
         from repro.db import Connection, aggregation
 
         # The legacy shims are gone, so no caller can execute through
@@ -660,12 +671,21 @@ class TestExecutionApiLint:
             for name in ("run_query", "count_query", "run_aggregate")
         )
         # The lint keeps the storage-stamp rule.
+        assert lint.main() == 0
 
-        tools = Path(__file__).resolve().parents[2] / "tools"
-        sys.path.insert(0, str(tools))
-        try:
-            import check_execution_api
-
-            assert check_execution_api.main() == 0
-        finally:
-            sys.path.remove(str(tools))
+    def test_write_generation_written_outside_storage_is_flagged(
+        self, lint, tmp_path, monkeypatch, capsys
+    ):
+        module = tmp_path / "src" / "repro" / "caching.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "def forget(table):\n"
+            "    print(table.write_generation)\n"
+            "    table._write_generation = 0\n"
+        )
+        monkeypatch.setattr(lint, "SRC", module.parent)
+        assert lint.main() == 1
+        flagged = capsys.readouterr().err.splitlines()[1:]
+        assert flagged == [
+            "  src/repro/caching.py:3: table._write_generation = 0"
+        ]

@@ -221,6 +221,36 @@ class TestSnapshotVisibility:
             row = db.table("account").get(rid)
             assert (row["balance"], row["group_id"]) == (123, "new")
 
+    @pytest.mark.parametrize("read", ["column_values", "present"])
+    def test_batch_read_not_torn_by_a_write_mid_batch(self, db, read):
+        # A pinned batch read resolves its snapshot once; a writer that
+        # gets in between two of its rows must not change what it reads.
+        account = db.table("account")
+        rids = account.row_ids()[:2]
+        writer = threading.Thread(target=lambda: (
+            db.update("account", rids[1], {"balance": 7}),
+            db.delete("account", rids[1]),
+        ))
+
+        class WriteMidBatch(list):
+            def __iter__(self):
+                yield self[0]
+                writer.start()
+                writer.join(timeout=0.5)
+                yield from self[1:]
+
+        with db.read_locked():
+            if read == "present":
+                seen = account.present(WriteMidBatch(rids))
+                expected = tuple(rids)
+            else:
+                seen = account.column_values("balance", WriteMidBatch(rids))
+                expected = [0, 0]
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert seen == expected
+        assert not account.has_row(rids[1])
+
     def test_read_only_pin_refuses_writes(self, db):
         with db.read_locked(read_only=True):
             with pytest.raises(LockUpgradeError):
@@ -281,6 +311,28 @@ class TestPinnedCacheReads:
         assert statistics.column(
             "reservation", "no_tickets"
         ).row_count == pinned_rows - 1
+
+    def test_writing_transaction_sees_its_own_writes(self, movie_db):
+        database, __ = movie_db
+        table = database.table("reservation")
+        statistics = database.statistics
+        rows = statistics.column("reservation", "no_tickets").row_count
+        row = table.get(table.row_ids()[0])
+        row["reservation_id"] = max(table.column_values("reservation_id")) + 1
+        with database.write_locked():
+            database.transactions.begin()
+            try:
+                database.insert("reservation", row)
+                assert len(table) == rows + 1
+                assert statistics.column(
+                    "reservation", "no_tickets"
+                ).row_count == rows + 1
+            finally:
+                database.transactions.rollback()
+        # The in-transaction result was never stored.
+        assert statistics.column(
+            "reservation", "no_tickets"
+        ).row_count == rows
 
 
 class TestConcurrentStress:

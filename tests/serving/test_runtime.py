@@ -377,6 +377,13 @@ class TestSessionConnections:
         assert conn_a.database is runtime.database
 
     def test_turn_traffic_lands_on_session_connection(self, runtime):
+        # Commit a write to customer (a first name rewritten to itself):
+        # linking "alice" must then rebuild the customer-name pool inside
+        # the turn, and the pool's statement runs through the plan cache.
+        database = runtime.database
+        rid = database.table("customer").row_ids()[0]
+        first_name = database.table("customer").get(rid)["first_name"]
+        database.update("customer", rid, {"first_name": first_name})
         sid = runtime.create_session()
         runtime.respond(sid, "i want to buy 2 tickets")
         runtime.respond(sid, "my name is alice")

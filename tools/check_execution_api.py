@@ -2,9 +2,11 @@
 """Lint: the tables' MVCC version stamps stay private to the storage layer.
 
 Only ``repro/db/table.py`` may touch a table's per-slot version stamps
-(``_created``, ``_deleted``, ``_max_stamp``); everyone else reads
-through the public Table surface (``scan_slots``, ``column_values``,
-``grouped_layout``, ...), which keeps the MVCC slot layout an
+(``_created``, ``_deleted``, ``_max_stamp``) and its write generation
+(``_write_generation``, which the shared caches trust to cover every
+write); everyone else reads through the public Table surface
+(``scan_slots``, ``column_values``, ``grouped_layout``,
+``write_generation``, ...), which keeps the MVCC slot layout an
 implementation detail the storage layer can evolve.
 
 Run from the repository root (CI does)::
@@ -27,7 +29,9 @@ STORAGE_ALLOWED = {SRC / "db" / "table.py"}
 # ``self.`` receivers stay clean: an object's own ``_created``-style
 # attribute is its own state, not a reach into a table's banks.
 STORAGE_FORBIDDEN = (
-    re.compile(r"(?<!self)\.(_created|_deleted|_max_stamp)\b"),
+    re.compile(
+        r"(?<!self)\.(_created|_deleted|_max_stamp|_write_generation)\b"
+    ),
 )
 
 
@@ -47,9 +51,10 @@ def main() -> int:
                 violations.append(f"{rel}:{lineno}: {stripped}")
     if violations:
         print(
-            "table version stamps (_created/_deleted/_max_stamp) touched "
-            "outside repro/db/table.py (use the public Table surface — "
-            "scan_slots, column_values, grouped_layout — instead):",
+            "table version stamps (_created/_deleted/_max_stamp/"
+            "_write_generation) touched outside repro/db/table.py (use "
+            "the public Table surface — scan_slots, column_values, "
+            "grouped_layout, write_generation — instead):",
             file=sys.stderr,
         )
         for violation in violations:
