@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Check: the paper's tables print exactly as recorded.
 
-Runs the E2 policy sweep, the distribution-shift bench and both
-ablations (``benchmarks/bench_*.py`` under pytest with ``-s
---benchmark-disable``, about 9 s in total), takes every table they print
-and compares it with ``benchmarks/golden/<bench>.txt``.  A change that
-moves a single question the data-aware policy asks moves these tables.
+Runs the E1 NLU bench, the E2 policy sweep, the distribution-shift
+bench and both ablations (``benchmarks/bench_*.py`` under pytest with
+``-s --benchmark-disable``, about 17 s in total), takes every table they
+print and compares it with ``benchmarks/golden/<bench>.txt``.  A change
+that moves a single question the data-aware policy asks, or a single
+intent or slot prediction of the E1 models, moves these tables.
 
 Run from the repository root (CI does)::
 
@@ -29,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "benchmarks" / "golden"
 BENCHES = (
+    "bench_nlu_atis",
     "bench_policy_turns",
     "bench_distribution_shift",
     "bench_ablation_awareness",
