@@ -2,17 +2,37 @@
 
 Builds a vocabulary of word unigrams, bigrams and character trigrams
 from the training corpus and maps utterances to L2-normalised count
-vectors (dense numpy — intent vocabularies in this setting stay small).
+vectors.  Each text becomes one sparse CSR row (:class:`SparseRows`):
+about 1% of a movie-corpus vocabulary occurs in any one utterance, so
+training works on the rows directly, while :meth:`NGramFeaturizer.transform`
+scatters them into the dense matrix prediction multiplies.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import NotFittedError
 from repro.nlu.tokenizer import tokenize
 
-__all__ = ["NGramFeaturizer"]
+__all__ = ["NGramFeaturizer", "SparseRows"]
+
+
+class SparseRows(NamedTuple):
+    """Feature rows in CSR form.
+
+    Row ``i`` holds ``values[indptr[i]:indptr[i + 1]]`` at the ascending,
+    distinct columns ``indices[indptr[i]:indptr[i + 1]]``.  The values are
+    the row's counts divided by their L2 norm; a row with no known
+    feature is empty.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
 
 
 class NGramFeaturizer:
@@ -39,33 +59,72 @@ class NGramFeaturizer:
         return len(self._vocabulary)
 
     def fit(self, texts: list[str]) -> "NGramFeaturizer":
+        self._fit_vocabulary([self._extract(text) for text in texts])
+        return self
+
+    def fit_rows(self, texts: list[str]) -> SparseRows:
+        """Fit the vocabulary and return the rows of ``texts``, extracting
+        each text's n-grams once."""
+        extracted = [self._extract(text) for text in texts]
+        self._fit_vocabulary(extracted)
+        return self._rows(extracted)
+
+    def rows(self, texts: list[str]) -> SparseRows:
+        """The feature rows of ``texts``; n-grams outside the vocabulary
+        are dropped."""
+        if self._vocabulary is None:
+            raise NotFittedError("featurizer is not fitted")
+        return self._rows([self._extract(text) for text in texts])
+
+    def transform(self, texts: list[str]) -> np.ndarray:
+        return self._dense(self.rows(texts))
+
+    def fit_transform(self, texts: list[str]) -> np.ndarray:
+        return self._dense(self.fit_rows(texts))
+
+    # ------------------------------------------------------------------
+    def _fit_vocabulary(self, extracted: list[list[str]]) -> None:
         counts: dict[str, int] = {}
-        for text in texts:
-            for feature in self._extract(text):
+        for features in extracted:
+            for feature in features:
                 counts[feature] = counts.get(feature, 0) + 1
         kept = [f for f, c in counts.items() if c >= self.min_count]
         kept.sort(key=lambda f: (-counts[f], f))
         kept = kept[: self.max_features]
         self._vocabulary = {feature: i for i, feature in enumerate(sorted(kept))}
-        return self
 
-    def transform(self, texts: list[str]) -> np.ndarray:
-        if self._vocabulary is None:
-            raise NotFittedError("featurizer is not fitted")
-        matrix = np.zeros((len(texts), len(self._vocabulary)), dtype=np.float64)
-        for row, text in enumerate(texts):
-            for feature in self._extract(text):
-                column = self._vocabulary.get(feature)
-                if column is not None:
-                    matrix[row, column] += 1.0
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return matrix / norms
+    def _rows(self, extracted: list[list[str]]) -> SparseRows:
+        lookup = self._vocabulary.get
+        indptr = [0]
+        indices: list[int] = []
+        counts: list[int] = []
+        for features in extracted:
+            tally = Counter(map(lookup, features))
+            tally.pop(None, None)
+            columns = sorted(tally)
+            indices += columns
+            counts += map(tally.__getitem__, columns)
+            indptr.append(len(indices))
+        lengths = np.diff(indptr)
+        owner = np.repeat(np.arange(len(extracted)), lengths)
+        values = np.array(counts, dtype=np.float64)
+        # Sums of squared small counts are exact in any order, so each norm
+        # (and each value) equals the dense row's np.linalg.norm result.
+        norms = np.sqrt(np.bincount(owner, weights=values * values,
+                                    minlength=len(extracted)))
+        return SparseRows(
+            np.array(indptr, dtype=np.intp),
+            np.array(indices, dtype=np.intp),
+            values / norms[owner],
+        )
 
-    def fit_transform(self, texts: list[str]) -> np.ndarray:
-        return self.fit(texts).transform(texts)
+    def _dense(self, rows: SparseRows) -> np.ndarray:
+        n_rows = len(rows.indptr) - 1
+        matrix = np.zeros((n_rows, len(self._vocabulary)), dtype=np.float64)
+        owner = np.repeat(np.arange(n_rows), np.diff(rows.indptr))
+        matrix[owner, rows.indices] = rows.values
+        return matrix
 
-    # ------------------------------------------------------------------
     def _extract(self, text: str) -> list[str]:
         tokens = [t.lower for t in tokenize(text)]
         features = [f"w:{t}" for t in tokens]

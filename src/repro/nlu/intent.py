@@ -7,6 +7,15 @@ number of epochs (``epochs``, 60 by default; there is no early
 stopping), with inverse-frequency sample weights.
 This stands in for the neural intent classifier RASA would train; the
 paper's claim (synthesized training data suffices) is model-agnostic.
+
+Training reads the featurizer's sparse rows and never builds the dense
+corpus matrix: each batch is compacted to the feature columns its texts
+touch, and its logits and gradient are computed on that small block.
+The L2 step is kept as written, ``w -= lr * (g + l2 * w)`` on every
+weight row at every step, so a row the batch does not touch (``g = 0``)
+gets exactly the dense update's floats.  Only the summation order inside
+the touched block differs from dense training, which moves the trained
+weights by a few ulps (``tests/nlu/test_intent_differential.py``).
 """
 
 from __future__ import annotations
@@ -74,11 +83,12 @@ class IntentClassifier:
         label_index = {label: i for i, label in enumerate(self._labels)}
         targets = np.array([label_index[e.intent] for e in dataset])
 
-        features = self.featurizer.fit_transform(texts)
-        n_samples, n_features = features.shape
+        rows = self.featurizer.fit_rows(texts)
+        n_samples, n_features = len(texts), self.featurizer.n_features
         n_classes = len(self._labels)
         rng = np.random.default_rng(self.seed)
         weights = np.zeros((n_features, n_classes))
+        decay = np.empty_like(weights)
         bias = np.zeros(n_classes)
 
         one_hot = np.zeros((n_samples, n_classes))
@@ -91,17 +101,44 @@ class IntentClassifier:
         class_weights = n_samples / (n_classes * np.maximum(class_counts, 1.0))
         sample_weights = class_weights[targets]
 
+        lengths = np.diff(rows.indptr)
+        # Each non-zero's row position within its batch.
+        batch_row = np.arange(n_samples) % self.batch_size
+        # A touched column's position in the batch block.
+        slot = np.zeros(n_features, dtype=np.intp)
         for epoch in range(self.epochs):
             order = rng.permutation(n_samples)
+            # The epoch's non-zeros in visiting order, so that every batch
+            # is one slice [bounds[start], bounds[stop]).
+            counts = lengths[order]
+            bounds = np.zeros(n_samples + 1, dtype=np.intp)
+            np.cumsum(counts, out=bounds[1:])
+            positions = np.arange(bounds[-1]) + np.repeat(
+                rows.indptr[order] - bounds[:-1], counts)
+            columns = rows.indices[positions]
+            values = rows.values[positions]
+            owner = np.repeat(batch_row, counts)
+            epoch_targets = one_hot[order]
+            epoch_sample_weights = sample_weights[order][:, None]
             for start in range(0, n_samples, self.batch_size):
-                batch = order[start : start + self.batch_size]
-                x = features[batch]
-                y = one_hot[batch]
-                w = sample_weights[batch][:, None]
-                probabilities = _softmax(x @ weights + bias)
+                stop = min(start + self.batch_size, n_samples)
+                low, high = bounds[start], bounds[stop]
+                hit = columns[low:high]
+                touched = np.flatnonzero(
+                    np.bincount(hit, minlength=n_features))
+                slot[touched] = np.arange(len(touched))
+                x = np.zeros((stop - start, len(touched)))
+                x[owner[low:high], slot[hit]] = values[low:high]
+                y = epoch_targets[start:stop]
+                w = epoch_sample_weights[start:stop]
+                probabilities = _softmax(x @ weights[touched] + bias)
                 error = (probabilities - y) * w
-                gradient = x.T @ error / len(batch)
-                weights -= self.learning_rate * (gradient + self.l2 * weights)
+                # weights -= lr * (gradient + l2 * weights), where the
+                # gradient is zero outside the touched rows.
+                np.multiply(weights, self.l2, out=decay)
+                decay[touched] += x.T @ error / (stop - start)
+                decay *= self.learning_rate
+                weights -= decay
                 bias -= self.learning_rate * error.mean(axis=0)
         self._weights = weights
         self._bias = bias
@@ -117,9 +154,8 @@ class IntentClassifier:
     def predict(self, text: str) -> IntentPrediction:
         probabilities = self.predict_proba([text])[0]
         order = np.argsort(-probabilities)
-        ranking = [
-            (self.labels[i], float(probabilities[i])) for i in order
-        ]
+        labels = self._labels
+        ranking = [(labels[i], float(probabilities[i])) for i in order]
         return IntentPrediction(ranking)
 
     def accuracy(self, dataset: NLUDataset) -> float:

@@ -85,6 +85,12 @@ class SlotTagger:
     every word of every movie title); membership becomes a feature, the
     equivalent of RASA's lookup tables.  What :meth:`tag` reads is built
     by :meth:`fit` and never written again, so threads may share it.
+
+    ``epochs`` is a maximum: :meth:`fit` stops after the first epoch that
+    decodes every sequence correctly.  Such an epoch updates nothing, so
+    every later one would too; the skipped epochs' sequences still count
+    in the averages' step, which leaves the weights and transitions
+    bit-identical to running all ``epochs``.
     """
 
     def __init__(
@@ -146,13 +152,15 @@ class SlotTagger:
         step = 0
 
         rng = random.Random(self.seed)
-        for __ in range(self.epochs):
+        for epoch in range(self.epochs):
             rng.shuffle(sequences)
+            mistakes = 0
             for features, rows, gold in sequences:
                 step += 1
                 predicted, __ = _viterbi(rows, transitions)
                 if predicted == gold:
                     continue
+                mistakes += 1
                 previous_gold, previous_pred = start, start
                 for i, (g, p) in enumerate(zip(gold, predicted)):
                     if p != g:
@@ -165,6 +173,12 @@ class SlotTagger:
                         _update(transitions, totals_t, stamps_t, step,
                                 previous_pred, p, -1.0)
                     previous_gold, previous_pred = g, p
+            if not mistakes:
+                # Nothing changed, so every later epoch would decode the
+                # same paths and update nothing: only the step count the
+                # averages use still moves.
+                step += (self.epochs - epoch - 1) * len(sequences)
+                break
 
         # Finalise averaging.
         denominator = max(step, 1)

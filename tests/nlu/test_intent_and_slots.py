@@ -101,7 +101,8 @@ class TestIntentClassifier:
         data = toy_intent_dataset()
         a = IntentClassifier(epochs=10, seed=3).fit(data)
         b = IntentClassifier(epochs=10, seed=3).fit(data)
-        assert np.allclose(a.predict_proba(["hello"]), b.predict_proba(["hello"]))
+        assert np.array_equal(a.predict_proba(["hello"]),
+                              b.predict_proba(["hello"]))
 
 
 class TestSlotTagger:

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.datasets import AtisConfig, build_flight_database, generate_cat_corpus
 from repro.nlu import SlotTagger, bio_to_spans, tokenize
-from repro.synthesis import NLUDataset, NLUExample
+from repro.nlu.slots import _viterbi
+from repro.synthesis import NLUDataset, NLUExample, SlotSpan
 
 from tests.nlu.reference_slots import START, ReferenceSlotTagger
 from tests.nlu.test_intent_and_slots import toy_slot_dataset
@@ -93,6 +94,12 @@ def movie_pair(trained_agent):
 
 
 @pytest.fixture(scope="module")
+def atis_examples():
+    config = AtisConfig()
+    return generate_cat_corpus(build_flight_database(config), config).examples
+
+
+@pytest.fixture(scope="module")
 def movie_texts(trained_agent):
     cat, __ = trained_agent
     return [example.text for example in cat.nlu_data]
@@ -138,14 +145,51 @@ class TestMovieCorpus:
 
 
 class TestAtisCorpus:
-    def test_identical_model_and_decodes(self):
-        config = AtisConfig()
-        corpus = generate_cat_corpus(build_flight_database(config), config)
-        sample = NLUDataset(corpus.examples[::8])
+    def test_identical_model_and_decodes(self, atis_examples):
+        sample = NLUDataset(atis_examples[::8])
         reference, tagger = train_pair(sample, epochs=CORPUS_EPOCHS)
         assert_same_model(reference, tagger)
-        for example in corpus.examples[1::16]:
+        for example in atis_examples[1::16]:
             assert_same_decode(reference, tagger, example.text)
+
+
+class TestEarlyStop:
+    """``epochs`` is a maximum: the tagger stops after the first epoch
+    without a mistake and must still equal the reference, which runs
+    every epoch."""
+
+    EPOCHS = 8
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        """Counts the sequences the tagger decodes."""
+        counter = {"calls": 0}
+
+        def counting(token_rows, transitions):
+            counter["calls"] += 1
+            return _viterbi(token_rows, transitions)
+
+        monkeypatch.setattr("repro.nlu.slots._viterbi", counting)
+        return counter
+
+    @pytest.mark.parametrize("corpus", ["toy", "atis"])
+    def test_converged_run_stops_early(self, corpus, atis_examples, decodes):
+        dataset = (toy_slot_dataset() if corpus == "toy"
+                   else NLUDataset(atis_examples[::16]))
+        reference, tagger = train_pair(dataset, epochs=self.EPOCHS)
+        assert 0 < decodes["calls"] < self.EPOCHS * len(dataset)
+        assert_same_model(reference, tagger)
+
+    def test_run_that_never_converges(self, decodes):
+        # One text tagged two ways: each epoch gets one of them wrong.
+        dataset = NLUDataset(list(toy_slot_dataset())[:6] + [
+            NLUExample("fly to boston", "flight",
+                       (SlotSpan(name, "boston", 7, 13),))
+            for name in ("src", "dst")
+        ])
+        reference, tagger = train_pair(dataset, epochs=self.EPOCHS)
+        assert decodes["calls"] == self.EPOCHS * len(dataset)
+        assert_same_model(reference, tagger)
 
 
 _PUNCTUATION = "!?.,;:-()'\"/&"
