@@ -10,6 +10,7 @@ scatters them into the dense matrix prediction multiplies.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import NamedTuple
 
@@ -97,32 +98,29 @@ class NGramFeaturizer:
         lookup = self._vocabulary.get
         indptr = [0]
         indices: list[int] = []
-        counts: list[int] = []
+        values: list[float] = []
         for features in extracted:
             tally = Counter(map(lookup, features))
             tally.pop(None, None)
             columns = sorted(tally)
+            counts = [tally[column] for column in columns]
+            # The sum of squared small counts is exact, so the norm and
+            # every value equal the dense row's np.linalg.norm division.
+            norm = math.sqrt(sum([count * count for count in counts]))
             indices += columns
-            counts += map(tally.__getitem__, columns)
+            values += [count / norm for count in counts]
             indptr.append(len(indices))
-        lengths = np.diff(indptr)
-        owner = np.repeat(np.arange(len(extracted)), lengths)
-        values = np.array(counts, dtype=np.float64)
-        # Sums of squared small counts are exact in any order, so each norm
-        # (and each value) equals the dense row's np.linalg.norm result.
-        norms = np.sqrt(np.bincount(owner, weights=values * values,
-                                    minlength=len(extracted)))
         return SparseRows(
             np.array(indptr, dtype=np.intp),
             np.array(indices, dtype=np.intp),
-            values / norms[owner],
+            np.array(values, dtype=np.float64),
         )
 
     def _dense(self, rows: SparseRows) -> np.ndarray:
-        n_rows = len(rows.indptr) - 1
-        matrix = np.zeros((n_rows, len(self._vocabulary)), dtype=np.float64)
-        owner = np.repeat(np.arange(n_rows), np.diff(rows.indptr))
-        matrix[owner, rows.indices] = rows.values
+        indptr, indices, values = rows
+        matrix = np.zeros((len(indptr) - 1, len(self._vocabulary)))
+        for row, low, high in zip(matrix, indptr[:-1], indptr[1:]):
+            row[indices[low:high]] = values[low:high]
         return matrix
 
     def _extract(self, text: str) -> list[str]:
