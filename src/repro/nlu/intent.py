@@ -102,9 +102,9 @@ class IntentClassifier:
         sample_weights = class_weights[targets]
 
         lengths = np.diff(rows.indptr)
-        # Each non-zero's row position within its batch.
-        batch_row = np.arange(n_samples) % self.batch_size
-        # A touched column's position in the batch block.
+        # The i-th text an epoch visits fills row i % batch_size of its
+        # batch's block, and slot maps a touched column to its block column.
+        block_row = np.arange(n_samples) % self.batch_size
         slot = np.zeros(n_features, dtype=np.intp)
         for epoch in range(self.epochs):
             order = rng.permutation(n_samples)
@@ -117,18 +117,18 @@ class IntentClassifier:
                 rows.indptr[order] - bounds[:-1], counts)
             columns = rows.indices[positions]
             values = rows.values[positions]
-            owner = np.repeat(batch_row, counts)
+            owner = np.repeat(block_row, counts)
             epoch_targets = one_hot[order]
             epoch_sample_weights = sample_weights[order][:, None]
             for start in range(0, n_samples, self.batch_size):
                 stop = min(start + self.batch_size, n_samples)
                 low, high = bounds[start], bounds[stop]
-                hit = columns[low:high]
+                batch_columns = columns[low:high]
                 touched = np.flatnonzero(
-                    np.bincount(hit, minlength=n_features))
+                    np.bincount(batch_columns, minlength=n_features))
                 slot[touched] = np.arange(len(touched))
                 x = np.zeros((stop - start, len(touched)))
-                x[owner[low:high], slot[hit]] = values[low:high]
+                x[owner[low:high], slot[batch_columns]] = values[low:high]
                 y = epoch_targets[start:stop]
                 w = epoch_sample_weights[start:stop]
                 probabilities = _softmax(x @ weights[touched] + bias)
