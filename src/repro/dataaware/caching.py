@@ -18,14 +18,30 @@ attribute's table the entry is a ``row id -> value`` column, which
 scoring counts and refinement tests per distinct value; otherwise it
 maps each row id to the frozenset of its values.
 
+The cache also memoises the informativeness of whole root tables.
+Every identification starts from all rows of its root, and that score
+is identical across goals until a commit, so
+:meth:`AttributeValueCache.table_score` keeps one record per ``(root,
+attribute, measure)``: the entry it was computed from, the row ids and
+the value.  A record serves a candidate set that reads the *same entry
+object* over an *equal row-id sequence*.  Informativeness is a pure
+function of the entry and the ordered row ids, so a served value is the
+one the set would compute; and a commit that writes a table on the
+attribute's path replaces the entry, which retires the record.  Only
+whole-table sets store records, so scoring a narrowed set never
+displaces one.
+
 The cache is shared by every session of a serving runtime, so it is safe
-for concurrent readers via the shared
-:class:`~repro.db.versioncache.VersionStampedCache` protocol.
+for concurrent readers: entries via the shared
+:class:`~repro.db.versioncache.VersionStampedCache` protocol, score
+records because each is an immutable tuple replaced whole and checked
+before it serves.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Callable, Hashable
 
 from repro.dataaware.join_graph import (
     AttributeValues,
@@ -49,6 +65,10 @@ class AttributeValueCache:
         self._planners: dict[str, JoinPlanner] = {}
         # (root_table, attribute) -> AttributeValues over every root row
         self._maps = VersionStampedCache(database)
+        # (root_table, attribute, measure) -> (entry, row ids, score)
+        self._scores: dict[
+            Hashable, tuple[AttributeValues, tuple[int, ...], float]
+        ] = {}
 
     @property
     def hits(self) -> int:
@@ -95,5 +115,30 @@ class AttributeValueCache:
         )
         return values, (root_table, *(step.to_table for step in path.steps))
 
-    def invalidate(self) -> None:
-        self._maps.invalidate()
+    def table_score(
+        self,
+        key: Hashable,
+        entry: AttributeValues,
+        row_ids: tuple[int, ...],
+        compute: Callable[[], float],
+        whole_table: bool,
+    ) -> float:
+        """``compute()`` for a candidate set reading ``entry`` over
+        ``row_ids``, served from the record under ``key`` when that was
+        computed from the same entry object over equal row ids.
+
+        A miss computes outside any lock; a ``whole_table`` set then
+        replaces the record, so the last store wins.  A record keeps its
+        entry alive, so no later entry can take over its identity.
+        """
+        record = self._scores.get(key)
+        if (
+            record is not None
+            and record[0] is entry
+            and (record[1] is row_ids or record[1] == row_ids)
+        ):
+            return record[2]
+        value = compute()
+        if whole_table:
+            self._scores[key] = (entry, row_ids, value)
+        return value

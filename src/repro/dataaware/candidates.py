@@ -111,7 +111,10 @@ class CandidateSet:
         self.row_ids = row_ids
         self.constraints = constraints
         self.fuzzy_threshold = fuzzy_threshold
-        self._shared_cache = shared_cache
+        self.shared_cache = shared_cache
+        #: Seeded by :meth:`initial` with every row of the table: its
+        #: scores are worth keeping in the shared cache.
+        self.whole_table = False
         if planner is not None:
             self._planner = planner
         elif shared_cache is not None:
@@ -139,7 +142,8 @@ class CandidateSet:
         repeated seeds of the same constraint shape reuse one compiled
         plan): the access path pushes an equality constraint into a
         hash index instead of materialising every row id and filtering
-        afterwards.
+        afterwards.  Without one the set is ``whole_table``: the shared
+        cache keeps its informativeness scores for the next such set.
         """
         if where is None:
             row_ids = tuple(database.table(table).row_ids())
@@ -148,8 +152,11 @@ class CandidateSet:
                 select(table).where(where)
             )
             row_ids = tuple(result.row_ids())
-        return cls(database, catalog, table, row_ids,
-                   fuzzy_threshold=fuzzy_threshold, shared_cache=shared_cache)
+        candidates = cls(database, catalog, table, row_ids,
+                         fuzzy_threshold=fuzzy_threshold,
+                         shared_cache=shared_cache)
+        candidates.whole_table = where is None
+        return candidates
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -191,8 +198,8 @@ class CandidateSet:
         entry = self._entries.get(attribute)
         if entry is not None:
             return entry
-        if self._shared_cache is not None:
-            entry = self._shared_cache.full_map(self.table, attribute)
+        if self.shared_cache is not None:
+            entry = self.shared_cache.full_map(self.table, attribute)
         else:
             path = self.join_path(attribute)
             if path is None:
@@ -313,7 +320,7 @@ class CandidateSet:
             self.constraints + (Constraint(attribute, needle),),
             self.fuzzy_threshold,
             self._planner,
-            self._shared_cache,
+            self.shared_cache,
         )
 
     def _matches(self, value: Any, needle: Any, dtype: DataType) -> bool:
@@ -344,7 +351,7 @@ class CandidateSet:
             self.constraints,
             self.fuzzy_threshold,
             self._planner,
-            self._shared_cache,
+            self.shared_cache,
         )
 
     def reset(self) -> "CandidateSet":
@@ -354,7 +361,7 @@ class CandidateSet:
             self._catalog,
             self.table,
             self.fuzzy_threshold,
-            self._shared_cache,
+            self.shared_cache,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -21,6 +21,14 @@ float weights in the same order.  Integer-valued floats below 2**53 are
 exact, and true division and ``log2`` are correctly rounded, so every
 measure and :meth:`AttributeScorer.expected_candidates_after` come out
 float-identical to the loop.  Multi-valued attributes keep the loop.
+
+Every identification starts from all rows of its root table, and that
+set's scores only change when a commit writes a table on an attribute's
+path.  So informativeness over a shared cache goes through the cache's
+whole-table memo: a score computed for a whole-table set is kept with
+the value entry and the row ids it was computed from, and it serves any
+later set that reads the same entry object over equal row ids — the
+same inputs, hence the same float.  Anything else is computed as above.
 """
 
 from __future__ import annotations
@@ -121,10 +129,29 @@ class AttributeScorer:
     def informativeness(
         self, candidates: CandidateSet, attribute: ColumnRef
     ) -> float:
-        """Normalised informativeness in [0, 1]."""
+        """Normalised informativeness in [0, 1].
+
+        With a shared cache the score goes through its whole-table memo
+        (:meth:`AttributeValueCache.table_score`), keyed by the root,
+        the attribute and this scorer's measure.
+        """
         n = len(candidates)
         if n <= 1:
             return 0.0
+        cache = candidates.shared_cache
+        if cache is None:
+            return self._informativeness(candidates, attribute, n)
+        return cache.table_score(
+            (candidates.table, attribute, self._measure),
+            candidates.attribute_values(attribute),
+            candidates.row_ids,
+            lambda: self._informativeness(candidates, attribute, n),
+            candidates.whole_table,
+        )
+
+    def _informativeness(
+        self, candidates: CandidateSet, attribute: ColumnRef, n: int
+    ) -> float:
         weights = self.value_distribution(candidates, attribute)
         if self._measure is InformativenessMeasure.ENTROPY:
             return weighted_entropy(weights) / math.log2(n)

@@ -10,10 +10,9 @@ read-only view over schema, procedures and foreign-key topology used by
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import networkx as nx
 
 from repro.db.procedures import Procedure
 from repro.db.schema import Column, ForeignKey, TableSchema
@@ -82,27 +81,6 @@ class Catalog:
     # ------------------------------------------------------------------
     # Foreign-key topology
     # ------------------------------------------------------------------
-    def join_graph(self) -> "nx.Graph":
-        """Undirected graph of tables with FK edges.
-
-        Edge data carries the list of ``(source_table, fk)`` pairs, since
-        two tables can be connected by several foreign keys.
-        """
-        graph = nx.Graph()
-        for table in self.tables():
-            graph.add_node(table.name)
-        for table in self.tables():
-            for fk in table.foreign_keys:
-                if graph.has_edge(table.name, fk.target_table):
-                    graph.edges[table.name, fk.target_table]["links"].append(
-                        (table.name, fk)
-                    )
-                else:
-                    graph.add_edge(
-                        table.name, fk.target_table, links=[(table.name, fk)]
-                    )
-        return graph
-
     def is_junction_table(self, name: str) -> bool:
         """True for pure N:M junction tables (every column is the PK or an FK).
 
@@ -122,8 +100,9 @@ class Catalog:
                 return False
         return True
 
-    def identification_graph(self) -> "nx.DiGraph":
-        """Directed graph of the joins that *describe* an entity.
+    def identification_graph(self) -> dict[str, dict[str, float]]:
+        """``table -> {neighbour: weight}`` over the joins that *describe*
+        an entity.
 
         From a table you may hop (a) forward along its own foreign keys —
         the referenced row is a property of the entity (screening ->
@@ -135,45 +114,51 @@ class Catalog:
         them ("whose reservation is on this screening?") is nonsensical.
 
         Edges touching a junction table weigh 0.5 so that traversing a
-        junction counts as one logical join.
+        junction counts as one logical join.  Every table is a key, and
+        when two foreign keys give the same edge the later one's weight
+        stands.
         """
-        graph = nx.DiGraph()
-        for table in self.tables():
-            graph.add_node(table.name)
+        graph: dict[str, dict[str, float]] = {
+            table.name: {} for table in self.tables()
+        }
         for table in self.tables():
             junction = self.is_junction_table(table.name)
             for fk in table.foreign_keys:
-                weight = 0.5 if junction else 1.0
-                graph.add_edge(table.name, fk.target_table, weight=weight)
+                graph[table.name][fk.target_table] = 0.5 if junction else 1.0
                 if junction:
                     # Entering the junction from the referenced side.
-                    graph.add_edge(fk.target_table, table.name, weight=0.5)
+                    graph[fk.target_table][table.name] = 0.5
         return graph
 
     def tables_within(self, root: str, max_hops: int) -> dict[str, int]:
         """Tables reachable from ``root`` within ``max_hops`` logical joins.
 
-        Returns ``table -> hop distance`` (the root maps to 0).  This
+        Returns ``table -> hop distance`` (the root maps to 0), the
+        distance being the shortest path's weight rounded down.  This
         bounds the paper's iterative join expansion; reachability follows
         :meth:`identification_graph`.
         """
         graph = self.identification_graph()
         if root not in graph:
             return {root: 0}
-        lengths = nx.single_source_dijkstra_path_length(
-            graph, root, cutoff=max_hops, weight="weight"
-        )
-        return {table: int(distance) for table, distance in lengths.items()}
+        return {
+            table: int(distance)
+            for table, (distance, __) in _shortest_paths(
+                graph, root, max_hops
+            ).items()
+        }
 
     def join_path(self, source: str, target: str) -> list[str] | None:
-        """Shortest identification-join path between two tables, or ``None``."""
+        """Shortest identification-join path between two tables, or ``None``.
+
+        Among paths of equal weight the one whose sequence of table names
+        sorts first wins.
+        """
         graph = self.identification_graph()
         if source not in graph or target not in graph:
             return None
-        try:
-            return nx.shortest_path(graph, source, target, weight="weight")
-        except nx.NetworkXNoPath:
-            return None
+        found = _shortest_paths(graph, source).get(target)
+        return None if found is None else list(found[1])
 
     def fk_between(self, left: str, right: str) -> tuple[str, ForeignKey] | None:
         """The FK connecting two adjacent tables (either direction)."""
@@ -183,3 +168,33 @@ class Catalog:
                 if fk.target_table == other:
                     return (table_name, fk)
         return None
+
+
+def _shortest_paths(
+    graph: dict[str, dict[str, float]],
+    root: str,
+    cutoff: float | None = None,
+) -> dict[str, tuple[float, tuple[str, ...]]]:
+    """Dijkstra from ``root``: ``table -> (distance, path)`` for every
+    table within ``cutoff`` (inclusive).
+
+    The heap orders partial paths by ``(distance, path)``, so each table
+    is settled by the least such pair: the shortest path, ties going to
+    the name sequence that sorts first.  With positive weights extending
+    two paths to one table by the same edge keeps their order, so the
+    first pop of a table is its least pair over all simple paths.
+    """
+    settled: dict[str, tuple[float, tuple[str, ...]]] = {}
+    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (root,))]
+    while heap:
+        distance, path = heapq.heappop(heap)
+        table = path[-1]
+        if table in settled:
+            continue
+        settled[table] = (distance, path)
+        for neighbour, weight in graph[table].items():
+            reach = distance + weight
+            if neighbour in settled or (cutoff is not None and reach > cutoff):
+                continue
+            heapq.heappush(heap, (reach, path + (neighbour,)))
+    return settled

@@ -11,12 +11,19 @@ covers NULLs, NULL foreign keys, multi-valued joins, values that are
 equal across types (``1``, ``1.0``, ``True``), rows deleted after a
 value entry was built, and a reader pinned at an older snapshot while
 another thread commits.
+
+Whole-table sets (``CandidateSet.initial``) score through the shared
+cache's memo, so they are scored repeatedly across commits to the root
+and to joined tables, from sets created before a commit and from a
+reader pinned on another thread; counting ``value_distribution`` calls
+shows which scores the memo served.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from collections import Counter
 
 import pytest
 
@@ -273,6 +280,202 @@ class TestMovieDatabase:
                 row_ids = [rid for rid in row_ids if table.has_row(rid)]
             _check(database, catalog, "screening", row_ids, cache,
                    awareness, rng)
+
+
+def _initial_pair(database, catalog, root, cache):
+    new = CandidateSet.initial(database, catalog, root, shared_cache=cache)
+    assert new.whole_table
+    return new, reference.ReferenceCandidates(
+        database, catalog, root, new.row_ids, shared=True
+    )
+
+
+def _delete_with_dependents(database, table_name, rid):
+    row = database.table(table_name).get(rid)
+    for source, fk in database.schema.referencing_tables(table_name):
+        for dependent in database.table(source).lookup(
+            fk.column, row[fk.target_column]
+        ):
+            _delete_with_dependents(database, source, dependent)
+    database.delete(table_name, rid)
+
+
+def _swap_a_row(database, root):
+    """One commit that deletes a row of ``root`` (with the rows that
+    reference it) and inserts a changed copy under a new key: the root
+    keeps its row count while its distributions move."""
+    table = database.table(root)
+    rid = table.row_ids()[len(table) // 2]
+    row = table.get(rid)
+    key = table.schema.primary_key
+    foreign = {fk.column for fk in table.schema.foreign_keys}
+    for column, value in row.items():
+        if column == key:
+            row[column] = value + 10_000
+        elif column in foreign or value is None:
+            continue
+        elif isinstance(value, str):
+            row[column] = value + " two"
+        elif isinstance(value, (int, float)):
+            row[column] = value + 1
+    with database.default_connection.transaction():
+        _delete_with_dependents(database, root, rid)
+        database.insert(root, row)
+
+
+def _share_a_title(database):
+    """Give the second movie the first one's title."""
+    movies = database.table("movie")
+    first, second = movies.row_ids()[:2]
+    database.update(
+        "movie", second, {"title": movies.get(first)["title"]}
+    )
+
+
+_ROOTS = ["screening", "movie", "customer", "reservation"]
+
+
+class TestWholeTableMemo:
+    @pytest.mark.parametrize("root", _ROOTS)
+    def test_initial_sets_across_commits(self, movies, root):
+        database, catalog, awareness = movies
+        cache = AttributeValueCache(database, catalog)
+        attributes = _attributes(database, catalog, root)
+
+        def scored_twice(*pairs):
+            for pair in pairs:
+                for __ in range(2):
+                    _assert_scores_identical(pair, attributes, awareness)
+
+        first = _initial_pair(database, catalog, root, cache)
+        rows = first[0].row_ids
+        # Same entries and length as the table, other rows: the first
+        # row twice.
+        same_size = _pair(database, catalog, root, rows[:1] + rows[:-1],
+                          cache)
+        scored_twice(
+            first, _initial_pair(database, catalog, root, cache), same_size
+        )
+        unscored = _initial_pair(database, catalog, root, cache)
+        count = len(database.table(root))
+        _swap_a_row(database, root)
+        assert len(database.table(root)) == count
+        after_swap = _initial_pair(database, catalog, root, cache)
+        assert after_swap[0].row_ids != rows
+        scored_twice(after_swap, first, unscored)
+        _share_a_title(database)
+        scored_twice(
+            _initial_pair(database, catalog, root, cache),
+            after_swap,
+            first,
+            _initial_pair(database, catalog, root, cache),
+        )
+
+    def test_reader_pinned_on_another_thread(self, movies):
+        database, catalog, awareness = movies
+        cache = AttributeValueCache(database, catalog)
+        attributes = _attributes(database, catalog, "screening")
+        rows_before = tuple(database.table("screening").row_ids())
+        pinned, committed = threading.Event(), threading.Event()
+        errors = []
+
+        def reader():
+            try:
+                with database.read_locked():
+                    before = _initial_pair(database, catalog, "screening",
+                                           cache)
+                    _assert_scores_identical(before, attributes, awareness)
+                    pinned.set()
+                    assert committed.wait(30)
+                    again = _initial_pair(database, catalog, "screening",
+                                          cache)
+                    assert again[0].row_ids == rows_before
+                    for pair in (again, before):
+                        _assert_scores_identical(pair, attributes, awareness)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+            finally:
+                pinned.set()
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            assert pinned.wait(30)
+            _swap_a_row(database, "screening")
+            _share_a_title(database)
+            current = _initial_pair(database, catalog, "screening", cache)
+            assert current[0].row_ids != rows_before
+            _assert_scores_identical(current, attributes, awareness)
+        finally:
+            committed.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert not errors, errors
+        # The pinned reader stored its own records last.
+        for pair in (current, _initial_pair(database, catalog, "screening",
+                                            cache)):
+            _assert_scores_identical(pair, attributes, awareness)
+
+
+class TestWholeTableMemoCounts:
+    """Which scores the memo serves, counted as ``value_distribution``
+    calls, and the value cache fetched once per set and attribute."""
+
+    def test_recomputes_only_what_a_commit_wrote(self, movies, monkeypatch):
+        database, catalog, awareness = movies
+        computed = Counter()
+        distribution = AttributeScorer.value_distribution
+
+        def counted(scorer, candidates, attribute):
+            computed[attribute] += 1
+            return distribution(scorer, candidates, attribute)
+
+        monkeypatch.setattr(AttributeScorer, "value_distribution", counted)
+        cache = AttributeValueCache(database, catalog)
+        attributes = _attributes(database, catalog, "screening")
+        measures = len(InformativenessMeasure)
+
+        def recomputed(candidates):
+            computed.clear()
+            lookups = cache.hits + cache.misses
+            for measure in InformativenessMeasure:
+                AttributeScorer(awareness, measure).rank(
+                    candidates, attributes
+                )
+            assert cache.hits + cache.misses - lookups == len(attributes)
+            assert all(n == measures for n in computed.values())
+            return set(computed)
+
+        def initial():
+            return CandidateSet.initial(
+                database, catalog, "screening", shared_cache=cache
+            )
+
+        first = initial()
+        assert recomputed(first) == set(attributes)
+        narrowed = CandidateSet(
+            database, catalog, "screening", first.row_ids[::2],
+            shared_cache=cache,
+        )
+        assert recomputed(narrowed) == set(attributes)
+        assert recomputed(initial()) == set()
+
+        _share_a_title(database)
+        planner = JoinPlanner(catalog, "screening")
+        on_movie_path = {
+            attribute for attribute in attributes
+            if "movie" in {
+                step.to_table
+                for step in planner.path_to(attribute.table).steps
+            }
+        }
+        assert on_movie_path and on_movie_path != set(attributes)
+        assert recomputed(initial()) == on_movie_path
+
+        reservation = database.table("reservation")
+        booked = reservation.get(reservation.row_ids()[0])
+        database.insert("reservation", {**booked, "reservation_id": 9001})
+        assert recomputed(initial()) == set()
 
 
 def _toy_database():
