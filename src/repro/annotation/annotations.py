@@ -89,9 +89,13 @@ class SchemaAnnotations:
     # ------------------------------------------------------------------
     def get(self, table: str, column: str) -> AttributeAnnotation:
         """Annotation of ``table.column``, defaulting heuristically."""
-        self._check_ref(table, column)
         ref = ColumnRef(table, column)
-        return self._annotations.get(ref, self._default_for(ref))
+        annotation = self._annotations.get(ref)
+        if annotation is not None:
+            # annotate() checked the reference.
+            return annotation
+        self._check_ref(table, column)
+        return self._default_for(ref)
 
     def awareness_prior(self, table: str, column: str) -> float:
         return self.get(table, column).awareness_prior

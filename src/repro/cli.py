@@ -369,6 +369,7 @@ def _cmd_snapshot(path: str, incremental: bool = False) -> int:
     database, __ = build_movie_database()
     if incremental:
         dump_incremental(database, path)
+        database.delta_log.close()
         print(f"wrote {path}/ (base image + delta log)")
     else:
         dump_database(database, path)

@@ -454,6 +454,14 @@ class DeltaLog:
                 self._handle.close()
             self._handle = open(path, "w")
 
+    def close(self) -> None:
+        """Close the attached file, if any; later commits write nothing.
+        Closing twice is harmless."""
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+
 
 def read_delta_records(
     path: str, decoder: Callable[[Any], Any] | None = None

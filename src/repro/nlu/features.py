@@ -4,8 +4,11 @@ Builds a vocabulary of word unigrams, bigrams and character trigrams
 from the training corpus and maps utterances to L2-normalised count
 vectors.  Each text becomes one sparse CSR row (:class:`SparseRows`):
 about 1% of a movie-corpus vocabulary occurs in any one utterance, so
-training works on the rows directly, while :meth:`NGramFeaturizer.transform`
-scatters them into the dense matrix prediction multiplies.
+training and prediction both work on the rows directly.
+:meth:`NGramFeaturizer.row` gives one utterance's columns and values,
+from tokens the caller may already hold; :meth:`NGramFeaturizer.transform`
+scatters rows into a dense matrix, which only the nearest-neighbour
+baseline reads.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import NotFittedError
-from repro.nlu.tokenizer import tokenize
+from repro.nlu.tokenizer import Token, tokenize
 
 __all__ = ["NGramFeaturizer", "SparseRows"]
 
@@ -77,6 +80,18 @@ class NGramFeaturizer:
             raise NotFittedError("featurizer is not fitted")
         return self._rows([self._extract(text) for text in texts])
 
+    def row(
+        self, text: str, tokens: list[Token] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending columns and values of ``text``'s feature row, as
+        :meth:`rows` gives them; ``tokens``, when given, must be
+        ``tokenize(text)``."""
+        if self._vocabulary is None:
+            raise NotFittedError("featurizer is not fitted")
+        columns, values = self._row(self._extract(text, tokens))
+        return (np.array(columns, dtype=np.intp),
+                np.array(values, dtype=np.float64))
+
     def transform(self, texts: list[str]) -> np.ndarray:
         return self._dense(self.rows(texts))
 
@@ -95,26 +110,29 @@ class NGramFeaturizer:
         self._vocabulary = {feature: i for i, feature in enumerate(sorted(kept))}
 
     def _rows(self, extracted: list[list[str]]) -> SparseRows:
-        lookup = self._vocabulary.get
         indptr = [0]
         indices: list[int] = []
         values: list[float] = []
         for features in extracted:
-            tally = Counter(map(lookup, features))
-            tally.pop(None, None)
-            columns = sorted(tally)
-            counts = [tally[column] for column in columns]
-            # The sum of squared small counts is exact, so the norm and
-            # every value equal the dense row's np.linalg.norm division.
-            norm = math.sqrt(sum([count * count for count in counts]))
+            columns, row_values = self._row(features)
             indices += columns
-            values += [count / norm for count in counts]
+            values += row_values
             indptr.append(len(indices))
         return SparseRows(
             np.array(indptr, dtype=np.intp),
             np.array(indices, dtype=np.intp),
             np.array(values, dtype=np.float64),
         )
+
+    def _row(self, features: list[str]) -> tuple[list[int], list[float]]:
+        tally = Counter(map(self._vocabulary.get, features))
+        tally.pop(None, None)
+        columns = sorted(tally)
+        counts = [tally[column] for column in columns]
+        # The sum of squared small counts is exact, so the norm and every
+        # value equal the dense row's np.linalg.norm division.
+        norm = math.sqrt(sum([count * count for count in counts]))
+        return columns, [count / norm for count in counts]
 
     def _dense(self, rows: SparseRows) -> np.ndarray:
         indptr, indices, values = rows
@@ -123,16 +141,18 @@ class NGramFeaturizer:
             row[indices[low:high]] = values[low:high]
         return matrix
 
-    def _extract(self, text: str) -> list[str]:
-        tokens = [t.lower for t in tokenize(text)]
-        features = [f"w:{t}" for t in tokens]
+    def _extract(
+        self, text: str, tokens: list[Token] | None = None
+    ) -> list[str]:
+        if tokens is None:
+            tokens = tokenize(text)
+        words = [token.lower for token in tokens]
+        features = [f"w:{word}" for word in words]
         if self.use_bigrams:
-            features.extend(
-                f"b:{left}_{right}" for left, right in zip(tokens, tokens[1:])
-            )
+            features += [f"b:{left}_{right}"
+                         for left, right in zip(words, words[1:])]
         if self.use_char_trigrams:
             padded = f"  {text.lower()} "
-            features.extend(
-                f"c:{padded[i:i + 3]}" for i in range(len(padded) - 2)
-            )
+            features += [f"c:{padded[i:i + 3]}"
+                         for i in range(len(padded) - 2)]
         return features

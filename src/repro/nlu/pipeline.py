@@ -1,7 +1,8 @@
 """The NLU pipeline: text -> intent + linked slot values.
 
 Chains the intent classifier, the BIO slot tagger and the entity linker
-into the single ``parse`` entry point the agent runtime uses.  Low-
+into the single ``parse`` entry point the agent runtime uses.  ``parse``
+tokenises the utterance once and hands the tokens to both models.  Low-
 confidence intent predictions fall back to a dedicated ``fallback``
 intent so the dialogue manager can ask the user to rephrase.
 """
@@ -14,6 +15,7 @@ from repro.db.database import Database
 from repro.nlu.entity_linking import EntityLinker, LinkedValue
 from repro.nlu.intent import IntentClassifier
 from repro.nlu.slots import SlotTagger
+from repro.nlu.tokenizer import tokenize
 from repro.synthesis.corpus import NLUDataset, SlotSpan
 from repro.synthesis.templates import SlotVocabulary
 
@@ -32,7 +34,6 @@ def build_gazetteers(
     from the database for free).
     """
     from repro.db.types import DataType
-    from repro.nlu.tokenizer import tokenize
 
     gazetteers: dict[str, frozenset[str]] = {}
     for slot_name in vocabulary.names():
@@ -98,12 +99,13 @@ class NLUPipeline:
 
     # ------------------------------------------------------------------
     def parse(self, text: str) -> NLUResult:
-        prediction = self.intent.predict(text)
+        tokens = tokenize(text)
+        prediction = self.intent.predict(text, tokens)
         intent = prediction.intent
         confidence = prediction.confidence
         if confidence < self.confidence_threshold:
             intent = FALLBACK_INTENT
-        spans = tuple(self.tagger.tag(text))
+        spans = tuple(self.tagger.tag(text, tokens))
         linked: list[LinkedValue] = []
         for span in spans:
             if span.name not in self._vocabulary:

@@ -6,6 +6,13 @@ plus first-order transition weights, decoded with Viterbi and trained
 with averaged perceptron updates.  This is the from-scratch equivalent
 of the CRF-style slot filler RASA trains.  Features and labels are
 interned to ints once, and one decoder serves training and tagging.
+
+One function, ``_sentence_features``, builds a sentence's features for
+both :meth:`SlotTagger.fit` and :meth:`SlotTagger.tag`: it lower-cases
+each token once and finds a word's gazetteer hits with one probe of the
+``word -> gaz= features`` map that ``fit`` builds.  ``_viterbi`` sums
+each token's emissions with the built-in ``sum()`` in feature order and
+puts the sentence's emissions into one array before the label steps.
 """
 
 from __future__ import annotations
@@ -43,39 +50,47 @@ def _shape(word: str) -> str:
     return "".join(collapsed)
 
 
-def _token_features(
-    tokens: list[Token],
-    index: int,
-    gazetteers: dict[str, frozenset[str]] | None = None,
-) -> list[str]:
-    token = tokens[index]
-    word = token.lower
-    features = [
-        f"w={word}",
-        f"shape={_shape(token.text)}",
-        f"pre2={word[:2]}",
-        f"pre3={word[:3]}",
-        f"suf2={word[-2:]}",
-        f"suf3={word[-3:]}",
-        f"isdigit={word.isdigit()}",
-    ]
-    if index == 0:
-        features.append("bos")
-    else:
-        features.append(f"w-1={tokens[index - 1].lower}")
-    if index == len(tokens) - 1:
-        features.append("eos")
-    else:
-        features.append(f"w+1={tokens[index + 1].lower}")
-    if index >= 2:
-        features.append(f"w-2={tokens[index - 2].lower}")
-    if index + 2 < len(tokens):
-        features.append(f"w+2={tokens[index + 2].lower}")
-    if gazetteers:
-        for slot_name, lexicon in gazetteers.items():
-            if word in lexicon:
-                features.append(f"gaz={slot_name}")
+def _gazetteer_features(
+    gazetteers: dict[str, frozenset[str]]
+) -> dict[str, tuple[str, ...]]:
+    """Each gazetteer word's ``gaz=`` features, in lexicon order."""
+    features: dict[str, tuple[str, ...]] = {}
+    for slot_name, lexicon in gazetteers.items():
+        # () + feature is feature itself, so the words found in this
+        # lexicon only all share one tuple.
+        feature = (f"gaz={slot_name}",)
+        for word in lexicon:
+            features[word] = features.get(word, ()) + feature
     return features
+
+
+def _sentence_features(
+    tokens: list[Token], gazetteer_features: dict[str, tuple[str, ...]]
+) -> list[list[str]]:
+    """Each token's features: word, shape, affixes, two words either side
+    and gazetteer hits."""
+    words = [token.text.lower() for token in tokens]
+    last = len(words) - 1
+    sentence = []
+    for i, word in enumerate(words):
+        features = [
+            f"w={word}",
+            f"shape={_shape(tokens[i].text)}",
+            f"pre2={word[:2]}",
+            f"pre3={word[:3]}",
+            f"suf2={word[-2:]}",
+            f"suf3={word[-3:]}",
+            f"isdigit={word.isdigit()}",
+            f"w-1={words[i - 1]}" if i else "bos",
+            f"w+1={words[i + 1]}" if i < last else "eos",
+        ]
+        if i >= 2:
+            features.append(f"w-2={words[i - 2]}")
+        if i + 2 <= last:
+            features.append(f"w+2={words[i + 2]}")
+        features += gazetteer_features.get(word, ())
+        sentence.append(features)
+    return sentence
 
 
 class SlotTagger:
@@ -83,8 +98,10 @@ class SlotTagger:
 
     ``gazetteers`` maps slot names to lower-cased token lexicons (e.g.
     every word of every movie title); membership becomes a feature, the
-    equivalent of RASA's lookup tables.  What :meth:`tag` reads is built
-    by :meth:`fit` and never written again, so threads may share it.
+    equivalent of RASA's lookup tables; :meth:`fit` turns them into one
+    ``word -> gaz= features`` map, so a token costs one dict probe.
+    What :meth:`tag` reads is built by :meth:`fit` and never written
+    again, so threads may share it.
 
     ``epochs`` is a maximum: :meth:`fit` stops after the first epoch that
     decodes every sequence correctly.  Such an epoch updates nothing, so
@@ -107,6 +124,8 @@ class SlotTagger:
         self._weights: dict[str, tuple[float, ...]] | None = None
         #: (L+1) x L averaged transition weights; row L is the start
         self._transitions: np.ndarray | None = None
+        #: gazetteer word -> its gaz= features
+        self._gazetteer_features: dict[str, tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -118,6 +137,7 @@ class SlotTagger:
     def fit(self, dataset: NLUDataset) -> "SlotTagger":
         if len(dataset) == 0:
             raise NLUError("cannot train on an empty dataset")
+        gazetteer_features = _gazetteer_features(self.gazetteers)
         feature_ids: dict[str, int] = {}
         examples: list[tuple[list[list[int]], list[str]]] = []
         label_set = {_OUTSIDE}
@@ -128,9 +148,8 @@ class SlotTagger:
             labels = spans_to_bio(tokens, example.slots)
             label_set.update(labels)
             features = [
-                [feature_ids.setdefault(f, len(feature_ids))
-                 for f in _token_features(tokens, i, self.gazetteers)]
-                for i in range(len(tokens))
+                [feature_ids.setdefault(f, len(feature_ids)) for f in token]
+                for token in _sentence_features(tokens, gazetteer_features)
             ]
             examples.append((features, labels))
         self._labels = sorted(label_set)
@@ -191,14 +210,19 @@ class SlotTagger:
         self._transitions = (
             totals_t + (step - stamps_t) * transitions) / denominator
         self._transitions.flags.writeable = False
+        self._gazetteer_features = gazetteer_features
         return self
 
     # ------------------------------------------------------------------
-    def tag(self, text: str) -> list[SlotSpan]:
-        """Predict character-span slots for ``text``."""
+    def tag(
+        self, text: str, tokens: list[Token] | None = None
+    ) -> list[SlotSpan]:
+        """Predict character-span slots for ``text``; ``tokens``, when
+        given, must be ``tokenize(text)``."""
         if self._weights is None or self._transitions is None:
             raise NotFittedError("slot tagger is not trained")
-        tokens = tokenize(text)
+        if tokens is None:
+            tokens = tokenize(text)
         if not tokens:
             return []
         path, __ = self._decode(tokens)
@@ -206,11 +230,11 @@ class SlotTagger:
 
     def _decode(self, tokens: list[Token]) -> tuple[list[int], list[np.ndarray]]:
         # Features never seen in training score nothing.
-        weights = self._weights
+        weight_row = self._weights.get
         rows = [
-            [weights[f] for f in _token_features(tokens, i, self.gazetteers)
-             if f in weights]
-            for i in range(len(tokens))
+            [row for row in map(weight_row, features) if row is not None]
+            for features in _sentence_features(tokens,
+                                               self._gazetteer_features)
         ]
         return _viterbi(rows, self._transitions)
 
@@ -225,17 +249,23 @@ def _viterbi(
     summing every ``(feature, label)`` weight: Python 3.12+ compensates
     ``sum()`` rounding, which a numpy reduction or a ``+=`` loop would
     not reproduce.  ``argmax`` keeps the first maximum, like a strict
-    ``>`` scan over previous labels.
+    ``>`` scan over previous labels, and the step's score gathers that
+    maximum.
     """
     n_labels = transitions.shape[1]
+    emissions = np.array([
+        list(map(sum, zip(*rows))) or [0.0] * n_labels for rows in token_rows
+    ])
     steps = transitions[:-1]
-    score = transitions[-1] + _emissions(token_rows[0], n_labels)
+    labels = np.arange(n_labels)
+    score = transitions[-1] + emissions[0]
     scores = [score]
     back = []
-    for rows in token_rows[1:]:
+    for emission in emissions[1:]:
         candidates = score[:, None] + steps
-        back.append(candidates.argmax(axis=0))
-        score = candidates.max(axis=0) + _emissions(rows, n_labels)
+        best = candidates.argmax(axis=0)
+        back.append(best)
+        score = candidates[best, labels] + emission
         scores.append(score)
     label = int(score.argmax())
     path = [label]
@@ -244,10 +274,6 @@ def _viterbi(
         path.append(label)
     path.reverse()
     return path, scores
-
-
-def _emissions(rows: list, n_labels: int) -> list[float]:
-    return [sum(column) for column in zip(*rows)] or [0.0] * n_labels
 
 
 def _update(weights, totals, stamps, step: int, row: int, label: int,

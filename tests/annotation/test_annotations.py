@@ -75,6 +75,47 @@ class TestAnnotate:
         assert [str(r) for r in refs] == ["movie.title"]
 
 
+class TestLookupWork:
+    """``get`` builds a default only for attributes without an annotation."""
+
+    @pytest.fixture()
+    def defaults(self, movie_db, monkeypatch):
+        database, __ = movie_db
+        annotations = SchemaAnnotations(database)
+        annotations.annotate("movie", "title", awareness_prior=0.9)
+        counter = {"calls": 0}
+        default_for = SchemaAnnotations._default_for
+
+        def counting(self, ref):
+            counter["calls"] += 1
+            return default_for(self, ref)
+
+        monkeypatch.setattr(SchemaAnnotations, "_default_for", counting)
+        return annotations, counter
+
+    def test_annotated_attribute_builds_no_default(self, defaults):
+        annotations, counter = defaults
+        for __ in range(3):
+            assert annotations.get("movie", "title").awareness_prior == 0.9
+            assert annotations.may_ask("movie", "title")
+            assert annotations.display_name("movie", "title") == "title"
+        assert counter["calls"] == 0
+
+    def test_unannotated_attribute_builds_its_default(self, defaults):
+        annotations, counter = defaults
+        assert not annotations.may_ask("movie", "movie_id")
+        assert counter["calls"] == 1
+
+    @pytest.mark.parametrize("table, column", [
+        ("ghost", "title"), ("movie", "ghost"), ("ghost", "ghost"),
+    ])
+    def test_unknown_reference_still_raises(self, defaults, table, column):
+        annotations, counter = defaults
+        with pytest.raises(AnnotationError):
+            annotations.get(table, column)
+        assert counter["calls"] == 0
+
+
 class TestSerialization:
     def test_roundtrip(self, movie_db):
         database, annotations = movie_db

@@ -102,8 +102,8 @@ class TestV4Format:
 
 
 class TestIncrementalRoundtrip:
-    def test_base_plus_log_matches_live(self, tmp_path):
-        database = _make_db()
+    def test_base_plus_log_matches_live(self, tmp_path, closing_log):
+        database = closing_log(_make_db())
         directory = str(tmp_path / "snap")
         dump_incremental(database, directory)
         assert os.path.exists(os.path.join(directory, BASE_SNAPSHOT_NAME))
@@ -122,8 +122,9 @@ class TestIncrementalRoundtrip:
             database.table("item").row_ids()
         )
 
-    def test_only_committed_state_reaches_the_log(self, tmp_path):
-        database = _make_db()
+    def test_only_committed_state_reaches_the_log(self, tmp_path,
+                                                  closing_log):
+        database = closing_log(_make_db())
         directory = str(tmp_path / "snap")
         dump_incremental(database, directory)
         # Partial rollback: the post-savepoint tail must not replay.
@@ -142,19 +143,19 @@ class TestIncrementalRoundtrip:
         ids = [row["item_id"] for row in restored.rows("item")]
         assert 20 in ids and 21 not in ids and 22 not in ids
 
-    def test_empty_log_restores_the_base(self, tmp_path):
-        database = _make_db()
+    def test_empty_log_restores_the_base(self, tmp_path, closing_log):
+        database = closing_log(_make_db())
         directory = str(tmp_path / "snap")
         dump_incremental(database, directory)
         restored = load_incremental(directory)
         assert _rows(restored) == _rows(database)
 
     def test_restore_movie_database_accepts_directories(
-        self, movie_db, tmp_path
+        self, movie_db, tmp_path, closing_log
     ):
         from repro.datasets import restore_movie_database
 
-        database, __ = movie_db
+        database = closing_log(movie_db[0])
         directory = str(tmp_path / "snap")
         dump_incremental(database, directory)
         database.insert(
@@ -173,10 +174,25 @@ class TestIncrementalRoundtrip:
         assert "ticket_reservation" in restored.procedures.names()
 
 
-class TestCrashRecovery:
-    def _states(self, tmp_path):
-        """Dump a base, apply N commits, record the state after each."""
+class TestDeltaLogClose:
+    def test_close_stops_logging_and_is_idempotent(self, tmp_path):
         database = _make_db()
+        directory = str(tmp_path / "snap")
+        dump_incremental(database, directory)
+        database.insert("item", {"item_id": 11, "bucket": "b1", "qty": 4})
+        log = database.delta_log
+        log.close()
+        log.close()
+        database.insert("item", {"item_id": 12, "bucket": "b2", "qty": 5})
+        ids = [row["item_id"] for row in load_incremental(directory).rows(
+            "item")]
+        assert 11 in ids and 12 not in ids
+
+
+class TestCrashRecovery:
+    def _states(self, tmp_path, closing_log):
+        """Dump a base, apply N commits, record the state after each."""
+        database = closing_log(_make_db())
         directory = str(tmp_path / "snap")
         dump_incremental(database, directory)
         states = [_rows(database)]
@@ -194,8 +210,9 @@ class TestCrashRecovery:
             states.append(_rows(database))
         return directory, states
 
-    def test_truncation_at_any_offset_recovers_a_prefix(self, tmp_path):
-        directory, states = self._states(tmp_path)
+    def test_truncation_at_any_offset_recovers_a_prefix(self, tmp_path,
+                                                        closing_log):
+        directory, states = self._states(tmp_path, closing_log)
         log_path = os.path.join(directory, DELTA_LOG_NAME)
         with open(log_path, "rb") as handle:
             payload = handle.read()
@@ -210,10 +227,11 @@ class TestCrashRecovery:
             handle.write(payload)
         assert _rows(load_incremental(directory)) == states[-1]
 
-    def test_truncation_at_every_offset_of_the_last_record(self, tmp_path):
+    def test_truncation_at_every_offset_of_the_last_record(self, tmp_path,
+                                                           closing_log):
         """A crash can cut the tail record at *any* byte: every prefix
         must restore the state before that record — never raise."""
-        directory, states = self._states(tmp_path)
+        directory, states = self._states(tmp_path, closing_log)
         log_path = os.path.join(directory, DELTA_LOG_NAME)
         with open(log_path, "rb") as handle:
             payload = handle.read()
@@ -227,11 +245,12 @@ class TestCrashRecovery:
             handle.write(payload)
         assert _rows(load_incremental(directory)) == states[-1]
 
-    def test_multibyte_record_truncation_cuts_cleanly(self, tmp_path):
+    def test_multibyte_record_truncation_cuts_cleanly(self, tmp_path,
+                                                      closing_log):
         """Truncation inside a multi-byte UTF-8 sequence is a torn
         record like any other (the text-mode reader used to raise
         UnicodeDecodeError before the line split ever happened)."""
-        database = _make_db()
+        database = closing_log(_make_db())
         directory = str(tmp_path / "snap")
         dump_incremental(database, directory)
         before = _rows(database)
@@ -260,8 +279,8 @@ class TestCrashRecovery:
             handle.write(payload)
         assert _rows(load_incremental(directory)) == after
 
-    def test_corrupt_record_cuts_the_tail(self, tmp_path):
-        directory, states = self._states(tmp_path)
+    def test_corrupt_record_cuts_the_tail(self, tmp_path, closing_log):
+        directory, states = self._states(tmp_path, closing_log)
         log_path = os.path.join(directory, DELTA_LOG_NAME)
         with open(log_path) as handle:
             lines = handle.readlines()
@@ -272,8 +291,9 @@ class TestCrashRecovery:
         restored = load_incremental(directory)
         assert _rows(restored) == states[2]
 
-    def test_non_monotonic_generation_cuts_the_tail(self, tmp_path):
-        directory, states = self._states(tmp_path)
+    def test_non_monotonic_generation_cuts_the_tail(self, tmp_path,
+                                                    closing_log):
+        directory, states = self._states(tmp_path, closing_log)
         log_path = os.path.join(directory, DELTA_LOG_NAME)
         with open(log_path) as handle:
             lines = handle.readlines()
@@ -295,8 +315,8 @@ class TestCrashRecovery:
             with pytest.raises(OSError):
                 dump_incremental(database, directory)
 
-    def _commit_after_dump(self, tmp_path):
-        database = _make_db()
+    def _commit_after_dump(self, tmp_path, closing_log):
+        database = closing_log(_make_db())
         directory = str(tmp_path / "snap")
         dump_incremental(database, directory)
         for step in range(4):
@@ -309,29 +329,30 @@ class TestCrashRecovery:
         return database, directory
 
     def test_crash_between_base_replace_and_log_truncation(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, closing_log
     ):
         """The old log's records are already in the new base: replaying
         them again would re-insert rows the base holds."""
-        database, directory = self._commit_after_dump(tmp_path)
+        database, directory = self._commit_after_dump(tmp_path, closing_log)
         self._dump_crashing_before_truncation(database, directory,
                                               monkeypatch)
         assert _rows(load_incremental(directory)) == _rows(database)
 
-    def test_crash_window_after_a_restore(self, tmp_path, monkeypatch):
+    def test_crash_window_after_a_restore(self, tmp_path, monkeypatch,
+                                          closing_log):
         """A restored database's clock resumes past the log it replayed,
         so its own base image outranks that log's records."""
-        database, directory = self._commit_after_dump(tmp_path)
+        database, directory = self._commit_after_dump(tmp_path, closing_log)
         restored = load_incremental(directory)
         assert restored.data_version >= database.data_version
         self._dump_crashing_before_truncation(restored, directory,
                                               monkeypatch)
         assert _rows(load_incremental(directory)) == _rows(database)
 
-    def test_mismatched_log_rejected(self, tmp_path):
+    def test_mismatched_log_rejected(self, tmp_path, closing_log):
         """A log whose insert ids disagree with the base is an error,
         not silent corruption."""
-        database = _make_db()
+        database = closing_log(_make_db())
         directory = str(tmp_path / "snap")
         dump_incremental(database, directory)
         ops = [["insert", "item", 999,

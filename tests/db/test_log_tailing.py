@@ -51,10 +51,10 @@ class _Writer(threading.Thread):
             )
 
 
-def test_raw_disk_tail_reads_stay_clean_under_append(tmp_path):
+def test_raw_disk_tail_reads_stay_clean_under_append(tmp_path, closing_log):
     """read_delta_records racing the appender: a clean committed prefix
     (or a cut flagged not-clean), never an exception, never disorder."""
-    database = _make_db()
+    database = closing_log(_make_db())
     directory = str(tmp_path / "snap")
     dump_incremental(database, directory)
     log_path = os.path.join(directory, DELTA_LOG_NAME)

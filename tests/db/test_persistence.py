@@ -267,9 +267,9 @@ class TestCrashSafeWrites:
         ids=["dump_database", "dump_incremental"],
     )
     def test_failed_redump_keeps_old_snapshot(
-        self, tmp_path, monkeypatch, dump, load, target, failing
+        self, tmp_path, monkeypatch, closing_log, dump, load, target, failing
     ):
-        database = self._item_db()
+        database = closing_log(self._item_db())
         path = str(tmp_path / target)
         dump(database, path)
         # Make the failed re-dump's content differ from what is on disk.

@@ -3,10 +3,12 @@
 Every text becomes a dense row over the whole vocabulary, and every SGD
 step multiplies a dense batch by the weights both ways.  Slow and
 memory-hungry, but every step is plain: the differential tests require
-:class:`repro.nlu.NGramFeaturizer` to reproduce its rows exactly and
+:class:`repro.nlu.NGramFeaturizer` to reproduce its rows exactly,
 :class:`repro.nlu.IntentClassifier` to train to within a few rounding
-errors of it.  N-grams come from the featurizer's own ``_extract``,
-which both paths share.
+errors of it, and its sparse-row predictions to stay within a few
+rounding errors of scoring the dense rows with the same weights.  The
+oracle extracts n-grams with its own copy of the featurizer's
+extraction, so a change there shows in the rows too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nlu.features import NGramFeaturizer
+from repro.nlu.tokenizer import tokenize
 from repro.synthesis.corpus import NLUDataset
+
+
+def extract(featurizer: NGramFeaturizer, text: str) -> list[str]:
+    """Word unigrams, word bigrams and character trigrams of ``text``, in
+    the featurizer's order, as its settings select them."""
+    tokens = [t.lower for t in tokenize(text)]
+    features = [f"w:{t}" for t in tokens]
+    if featurizer.use_bigrams:
+        features.extend(
+            f"b:{left}_{right}" for left, right in zip(tokens, tokens[1:])
+        )
+    if featurizer.use_char_trigrams:
+        padded = f"  {text.lower()} "
+        features.extend(
+            f"c:{padded[i:i + 3]}" for i in range(len(padded) - 2)
+        )
+    return features
 
 
 def fit_vocabulary(
@@ -22,7 +42,7 @@ def fit_vocabulary(
 ) -> dict[str, int]:
     counts: dict[str, int] = {}
     for text in texts:
-        for feature in featurizer._extract(text):
+        for feature in extract(featurizer, text):
             counts[feature] = counts.get(feature, 0) + 1
     kept = [f for f, c in counts.items() if c >= featurizer.min_count]
     kept.sort(key=lambda f: (-counts[f], f))
@@ -35,7 +55,7 @@ def dense_transform(
 ) -> np.ndarray:
     matrix = np.zeros((len(texts), len(vocabulary)), dtype=np.float64)
     for row, text in enumerate(texts):
-        for feature in featurizer._extract(text):
+        for feature in extract(featurizer, text):
             column = vocabulary.get(feature)
             if column is not None:
                 matrix[row, column] += 1.0
@@ -102,8 +122,20 @@ class ReferenceIntentClassifier:
         return self
 
     def predict_proba(self, texts: list[str]) -> np.ndarray:
-        features = dense_transform(self.featurizer, self.vocabulary, texts)
-        return softmax(features @ self.weights + self.bias)
+        return dense_predict_proba(self.featurizer, self.vocabulary,
+                                   self.weights, self.bias, texts)
+
+
+def dense_predict_proba(
+    featurizer: NGramFeaturizer,
+    vocabulary: dict[str, int],
+    weights: np.ndarray,
+    bias: np.ndarray,
+    texts: list[str],
+) -> np.ndarray:
+    """Class probabilities from whole dense rows times all the weights."""
+    features = dense_transform(featurizer, vocabulary, texts)
+    return softmax(features @ weights + bias)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

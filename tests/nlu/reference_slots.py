@@ -2,9 +2,11 @@
 
 Weights and transitions live in dicts keyed by ``(feature, label)`` and
 ``(previous, label)``, and the decoder scores every pair through
-``dict.get``.  Slow, but every step is plain: the differential tests
-require :class:`repro.nlu.SlotTagger` to reproduce its averaged weights,
-transitions, per-token Viterbi scores and tags exactly.
+``dict.get``, and each token's features are built on their own by
+``_token_features``, which probes every gazetteer lexicon.  Slow, but
+every step is plain: the differential tests require
+:class:`repro.nlu.SlotTagger` to reproduce its features, averaged
+weights, transitions, per-token Viterbi scores and tags exactly.
 """
 
 from __future__ import annotations
@@ -12,12 +14,66 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
-from repro.nlu.slots import _token_features
 from repro.nlu.tokenizer import Token, spans_to_bio, tokenize
 from repro.synthesis.corpus import NLUDataset
 
 OUTSIDE = "O"
 START = "<s>"
+
+
+def _shape(word: str) -> str:
+    out = []
+    for char in word:
+        if char.isupper():
+            out.append("X")
+        elif char.islower():
+            out.append("x")
+        elif char.isdigit():
+            out.append("d")
+        else:
+            out.append(char)
+    # Collapse runs so shapes generalise ("Xxxxx" -> "Xx+").
+    collapsed: list[str] = []
+    for char in out:
+        if collapsed and collapsed[-1] == char:
+            continue
+        collapsed.append(char)
+    return "".join(collapsed)
+
+
+def _token_features(
+    tokens: list[Token],
+    index: int,
+    gazetteers: dict[str, frozenset[str]] | None = None,
+) -> list[str]:
+    token = tokens[index]
+    word = token.lower
+    features = [
+        f"w={word}",
+        f"shape={_shape(token.text)}",
+        f"pre2={word[:2]}",
+        f"pre3={word[:3]}",
+        f"suf2={word[-2:]}",
+        f"suf3={word[-3:]}",
+        f"isdigit={word.isdigit()}",
+    ]
+    if index == 0:
+        features.append("bos")
+    else:
+        features.append(f"w-1={tokens[index - 1].lower}")
+    if index == len(tokens) - 1:
+        features.append("eos")
+    else:
+        features.append(f"w+1={tokens[index + 1].lower}")
+    if index >= 2:
+        features.append(f"w-2={tokens[index - 2].lower}")
+    if index + 2 < len(tokens):
+        features.append(f"w+2={tokens[index + 2].lower}")
+    if gazetteers:
+        for slot_name, lexicon in gazetteers.items():
+            if word in lexicon:
+                features.append(f"gaz={slot_name}")
+    return features
 
 
 class ReferenceSlotTagger:

@@ -5,7 +5,10 @@ the counts are small integers, so every norm is exact in any summation
 order.  Trained weights and biases may differ from the reference only by
 the summation order inside a batch's touched block, so they must agree
 within ``TOLERANCE`` and rank the intents of every training text in the
-same order.
+same order.  Prediction scores each sparse row against the weight rows of
+its columns; against the dense row times the whole weight matrix only
+the summation order of the logits differs, so probabilities must agree
+within ``TOLERANCE`` and rankings exactly.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nlu import IntentClassifier, NGramFeaturizer
+from repro.nlu import IntentClassifier, NGramFeaturizer, tokenize
 from repro.synthesis import NLUDataset, NLUExample
 
 from tests.nlu.reference_intent import (
     ReferenceIntentClassifier,
+    dense_predict_proba,
     dense_transform,
     fit_vocabulary,
 )
@@ -40,14 +44,19 @@ EDGE_TEXTS = {
 
 
 def assert_same_rows(featurizer: NGramFeaturizer, texts: list[str]):
+    """``rows`` and each text's ``row`` hold the dense row's non-zeros."""
     dense = dense_transform(featurizer, featurizer._vocabulary, texts)
     rows = featurizer.rows(texts)
     assert len(rows.indptr) == len(texts) + 1 and rows.indptr[0] == 0
-    for i, row in enumerate(dense):
+    for i, (text, row) in enumerate(zip(texts, dense)):
         nonzero = np.flatnonzero(row)
         own = slice(rows.indptr[i], rows.indptr[i + 1])
         assert np.array_equal(rows.indices[own], nonzero)
         assert np.array_equal(rows.values[own], row[nonzero])
+        for columns, values in (featurizer.row(text),
+                                featurizer.row(text, tokenize(text))):
+            assert np.array_equal(columns, nonzero)
+            assert np.array_equal(values, row[nonzero])
     assert rows.indptr[-1] == len(rows.indices) == len(rows.values)
     assert np.array_equal(featurizer.transform(texts), dense)
 
@@ -73,6 +82,30 @@ def assert_same_training(reference: ReferenceIntentClassifier,
     assert np.array_equal(ours.argmax(axis=1), theirs.argmax(axis=1))
     assert np.array_equal(np.argsort(-ours, axis=1),
                           np.argsort(-theirs, axis=1))
+
+
+def assert_predict_matches_dense(model: IntentClassifier, texts: list[str]):
+    dense = dense_predict_proba(model.featurizer, model.featurizer._vocabulary,
+                                model._weights, model._bias, texts)
+    labels = model.labels
+    for text, expected in zip(texts, dense):
+        ranking = model.predict(text).ranking
+        order = np.argsort(-expected)
+        assert [label for label, __ in ranking] == [labels[i] for i in order]
+        probabilities = np.array([probability for __, probability in ranking])
+        assert np.abs(probabilities - expected[order]).max() <= TOLERANCE
+
+
+def assert_predict_is_predict_proba(model: IntentClassifier,
+                                    texts: list[str]):
+    """Equal floats, whatever the batch a text is scored in."""
+    labels = model.labels
+    for text, row in zip(texts, model.predict_proba(texts)):
+        assert model.predict_proba([text])[0].tolist() == row.tolist()
+        for prediction in (model.predict(text),
+                           model.predict(text, tokenize(text))):
+            by_label = dict(prediction.ranking)
+            assert [by_label[label] for label in labels] == row.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +180,34 @@ class TestTraining:
                                       batch_size=2)
         assert model._weights.shape == (0, 2)
         assert_same_training(reference, model, ["", "hello"])
+
+
+class TestPredict:
+    """``predict`` and ``predict_proba`` score sparse rows with one
+    kernel; the reference scores dense rows with the same weights."""
+
+    @pytest.fixture(scope="class")
+    def model(self, trained_agent):
+        __, agent = trained_agent
+        return agent.artifacts.nlu.intent
+
+    def test_movie_corpus_matches_dense(self, model, movie_texts):
+        assert_predict_matches_dense(model, movie_texts)
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS.values(), ids=EDGE_TEXTS)
+    def test_edge_texts_match_dense(self, model, text):
+        assert_predict_matches_dense(model, [text])
+
+    def test_predict_is_predict_proba(self, model, movie_texts):
+        assert_predict_is_predict_proba(
+            model, movie_texts + list(EDGE_TEXTS.values()))
+
+    def test_predict_proba_of_no_texts(self, model):
+        assert model.predict_proba([]).shape == (0, len(model.labels))
+
+    def test_toy_model_matches_dense(self):
+        __, model = train_pair(toy_intent_dataset(), epochs=12)
+        texts = [example.text for example in toy_intent_dataset()]
+        texts += list(EDGE_TEXTS.values())
+        assert_predict_matches_dense(model, texts)
+        assert_predict_is_predict_proba(model, texts)

@@ -1,9 +1,17 @@
 """Tests for the combined NLU pipeline (uses the session-scoped agent)."""
 
+import sys
+
 import pytest
 
-from repro.nlu import FALLBACK_INTENT, build_gazetteers
+from repro.nlu import FALLBACK_INTENT, NGramFeaturizer, build_gazetteers
+from repro.nlu import tokenizer
 from repro.synthesis import SlotVocabulary
+
+PARSED_TEXTS = [
+    "i want to buy 3 tickets", "hello", "", "  ", "İ",
+    "i want to watch forest gump",
+]
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +53,37 @@ class TestParsing:
         assert linked is not None
         assert linked.value == "Forrest Gump"
         assert linked.corrected
+
+
+class TestWorkPerParse:
+    """``parse`` tokenises once, hands the tokens to both models, and
+    scores the intent on the sparse row."""
+
+    def test_tokenizes_once(self, nlu, monkeypatch):
+        calls = []
+        tokenize = tokenizer.tokenize
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        # Every module that imported the function by name.
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro.")
+                    and getattr(module, "tokenize", None) is tokenize):
+                monkeypatch.setattr(module, "tokenize", counting)
+        for text in PARSED_TEXTS:
+            calls.clear()
+            nlu.parse(text)
+            assert calls == [text]
+
+    def test_builds_no_dense_row(self, nlu, monkeypatch):
+        def dense(self, rows):
+            raise AssertionError("parse scattered a dense feature row")
+
+        monkeypatch.setattr(NGramFeaturizer, "_dense", dense)
+        for text in PARSED_TEXTS:
+            nlu.parse(text)
 
 
 class TestGazetteers:

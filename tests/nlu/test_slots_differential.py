@@ -3,7 +3,9 @@
 Scores must be float-identical (``==``, never approx): the tagger sums
 each label's weights with the built-in ``sum()`` in feature order, like
 the reference, and Python 3.12+ compensates rounding inside ``sum()``,
-so any other summation would drift there.
+so any other summation would drift there.  The reference builds each
+token's features on its own (``_token_features``), so the tagger's
+per-sentence builder must also reproduce them, in order.
 """
 
 from __future__ import annotations
@@ -17,10 +19,14 @@ from hypothesis import strategies as st
 
 from repro.datasets import AtisConfig, build_flight_database, generate_cat_corpus
 from repro.nlu import SlotTagger, bio_to_spans, tokenize
-from repro.nlu.slots import _viterbi
+from repro.nlu.slots import _gazetteer_features, _sentence_features, _viterbi
 from repro.synthesis import NLUDataset, NLUExample, SlotSpan
 
-from tests.nlu.reference_slots import START, ReferenceSlotTagger
+from tests.nlu.reference_slots import (
+    START,
+    ReferenceSlotTagger,
+    _token_features,
+)
 from tests.nlu.test_intent_and_slots import toy_slot_dataset
 
 #: Epochs for the corpus-sized pairs: the reference trains about ten
@@ -69,6 +75,13 @@ def assert_same_model(reference: ReferenceSlotTagger, tagger: SlotTagger):
     )
 
 
+def assert_same_features(gazetteers: dict[str, frozenset[str]], text: str):
+    tokens = tokenize(text)
+    assert _sentence_features(tokens, _gazetteer_features(gazetteers)) == [
+        _token_features(tokens, i, gazetteers) for i in range(len(tokens))
+    ]
+
+
 def assert_same_decode(reference: ReferenceSlotTagger, tagger: SlotTagger,
                        text: str):
     labels, scores = reference.decode(text)
@@ -111,19 +124,57 @@ def known_words(movie_texts):
                    for token in tokenize(text)})
 
 
+#: "phoenix" is in both lexicons, which are not in sorted order, and
+#: "i\u0307" is the lower-cased token "İ".
+TOY_GAZETTEERS = {
+    "src": frozenset({"boston", "phoenix", "i\u0307"}),
+    "dst": frozenset({"dallas", "phoenix"}),
+}
+
+#: Texts at the feature builder's edges: one to three tokens (``bos``,
+#: ``eos`` and the two-word window), mixed case (``shape=`` reads the
+#: text, every other feature the lower-cased word) and "İ", whose
+#: lower-case form is two characters long.
+EDGE_TEXTS = {
+    "empty": "",
+    "one-token": "phoenix",
+    "two-tokens": "phoenix boston",
+    "three-tokens": "to phoenix ?",
+    "mixed-case": "Fly From PHOENIX to BoStOn",
+    "dotted-capital-i": "İ",
+    "dotted-capital-i-word": "fly from İstanbul to phoenix",
+}
+
+
+class TestFeatures:
+    @pytest.mark.parametrize("text", EDGE_TEXTS.values(), ids=EDGE_TEXTS)
+    @pytest.mark.parametrize("gazetteers", [{}, TOY_GAZETTEERS],
+                             ids=["no-gazetteers", "toy-gazetteers"])
+    def test_edge_texts(self, gazetteers, text):
+        assert_same_features(gazetteers, text)
+
+    def test_word_in_two_lexicons_keeps_lexicon_order(self):
+        features = _sentence_features(tokenize("Phoenix"),
+                                      _gazetteer_features(TOY_GAZETTEERS))
+        assert features[0][-2:] == ["gaz=src", "gaz=dst"]
+        assert_same_features(TOY_GAZETTEERS, "Phoenix")
+
+    def test_movie_corpus(self, trained_agent, movie_texts):
+        __, agent = trained_agent
+        gazetteers = agent.artifacts.nlu.tagger.gazetteers
+        for text in movie_texts:
+            assert_same_features(gazetteers, text)
+
+
 class TestToyDatasets:
-    @pytest.mark.parametrize("gazetteers", [
-        None,
-        {"src": frozenset({"boston", "phoenix"}),
-         "dst": frozenset({"dallas", "phoenix"})},
-    ])
+    @pytest.mark.parametrize("gazetteers", [None, TOY_GAZETTEERS])
     def test_identical_model_and_decodes(self, gazetteers):
         dataset = toy_slot_dataset()
         reference, tagger = train_pair(dataset, epochs=5, gazetteers=gazetteers)
         assert_same_model(reference, tagger)
         texts = [example.text for example in dataset] + [
-            "fly from phoenix to boston", "boston", "", "?!", "Fly From X",
-        ]
+            "fly from phoenix to boston", "boston", "?!", "Fly From X",
+        ] + list(EDGE_TEXTS.values())
         for text in texts:
             assert_same_decode(reference, tagger, text)
 
@@ -218,17 +269,23 @@ def utterances(draw, known_words):
 class TestGeneratedUtterances:
     @pytest.mark.parametrize("text", [
         "", "?", "...!", "zzqx", "forrest", "2",
+        "forrest gump", "2 ?", "book forrest gump",
+        "I Want 2 TICKETS For Forrest GUMP", "İ", "İ want İ tickets",
         " ".join(["tickets"] * 45),
         " ".join(f"qq{i}" for i in range(41)),
     ], ids=["empty", "question-mark", "punctuation", "unseen-word",
-            "known-word", "digit", "45-known", "41-unseen"])
+            "known-word", "digit", "two-known", "two-short", "three-known",
+            "mixed-case", "dotted-capital-i", "dotted-capital-i-words",
+            "45-known", "41-unseen"])
     def test_edge_shapes(self, movie_pair, text):
         assert_same_decode(*movie_pair, text)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_identical_decodes(self, movie_pair, known_words, data):
-        assert_same_decode(*movie_pair, data.draw(utterances(known_words)))
+        text = data.draw(utterances(known_words))
+        assert_same_features(movie_pair[1].gazetteers, text)
+        assert_same_decode(*movie_pair, text)
 
 
 class TestSharedTagger:

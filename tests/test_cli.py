@@ -1,5 +1,7 @@
 """Tests for the command-line interface (fast commands only)."""
 
+import gc
+
 import pytest
 
 from repro.cli import main
@@ -16,6 +18,17 @@ class TestCli:
 
         database = load_database(str(path))
         assert database.count("movie") > 0
+
+    def test_incremental_snapshot_command(self, tmp_path, capsys):
+        from repro.db import load_incremental
+
+        path = tmp_path / "snap"
+        assert main(["snapshot", str(path), "--incremental"]) == 0
+        # Collect the command's database now, so that a delta log it left
+        # open fails this test rather than a later one.
+        gc.collect()
+        assert "wrote" in capsys.readouterr().out
+        assert load_incremental(str(path)).count("movie") > 0
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
