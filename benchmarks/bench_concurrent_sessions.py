@@ -1,28 +1,23 @@
 """E6 — Multi-session serving throughput on one AgentRuntime.
 
 The MVCC claim: one synthesized artifacts bundle serves many concurrent
-conversations, readers never queue behind a lock, and the shard tier
-scales past the GIL with worker processes.  Run as a script this file
-sweeps four profiles and writes a JSON artifact (percentile latencies,
-cpu count, gate results):
+conversations over one database, and readers never queue behind a lock.
+Run as a script this file sweeps three profiles and writes a JSON
+artifact (percentile latencies, cpu count, gate results):
 
 * ``threads_mvcc`` — N interleaved sessions on one runtime, the MVCC
   snapshot read path (no serving-tier lock at all);
 * ``serialized_baseline`` — the same sweep with a bench-local global
   lock around every turn, i.e. the pre-MVCC single-writer discipline;
-* ``workers`` — the shard router fanning sessions across worker
-  processes (fork-inherited runtime replicas), zero think time;
 * ``writer_interference`` — reader latency percentiles while a writer
   thread holds multi-statement transactions: under MVCC readers sail
   through on pinned snapshots, under the single lock they queue.
 
 Each simulated client waits ``THINK_TIME_S`` between turns — the
 network/typing gap every real deployment has; it is what concurrency
-overlaps.  Zero-think-time sweeps are GIL-bound on one core, which is
-exactly the gap the ``workers`` profile exists to close; gates that
-encode a speedup (``--require-worker-speedup``) therefore only make
-sense on multi-core machines, and the artifact records ``cpu_count`` so
-readers can judge the numbers honestly.
+overlaps.  Zero-think-time sweeps are GIL-bound on one core, so the
+reader-scaling gate measures the think-time sweep, and the artifact
+records ``cpu_count`` so readers can judge the numbers honestly.
 
 The three pytest entry points at the bottom keep the original
 tier-2 assertions runnable under plain pytest.
@@ -32,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 import threading
@@ -41,7 +35,7 @@ import time
 from repro import CAT
 from repro.datasets import MovieConfig, build_movie_database, movie_templates
 from repro.eval import ResultTable
-from repro.serving import AgentRuntime, ShardRouter
+from repro.serving import AgentRuntime
 from repro.synthesis import GenerationConfig, SelfPlayConfig
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -67,11 +61,8 @@ _runtime_cache: dict[str, AgentRuntime] = {}
 
 
 def shared_runtime() -> AgentRuntime:
-    """Synthesize once; every sweep point reuses the same runtime.
-
-    Also the shard bootstrap: forked workers inherit the populated
-    cache, so per-worker replicas cost nothing to build.
-    """
+    """Synthesize once; every sweep point and pytest entry point
+    reuses the same runtime."""
     runtime = _runtime_cache.get("runtime")
     if runtime is None:
         database, annotations = build_movie_database(BENCH_CONFIG)
@@ -128,7 +119,7 @@ def _run_sessions(
     """Drive ``n_sessions`` concurrent clients; returns (wall_s, latencies).
 
     ``server`` is anything with the create_session/respond/end_session
-    trio: an AgentRuntime, a ShardRouter or a SerializedFacade.
+    trio: an AgentRuntime or a SerializedFacade.
     """
     latencies: list[list[float]] = [[] for __ in range(n_sessions)]
     barrier = threading.Barrier(n_sessions + 1)
@@ -230,55 +221,6 @@ def _profile_serialized(runtime, sessions, turns) -> dict:
     return {"think_time_s": THINK_TIME_S, "sweep": rows}
 
 
-def _profile_workers(worker_sweep, sessions: int, turns: int) -> dict:
-    """Zero-think shard sweep: sessions spread across worker processes."""
-    can_fork = "fork" in multiprocessing.get_all_start_methods()
-    table = ResultTable(
-        "E6: shard workers (zero think time, "
-        f"{sessions} sessions x {turns} turns)",
-        ["workers", "turns_per_sec", "p95_ms", "per_worker_turns"],
-    )
-    rows = []
-    for n_workers in worker_sweep:
-        router = ShardRouter(
-            n_workers,
-            shared_runtime,
-            start_method="fork" if can_fork else None,
-            inprocess=not can_fork,
-        )
-        try:
-            # Forked replicas inherit the parent runtime's counters;
-            # report this run's turns only.
-            before = router.stats().per_worker_turns
-            wall, latencies = _run_sessions(router, sessions, 0.0, turns)
-            served = [
-                after - prior
-                for after, prior in zip(
-                    router.stats().per_worker_turns, before
-                )
-            ]
-            summary = latency_summary(latencies)
-            rows.append(
-                {
-                    "workers": n_workers,
-                    "sessions": sessions,
-                    "turns_per_sec": round(sessions * turns / wall, 2),
-                    "latency_ms": summary,
-                    "per_worker_turns": served,
-                }
-            )
-            table.add_row(
-                n_workers,
-                round(sessions * turns / wall, 1),
-                summary["p95_ms"],
-                "/".join(str(t) for t in served),
-            )
-        finally:
-            router.close()
-    table.show()
-    return {"process_workers": can_fork, "sweep": rows}
-
-
 def _writer_loop(runtime, lock, stop: threading.Event, counters: dict):
     """Commit short transactions until told to stop.
 
@@ -368,9 +310,6 @@ def run_bench(args) -> dict:
     session_sweep = tuple(
         sorted({1, min(4, max_sessions), max_sessions})
     )
-    worker_sweep = tuple(
-        sorted({1, args.workers})
-    )
     runtime = shared_runtime()
 
     artifact: dict = {
@@ -392,9 +331,6 @@ def run_bench(args) -> dict:
             runtime, min(4, max_sessions), turns
         )
     )
-    artifact["profiles"]["workers"] = _profile_workers(
-        worker_sweep, max_sessions, turns
-    )
 
     failures = []
     if args.require_reader_scaling is not None:
@@ -413,22 +349,6 @@ def run_bench(args) -> dict:
                 f"reader scaling {ratio}x < "
                 f"required {args.require_reader_scaling}x"
             )
-    if args.require_worker_speedup is not None:
-        sweep = artifact["profiles"]["workers"]["sweep"]
-        base = sweep[0]["turns_per_sec"]
-        peak = max(row["turns_per_sec"] for row in sweep)
-        ratio = round(peak / base, 2)
-        passed = ratio >= args.require_worker_speedup
-        artifact["gates"]["worker_speedup"] = {
-            "required": args.require_worker_speedup,
-            "observed": ratio,
-            "passed": passed,
-        }
-        if not passed:
-            failures.append(
-                f"worker speedup {ratio}x < "
-                f"required {args.require_worker_speedup}x"
-            )
     artifact["failures"] = failures
     return artifact
 
@@ -446,21 +366,12 @@ def main(argv: list[str] | None = None) -> int:
         help="full sweeps (overrides --smoke)",
     )
     parser.add_argument(
-        "--workers", type=int, default=2,
-        help="max worker count for the shard profile (default 2)",
-    )
-    parser.add_argument(
         "--sessions", type=int, default=None,
         help="max concurrent sessions (default 8 smoke / 16 full)",
     )
     parser.add_argument(
         "--require-reader-scaling", type=float, default=None,
         help="fail unless peak/single-session turns/s >= this ratio",
-    )
-    parser.add_argument(
-        "--require-worker-speedup", type=float, default=None,
-        help="fail unless peak/1-worker turns/s >= this ratio "
-        "(meaningful on multi-core machines only)",
     )
     parser.add_argument(
         "--output", default=None,

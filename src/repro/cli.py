@@ -82,144 +82,9 @@ session has its own dialogue state and awareness model.
   :sessions     list live sessions
   :close <id>   end a session
   :stats        runtime + per-session connection counters
-  :advisor      ranked CREATE INDEX suggestions from observed scans
   :help         this text
   :quit         leave
 Anything else is sent to the active session."""
-
-_SHARD_HELP = """\
-Sharded mode: session ids hash across worker processes, each hosting
-its own runtime over a database replica (affinity: a session's turns
-all land on its worker).
-
-  :new [id]     open a session (and switch to it)
-  :use <id>     switch the active session
-  :sessions     list live sessions (all workers)
-  :close <id>   end a session
-  :stats        per-worker turn counts, commit waits
-  :help         this text
-  :quit         leave
-Anything else is sent to the active session."""
-
-
-def _shard_worker_runtime(snapshot_path):
-    """Spawn-safe shard bootstrap: replica from snapshot + synthesis.
-
-    Fork-style workers never call this — they inherit the parent's
-    already-synthesized agent; spawn-style workers rebuild from the
-    incremental snapshot directory (base image + delta log) the
-    parent wrote, restoring without a full re-synthesis pass.
-    """
-    from repro import CAT
-    from repro.datasets import movie_templates, restore_movie_database
-
-    database, annotations = restore_movie_database(snapshot_path)
-    cat = CAT(database, annotations)
-    cat.add_template_catalog(movie_templates())
-    return cat.synthesize_runtime()
-
-
-def _cmd_serve_sharded(session_ttl: float | None, workers: int) -> int:
-    import multiprocessing
-    import tempfile
-
-    from repro.errors import ServingError, UnknownSessionError
-    from repro.serving import AgentRuntime, ShardRouter
-
-    cat, agent = _build_cat()
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        # Fork workers inherit the synthesized agent (copy-on-write
-        # replica) — worker start is effectively free.
-        def bootstrap():
-            return AgentRuntime.for_agent(agent, session_ttl=session_ttl)
-
-        router = ShardRouter(workers, bootstrap, start_method="fork")
-    else:  # pragma: no cover - non-fork platforms
-        # Incremental (v4) snapshot directory: workers restore the
-        # base image and replay the delta log instead of
-        # re-synthesizing, so spawn start stays fast.
-        directory = tempfile.mkdtemp(prefix="repro-shard-")
-        from repro.db import dump_incremental
-
-        dump_incremental(agent._database, directory)
-        router = ShardRouter(
-            workers,
-            "repro.cli:_shard_worker_runtime",
-            bootstrap_arg=directory,
-            start_method="spawn",
-        )
-
-    with router:
-        active = router.create_session()
-        print(_SHARD_HELP)
-        print(f"{workers} workers up")
-        print(f"[{active}] session opened (worker {router.shard_of(active)})")
-        while True:
-            try:
-                text = input(f"{active}> ").strip()
-            except EOFError:
-                return 0
-            if not text:
-                continue
-            if text in (":quit", ":q", "quit", "exit"):
-                return 0
-            try:
-                if text == ":help":
-                    print(_SHARD_HELP)
-                elif text.startswith(":new"):
-                    parts = text.split(maxsplit=1)
-                    active = router.create_session(
-                        parts[1] if len(parts) > 1 else None
-                    )
-                    print(
-                        f"[{active}] session opened "
-                        f"(worker {router.shard_of(active)})"
-                    )
-                elif text.startswith(":use"):
-                    parts = text.split(maxsplit=1)
-                    if len(parts) < 2:
-                        print("usage: :use <id>")
-                        continue
-                    active = parts[1]
-                    print(f"[{active}] active")
-                elif text == ":sessions":
-                    for sid in router.session_ids():
-                        marker = "*" if sid == active else " "
-                        print(
-                            f" {marker} {sid}  "
-                            f"worker={router.shard_of(sid)}"
-                        )
-                elif text.startswith(":close"):
-                    parts = text.split(maxsplit=1)
-                    target = parts[1] if len(parts) > 1 else active
-                    router.end_session(target)
-                    print(f"[{target}] closed")
-                elif text == ":stats":
-                    stats = router.stats()
-                    print(
-                        f"  turns_served             {stats.turns_served}"
-                    )
-                    print(
-                        f"  live_sessions            {stats.live_sessions}"
-                    )
-                    for w in stats.workers:
-                        print(
-                            f"    worker {w.worker}: turns={w.turns_served}  "
-                            f"sessions={w.live_sessions}  "
-                            f"snapshot_version={w.snapshot_version}  "
-                            f"commit_waits={w.commit_waits}  "
-                            f"txns={w.transactions_committed}"
-                            f"/{w.transactions_aborted} aborted"
-                        )
-                elif text.startswith(":"):
-                    print(f"unknown command {text!r} (:help for help)")
-                else:
-                    reply = router.respond(active, text)
-                    for line in reply.text.split("\n"):
-                        print(f"bot> {line}")
-            except (ServingError, UnknownSessionError) as exc:
-                print(f"error: {exc}")
 
 
 def _cmd_serve(session_ttl: float | None) -> int:
@@ -291,15 +156,6 @@ def _cmd_serve(session_ttl: float | None) -> int:
                         f"mean_turn={s.mean_turn_ms:.2f}ms  "
                         f"last_turn={s.last_turn_ms:.2f}ms  "
                         f"snapshot=v{s.snapshot_version}"
-                    )
-            elif text == ":advisor":
-                suggestions = runtime.advisor()
-                if not suggestions:
-                    print("  no index suggestions (no advisable scans seen)")
-                for s in suggestions:
-                    print(
-                        f"  {s.statement}  "
-                        f"[{s.misses} scans, ~{s.rows_scanned} rows walked]"
                     )
             elif text.startswith(":"):
                 print(f"unknown command {text!r} (:help for help)")
@@ -396,14 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SECONDS",
         help="expire sessions idle for this long (default: never)",
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="shard sessions across N worker processes "
-        "(default: 0 = single-process threaded runtime)",
-    )
     sub.add_parser("report", help="print the synthesis report")
     sub.add_parser("policies", help="compare slot-selection policies")
     snapshot = sub.add_parser("snapshot", help="dump the cinema database")
@@ -421,8 +269,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "chat":
         return _cmd_chat()
     if args.command == "serve":
-        if args.workers > 0:
-            return _cmd_serve_sharded(args.session_ttl, args.workers)
         return _cmd_serve(args.session_ttl)
     if args.command == "report":
         return _cmd_report()

@@ -506,10 +506,8 @@ def restore_movie_database(path: str) -> tuple[Database, SchemaAnnotations]:
     incremental snapshot *directory* (v4 base image + delta log, see
     :func:`repro.db.persistence.load_incremental`) — the directory
     form restores by replaying only the commits since the base was
-    written, which is how ``serve --workers N`` brings spawn-style
-    workers up in seconds.  The code-level pieces a replica also needs
-    — stored procedures and the schema annotations — are reattached
-    here (fork-style workers inherit the parent's database instead).
+    written.  The code-level pieces a snapshot does not hold — stored
+    procedures and the schema annotations — are reattached here.
     """
     import os
 

@@ -119,8 +119,6 @@ from repro.db.api import (
     CallStatement,
     Connection,
     ConnectionStats,
-    IndexAdvisor,
-    IndexSuggestion,
     Param,
     PreparedStatement,
     Result,
@@ -134,8 +132,6 @@ __all__ += [
     "CallStatement",
     "Connection",
     "ConnectionStats",
-    "IndexAdvisor",
-    "IndexSuggestion",
     "Param",
     "PreparedStatement",
     "Result",

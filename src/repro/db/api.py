@@ -24,9 +24,8 @@ The three objects:
 
 * :class:`Connection` — a lightweight handle from ``database.connect()``
   owning per-connection statistics, read-lock scoping (``reading()``),
-  transaction scoping (``with conn.transaction(): ...``), a
-  prepared-statement pool (:meth:`Connection.prepare_cached`) and the
-  per-connection index advisor (:meth:`Connection.advisor`).
+  transaction scoping (``with conn.transaction(): ...``) and a
+  prepared-statement pool (:meth:`Connection.prepare_cached`).
 * :class:`PreparedStatement` — one compiled statement with named
   :class:`Param` placeholders; immutable after ``prepare`` and safe to
   share across threads (every ``execute`` builds its own bound plan, so
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Mapping
@@ -59,19 +57,13 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Mapping
 from repro.db.aggregation import Aggregate
 from repro.db.engine import (
     AggExpr,
-    Filter,
     PlanNode,
     QuerySpec,
-    SeqScan,
     execute_iter,
     execute_row_ids,
     execute_rows,
     render_plan,
 )
-
-# The advisor's notion of an "advisable predicate" must stay in
-# lockstep with how the planner decomposes conjunctions.
-from repro.db.engine.planner import _and_parts
 from repro.db.query import (
     And,
     Comparison,
@@ -99,8 +91,6 @@ __all__ = [
     "ConnectionStats",
     "PreparedStatement",
     "Result",
-    "IndexAdvisor",
-    "IndexSuggestion",
 ]
 
 
@@ -277,119 +267,6 @@ def _aggregate_exprs(aggregates: Mapping[str, Aggregate]) -> tuple[AggExpr, ...]
 def call(procedure: str, **arguments: Any) -> CallStatement:
     """Start a stored-procedure call statement."""
     return CallStatement(procedure, arguments)
-
-
-# ---------------------------------------------------------------------------
-# Index advisor
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IndexSuggestion:
-    """One ranked ``CREATE INDEX`` recommendation (a hash index)."""
-
-    table: str
-    column: str
-    misses: int          # executions that scanned instead of probing
-    rows_scanned: int    # total rows those scans visited
-
-    @property
-    def statement(self) -> str:
-        return f"CREATE INDEX ON {self.table} ({self.column})"
-
-    def apply(self, database: "Database") -> bool:
-        """Create the suggested index on ``database`` (DDL); idempotent.
-
-        Takes the commit latch for the existence check *and* the build,
-        so two concurrent ``apply`` calls of the same suggestion cannot
-        double-build: the loser observes the winner's index and no-ops
-        with a warning.  Returns ``True`` when the index was created,
-        ``False`` on the already-exists no-op.
-        """
-        with database.write_locked():
-            if database.table(self.table).has_index(self.column):
-                warnings.warn(
-                    f"{self.statement}: equivalent index already exists; "
-                    "skipping",
-                    stacklevel=2,
-                )
-                return False
-            database.create_index(self.table, self.column)
-            return True
-
-
-class IndexAdvisor:
-    """Tallies SeqScan+Filter executions a hash index would have served.
-
-    The planner settles for a sequential scan whenever an equality or
-    IN predicate names a column without a hash index; every such
-    execution records a *miss* here, weighted by the rows the scan
-    visited, so :meth:`suggestions` ranks the indexes by the work they
-    would have saved.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # (table, column) -> [misses, rows_scanned]
-        self._misses: dict[tuple[str, str], list[int]] = {}
-
-    def record(self, table: str, column: str, rows: int) -> None:
-        with self._lock:
-            entry = self._misses.setdefault((table, column), [0, 0])
-            entry[0] += 1
-            entry[1] += rows
-
-    @property
-    def total_misses(self) -> int:
-        with self._lock:
-            return sum(entry[0] for entry in self._misses.values())
-
-    def suggestions(
-        self, database: "Database | None" = None
-    ) -> list[IndexSuggestion]:
-        """Ranked recommendations, most rows-saved first.
-
-        With ``database``, columns that have since gained an index
-        (``suggestion.apply``, manual DDL) are filtered out — the
-        tallies record history, the suggestions describe what is still
-        missing.
-        """
-        with self._lock:
-            items = [
-                IndexSuggestion(table, column, misses, rows)
-                for (table, column), (misses, rows) in self._misses.items()
-            ]
-        if database is not None:
-            items = [
-                s for s in items
-                if s.table in database
-                and not database.table(s.table).has_index(s.column)
-            ]
-        items.sort(key=lambda s: (-s.rows_scanned, -s.misses, s.table, s.column))
-        return items
-
-
-def _index_misses(
-    database: "Database", plan: PlanNode
-) -> tuple[tuple[str, str], ...]:
-    """``(table, column)`` per advisable predicate in ``plan``'s
-    SeqScan+Filter: an equality or IN-list on an unindexed column."""
-    out: list[tuple[str, str]] = []
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Filter) and isinstance(node.child, SeqScan):
-            table = database.table(node.child.table)
-            names = table.schema.column_names  # tuple; few entries
-            for part in _and_parts(node.predicate):
-                if (
-                    isinstance(part, Comparison)
-                    and part.column in names
-                    and part.op in ("==", "in")
-                    and not table.has_index(part.column)
-                ):
-                    out.append((table.name, part.column))
-        stack.extend(node.children())
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -641,28 +518,29 @@ class PreparedStatement:
 
     def _plan_for(
         self, binds: Mapping[str, Any]
-    ) -> tuple[PlanNode, bool | None, tuple | None]:
-        """``(bound plan, template hit, profile)`` for one execution.
+    ) -> tuple[PlanNode, bool | None]:
+        """``(bound plan, template hit)`` for one execution.
 
-        The hot path.  ``hit`` and ``profile`` are ``None`` on the
-        uncacheable-shape path (planned per execution through
+        The hot path.  ``hit`` is ``None`` on the uncacheable-shape
+        path (planned per execution through
         :meth:`PlanCache.plan_uncached`, which counts a bypass).  The
-        profile is returned, never stored on the statement: instances are shared across threads, and a stashed
-        profile could be overwritten by a concurrent execution that
-        observed a newer template.
+        binder is looked up per call, never stored on the statement:
+        instances are shared across threads, and a stashed binder could
+        be overwritten by a concurrent execution that observed a newer
+        template.
         """
         cache = self._database.plan_cache
         if self._fingerprint is None:
-            return cache.plan_uncached(_bind_spec(self._spec, binds)), None, None
+            return cache.plan_uncached(_bind_spec(self._spec, binds)), None
         params = tuple(_resolve_value(v, binds) for v in self._slots)
         template, hit = cache.template_for(
             self._fingerprint, self._spec, params
         )
-        profile = self._connection._profile_for(self._fingerprint, template)
+        __, binder = self._connection._profile_for(self._fingerprint, template)
         plan = cache.bind_or_replan(
-            profile[1], params, lambda: _bind_spec(self._spec, binds)
+            binder, params, lambda: _bind_spec(self._spec, binds)
         )
-        return plan, hit, profile
+        return plan, hit
 
     # ------------------------------------------------------------------
     def execute(self, **binds: Any) -> Result:
@@ -676,11 +554,8 @@ class PreparedStatement:
             }
             outcome = connection._call_procedure(self._procedure, arguments)
             return Result(connection, procedure_result=outcome)
-        plan, hit, profile = self._plan_for(binds)
-        connection._note_execution(
-            hit, _index_misses(self._database, plan)
-            if profile is None else profile[2]
-        )
+        plan, hit = self._plan_for(binds)
+        connection._note_execution(hit)
         return Result(connection, plan=plan)
 
     def plan(self, **binds: Any) -> PlanNode:
@@ -688,7 +563,7 @@ class PreparedStatement:
         if self._kind == "call":
             raise QueryError("procedure calls have no query plan")
         self._check_binds(binds)
-        plan, __, __profile = self._plan_for(binds)
+        plan, __ = self._plan_for(binds)
         return plan
 
     def explain(self, **binds: Any) -> str:
@@ -713,7 +588,6 @@ class ConnectionStats:
     transactions_aborted: int
     plan_cache_hits: int
     plan_cache_misses: int
-    index_misses: int
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -728,9 +602,9 @@ class Connection:
     """A lightweight execution handle over one database.
 
     Cheap to create (``database.connect()``), safe to share across
-    threads; owns per-connection statistics, a prepared-statement pool
-    and an index advisor.  The serving runtime gives every session its
-    own connection, so per-session stats come for free.
+    threads; owns per-connection statistics and a prepared-statement
+    pool.  The serving runtime gives every session its own connection,
+    so per-session stats come for free.
     """
 
     def __init__(self, database: "Database", name: str | None = None) -> None:
@@ -738,11 +612,10 @@ class Connection:
         self.name = name or f"conn-{next(_connection_counter)}"
         self._lock = threading.Lock()
         self._statements: dict[Hashable, PreparedStatement] = {}
-        # fingerprint -> (template, compiled binder, advisor misses):
-        # shared across every statement of a shape on this connection,
-        # so repeated one-shot executes compile the bind program once.
+        # fingerprint -> (template, compiled binder): shared across
+        # every statement of a shape on this connection, so repeated
+        # one-shot executes compile the bind program once.
         self._profiles: dict[tuple, tuple] = {}
-        self._advisor = IndexAdvisor()
         self._statements_prepared = 0
         self._executions = 0
         self._rows_returned = 0
@@ -840,7 +713,7 @@ class Connection:
                         self._transactions_committed += 1
 
     # ------------------------------------------------------------------
-    # Stats / advisor
+    # Stats
     # ------------------------------------------------------------------
     def stats(self) -> ConnectionStats:
         with self._lock:
@@ -854,13 +727,7 @@ class Connection:
                 transactions_aborted=self._transactions_aborted,
                 plan_cache_hits=self._plan_cache_hits,
                 plan_cache_misses=self._plan_cache_misses,
-                index_misses=self._advisor.total_misses,
             )
-
-    def advisor(self) -> list[IndexSuggestion]:
-        """Ranked CREATE INDEX suggestions from this connection's misses
-        (suggestions already satisfied by an existing index are elided)."""
-        return self._advisor.suggestions(self._database)
 
     def note_plan_cache(self, hits: int, misses: int) -> None:
         """Attribute externally-measured plan-cache traffic (the serving
@@ -873,26 +740,15 @@ class Connection:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _note_execution(
-        self, hit: bool | None, misses: tuple[tuple[str, str], ...]
-    ) -> None:
+    def _note_execution(self, hit: bool | None) -> None:
         """Per-execute accounting: the template lookup already
-        established hit/miss (``None`` for an uncacheable shape), and
-        the advisor misses come with the plan — (table, column),
-        weighted by the table's live cardinality at record time."""
+        established hit/miss (``None`` for an uncacheable shape)."""
         with self._lock:
             self._executions += 1
             if hit is True:
                 self._plan_cache_hits += 1
             elif hit is False:
                 self._plan_cache_misses += 1
-        database = self._database
-        if misses:
-            shared = database.index_advisor
-            for table, column in misses:
-                rows = len(database.table(table))
-                self._advisor.record(table, column, rows)
-                shared.record(table, column, rows)
 
     def _note_rows(self, n: int) -> None:
         with self._lock:
@@ -903,21 +759,17 @@ class Connection:
     _MAX_PROFILES = 1024
 
     def _profile_for(self, fingerprint: tuple, template: PlanNode) -> tuple:
-        """``(template, binder, advisor misses)`` per shape.
+        """``(template, binder)`` per shape.
 
         Revalidated by template identity: a data-version bump or LRU
         eviction hands back a new template instance, which recompiles
-        the bind program and re-derives the advisor misses.
+        the bind program.
         """
         entry = self._profiles.get(fingerprint)
         if entry is None or entry[0] is not template:
             from repro.db.engine.cache import compile_binder
 
-            entry = (
-                template,
-                compile_binder(self._database, template),
-                _index_misses(self._database, template),
-            )
+            entry = (template, compile_binder(self._database, template))
             with self._lock:
                 if len(self._profiles) >= self._MAX_PROFILES:
                     self._profiles.clear()

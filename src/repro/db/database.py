@@ -67,7 +67,6 @@ class Database:
         self._statistics = None
         self._plan_cache = None
         self._default_connection = None
-        self._index_advisor = None
 
     # ------------------------------------------------------------------
     # Table access
@@ -142,9 +141,9 @@ class Database:
     def connect(self, name: str | None = None):
         """A fresh :class:`~repro.db.api.Connection` handle.
 
-        Connections are lightweight: per-connection statistics, a
-        prepared-statement pool and an index advisor over the shared
-        database.  The serving runtime opens one per session.
+        Connections are lightweight: per-connection statistics and a
+        prepared-statement pool over the shared database.  The serving
+        runtime opens one per session.
         """
         from repro.db.api import Connection
 
@@ -167,24 +166,6 @@ class Database:
                     self._default_connection = Connection(self, name="default")
                 connection = self._default_connection
         return connection
-
-    @property
-    def index_advisor(self):
-        """Database-wide :class:`~repro.db.api.IndexAdvisor`.
-
-        Every connection records its SeqScan+Filter misses here as well
-        as locally, so ``database.index_advisor.suggestions()`` ranks
-        CREATE INDEX candidates across the whole workload.
-        """
-        advisor = self._index_advisor
-        if advisor is None:
-            from repro.db.api import IndexAdvisor
-
-            with self._statistics_lock:
-                if self._index_advisor is None:
-                    self._index_advisor = IndexAdvisor()
-                advisor = self._index_advisor
-        return advisor
 
     # ------------------------------------------------------------------
     # Concurrency

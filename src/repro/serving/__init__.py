@@ -10,21 +10,12 @@ This package provides the runtime for that:
   session),
 * :class:`~repro.serving.runtime.AgentRuntime` — the thread-safe entry
   point: ``runtime.respond(session_id, text)``; every turn pins one
-  MVCC snapshot, so read work runs concurrently and transactions take
-  only the narrow commit latch,
-* :class:`~repro.serving.shard.ShardRouter` — session-affinity sharding
-  across N worker processes, each hosting its own runtime over a
-  database replica (``python -m repro serve --workers N``).
+  MVCC snapshot, so read work runs concurrently on threads and
+  transactions take only the narrow commit latch of the one database.
 """
 
 from repro.serving.runtime import AgentRuntime, RuntimeStats, SessionStats
 from repro.serving.sessions import Session, SessionStore
-from repro.serving.shard import (
-    ShardReply,
-    ShardRouter,
-    ShardStats,
-    WorkerStats,
-)
 
 __all__ = [
     "AgentRuntime",
@@ -32,8 +23,4 @@ __all__ = [
     "Session",
     "SessionStats",
     "SessionStore",
-    "ShardReply",
-    "ShardRouter",
-    "ShardStats",
-    "WorkerStats",
 ]

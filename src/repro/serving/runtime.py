@@ -22,8 +22,8 @@ Concurrency model (MVCC):
   ``commit_waits`` stat counts that writer-writer contention.
 
 Sessions expire after ``session_ttl`` seconds idle and the store evicts
-least-recently-used sessions beyond ``max_sessions`` — both are what a
-"millions of users" deployment needs to bound memory.
+least-recently-used sessions beyond ``max_sessions``, which bounds the
+memory that idle or abandoned conversations hold.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable
 from repro.agent.agent import AgentReply, ConversationalAgent
 from repro.agent.artifacts import AgentArtifacts
 from repro.agent.session import TranscriptTurn
-from repro.db.api import Connection, IndexSuggestion
+from repro.db.api import Connection
 from repro.db.database import Database
 from repro.serving.sessions import Session, SessionStore
 
@@ -134,11 +134,10 @@ class AgentRuntime:
     # ------------------------------------------------------------------
     def create_session(self, session_id: str | None = None) -> str:
         session = self.sessions.create(session_id)
-        # Every session holds its own connection: per-session execution
-        # stats come free, and a session-scoped index advisor with
-        # them.  Created through the locked lazy path so a concurrent
-        # respond() on a predictable id never ends up charging a
-        # connection this assignment would orphan.
+        # Every session holds its own connection, so per-session
+        # execution stats come free.  Created through the locked lazy
+        # path so a concurrent respond() on a predictable id never ends
+        # up charging a connection this assignment would orphan.
         self._session_connection(session)
         return session.session_id
 
@@ -262,13 +261,3 @@ class AgentRuntime:
                     )
                     session.connection = connection
         return connection
-
-    def advisor(self) -> list[IndexSuggestion]:
-        """Ranked CREATE INDEX suggestions across the whole workload.
-
-        Reads the database-wide advisor, which every connection
-        (session-held and internal) records its SeqScan+Filter misses
-        into — the serve REPL's ``:advisor`` surface.  Suggestions an
-        existing index already satisfies are elided.
-        """
-        return self.database.index_advisor.suggestions(self.database)

@@ -9,10 +9,9 @@ import pytest
 
 from repro.db import Param, Query, api, select
 from repro.db.aggregation import count, sum_
-from repro.db.api import IndexSuggestion
 from repro.db.engine import Filter, IndexEq, SeqScan
 from repro.db.procedures import ProcedureResult
-from repro.db.query import contains, eq, ge, gt, le, or_
+from repro.db.query import eq, ge, gt, le, or_
 from repro.errors import ProcedureError, QueryError
 
 from tests.db.reference_executor import aggregate
@@ -459,101 +458,6 @@ class TestResultCursor:
         result = conn.execute(select("movie").where(eq("nope", 1)))
         with pytest.raises(QueryError):
             result.all()
-
-
-# ---------------------------------------------------------------------------
-# Index advisor
-# ---------------------------------------------------------------------------
-
-class TestIndexAdvisor:
-    def test_equality_miss_suggests_hash_index(self, conn, database):
-        assert not database.table("movie").has_index("title")
-        conn.execute(select("movie").where(eq("title", "Heat"))).all()
-        suggestions = conn.advisor()
-        assert any(
-            s.table == "movie" and s.column == "title"
-            for s in suggestions
-        )
-        assert "CREATE INDEX ON movie (title)" in suggestions[0].statement
-
-    def test_indexed_probe_records_no_miss(self, conn, database):
-        conn.execute(select("screening").where(eq("movie_id", 1))).all()
-        assert conn.advisor() == []
-
-    def test_contains_predicate_not_advisable(self, conn):
-        conn.execute(select("movie").where(contains("title", "the"))).all()
-        assert conn.advisor() == []
-
-    def test_misses_accumulate_and_rank(self, conn, database):
-        for __ in range(3):
-            conn.execute(select("movie").where(eq("title", "Heat"))).all()
-        conn.execute(
-            select("movie").where(ge("duration_minutes", 100))
-        ).all()
-        suggestions = conn.advisor()
-        title = next(s for s in suggestions if s.column == "title")
-        assert title.misses == 3
-        assert title.rows_scanned == 3 * len(database.table("movie"))
-        assert suggestions[0] is title  # most rows walked first
-
-    def test_prepared_statements_record_misses_too(self, conn, database):
-        stmt = conn.prepare(select("movie").where(eq("title", Param("t"))))
-        stmt.execute(t="Heat").all()
-        stmt.execute(t="Alien").all()
-        title = next(s for s in conn.advisor() if s.column == "title")
-        assert title.misses == 2
-
-    def test_database_advisor_aggregates_connections(self, database):
-        a = database.connect()
-        b = database.connect()
-        a.execute(select("movie").where(eq("title", "Heat"))).all()
-        b.execute(select("movie").where(eq("title", "Alien"))).all()
-        title = next(
-            s for s in database.index_advisor.suggestions()
-            if s.column == "title"
-        )
-        assert title.misses == 2
-
-    def test_suggestion_apply_creates_index_and_clears_misses(
-        self, conn, database
-    ):
-        conn.execute(select("movie").where(eq("title", "Heat"))).all()
-        suggestion = conn.advisor()[0]
-        suggestion.apply(database)
-        assert database.table("movie").has_index("title")
-        # A satisfied suggestion disappears from the advisor output...
-        assert not any(s.column == "title" for s in conn.advisor())
-        assert not any(
-            s.column == "title"
-            for s in database.index_advisor.suggestions(database)
-        )
-        # ...and the new index is adopted: later executions probe,
-        # recording no new miss.
-        before = conn.stats().index_misses
-        conn.execute(select("movie").where(eq("title", "Heat"))).all()
-        assert conn.stats().index_misses == before
-
-
-class TestApplyIdempotent:
-    def test_apply_creates_then_noops_with_warning(self, database):
-        suggestion = IndexSuggestion("movie", "title", 10, 10_000)
-        assert suggestion.apply(database) is True
-        assert database.table("movie").has_index("title")
-        with pytest.warns(UserWarning, match="already exists"):
-            assert suggestion.apply(database) is False
-
-    def test_apply_safe_under_commit_latch(self, database):
-        # The latch is reentrant: applying inside an open write scope
-        # must not deadlock.
-        suggestion = IndexSuggestion("movie", "title", 10, 10_000)
-        with database.write_locked():
-            assert suggestion.apply(database) is True
-        assert database.table("movie").has_index("title")
-
-    def test_existing_constraint_index_noops(self, database):
-        suggestion = IndexSuggestion("movie", "movie_id", 10, 10_000)
-        with pytest.warns(UserWarning):
-            assert suggestion.apply(database) is False
 
 
 # ---------------------------------------------------------------------------

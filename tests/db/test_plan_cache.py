@@ -241,6 +241,17 @@ class TestInvalidation:
         assert "IndexEq on screening using room" in explained
         assert "SeqScan" not in explained
 
+    def test_create_index_inside_open_write_scope(self, db):
+        # The commit latch is reentrant: index DDL inside an open write
+        # scope must not deadlock, and the cached template still
+        # recompiles to the new access path.
+        query = Query("screening").where(eq("room", "room A"))
+        assert "SeqScan" in query.explain(db)
+        with db.write_locked():
+            db.create_index("screening", "room")
+        assert db.table("screening").has_index("room")
+        assert "IndexEq on screening using room" in query.explain(db)
+
     def test_unbindable_constant_falls_back(self, db):
         # Compile the template with a proper date, then reuse the shape
         # with a string that cannot coerce to DATE: the cache must fall

@@ -405,15 +405,3 @@ class TestSessionConnections:
         assert session.connection is None
         runtime.respond("direct", "hello")
         assert runtime.session_connection("direct") is not None
-
-    def test_runtime_advisor_reads_database_advisor(self, runtime):
-        from repro.db import select
-        from repro.db.query import eq
-
-        sid = runtime.create_session()
-        conn = runtime.session_connection(sid)
-        conn.execute(select("movie").where(eq("title", "Nothing"))).all()
-        suggestions = runtime.advisor()
-        assert any(
-            s.table == "movie" and s.column == "title" for s in suggestions
-        )
