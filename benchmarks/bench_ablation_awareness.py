@@ -14,7 +14,7 @@ import sys
 
 from repro.dataaware import DataAwarePolicy, UserAwarenessModel
 from repro.datasets import MovieConfig, build_movie_database
-from repro.db import ColumnRef, StatisticsCatalog
+from repro.db import ColumnRef
 from repro.eval import PolicyExperiment, ResultTable
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -49,12 +49,10 @@ def test_ablation_awareness_factor(benchmark):
     )
 
     with_awareness = DataAwarePolicy(
-        lookup, UserAwarenessModel(annotations), StatisticsCatalog(database),
-        use_awareness=True,
+        lookup, UserAwarenessModel(annotations), use_awareness=True,
     )
     without_awareness = DataAwarePolicy(
-        lookup, UserAwarenessModel(annotations), StatisticsCatalog(database),
-        use_awareness=False,
+        lookup, UserAwarenessModel(annotations), use_awareness=False,
     )
     summary_with, __ = experiment.run(with_awareness, n_episodes=EPISODES)
     summary_without, __ = experiment.run(without_awareness,
@@ -95,9 +93,7 @@ def test_ablation_awareness_learning(benchmark):
         database, catalog, annotations, lookup, seed=41, awareness=truth
     )
     awareness = UserAwarenessModel(annotations, prior_strength=4.0)
-    policy = DataAwarePolicy(
-        lookup, awareness, StatisticsCatalog(database)
-    )
+    policy = DataAwarePolicy(lookup, awareness)
     cold, __ = experiment.run(policy, n_episodes=15)
     # Keep playing: the same model accumulates observations.
     for __round in range(3):

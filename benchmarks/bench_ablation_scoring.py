@@ -19,7 +19,6 @@ from repro.dataaware import (
     UserAwarenessModel,
 )
 from repro.datasets import MovieConfig, build_movie_database
-from repro.db import StatisticsCatalog
 from repro.eval import PolicyExperiment, ResultTable
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -45,8 +44,7 @@ def test_ablation_informativeness_measure(benchmark):
     means = {}
     for measure in InformativenessMeasure:
         policy = DataAwarePolicy(
-            lookup, UserAwarenessModel(annotations),
-            StatisticsCatalog(database), measure=measure,
+            lookup, UserAwarenessModel(annotations), measure=measure,
         )
         summary, __ = experiment.run(policy, n_episodes=EPISODES)
         table.add_row(measure.value, summary.mean_turns,
@@ -57,8 +55,7 @@ def test_ablation_informativeness_measure(benchmark):
     assert means["entropy"] <= min(means.values()) + 1.0
     benchmark.extra_info["means"] = means
     benchmark(lambda: experiment.run(
-        DataAwarePolicy(lookup, UserAwarenessModel(annotations),
-                        StatisticsCatalog(database)),
+        DataAwarePolicy(lookup, UserAwarenessModel(annotations)),
         n_episodes=3,
     ))
 
@@ -76,8 +73,7 @@ def test_ablation_join_depth(benchmark):
     means = {}
     for hops in (0, 1, 2):
         policy = DataAwarePolicy(
-            lookup, UserAwarenessModel(annotations),
-            StatisticsCatalog(database), max_hops=hops,
+            lookup, UserAwarenessModel(annotations), max_hops=hops,
         )
         summary, __ = experiment.run(policy, n_episodes=EPISODES)
         table.add_row(hops, summary.mean_turns, summary.success_rate)
@@ -89,6 +85,6 @@ def test_ablation_join_depth(benchmark):
     benchmark.extra_info["means"] = {str(k): v for k, v in means.items()}
     benchmark(lambda: experiment.run(
         DataAwarePolicy(lookup, UserAwarenessModel(annotations),
-                        StatisticsCatalog(database), max_hops=2),
+                        max_hops=2),
         n_episodes=3,
     ))

@@ -250,7 +250,7 @@ def make_workloads(config: MovieConfig):
 
 def _time(fn, min_seconds: float, max_iterations: int) -> float:
     """Median wall-clock seconds per call."""
-    fn()  # warm caches (statistics catalog, plan cache)
+    fn()  # warm the plan cache
     samples: list[float] = []
     budget_start = time.perf_counter()
     while (

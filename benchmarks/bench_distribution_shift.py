@@ -29,7 +29,7 @@ from repro.dataaware import (
     UserAwarenessModel,
 )
 from repro.datasets import MovieConfig, build_movie_database, lexicons
-from repro.db import Catalog, StatisticsCatalog
+from repro.db import Catalog
 from repro.eval import PolicyExperiment, ResultTable
 
 
@@ -92,9 +92,7 @@ def _compare(database, catalog, annotations, lookup, static, episodes=30):
     experiment = PolicyExperiment(
         database, catalog, annotations, lookup, seed=23
     )
-    data_aware = DataAwarePolicy(
-        lookup, UserAwarenessModel(annotations), StatisticsCatalog(database)
-    )
+    data_aware = DataAwarePolicy(lookup, UserAwarenessModel(annotations))
     aware_summary, __ = experiment.run(data_aware, n_episodes=episodes)
     static_summary, __ = experiment.run(static, n_episodes=episodes)
     return aware_summary, static_summary

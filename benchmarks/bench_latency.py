@@ -18,7 +18,6 @@ from repro.dataaware import (
     UserAwarenessModel,
 )
 from repro.datasets import MovieConfig, build_movie_database
-from repro.db import StatisticsCatalog
 from repro.eval import ResultTable
 
 import sys
@@ -42,9 +41,7 @@ def _policy_step(database, catalog, annotations, lookup, cache):
     candidates = CandidateSet.initial(
         database, catalog, lookup.table, shared_cache=cache
     )
-    policy = DataAwarePolicy(
-        lookup, UserAwarenessModel(annotations), StatisticsCatalog(database)
-    )
+    policy = DataAwarePolicy(lookup, UserAwarenessModel(annotations))
     return policy.next_attribute(candidates, set())
 
 

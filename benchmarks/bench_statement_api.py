@@ -240,7 +240,7 @@ def make_workloads(database, config: MovieConfig):
 def _time_turns(fn, min_seconds: float, max_turns: int) -> float:
     """Median wall-clock seconds per turn over repeated sweeps."""
     for turn in range(50):
-        fn(turn)  # warm plan templates and statistics
+        fn(turn)  # warm plan templates
     samples: list[float] = []
     budget_start = time.perf_counter()
     turn = 0

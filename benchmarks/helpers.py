@@ -17,7 +17,7 @@ from repro.dataaware import (
     StaticPolicy,
     UserAwarenessModel,
 )
-from repro.db import Catalog, Database, StatisticsCatalog
+from repro.db import Catalog, Database
 from repro.eval import PolicyExperiment
 
 
@@ -70,9 +70,7 @@ def make_policies(
     """The three policies of the Section 4 comparison."""
     awareness = UserAwarenessModel(annotations)
     return {
-        "data_aware": DataAwarePolicy(
-            lookup, awareness, StatisticsCatalog(database)
-        ),
+        "data_aware": DataAwarePolicy(lookup, awareness),
         "static": StaticPolicy.train(lookup, database, catalog, annotations),
         "random": RandomPolicy(lookup, seed=seed),
     }

@@ -3,8 +3,8 @@
 Synthesizes the cinema agent once, then serves 8 interleaved
 conversations from worker threads through a single
 :class:`~repro.serving.AgentRuntime` — each session keeps its own
-dialogue state and awareness model while sharing the trained models,
-statistics and caches.
+dialogue state and awareness model while sharing the trained models
+and caches.
 
 Run with::
 

@@ -18,7 +18,7 @@ from repro.dataaware import (
     UserAwarenessModel,
 )
 from repro.datasets import MovieConfig, build_movie_database
-from repro.db import Catalog, StatisticsCatalog
+from repro.db import Catalog
 from repro.eval import PolicyExperiment, ResultTable
 
 
@@ -37,8 +37,7 @@ def main() -> None:
     experiment = PolicyExperiment(database, catalog, annotations, lookup)
     policies = {
         "data_aware": DataAwarePolicy(
-            lookup, UserAwarenessModel(annotations),
-            StatisticsCatalog(database),
+            lookup, UserAwarenessModel(annotations)
         ),
         "static": StaticPolicy.train(lookup, database, catalog, annotations),
         "random": RandomPolicy(lookup, seed=7),

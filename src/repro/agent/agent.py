@@ -36,7 +36,6 @@ from repro.dataaware import (
 from repro.db.catalog import Catalog, ColumnRef
 from repro.db.database import Database
 from repro.db.procedures import ProcedureResult
-from repro.db.statistics import StatisticsCatalog
 from repro.dialogue import (
     ConversationContext,
     DialogueManager,
@@ -132,10 +131,6 @@ class ConversationalAgent:
     @property
     def responder(self) -> Responder:
         return self._responder
-
-    @property
-    def statistics(self) -> StatisticsCatalog:
-        return self.artifacts.statistics
 
     def tasks(self) -> list[str]:
         return self.artifacts.task_names()
@@ -596,9 +591,7 @@ class ConversationalAgent:
             lookup.table,
             shared_cache=self.artifacts.value_cache,
         )
-        policy = DataAwarePolicy(
-            lookup, ctx.awareness, self.artifacts.statistics
-        )
+        policy = DataAwarePolicy(lookup, ctx.awareness)
         session = IdentificationSession(
             candidates,
             policy,

@@ -8,8 +8,8 @@ every session of a :class:`~repro.serving.runtime.AgentRuntime`, and by
 the evaluation harness — while all per-conversation mutable state lives
 in :class:`~repro.dialogue.context.ConversationContext`.
 
-The statistics catalog and the attribute-value cache are part of the
-bundle even though their *contents* move with the data: they are
+The attribute-value cache and the plan cache are part of the bundle
+even though the value cache's *contents* move with the data: they are
 concurrency-safe caches over the (shared) database, and sharing them
 across sessions is exactly the paper's "integrated caching strategy" —
 the first conversation of the day pays the rebuild, every other session
@@ -27,7 +27,6 @@ from repro.dataaware import AttributeValueCache, UserAwarenessModel
 from repro.db.catalog import Catalog
 from repro.db.database import Database
 from repro.db.engine.cache import PlanCache
-from repro.db.statistics import StatisticsCatalog
 from repro.dialogue import ConversationContext
 from repro.dialogue.policy import NextActionModel
 from repro.nlu.pipeline import NLUPipeline
@@ -46,7 +45,6 @@ class AgentArtifacts:
     nlu: NLUPipeline
     dm_model: NextActionModel
     vocabulary: SlotVocabulary
-    statistics: StatisticsCatalog
     value_cache: AttributeValueCache
     plan_cache: PlanCache
     choice_list_size: int = 3
@@ -71,13 +69,11 @@ class AgentArtifacts:
             nlu=nlu,
             dm_model=dm_model,
             vocabulary=vocabulary,
-            # The same catalog instance the query planner prices plans
-            # with: one rebuild per commit to a table serves both — and the
-            # same prepared-plan cache every statement reads through, so
-            # the first session of the day compiles the turn-query
-            # templates and every other session binds into them.
-            statistics=database.statistics,
             value_cache=AttributeValueCache(database, catalog),
+            # The same prepared-plan cache every statement reads
+            # through: the first session of the day compiles the
+            # turn-query templates and every other session binds into
+            # them.
             plan_cache=database.plan_cache,
             choice_list_size=choice_list_size,
         )

@@ -188,7 +188,7 @@ def _cmd_policies() -> int:
         UserAwarenessModel,
     )
     from repro.datasets import MovieConfig, build_movie_database
-    from repro.db import Catalog, StatisticsCatalog
+    from repro.db import Catalog
     from repro.eval import PolicyExperiment, ResultTable
 
     config = MovieConfig(n_screenings=600, n_movies=80, extra_dimensions=6,
@@ -205,8 +205,7 @@ def _cmd_policies() -> int:
         ["policy", "mean_turns", "success"],
     )
     policies = [
-        DataAwarePolicy(lookup, UserAwarenessModel(annotations),
-                        StatisticsCatalog(database)),
+        DataAwarePolicy(lookup, UserAwarenessModel(annotations)),
         StaticPolicy.train(lookup, database, catalog, annotations),
         RandomPolicy(lookup, seed=7),
     ]

@@ -5,10 +5,9 @@ per screening) is the expensive part of a policy step.  The key
 observation is that the *full-table* entry only depends on the contents
 of the tables along its join path, not on the current candidate subset —
 so we compute it once per commit that writes one of those tables and read
-it per candidate set.  Combined with the
-version-stamped :class:`~repro.db.statistics.StatisticsCatalog`, this is
-what keeps the average response latency at "only a few milliseconds"
-(Section 4) while still reflecting every committed update.
+it per candidate set.  This is what keeps the average response latency
+at "only a few milliseconds" (Section 4) while still reflecting every
+committed update.
 
 There is one entry per ``(root table, attribute)``: an
 :class:`~repro.dataaware.join_graph.AttributeValues` built by

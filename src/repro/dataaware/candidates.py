@@ -159,6 +159,11 @@ class CandidateSet:
         return candidates
 
     # ------------------------------------------------------------------
+    @property
+    def database(self) -> Database:
+        """The database the candidates are rows of."""
+        return self._database
+
     def __len__(self) -> int:
         return len(self.row_ids)
 

@@ -216,17 +216,15 @@ def _joined(
     """For each of ``rows`` (row ids of ``current``), the ascending ids of
     the ``step.to_table`` rows it joins to."""
     next_table = database.table(step.to_table)
-    # A build-vs-probe decision priced with the statistics catalog:
-    # probing pays one index lookup per expected match per frontier
-    # row, building pays one pass over the next table.  A narrow
-    # frontier against a low-fanout column probes; a wide frontier
-    # (or a fat fanout, e.g. a junction table) amortises a single
-    # build pass.
+    # Build vs probe from exact sizes: probing visits about
+    # len(rows) * (rows per key) rows of the next table, building visits
+    # all of them, so on NULL-free keys probing wins exactly when the
+    # frontier is shorter than the key count (O(1) on an index).  A
+    # wide frontier (or a fat fanout, e.g. a junction table) amortises
+    # one build pass.
     use_index = (
         next_table.has_index(step.target_column)
-        and len(rows) * database.statistics.matches_per_key(
-            step.to_table, step.target_column
-        ) < len(next_table)
+        and len(rows) < next_table.distinct_count(step.target_column)
     )
     probe = (
         None if use_index

@@ -5,8 +5,9 @@ next attribute to request when identifying an entity:
 
 * :class:`DataAwarePolicy` — CAT's contribution: scores attributes over
   the *live* candidate set (entropy x awareness) and expands the search
-  to FK-joined tables iteratively, gated by a-priori distinct-value
-  statistics, so not every possible table is joined on every turn.
+  to FK-joined tables iteratively, skipping attributes whose column
+  holds fewer than two distinct values, so not every possible table is
+  joined on every turn.
 * :class:`StaticPolicy` — the attribute order is fixed once at "training
   time" from a database snapshot and replayed blindly at runtime.  It
   matches the data-aware policy when training data resembles production,
@@ -30,7 +31,6 @@ from repro.dataaware.scoring import (
 )
 from repro.db.catalog import ColumnRef
 from repro.db.database import Database
-from repro.db.statistics import StatisticsCatalog
 from repro.errors import PolicyError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -74,10 +74,6 @@ class DataAwarePolicy(SlotSelectionPolicy):
         distance) extracted from the transaction definition.
     awareness:
         Shared awareness model; updated online via :meth:`observe`.
-    statistics:
-        A-priori statistics used to gate join expansion: a joined table is
-        only evaluated when one of its askable columns has more than one
-        distinct value.
     expansion_threshold:
         If the best score found within the hops considered so far reaches
         this value, deeper tables are not joined this turn.
@@ -89,7 +85,6 @@ class DataAwarePolicy(SlotSelectionPolicy):
         self,
         lookup: EntityLookup,
         awareness: UserAwarenessModel,
-        statistics: StatisticsCatalog,
         measure: InformativenessMeasure = InformativenessMeasure.ENTROPY,
         use_awareness: bool = True,
         expansion_threshold: float = 0.45,
@@ -97,7 +92,6 @@ class DataAwarePolicy(SlotSelectionPolicy):
     ) -> None:
         self._lookup = lookup
         self._awareness = awareness
-        self._statistics = statistics
         self._scorer = AttributeScorer(awareness, measure, use_awareness)
         self._expansion_threshold = expansion_threshold
         self._max_hops = max_hops
@@ -116,7 +110,8 @@ class DataAwarePolicy(SlotSelectionPolicy):
             attributes = [
                 attribute
                 for attribute in self._lookup.identifying_attributes[hop]
-                if attribute not in asked and self._worth_joining(attribute)
+                if attribute not in asked
+                and self._worth_joining(candidates, attribute)
             ]
             if attributes:
                 ranked = self._scorer.rank(candidates, attributes)
@@ -134,10 +129,14 @@ class DataAwarePolicy(SlotSelectionPolicy):
         self._awareness.observe(attribute, user_knew)
 
     # ------------------------------------------------------------------
-    def _worth_joining(self, attribute: ColumnRef) -> bool:
-        """A-priori gate: skip attributes that cannot split anything."""
-        stats = self._statistics.column(attribute.table, attribute.column)
-        return stats.distinct_count > 1
+    @staticmethod
+    def _worth_joining(
+        candidates: CandidateSet, attribute: ColumnRef
+    ) -> bool:
+        """Gate before joining: skip attributes whose whole column holds
+        fewer than two distinct values, which cannot split anything."""
+        table = candidates.database.table(attribute.table)
+        return table.distinct_count(attribute.column) > 1
 
 
 class StaticPolicy(SlotSelectionPolicy):

@@ -6,8 +6,8 @@ Public surface:
   transactions, stored procedures, change notification.
 * :mod:`~repro.db.schema` — declarative schemas.
 * :mod:`~repro.db.query` — predicates and single-table queries.
-* :mod:`~repro.db.statistics` — entropy/selectivity statistics with a
-  version-stamped cache.
+* :mod:`~repro.db.engine` — the planner (access paths from index DDL),
+  the columnar executor and the prepared-plan cache.
 * :class:`~repro.db.catalog.Catalog` — introspection for task extraction.
 """
 
@@ -29,21 +29,12 @@ from repro.db.query import (
     or_,
 )
 from repro.db.schema import Column, DatabaseSchema, ForeignKey, TableSchema
-from repro.db.statistics import (
-    ColumnStatistics,
-    StatisticsCatalog,
-    TableStatistics,
-    entropy,
-    gini_impurity,
-    normalized_entropy,
-)
 from repro.db.types import DataType, coerce, render
 
 __all__ = [
     "Catalog",
     "Column",
     "ColumnRef",
-    "ColumnStatistics",
     "DataType",
     "Database",
     "DatabaseSchema",
@@ -52,22 +43,17 @@ __all__ = [
     "Procedure",
     "ProcedureResult",
     "Query",
-    "StatisticsCatalog",
     "TableSchema",
-    "TableStatistics",
     "and_",
     "coerce",
     "contains",
-    "entropy",
     "eq",
     "ge",
-    "gini_impurity",
     "gt",
     "in_",
     "le",
     "lt",
     "ne",
-    "normalized_entropy",
     "not_",
     "or_",
     "render",

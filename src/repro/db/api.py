@@ -23,7 +23,7 @@ gates the difference.
 The three objects:
 
 * :class:`Connection` — a lightweight handle from ``database.connect()``
-  owning per-connection statistics, read-lock scoping (``reading()``),
+  owning per-connection counters, read-lock scoping (``reading()``),
   transaction scoping (``with conn.transaction(): ...``) and a
   prepared-statement pool (:meth:`Connection.prepare_cached`).
 * :class:`PreparedStatement` — one compiled statement with named
@@ -602,7 +602,7 @@ class Connection:
     """A lightweight execution handle over one database.
 
     Cheap to create (``database.connect()``), safe to share across
-    threads; owns per-connection statistics and a prepared-statement
+    threads; owns per-connection counters and a prepared-statement
     pool.  The serving runtime gives every session its own connection,
     so per-session stats come for free.
     """

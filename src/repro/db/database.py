@@ -1,4 +1,4 @@
-"""The :class:`Database` facade: tables + transactions + procedures + stats.
+"""The :class:`Database` facade: tables + transactions + procedures.
 
 This is the OLTP substrate the paper assumes (it uses PostgreSQL; see
 DESIGN.md for the substitution argument).  The facade layers three things
@@ -6,9 +6,9 @@ over raw :class:`~repro.db.table.Table` storage:
 
 * foreign-key enforcement across tables on insert/update/delete,
 * undo-logged atomic mutations via the transaction manager, and
-* change notification so cached statistics can invalidate themselves —
-  the mechanism behind the paper's "no retraining is required in case
-  data changes".
+* commit points that advance the generation clock, which the shared
+  caches' stamps are checked against — the mechanism behind the
+  paper's "no retraining is required in case data changes".
 
 Concurrency model (MVCC): readers enter :meth:`Database.read_locked`,
 which pins a snapshot generation for the scope instead of taking a
@@ -63,8 +63,7 @@ class Database:
             )
         self._listener_lock = threading.Lock()
         self._change_listeners: list[Callable[[], None]] = []
-        self._statistics_lock = threading.Lock()
-        self._statistics = None
+        self._lazy_lock = threading.Lock()
         self._plan_cache = None
         self._default_connection = None
 
@@ -87,49 +86,31 @@ class Database:
     def create_index(self, table_name: str, column: str) -> None:
         """Build a hash index on ``table.column`` (DDL).
 
-        Bumps the data version and the table's write generation:
-        cached plan templates of the table were priced without this
-        access path and must recompile to use it.
+        A commit point, though no row changes: no cache stamped by
+        table writes is retired.  The plan cache checks each template
+        against its table's index columns, so only that table's
+        templates recompile to use the new access path.
         """
         with self.write_locked():
             self.table(table_name).create_index(column)
             self.notify_data_changed()
 
     # ------------------------------------------------------------------
-    # Statistics
+    # Shared caches
     # ------------------------------------------------------------------
-    @property
-    def statistics(self):
-        """The shared :class:`~repro.db.statistics.StatisticsCatalog`.
-
-        Created lazily; version-stamped internally, so it stays
-        consistent across mutations without explicit invalidation.  The
-        query planner prices candidate plans against it.
-        """
-        catalog = self._statistics
-        if catalog is None:
-            from repro.db.statistics import StatisticsCatalog
-
-            with self._statistics_lock:
-                if self._statistics is None:
-                    self._statistics = StatisticsCatalog(self)
-                catalog = self._statistics
-        return catalog
-
     @property
     def plan_cache(self):
         """The shared :class:`~repro.db.engine.cache.PlanCache`.
 
-        Created lazily; version-stamped like the statistics catalog, so
-        a committed write to a table invalidates that table's plan
-        templates without explicit coordination.  Every prepared
+        Created lazily.  A template stays cached across commits until
+        index DDL changes its table's index columns.  Every prepared
         statement reads its plan template through it.
         """
         cache = self._plan_cache
         if cache is None:
             from repro.db.engine.cache import PlanCache
 
-            with self._statistics_lock:
+            with self._lazy_lock:
                 if self._plan_cache is None:
                     self._plan_cache = PlanCache(self)
                 cache = self._plan_cache
@@ -141,7 +122,7 @@ class Database:
     def connect(self, name: str | None = None):
         """A fresh :class:`~repro.db.api.Connection` handle.
 
-        Connections are lightweight: per-connection statistics and a
+        Connections are lightweight: per-connection counters and a
         prepared-statement pool over the shared database.  The serving
         runtime opens one per session.
         """
@@ -161,7 +142,7 @@ class Database:
         if connection is None:
             from repro.db.api import Connection
 
-            with self._statistics_lock:
+            with self._lazy_lock:
                 if self._default_connection is None:
                     self._default_connection = Connection(self, name="default")
                 connection = self._default_connection

@@ -1,17 +1,16 @@
-"""Cost-based query engine: plan tree, planner, executor, plan cache, EXPLAIN.
+"""Query engine: plan tree, planner, executor, plan cache, EXPLAIN.
 
 A statement compiles into a :class:`QuerySpec`, reads a physical plan
 through the database's :class:`PlanCache` (one compilation per query
-shape per write to its table; constants bind into the cached template) and
-executes the resulting plan tree.  The :class:`Planner` consults the
-database's :class:`~repro.db.statistics.StatisticsCatalog` for row
-counts and most-common-value selectivities to choose between a
-sequential scan and a hash-index equality probe, filters with the
-statement's predicate, and aggregates through :class:`HashAggregate`
-(or, for a whole-table group-by on an indexed key,
-:class:`IndexGroupedAggScan`).  Execution runs columnwise over the
-tables' column banks.  :func:`render_plan` renders the chosen plan with
-its cost estimates.
+shape and index set of its table; constants bind into the cached
+template) and executes the resulting plan tree.  :func:`plan_query`
+takes its access path from index DDL alone — a unique indexed
+equality, else the first indexed equality, probes a hash index;
+anything else scans — filters with the statement's predicate, and
+aggregates through :class:`HashAggregate` (or, for a whole-table
+group-by on an indexed key, :class:`IndexGroupedAggScan`).  Execution
+runs columnwise over the tables' column banks.  :func:`render_plan`
+renders the chosen plan tree.
 """
 
 from repro.db.engine.cache import (
@@ -38,7 +37,7 @@ from repro.db.engine.plan import (
     QuerySpec,
     SeqScan,
 )
-from repro.db.engine.planner import Planner, plan_query
+from repro.db.engine.planner import plan_query
 
 __all__ = [
     "AggExpr",
@@ -50,7 +49,6 @@ __all__ = [
     "Param",
     "PlanCache",
     "PlanNode",
-    "Planner",
     "QuerySpec",
     "SeqScan",
     "compile_binder",

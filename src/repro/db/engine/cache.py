@@ -2,10 +2,9 @@
 
 The serving runtime issues the same handful of query shapes on every
 turn — candidate refinement probes, the booked-seats aggregate, the
-linker's value pools — differing only in their constants.  Planning one
-of these costs a statistics-catalog consultation plus access-path
-enumeration; this module amortises that to one compilation per shape
-and commit to its table:
+linker's value pools — differing only in their constants.  This module
+amortises planning to one compilation per shape and index set of its
+table:
 
 1. :func:`fingerprint_spec` reduces a :class:`QuerySpec` to a structural
    *fingerprint* (a nested plain tuple — cheap to hash on every lookup)
@@ -14,13 +13,11 @@ and commit to its table:
    :func:`parameterize_spec` additionally builds the spec with every
    constant replaced by a :class:`~repro.db.engine.plan.Param` slot for
    the planner to compile.
-2. The fingerprint maps to a compiled plan *template* through the shared
-   :class:`~repro.db.versioncache.VersionStampedCache` protocol, so a
-   committed write to the spec's table (rows or index DDL) invalidates
-   its templates exactly like it invalidates the statistics the planner
-   priced them with.  The template is planned with the first
-   execution's constants (classic generic-plan behaviour) but its nodes
-   carry the slots.
+2. The fingerprint maps to a compiled plan *template*, stored with the
+   hash-index columns of the spec's table: the planner reads nothing
+   else of the table, so only index DDL on it retires the template.
+   The template is planned with the first execution's constants
+   (classic generic-plan behaviour) but its nodes carry the slots.
 3. :func:`compile_binder` turns a template into a bind function that
    substitutes an execution's constants into a fresh plan tree.  A
    constant the template cannot absorb (an index probe value that does
@@ -46,6 +43,7 @@ to the session being served.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
@@ -69,12 +67,10 @@ from repro.db.query import (
     TruePredicate,
 )
 from repro.db.types import TypeMismatchError, coerce
-from repro.db.versioncache import VersionStampedCache
 from repro.errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
-    from repro.db.statistics import StatisticsCatalog
 
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
@@ -297,57 +293,50 @@ DEFAULT_MAX_ENTRIES = 512
 
 
 class PlanCache:
-    """Version-stamped, LRU-bounded ``shape -> plan template`` cache.
+    """LRU-bounded ``shape -> plan template`` cache, keyed to index DDL.
 
-    Thread-safe via the shared :class:`VersionStampedCache` protocol:
-    hits never take the database lock, rebuilds run under a pinned
-    snapshot and stamp the data version they observed, racing rebuilds
-    converge on the freshest template.  A template depends on its
-    spec's one table only (its statistics, size and indexes), so a
-    commit recompiles just the templates of the tables it wrote.
-    Entries are capped at ``max_entries`` with least-recently-used
-    eviction (like the serving session store), so unbounded query-shape
-    churn cannot exhaust memory; evictions are counted for the
-    runtime's observability surface.
+    The planner reads only a table's schema and hash-index columns, so
+    each template is stored with its table's
+    :meth:`~repro.db.table.Table.hash_index_columns` at compile time and
+    served while they are unchanged: commits never retire a template,
+    index DDL recompiles only the templates of its table, and a
+    template compiled inside a write transaction is stored like any
+    other (no uncommitted row can be in it).  Thread-safe: one mutex
+    guards the store and the counters; compiles run outside it, and
+    racing compiles of one shape store equal templates.  Entries are
+    capped at ``max_entries`` with least-recently-used eviction (like
+    the serving session store), so unbounded query-shape churn cannot
+    exhaust memory; evictions are counted for the runtime's
+    observability surface.
     """
 
     def __init__(
         self,
         database: "Database",
-        statistics: "StatisticsCatalog | None" = None,
-        max_entries: int | None = DEFAULT_MAX_ENTRIES,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be >= 1")
         self._database = database
-        self._statistics = statistics
-        self._cache = VersionStampedCache(database, max_entries=max_entries)
+        self._max_entries = max_entries
+        self._lock = threading.Lock()
+        # fingerprint -> (index columns at compile time, template)
+        self._templates: OrderedDict[
+            tuple, tuple[list[str], PlanNode]
+        ] = OrderedDict()
         self._local = threading.local()
-        self._bypass_lock = threading.Lock()
-        self._bypasses = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def hits(self) -> int:
-        """Global template-cache hits (across all threads)."""
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        """Global template-cache misses (compilations)."""
-        return self._cache.misses
-
-    @property
-    def bypasses(self) -> int:
-        """Queries planned directly because their shape is uncacheable."""
-        return self._bypasses
-
-    @property
-    def evictions(self) -> int:
-        """Templates dropped by the LRU bound (not by invalidation)."""
-        return self._cache.evictions
+        #: Global template hits and misses (compilations), all threads.
+        self.hits = 0
+        self.misses = 0
+        #: Queries planned directly because their shape is uncacheable.
+        self.bypasses = 0
+        #: Templates dropped by the LRU bound (not by index DDL).
+        self.evictions = 0
 
     def __len__(self) -> int:
-        """Number of currently cached templates (stale ones included)."""
-        return len(self._cache)
+        """Number of currently cached templates."""
+        with self._lock:
+            return len(self._templates)
 
     def local_counters(self) -> tuple[int, int]:
         """(hits, misses) attributed to the calling thread.
@@ -361,19 +350,13 @@ class PlanCache:
             getattr(self._local, "misses", 0),
         )
 
-    def _count(self, hit: bool) -> None:
-        if hit:
-            self._local.hits = getattr(self._local, "hits", 0) + 1
-        else:
-            self._local.misses = getattr(self._local, "misses", 0) + 1
-
     # ------------------------------------------------------------------
     def plan_uncached(self, spec: QuerySpec) -> PlanNode:
         """Plan ``spec`` directly, counted as a bypass: its shape cannot
         share a template (see :func:`fingerprint_spec`)."""
-        with self._bypass_lock:
-            self._bypasses += 1
-        return plan_query(self._database, spec, self._statistics)
+        with self._lock:
+            self.bypasses += 1
+        return plan_query(self._database, spec)
 
     def template_for(
         self, fingerprint: tuple, spec: QuerySpec, params: tuple
@@ -382,26 +365,34 @@ class PlanCache:
 
         The :class:`~repro.db.api.PreparedStatement` hot path: the
         statement computed ``fingerprint`` once at prepare time, so
-        each execution is a version-stamped dict lookup — no per-call
-        spec traversal.  Only a miss parameterises ``spec`` into the
-        shape to compile; ``params`` are the execution's concrete
-        constants, used to cost the template (classic generic-plan
-        behaviour).
+        each execution is a dict lookup and an index-column check — no
+        per-call spec traversal.  Only a miss parameterises ``spec``
+        into the shape to compile; ``params`` are the execution's
+        concrete constants, which decide whether a probe constant
+        coerces (classic generic-plan behaviour).
         """
-        computed = False
-
-        def compile_template() -> tuple[PlanNode, tuple[str]]:
-            nonlocal computed
-            computed = True
-            shape, __ = parameterize_spec(spec)
-            plan = plan_query(
-                self._database, shape, self._statistics, params=params
-            )
-            return plan, (spec.table,)
-
-        template = self._cache.lookup(fingerprint, compile_template)
-        self._count(hit=not computed)
-        return template, not computed
+        columns = self._database.table(spec.table).hash_index_columns()
+        with self._lock:
+            entry = self._templates.get(fingerprint)
+            hit = entry is not None and entry[0] == columns
+            if hit:
+                self.hits += 1
+                self._templates.move_to_end(fingerprint)
+            else:
+                self.misses += 1
+        if hit:
+            self._local.hits = getattr(self._local, "hits", 0) + 1
+            return entry[1], True
+        self._local.misses = getattr(self._local, "misses", 0) + 1
+        shape, __ = parameterize_spec(spec)
+        template = plan_query(self._database, shape, params=params)
+        with self._lock:
+            self._templates[fingerprint] = (columns, template)
+            self._templates.move_to_end(fingerprint)
+            while len(self._templates) > self._max_entries:
+                self._templates.popitem(last=False)
+                self.evictions += 1
+        return template, False
 
     def bind_or_replan(
         self, binder, params: tuple, spec_factory
@@ -412,8 +403,9 @@ class PlanCache:
         try:
             return binder(params)
         except _Unbindable:
-            return plan_query(self._database, spec_factory(), self._statistics)
+            return plan_query(self._database, spec_factory())
 
     def invalidate(self) -> None:
-        """Drop every template (they also refresh lazily via the stamps)."""
-        self._cache.invalidate()
+        """Drop every template."""
+        with self._lock:
+            self._templates.clear()

@@ -1,12 +1,10 @@
 """Render a physical plan tree as an EXPLAIN string.
 
-The format follows the usual engine convention: one node per line,
-children indented below their parent, with the planner's row/cost
-estimates on every node::
+One node per line, children indented below their parent::
 
-    HashAggregate [booked=sum(no_tickets)]  (rows~1, cost~4.06818)
-      Filter screening_id = 3  (rows~1.02273, cost~3.04545)
-        IndexEq on reservation using screening_id = 3  (rows~1.02273, cost~2.02273)
+    HashAggregate [booked=sum(no_tickets)]
+      Filter screening_id = 3
+        IndexEq on reservation using screening_id = 3
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ def render_plan(plan: PlanNode) -> str:
 
 
 def _render(node: PlanNode, depth: int, lines: list[str]) -> None:
-    estimate = f"  (rows~{node.estimated_rows:g}, cost~{node.cost:g})"
-    lines.append("  " * depth + node.describe() + estimate)
+    lines.append("  " * depth + node.describe())
     for child in node.children():
         _render(child, depth + 1, lines)

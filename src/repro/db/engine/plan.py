@@ -6,8 +6,7 @@ narrows its input by a predicate; :class:`HashAggregate` groups and
 reduces its input, and :class:`IndexGroupedAggScan` answers a
 whole-table single-key group-by from the key's hash-index buckets
 without re-hashing a row.  These five are every shape the agent's
-statements plan to.  Every node carries the planner's row and cost
-estimates so EXPLAIN can show *why* a plan was chosen.
+statements plan to.
 
 Constants inside a plan may be :class:`Param` placeholders: the plan
 cache compiles one *template* per query shape and binds the concrete
@@ -18,7 +17,7 @@ constants share one planning pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -104,10 +103,7 @@ class QuerySpec:
 
 @dataclass(frozen=True)
 class PlanNode:
-    """Base node: row/cost estimates plus the EXPLAIN surface."""
-
-    estimated_rows: float = field(default=0.0, kw_only=True)
-    cost: float = field(default=0.0, kw_only=True)
+    """Base node: the EXPLAIN surface."""
 
     def children(self) -> tuple["PlanNode", ...]:
         return ()

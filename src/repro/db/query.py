@@ -3,9 +3,9 @@
 This is not a SQL parser; it is a small relational-algebra API sufficient
 for the agent runtime: typed comparison predicates with boolean
 combinators over one table.  Execution goes through the unified API in
-:mod:`repro.db.api` — a connection prepares the query, the cost-based
-engine in :mod:`repro.db.engine` plans it against the statistics
-catalog and executes the plan; ``explain()`` shows the chosen plan.
+:mod:`repro.db.api` — a connection prepares the query, the engine in
+:mod:`repro.db.engine` plans it from the table's index DDL and
+executes the plan; ``explain()`` shows the chosen plan.
 
 Example
 -------
@@ -270,7 +270,7 @@ class Query:
         return QuerySpec(table=self.table, predicate=self._predicate)
 
     def plan(self, database: "Database"):
-        """The costed physical plan the engine would execute.
+        """The physical plan the engine would execute.
 
         Read through the database's prepared-plan cache: the first
         query of a given shape compiles a plan template, later queries
@@ -280,5 +280,5 @@ class Query:
         return database.default_connection.prepare(self).plan()
 
     def explain(self, database: "Database") -> str:
-        """EXPLAIN output: the chosen plan with row/cost estimates."""
+        """EXPLAIN output: the chosen plan tree."""
         return database.default_connection.prepare(self).explain()

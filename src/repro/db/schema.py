@@ -5,8 +5,8 @@ its primary key, uniqueness constraints and outgoing foreign keys.  A
 :class:`DatabaseSchema` is the collection of table schemas and validates
 cross-table references (foreign keys must point at existing primary keys).
 
-Schemas are deliberately plain, declarative objects: the live data lives in
-:mod:`repro.db.table`, statistics in :mod:`repro.db.statistics`.
+Schemas are deliberately plain, declarative objects: the live data and
+its hash indexes live in :mod:`repro.db.table`.
 """
 
 from __future__ import annotations

@@ -192,6 +192,8 @@ class Table:
         self._mutations = 0
         self._group_layouts: dict[str, tuple[int, Any]] = {}
         self._group_tallies: dict[tuple[str, str], tuple[int, Any]] = {}
+        # Distinct counts of unindexed columns, memoised the same way.
+        self._distinct_counts: dict[str, tuple[int, int]] = {}
         # Per-generation snapshot structure for stale pinned readers:
         # generation -> (epoch, visible slots ascending by rid, rid map).
         self._visible_cache: dict[
@@ -354,8 +356,8 @@ class Table:
 
     @property
     def write_generation(self) -> int:
-        """The newest generation any write or index DDL stamped on this
-        table, pending (uncommitted) writes included.
+        """The newest generation any row write stamped on this table,
+        pending (uncommitted) writes included; index DDL is not a write.
 
         Monotone: vacuum and rollback never lower it.  A derived value
         built at generation ``v`` from this table is still exact at
@@ -559,9 +561,6 @@ class Table:
         self.schema.column(column)  # raises UnknownColumnError
         with self._latch:
             self._mutations += 1
-            # DDL is a write for caches: plan templates priced without
-            # this access path must recompile.
-            self._mark_written()
             index = _HashIndex()
             bank = self._banks[column]
             for row_id, slot in self._slot_of.items():
@@ -932,8 +931,7 @@ class Table:
     def column_values(self, column: str, row_ids: list[int] | None = None) -> list[Any]:
         """Values of one column, over all rows or a row-id subset.
 
-        Reads straight from the column's bank — no row materialisation;
-        this is what the statistics catalog builds its summaries from.
+        Reads straight from the column's bank — no row materialisation.
         """
         self.schema.column(column)
         bank = self._banks[column]
@@ -950,9 +948,9 @@ class Table:
     def column_arrays(self) -> dict[str, list]:
         """Every column's values in row-id order, from one slot pass.
 
-        What a whole-table consumer (statistics rebuild, snapshot dump)
-        should use instead of per-column :meth:`column_values` calls,
-        which would each re-derive the slot order on non-dense tables.
+        What a whole-table consumer (a snapshot dump) should use instead
+        of per-column :meth:`column_values` calls, which would each
+        re-derive the slot order on non-dense tables.
         """
         slots = self.scan_slots()
         if type(slots) is range:
@@ -966,25 +964,33 @@ class Table:
         }
 
     def distinct_count(self, column: str) -> int:
-        """Number of distinct non-NULL values in ``column``."""
+        """Number of distinct non-NULL values in ``column`` the calling
+        reader sees.
+
+        O(1) on an indexed column (its bucket count).  On an unindexed
+        one the count is memoised until the next mutation; a pinned
+        reader whose snapshot predates newer stamps counts its visible
+        slots instead.
+        """
         generation = self._pin_generation()
         with self._latch:
+            bank = self._banks[column]
             if self._stale(generation):
                 slots, __ = self._visible(generation)
-                bank = self._banks[column]
                 return len({
                     bank[s] for s in slots if not is_null(bank[s])
                 })
             index = self._indexes.get(column)
             if index is not None:
                 return len(index)
-            bank = self._banks[column]
-            values = {
-                bank[slot]
-                for slot in self.scan_slots()
-                if not is_null(bank[slot])
-            }
-            return len(values)
+            cached = self._distinct_counts.get(column)
+            if cached is not None and cached[0] == self._mutations:
+                return cached[1]
+            values = set(map(bank.__getitem__, self.scan_slots()))
+            values.discard(None)
+            count = len(values)
+            self._distinct_counts[column] = (self._mutations, count)
+            return count
 
     # ------------------------------------------------------------------
     # Internals

@@ -1,8 +1,8 @@
 """The shared version-stamped cache protocol.
 
-Every cache that derives data from the database (statistics catalog,
-attribute-value maps, entity-linker text pools, plan templates) follows
-one subtle concurrency protocol, kept in exactly one place here:
+Every cache that derives data from the rows of the database
+(attribute-value maps, entity-linker text pools) follows one subtle
+concurrency protocol, kept in exactly one place here:
 
 1. fast path — check the stamped entry under the cache mutex.  Each
    entry carries the generation ``v`` it was built at and the tables
@@ -28,17 +28,13 @@ one subtle concurrency protocol, kept in exactly one place here:
    freshest value.  A value computed over the caller's own uncommitted
    writes is returned but never stored.
 
-Caches whose key space is client-controlled (the plan cache: one key
-per query *shape*) can pass ``max_entries`` to bound memory: entries
-are then kept in least-recently-used order (hits refresh recency) and
-storing beyond the cap evicts the coldest entry, counted in
-``evictions`` — the same policy the serving session store applies.
+Plan templates read no rows, only index DDL, and are kept by
+:class:`~repro.db.engine.cache.PlanCache` without this protocol.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -52,24 +48,16 @@ class VersionStampedCache:
     """Concurrency-safe ``key -> value`` cache stamped by data version
     and scoped to the tables each value was computed from."""
 
-    def __init__(
-        self,
-        database: "Database",
-        max_entries: int | None = None,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None to disable)")
+    def __init__(self, database: "Database") -> None:
         self._database = database
         self._read_generation = database.snapshots.read_generation
-        self._max_entries = max_entries
         self._lock = threading.Lock()
         # key -> (stamp, value, tables the value was computed from)
-        self._entries: OrderedDict[
+        self._entries: dict[
             Hashable, tuple[int, Any, tuple["Table", ...]]
-        ] = OrderedDict()
+        ] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def lookup(
         self,
@@ -82,7 +70,6 @@ class VersionStampedCache:
         ``(value, tables)``: the value, derived purely from the database
         contents it observes, and the names of every table it read.
         """
-        bounded = self._max_entries is not None
         generation = self._read_generation()
         with self._lock:
             entry = self._entries.get(key)
@@ -91,8 +78,6 @@ class VersionStampedCache:
                 or _unwritten(entry[2], min(entry[0], generation))
             ):
                 self.hits += 1
-                if bounded:
-                    self._entries.move_to_end(key)
                 return entry[1]
             self.misses += 1
         with self._database.read_locked():
@@ -112,16 +97,7 @@ class VersionStampedCache:
             current = self._entries.get(key)
             if current is None or current[0] <= version:
                 self._entries[key] = (version, value, read)
-                if bounded:
-                    self._entries.move_to_end(key)
-                    while len(self._entries) > self._max_entries:
-                        self._entries.popitem(last=False)
-                        self.evictions += 1
         return value
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def invalidate(self) -> None:
         """Drop every entry (they also refresh lazily via the stamps)."""

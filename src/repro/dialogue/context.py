@@ -1,8 +1,8 @@
 """Per-conversation context: everything one dialogue mutates.
 
-The synthesized artifacts (models, vocabulary, statistics, caches) are
-shared and read-only; *this* object is the complete mutable footprint of
-a single conversation, threaded explicitly through
+The synthesized artifacts (models, vocabulary, caches) are shared and
+read-only; *this* object is the complete mutable footprint of a single
+conversation, threaded explicitly through
 :meth:`~repro.agent.agent.ConversationalAgent.respond`:
 
 * the :class:`~repro.dialogue.state.DialogueState` (task, slots, phase,

@@ -8,7 +8,7 @@ offsets so the two views convert losslessly in both directions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.synthesis.corpus import SlotSpan
 
@@ -19,8 +19,7 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9']+|[^\sA-Za-z0-9]")
 OUTSIDE = "O"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token with its exact character span in the source text."""
 
     text: str
@@ -32,10 +31,16 @@ class Token:
         return self.text.lower()
 
 
+# Token's generated __new__ is a Python frame around exactly this call;
+# tokenize builds one token per word of every parsed utterance.
+_new_tuple = tuple.__new__
+
+
 def tokenize(text: str) -> list[Token]:
     """Split ``text`` into word/punctuation tokens with offsets."""
     return [
-        Token(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)
+        _new_tuple(Token, (m.group(), *m.span()))
+        for m in _TOKEN_RE.finditer(text)
     ]
 
 

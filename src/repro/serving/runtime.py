@@ -11,7 +11,7 @@ Concurrency model (MVCC):
 
 * turns on *different* sessions run in parallel — each turn pins one
   snapshot generation at its start and every read inside (NLU parsing,
-  candidate scoring, statistics lookups) resolves against it, so no
+  candidate scoring, distinct counts) resolves against it, so no
   turn ever observes a half-applied change and no turn ever waits for
   a writer;
 * turns on the *same* session serialise on the session's turn lock, so

@@ -4,7 +4,8 @@ replaced.
 Every step is plain Python over one row at a time:
 
 * :func:`map_values` walks a join path through ``Table.row_view``, one
-  snapshot resolution per visited row;
+  snapshot resolution per visited row, and joins each key with one
+  ``Table.lookup``;
 * :func:`full_map` builds a root column with ``Table.get`` per row;
 * :class:`ReferenceCandidates` keeps ``row_id -> frozenset`` maps,
   refines with one exact-text scan and one matching scan over the
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from repro.dataaware.join_graph import JoinPath, JoinPlanner, build_probe_map
+from repro.dataaware.join_graph import JoinPath, JoinPlanner
 from repro.db.api import Param, select
 from repro.db.catalog import Catalog, ColumnRef
 from repro.db.database import Database
@@ -49,31 +50,15 @@ def map_values(
     current = database.table(path.root)
     for step in path.steps:
         next_table = database.table(step.to_table)
-        dtype = next_table.schema.column(step.target_column).dtype
-        frontier_size = sum(len(ids) for ids in frontier.values())
-        use_index = (
-            next_table.has_index(step.target_column)
-            and frontier_size * database.statistics.matches_per_key(
-                step.to_table, step.target_column
-            ) < len(next_table)
-        )
-        probe = (
-            None if use_index
-            else build_probe_map(next_table, step.target_column)
-        )
         next_frontier: dict[int, set[int]] = {}
         for root_id, row_ids in frontier.items():
             matched: set[int] = set()
             for row_id in row_ids:
                 value = current.row_view(row_id).get(step.source_column)
-                if value is None:
-                    continue
-                if probe is None:
+                if value is not None:
                     matched.update(
                         next_table.lookup(step.target_column, value)
                     )
-                else:
-                    matched.update(probe.get(coerce(value, dtype), ()))
             next_frontier[root_id] = matched
         frontier = next_frontier
         current = next_table

@@ -1,13 +1,15 @@
 """Table-scoped cache stamps: a commit rebuilds only what read its tables.
 
-Every shared cache entry — attribute-value maps, statistics, linker
-pools, plan templates — records the tables its compute read.  It keeps
+Every entry of the shared row-derived caches — attribute-value maps
+and linker pools — records the tables its compute read.  It keeps
 serving after a commit to any other table and misses exactly once after
 a write to one of its own; a rollback, which never advances the clock,
-costs nothing.  The randomised half checks every lookup through the
-four caches against an uncached compute at the caller's generation,
-across committed and rolled-back transactions, autocommit (in-place)
-updates, index DDL and a reader pinned on another thread.
+costs nothing.  Plan templates read no rows: commits never retire them,
+and index DDL recompiles only its own table's.  The randomised half
+checks every lookup through the three caches against an uncached
+compute at the caller's generation, across committed and rolled-back
+transactions, autocommit (in-place) updates, index DDL and a reader
+pinned on another thread.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from repro.db import Catalog, ColumnRef, Database
 from repro.db.engine.cache import fingerprint_spec, parameterize_spec
 from repro.db.engine.planner import plan_query
 from repro.db.query import Query, eq
-from repro.db.statistics import StatisticsCatalog, compute_column_statistics
 from repro.nlu import EntityLinker
 from repro.synthesis import SlotVocabulary
 
@@ -46,9 +47,12 @@ MAPS = [
     ("reservation", ColumnRef("movie", "title")),
     ("reservation", ColumnRef("reservation", "no_tickets")),
 ]
-STATISTICS = [
-    ("customer", "city"), ("screening", "room"), ("movie", "genre"),
-    ("movie_actor", "movie_id"), ("reservation", "no_tickets"),
+#: Single-table value maps: each reads its root table only.
+COLUMNS = [
+    (table, ColumnRef(table, column)) for table, column in (
+        ("customer", "city"), ("screening", "room"), ("movie", "genre"),
+        ("movie_actor", "movie_id"), ("reservation", "no_tickets"),
+    )
 ]
 SLOTS = [
     "movie_title", "actor_name", "language_name", "customer_first_name",
@@ -78,9 +82,9 @@ def _env() -> Env:
 
 
 def _specs(database: Database) -> list:
-    """Query shapes whose templates depend on the statistics, size and
-    indexes of their one table (constants fixed, so the template a
-    fresh planner compiles is comparable)."""
+    """Query shapes whose templates depend on the indexes of their one
+    table (constants fixed, so the template a fresh planner compiles is
+    comparable)."""
     first = {
         (table, column): database.table(table).column_values(column)[0]
         for table, column in (
@@ -101,10 +105,7 @@ def _template(database: Database, spec):
 
 def _traffic(env: Env) -> tuple[int, ...]:
     database = env.database
-    caches = (
-        env.maps, database.statistics, env.linker._text_pools,
-        database.plan_cache,
-    )
+    caches = (env.maps, env.linker._text_pools, database.plan_cache)
     return tuple(n for cache in caches for n in (cache.hits, cache.misses))
 
 
@@ -129,8 +130,8 @@ class TestExactCounts:
         """Entries none of which reads ``reservation``."""
         for root, attribute in MAPS[:5]:
             env.maps.full_map(root, attribute)
-        for table, column in STATISTICS[:4]:
-            env.database.statistics.column(table, column)
+        for root, attribute in COLUMNS[:4]:
+            env.maps.full_map(root, attribute)
         for slot in ("movie_title", "customer_first_name", "customer_city",
                      "customer_email"):
             env.linker.link(slot, "anything")
@@ -140,9 +141,8 @@ class TestExactCounts:
         env = _env()
         database = env.database
         specs = _specs(database)
-        reservation_stats = ("reservation", "no_tickets")
         self._unrelated_lookups(env, specs)
-        database.statistics.column(*reservation_stats)
+        env.maps.full_map(*COLUMNS[4])
         env.maps.full_map(*MAPS[5])
         database.insert(
             "reservation", _reservation_row(database, random.Random(1)))
@@ -152,7 +152,7 @@ class TestExactCounts:
         assert _misses(before, _traffic(env)) == 0
 
         for lookup in (
-            lambda: database.statistics.column(*reservation_stats),
+            lambda: env.maps.full_map(*COLUMNS[4]),
             lambda: env.maps.full_map(*MAPS[5]),
         ):
             before = _traffic(env)
@@ -176,22 +176,34 @@ class TestExactCounts:
         assert "IndexEq" in repr(_template(database, customer_city))
         assert database.plan_cache.misses == misses + 1
 
+    def test_commit_keeps_its_tables_templates(self):
+        env = _env()
+        database = env.database
+        reservation_tickets = _specs(database)[4]
+        _template(database, reservation_tickets)
+        database.insert(
+            "reservation", _reservation_row(database, random.Random(3)))
+        misses = database.plan_cache.misses
+        assert _template(database, reservation_tickets) == plan_query(
+            database, parameterize_spec(reservation_tickets)[0],
+            params=fingerprint_spec(reservation_tickets)[1],
+        )
+        assert database.plan_cache.misses == misses
+
     def test_rollback_costs_no_rebuild(self):
         env = _env()
         database = env.database
-        statistics = database.statistics
-        row_count = statistics.column("reservation", "no_tickets").row_count
+        values = env.maps
+        row_count = len(values.full_map(*COLUMNS[4]).values)
         with database.write_locked():
             database.transactions.begin()
             database.insert(
                 "reservation", _reservation_row(database, random.Random(2)))
             database.transactions.rollback()
-        misses = statistics.misses
+        misses = values.misses
         for __ in range(3):
-            assert statistics.column(
-                "reservation", "no_tickets"
-            ).row_count == row_count
-        assert statistics.misses == misses
+            assert len(values.full_map(*COLUMNS[4]).values) == row_count
+        assert values.misses == misses
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +215,10 @@ def _check_every_cache(env: Env, specs) -> None:
     (fresh caches compute on their first lookup)."""
     database = env.database
     fresh_maps = AttributeValueCache(database, env.catalog)
-    for root, attribute in MAPS:
+    for root, attribute in MAPS + COLUMNS:
         assert env.maps.full_map(root, attribute) == fresh_maps.full_map(
             root, attribute
         ), (root, attribute)
-    fresh_statistics = StatisticsCatalog(database)
-    for table, column in STATISTICS:
-        assert database.statistics.column(table, column) == \
-            fresh_statistics.column(table, column), (table, column)
-        assert database.statistics.table(table) == \
-            fresh_statistics.table(table), table
-        # A column entry reads one bank; a table entry reads them all.
-        assert fresh_statistics.column(table, column) == \
-            fresh_statistics.table(table).column(column), (table, column)
     fresh_linker = EntityLinker(database, env.vocabulary)
     for slot in SLOTS:
         assert env.linker._text_pool(slot)._pool == \
@@ -224,7 +227,7 @@ def _check_every_cache(env: Env, specs) -> None:
         fingerprint, params = fingerprint_spec(spec)
         shape, __ = parameterize_spec(spec)
         assert _template(database, spec) == plan_query(
-            database, shape, fresh_statistics, params=params
+            database, shape, params=params
         ), spec
 
 
@@ -383,18 +386,12 @@ def test_concurrent_readers_get_their_snapshot_through_the_caches():
         rng = random.Random(seed)
         try:
             for __ in range(60):
-                table, column = rng.choice(STATISTICS)
-                root, attribute = rng.choice(MAPS)
+                entries = (rng.choice(COLUMNS), rng.choice(MAPS))
                 with database.read_locked():
-                    assert database.statistics.column(table, column) == \
-                        compute_column_statistics(
-                            table, column,
-                            database.table(table).column_values(column),
-                        )
-                    assert env.maps.full_map(root, attribute) == \
-                        AttributeValueCache(database, env.catalog).full_map(
-                            root, attribute
-                        )
+                    fresh = AttributeValueCache(database, env.catalog)
+                    for root, attribute in entries:
+                        assert env.maps.full_map(root, attribute) == \
+                            fresh.full_map(root, attribute)
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             errors.append(exc)
 

@@ -9,7 +9,7 @@ from repro.dataaware import (
     IdentificationStatus,
     UserAwarenessModel,
 )
-from repro.db import Catalog, ColumnRef, StatisticsCatalog
+from repro.db import Catalog, ColumnRef
 from repro.errors import DialogueError
 
 
@@ -18,9 +18,7 @@ def env(movie_tasks):
     database, annotations, catalog, tasks = movie_tasks
     task = next(t for t in tasks if t.name == "ticket_reservation")
     lookup = task.lookup_for("customer_id")
-    policy = DataAwarePolicy(
-        lookup, UserAwarenessModel(annotations), StatisticsCatalog(database)
-    )
+    policy = DataAwarePolicy(lookup, UserAwarenessModel(annotations))
     candidates = CandidateSet.initial(database, catalog, "customer")
     session = IdentificationSession(candidates, policy, "customer_id")
     return database, session
@@ -142,10 +140,7 @@ class TestTermination:
         database, annotations, catalog, tasks = movie_tasks
         task = next(t for t in tasks if t.name == "ticket_reservation")
         lookup = task.lookup_for("customer_id")
-        policy = DataAwarePolicy(
-            lookup, UserAwarenessModel(annotations),
-            StatisticsCatalog(database),
-        )
+        policy = DataAwarePolicy(lookup, UserAwarenessModel(annotations))
         candidates = CandidateSet.initial(database, catalog, "customer")
         session = IdentificationSession(
             candidates, policy, "customer_id", max_questions=1

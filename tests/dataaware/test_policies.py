@@ -11,7 +11,7 @@ from repro.dataaware import (
     StaticPolicy,
     UserAwarenessModel,
 )
-from repro.db import Catalog, ColumnRef, StatisticsCatalog
+from repro.db import Catalog, ColumnRef
 from repro.errors import PolicyError
 
 
@@ -29,7 +29,6 @@ class TestDataAwarePolicy:
         return DataAwarePolicy(
             lookup,
             UserAwarenessModel(annotations),
-            StatisticsCatalog(database),
             **kwargs,
         )
 
@@ -74,7 +73,7 @@ class TestDataAwarePolicy:
     def test_observe_updates_awareness(self, env):
         database, catalog, annotations, lookup = env
         awareness = UserAwarenessModel(annotations)
-        policy = DataAwarePolicy(lookup, awareness, StatisticsCatalog(database))
+        policy = DataAwarePolicy(lookup, awareness)
         attribute = ColumnRef("screening", "room")
         before = awareness.probability(attribute)
         for __ in range(10):
@@ -99,7 +98,7 @@ class TestDataAwarePolicy:
         database, catalog, annotations, lookup = env
         awareness = UserAwarenessModel(annotations, prior_strength=5)
         policy = DataAwarePolicy(
-            lookup, awareness, StatisticsCatalog(database),
+            lookup, awareness,
             expansion_threshold=2.0,  # always consider every hop
         )
         candidates = CandidateSet.initial(database, catalog, "screening")

@@ -593,3 +593,23 @@ class TestExecutionApiLint:
         assert flagged == [
             "  src/repro/caching.py:3: table._write_generation = 0"
         ]
+
+    def test_index_internals_read_outside_storage_are_flagged(
+        self, lint, tmp_path, monkeypatch, capsys
+    ):
+        module = tmp_path / "src" / "repro" / "planner.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "def keys(table, column):\n"
+            "    if table.has_index(column):\n"
+            "        return table.distinct_count(column)\n"
+            "    index = table._indexes[column]\n"
+            "    return len(index._buckets)\n"
+        )
+        monkeypatch.setattr(lint, "SRC", module.parent)
+        assert lint.main() == 1
+        flagged = capsys.readouterr().err.splitlines()[1:]
+        assert flagged == [
+            "  src/repro/planner.py:4: index = table._indexes[column]",
+            "  src/repro/planner.py:5: return len(index._buckets)",
+        ]

@@ -13,6 +13,10 @@ bindings, so the compiled binder is exercised too: a template planned
 as an IndexEq probe must fall back to a scan when a later constant does
 not coerce to the probed column's type.
 
+A hypothesis property holds the planner to its access-path rule on
+random data, empty tables included: the first unique indexed equality
+whose constant coerces, else the first indexed one, else a scan.
+
 FLOAT values are tenths and full-precision floats, so a sum depends on
 its order: the engine and the oracle must both fold a grouped single
 aggregate left to right and reduce every other shape with ``sum()``
@@ -26,6 +30,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.db import (
     Column,
@@ -53,8 +59,11 @@ from repro.db.engine import (
     IndexEq,
     IndexGroupedAggScan,
     SeqScan,
+    execute_rows,
+    plan_query,
 )
-from repro.db.query import Comparison
+from repro.db.query import Comparison, Query
+from repro.db.types import TypeMismatchError, coerce
 
 from tests.db import reference_executor as reference
 
@@ -341,3 +350,94 @@ def _leaf(plan):
     while plan.children():
         plan = plan.children()[0]
     return plan
+
+
+# ---------------------------------------------------------------------------
+# The access-path rule, as a property
+# ---------------------------------------------------------------------------
+
+# id (primary key) and code (unique) carry unique indexes, num and tag
+# non-unique ones, price none.
+PROBE_TYPES = {
+    "id": DataType.INTEGER, "code": DataType.TEXT, "num": DataType.INTEGER,
+    "tag": DataType.TEXT, "price": DataType.FLOAT,
+}
+PROBE_CONSTANTS = {
+    "id": [1, 2, 5, "2", "x", 2.5, None],
+    "code": ["c0", "c1", "zz", 1, None],
+    "num": [0, 1, 2, "1", "one", 1.5, None],
+    "tag": ["red", "blue", 3, None],
+    "price": [1.5, 2.0, "cheap", None],
+}
+PROBE_PART = st.sampled_from(sorted(PROBE_TYPES)).flatmap(
+    lambda column: st.tuples(
+        st.just(column),
+        st.sampled_from(("==", "==", "==", "!=", "<")),
+        st.sampled_from(PROBE_CONSTANTS[column]),
+    )
+)
+PROBE_ROW = st.tuples(
+    st.sampled_from((0, 1, 2, None)),
+    st.sampled_from(("red", "blue", None)),
+    st.sampled_from((1.5, 2.0, None)),
+)
+
+
+def _probe_db(rows) -> Database:
+    database = Database(DatabaseSchema([
+        TableSchema(
+            "item",
+            [Column("id", PROBE_TYPES["id"]),
+             Column("code", PROBE_TYPES["code"], unique=True)]
+            + [Column(c, PROBE_TYPES[c]) for c in ("num", "tag", "price")],
+            primary_key="id",
+        )
+    ]))
+    database.create_index("item", "num")
+    database.create_index("item", "tag")
+    for i, (num, tag, price) in enumerate(rows):
+        database.insert("item", {
+            "id": i + 1, "code": None if i % 3 == 2 else f"c{i}",
+            "num": num, "tag": tag, "price": price,
+        })
+    return database
+
+
+def _coerces(column: str, value) -> bool:
+    try:
+        coerce(value, PROBE_TYPES[column])
+    except TypeMismatchError:
+        return False
+    return True
+
+
+@given(rows=st.lists(PROBE_ROW, max_size=8),
+       parts=st.lists(PROBE_PART, min_size=1, max_size=4))
+@example(rows=[], parts=[("num", "==", 1), ("tag", "==", "red")])
+@example(rows=[(1, "red", 1.5)] * 3,
+         parts=[("tag", "==", 3), ("num", "==", "1"), ("num", "==", 2)])
+@example(rows=[(1, "red", 1.5)],
+         parts=[("num", "==", 1), ("tag", "==", "red"), ("code", "==", 1)])
+@settings(max_examples=80, deadline=None)
+def test_access_path_comes_from_index_ddl(rows, parts):
+    """The leaf probes the first unique indexed equality whose constant
+    coerces, else the first such indexed equality, else scans — on any
+    data, an empty table included — and the rows equal the oracle's
+    scan."""
+    database = _probe_db(rows)
+    predicate = and_(*(MAKERS[op](c, value) for c, op, value in parts))
+    plan = plan_query(database, Query("item").where(predicate).compile())
+    probes = [
+        (column, value) for column, op, value in parts
+        if op == "==" and column != "price" and _coerces(column, value)
+    ]
+    unique = [(c, v) for c, v in probes if c in ("id", "code")]
+    leaf = _leaf(plan)
+    if probes:
+        column, value = (unique or probes)[0]
+        assert leaf == IndexEq(table="item", column=column, value=value)
+    else:
+        assert leaf == SeqScan(table="item")
+    assert _outcome(lambda: execute_rows(database, plan)) == _outcome(
+        lambda: reference.execute_rows(database, _scan_plan(plan))
+    )

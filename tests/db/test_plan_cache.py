@@ -1,6 +1,7 @@
 """Tests for the prepared-plan cache: sharing, invalidation, threads."""
 
 import datetime as dt
+import sys
 import threading
 from dataclasses import replace
 
@@ -204,7 +205,9 @@ class TestRepeatedTurns:
 
 
 class TestInvalidation:
-    def test_insert_invalidates_template(self, db):
+    def test_insert_keeps_template(self, db):
+        # Templates read index DDL, not rows: a commit leaves them
+        # cached, and the bound plan still sees the new row.
         query = Query("screening").where(eq("movie_id", 1))
         before = count_rows(db, query)
         misses_before = db.plan_cache.misses
@@ -214,7 +217,27 @@ class TestInvalidation:
              "price": 9.0, "room": "room A"},
         )
         assert count_rows(db, query) == before + 1
-        assert db.plan_cache.misses > misses_before  # recompiled
+        assert db.plan_cache.misses == misses_before
+
+    def test_template_compiled_in_a_transaction_is_kept(self, db):
+        # The template reads no row, so the writer's uncommitted insert
+        # cannot be in it: it is stored even though the transaction
+        # rolls back.
+        query = Query("screening").where(eq("room", "room B"))
+        with db.write_locked():
+            db.transactions.begin()
+            db.insert(
+                "screening",
+                {"screening_id": 98, "movie_id": 1,
+                 "date": dt.date(2022, 4, 9), "price": 9.0,
+                 "room": "room B"},
+            )
+            inside = run(db, query)
+            db.transactions.rollback()
+        misses = db.plan_cache.misses
+        outside = run(db, query)
+        assert db.plan_cache.misses == misses
+        assert len(outside) == len(inside) - 1
 
     def test_update_and_delete_keep_results_fresh(self, db):
         query = Query("screening").where(eq("movie_id", 2))
@@ -267,6 +290,8 @@ class TestThreadSafety:
     def test_sixteen_threads_share_the_cache(self, db):
         errors: list[Exception] = []
         barrier = threading.Barrier(16)
+        cache = db.plan_cache
+        lookups_before = cache.hits + cache.misses
 
         def worker(seed: int) -> None:
             try:
@@ -287,13 +312,19 @@ class TestThreadSafety:
         threads = [
             threading.Thread(target=worker, args=(s,)) for s in range(16)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        cache = db.plan_cache
-        assert cache.hits + cache.misses >= 16 * 80
+        # One lookup per statement: a lost counter update shows here.
+        assert cache.hits + cache.misses - lookups_before == 16 * 80
 
     def test_reader_threads_with_concurrent_writer(self, db):
         stop = threading.Event()

@@ -12,13 +12,10 @@ from repro.db import (
     DatabaseSchema,
     DataType,
     TableSchema,
-    entropy,
-    normalized_entropy,
 )
 from repro.errors import ConstraintViolation
 
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
-values = st.one_of(st.integers(-5, 5), names, st.none())
 
 
 def make_db():
@@ -51,28 +48,6 @@ def row_batches(draw):
             }
         )
     return rows
-
-
-class TestEntropyProperties:
-    @given(st.lists(values, max_size=40))
-    def test_entropy_non_negative(self, data):
-        assert entropy(data) >= 0.0
-
-    @given(st.lists(values, min_size=1, max_size=40))
-    def test_entropy_bounded_by_log_distinct(self, data):
-        import math
-
-        distinct = len(set(data))
-        bound = math.log2(distinct) if distinct > 1 else 0.0
-        assert entropy(data) <= bound + 1e-9
-
-    @given(st.lists(values, max_size=40))
-    def test_normalized_entropy_in_unit_interval(self, data):
-        assert 0.0 <= normalized_entropy(data) <= 1.0 + 1e-9
-
-    @given(st.lists(values, min_size=1, max_size=20))
-    def test_entropy_permutation_invariant(self, data):
-        assert entropy(data) == pytest.approx(entropy(list(reversed(data))))
 
 
 class TestTableInvariants:

@@ -15,8 +15,11 @@ import threading
 
 import pytest
 
+from repro.dataaware import AttributeValueCache
 from repro.db import (
+    Catalog,
     Column,
+    ColumnRef,
     Database,
     DatabaseSchema,
     DataType,
@@ -290,10 +293,16 @@ class TestPinnedCacheReads:
     """A version-stamped cache serves a pinned reader only entries built
     at the generation its pin observes."""
 
+    TICKETS = ColumnRef("reservation", "no_tickets")
+
     def test_pinned_reader_never_served_a_newer_entry(self, movie_db):
         database, __ = movie_db
         table = database.table("reservation")
-        statistics = database.statistics
+        values = AttributeValueCache(database, Catalog(database))
+
+        def rows() -> int:
+            return len(values.full_map("reservation", self.TICKETS).values)
+
         with database.read_locked():
             pinned_rows = len(table)
 
@@ -301,38 +310,36 @@ class TestPinnedCacheReads:
                 # Commit a delete, then rebuild the entry at the newer
                 # generation, as a concurrent turn would.
                 database.delete("reservation", table.row_ids()[0])
-                return statistics.column("reservation", "no_tickets")
+                return rows()
 
-            newer = _on_thread(other_session)
-            assert newer.row_count == pinned_rows - 1
+            assert _on_thread(other_session) == pinned_rows - 1
             assert len(table) == pinned_rows
-            cached = statistics.column("reservation", "no_tickets")
-            assert cached.row_count == pinned_rows
-        assert statistics.column(
-            "reservation", "no_tickets"
-        ).row_count == pinned_rows - 1
+            assert rows() == pinned_rows
+        assert rows() == pinned_rows - 1
 
     def test_writing_transaction_sees_its_own_writes(self, movie_db):
         database, __ = movie_db
         table = database.table("reservation")
-        statistics = database.statistics
-        rows = statistics.column("reservation", "no_tickets").row_count
+        values = AttributeValueCache(database, Catalog(database))
+
+        def rows() -> int:
+            return len(values.full_map("reservation", self.TICKETS).values)
+
+        before = rows()
         row = table.get(table.row_ids()[0])
         row["reservation_id"] = max(table.column_values("reservation_id")) + 1
         with database.write_locked():
             database.transactions.begin()
             try:
                 database.insert("reservation", row)
-                assert len(table) == rows + 1
-                assert statistics.column(
-                    "reservation", "no_tickets"
-                ).row_count == rows + 1
+                assert len(table) == before + 1
+                assert rows() == before + 1
             finally:
                 database.transactions.rollback()
         # The in-transaction result was never stored.
-        assert statistics.column(
-            "reservation", "no_tickets"
-        ).row_count == rows
+        misses = values.misses
+        assert rows() == before
+        assert values.misses == misses
 
 
 class TestConcurrentStress:

@@ -1,5 +1,6 @@
 """Tests for row storage, indexes and constraints."""
 
+import threading
 from collections import Counter
 
 import pytest
@@ -230,3 +231,66 @@ class TestVacuumMemoInvalidation:
             row["bucket"] for row in database.rows("item")
         )
         assert {r["bucket"]: r["n"] for r in result} == dict(expected)
+
+
+class TestDistinctCountMemo:
+    """An unindexed column's distinct count is memoised per mutation."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        """Names of the tables whose slots were scanned, one per scan."""
+        calls = []
+        scan_slots = Table.scan_slots
+
+        def counting(self):
+            calls.append(self.name)
+            return scan_slots(self)
+
+        monkeypatch.setattr(Table, "scan_slots", counting)
+        return calls
+
+    def test_repeat_count_does_not_scan(self, scans):
+        table = _item_db().table("item")
+        assert table.distinct_count("qty") == 7
+        scanned = len(scans)
+        assert table.distinct_count("qty") == 7
+        assert len(scans) == scanned
+
+    def test_recounts_after_every_kind_of_write(self, scans):
+        database = _item_db()
+        table = database.table("item")
+        table.distinct_count("qty")
+
+        def recount() -> int:
+            scanned = len(scans)
+            count = table.distinct_count("qty")
+            assert len(scans) == scanned + 1
+            return count
+
+        database.insert("item", {"item_id": 41, "bucket": "red", "qty": 90})
+        assert recount() == 8
+        database.update("item", _row_id_of(database, 41), {"qty": 91})
+        assert recount() == 8
+        database.update("item", _row_id_of(database, 41), {"qty": None})
+        assert recount() == 7
+        database.delete("item", _row_id_of(database, 41))
+        assert recount() == 7
+        with database.write_locked():
+            database.transactions.begin()
+            database.insert("item", {"item_id": 42, "qty": 92})
+            assert recount() == 8  # the writer sees its own insert
+            database.transactions.rollback()
+        assert recount() == 7
+
+    def test_pinned_reader_gets_its_snapshots_count(self):
+        database = _item_db()
+        table = database.table("item")
+        assert table.distinct_count("qty") == 7
+        with database.read_locked():
+            writer = threading.Thread(target=lambda: database.insert(
+                "item", {"item_id": 41, "qty": 90}
+            ))
+            writer.start()
+            writer.join()
+            assert table.distinct_count("qty") == 7
+        assert table.distinct_count("qty") == 8

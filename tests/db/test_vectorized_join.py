@@ -40,6 +40,7 @@ from repro.db import (
 )
 from repro.db.aggregation import avg, count, min_, sum_
 from repro.db.catalog import ColumnRef
+from repro.db.table import Table
 from repro.db.types import coerce
 from repro.errors import DatabaseError
 
@@ -165,21 +166,22 @@ def _path(*hops):
 
 def _indexless_hops(db, path):
     """Hops the index strategy still answers with a probe map: targets
-    without a hash index, and empty tables."""
+    without a hash index."""
     return sum(
         1 for step in path.steps
-        if not (db.table(step.to_table).has_index(step.target_column)
-                and len(db.table(step.to_table)))
+        if not db.table(step.to_table).has_index(step.target_column)
     )
 
 
 def _both_strategies(db, monkeypatch, path, attribute, root_ids):
     """``map_values`` under each join strategy: one probe map built per
-    hop, then per-row probes of each target's hash index.  Errors become
-    comparable values."""
+    hop, then per-row probes of each target's hash index.  The walker
+    probes when the frontier is shorter than the target's distinct
+    count, so a count of 0 forces builds and an infinite one forces
+    probes.  Errors become comparable values."""
     out = []
-    for fanout, builds in ((math.inf, len(path.steps)),
-                           (0.0, _indexless_hops(db, path))):
+    for keys, builds in ((0, len(path.steps)),
+                         (math.inf, _indexless_hops(db, path))):
         built = []
 
         def counting_build(table, column):
@@ -187,8 +189,8 @@ def _both_strategies(db, monkeypatch, path, attribute, root_ids):
             return build_probe_map(table, column)
 
         with monkeypatch.context() as patch:
-            patch.setattr(db.statistics, "matches_per_key",
-                          lambda *__, f=fanout: f)
+            patch.setattr(Table, "distinct_count",
+                          lambda self, column, n=keys: n)
             patch.setattr(join_graph, "build_probe_map", counting_build)
             try:
                 out.append(map_values(db, path, attribute, root_ids))
@@ -197,7 +199,6 @@ def _both_strategies(db, monkeypatch, path, attribute, root_ids):
                 continue
         assert len(built) == builds
     return out
-
 
 
 def _nested_loop(db, path, attribute, root_ids):

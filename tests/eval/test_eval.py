@@ -9,7 +9,7 @@ from repro.dataaware import (
     StaticPolicy,
     UserAwarenessModel,
 )
-from repro.db import Catalog, StatisticsCatalog
+from repro.db import Catalog
 from repro.errors import ReproError
 from repro.eval import (
     PRF,
@@ -146,10 +146,7 @@ class TestSimulatedUser:
 class TestPolicyExperiment:
     def test_episode_succeeds(self, policy_env):
         database, catalog, annotations, lookup = policy_env
-        policy = DataAwarePolicy(
-            lookup, UserAwarenessModel(annotations),
-            StatisticsCatalog(database),
-        )
+        policy = DataAwarePolicy(lookup, UserAwarenessModel(annotations))
         rid = database.table("screening").row_ids()[0]
         user = SimulatedUser(database, catalog, annotations, lookup, rid,
                              seed=3)
@@ -160,10 +157,7 @@ class TestPolicyExperiment:
     def test_experiment_summary(self, policy_env):
         database, catalog, annotations, lookup = policy_env
         experiment = PolicyExperiment(database, catalog, annotations, lookup)
-        policy = DataAwarePolicy(
-            lookup, UserAwarenessModel(annotations),
-            StatisticsCatalog(database),
-        )
+        policy = DataAwarePolicy(lookup, UserAwarenessModel(annotations))
         summary, results = experiment.run(policy, n_episodes=15)
         assert summary.episodes == 15
         assert summary.mean_turns > 0
@@ -173,8 +167,7 @@ class TestPolicyExperiment:
         database, catalog, annotations, lookup = policy_env
         experiment = PolicyExperiment(database, catalog, annotations, lookup)
         data_aware, __ = experiment.run(
-            DataAwarePolicy(lookup, UserAwarenessModel(annotations),
-                            StatisticsCatalog(database)),
+            DataAwarePolicy(lookup, UserAwarenessModel(annotations)),
             n_episodes=25,
         )
         random_policy, __ = experiment.run(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nlu import bio_to_spans, spans_to_bio, tokenize
+from repro.nlu import Token, bio_to_spans, spans_to_bio, tokenize
 from repro.synthesis import SlotSpan
 
 
@@ -24,6 +24,14 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("") == []
+
+    def test_tokens_are_values(self):
+        tokens = tokenize("Forrest Gump")
+        assert tokens == [Token("Forrest", 0, 7), Token("Gump", 8, 12)]
+        assert all(type(token) is Token for token in tokens)
+        assert (tokens[0].text, tokens[0].start, tokens[0].end) == \
+            ("Forrest", 0, 7)
+        assert tokens[0].lower == "forrest"
 
     def test_offsets_reconstruct_tokens(self):
         text = "The Forrest Gump screening, at 20:30!"

@@ -332,6 +332,23 @@ class TestRuntimeSessionManagement:
         # a per-turn workload of a few shapes never reaches the cap.
         assert stats.plan_cache_evictions == 0
 
+    def test_second_booking_compiles_no_template(
+        self, runtime, trained_agent
+    ):
+        # Templates read index DDL, not rows: the first booking's commit
+        # to reservation keeps every template the next booking runs,
+        # the booked-seats aggregate compiled in its transaction too.
+        __, agent = trained_agent
+        triples = unique_screenings(agent._database, 2)
+        if len(triples) < 2:
+            pytest.skip("fixture database lacks two unique screenings")
+        self._book(runtime, trained_agent, runtime.create_session(),
+                   triples[0])
+        misses = runtime.stats().plan_cache_misses
+        self._book(runtime, trained_agent, runtime.create_session(),
+                   triples[1])
+        assert runtime.stats().plan_cache_misses == misses
+
     def test_session_stats_attribute_cache_traffic_and_latency(
         self, runtime, trained_agent
     ):

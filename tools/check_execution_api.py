@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Lint: the tables' MVCC version stamps stay private to the storage layer.
+"""Lint: the tables' MVCC version stamps and hash indexes stay private
+to the storage layer.
 
 Only ``repro/db/table.py`` may touch a table's per-slot version stamps
-(``_created``, ``_deleted``, ``_max_stamp``) and its write generation
+(``_created``, ``_deleted``, ``_max_stamp``), its write generation
 (``_write_generation``, which the shared caches trust to cover every
-write); everyone else reads through the public Table surface
-(``scan_slots``, ``column_values``, ``grouped_layout``,
-``write_generation``, ...), which keeps the MVCC slot layout an
-implementation detail the storage layer can evolve.
+write) and its hash-index internals (``_indexes``, ``_buckets``);
+everyone else reads through the public Table surface (``scan_slots``,
+``column_values``, ``grouped_layout``, ``write_generation``,
+``has_index``, ``hash_index_columns``, ``distinct_count``, ...), which
+keeps the MVCC slot layout and the index structure implementation
+details the storage layer can evolve.
 
 Run from the repository root (CI does)::
 
@@ -22,16 +25,18 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-# The only file allowed to touch a table's per-slot version stamps: the
-# bank store itself.
+# The only file allowed to touch a table's per-slot version stamps and
+# its hash indexes: the bank store itself.
 STORAGE_ALLOWED = {SRC / "db" / "table.py"}
 
-# ``self.`` receivers stay clean: an object's own ``_created``-style
-# attribute is its own state, not a reach into a table's banks.
 STORAGE_FORBIDDEN = (
+    # ``self.`` receivers stay clean: an object's own ``_created``-style
+    # attribute is its own state, not a reach into a table's banks.
     re.compile(
         r"(?<!self)\.(_created|_deleted|_max_stamp|_write_generation)\b"
     ),
+    # Index internals are flagged on any receiver.
+    re.compile(r"\.(_indexes|_buckets)\b"),
 )
 
 
@@ -52,15 +57,17 @@ def main() -> int:
     if violations:
         print(
             "table version stamps (_created/_deleted/_max_stamp/"
-            "_write_generation) touched outside repro/db/table.py (use "
-            "the public Table surface — scan_slots, column_values, "
-            "grouped_layout, write_generation — instead):",
+            "_write_generation) or index internals (_indexes/_buckets) "
+            "touched outside repro/db/table.py (use the public Table "
+            "surface — scan_slots, column_values, grouped_layout, "
+            "write_generation, has_index, hash_index_columns, "
+            "distinct_count — instead):",
             file=sys.stderr,
         )
         for violation in violations:
             print(f"  {violation}", file=sys.stderr)
         return 1
-    print(f"storage-stamp lint ok ({SRC})")
+    print(f"storage lint ok ({SRC})")
     return 0
 
 
