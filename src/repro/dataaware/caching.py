@@ -4,10 +4,14 @@ Computing the per-row values of a joined attribute (e.g. actor names
 per screening) is the expensive part of a policy step.  The key
 observation is that the *full-table* entry only depends on the contents
 of the tables along its join path, not on the current candidate subset —
-so we compute it once per commit that writes one of those tables and read
-it per candidate set.  This is what keeps the average response latency
-at "only a few milliseconds" (Section 4) while still reflecting every
-committed update.
+so we build it once, read it per candidate set, and bring it up to date
+after a commit that writes one of those tables.  A booking or a
+cancellation only adds or removes rows of the entry's root, so the stale
+entry is patched: surviving rows keep their values and only the new rows
+are joined, where a rebuild walks every reservation.  Any other write on
+the path, and any multi-valued entry, rebuilds it.  This is what keeps
+the average response latency at "only a few milliseconds" (Section 4)
+while still reflecting every committed update.
 
 There is one entry per ``(root table, attribute)``: an
 :class:`~repro.dataaware.join_graph.AttributeValues` built by
@@ -40,10 +44,12 @@ before it serves.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from typing import Callable, Hashable
 
 from repro.dataaware.join_graph import (
     AttributeValues,
+    JoinPath,
     JoinPlanner,
     attribute_values,
 )
@@ -96,23 +102,61 @@ class AttributeValueCache:
         """
         return self._maps.lookup(
             (root_table, attribute),
-            lambda: self._compute(root_table, attribute),
+            lambda stale: self._compute(root_table, attribute, stale),
         )
 
     def _compute(
-        self, root_table: str, attribute: ColumnRef
+        self, root_table: str, attribute: ColumnRef,
+        stale: tuple[int, AttributeValues] | None,
     ) -> tuple[AttributeValues, tuple[str, ...]]:
-        """The entry and the tables it was read from."""
+        """The entry (``stale`` patched, or rebuilt) and the tables it
+        was read from."""
         path = self.planner(root_table).path_to(attribute.table)
         if path is None:
             return AttributeValues({}, True), ()
-        values = attribute_values(
-            self._database,
-            path,
-            attribute,
-            self._database.table(root_table).row_ids(),
+        ids = self._database.table(root_table).row_ids()
+        values = None if stale is None else self._patched(
+            path, attribute, ids, *stale
         )
+        if values is None:
+            values = attribute_values(self._database, path, attribute, ids)
         return values, (root_table, *(step.to_table for step in path.steps))
+
+    def _patched(
+        self, path: JoinPath, attribute: ColumnRef, ids: list[int],
+        stamp: int, old: AttributeValues,
+    ) -> AttributeValues | None:
+        """``old``, built at ``stamp``, brought to the caller's snapshot
+        of root ids ``ids``; ``None`` unless that provably equals a
+        rebuild, which it does when ``old`` is single-valued, the caller
+        reads at or after ``stamp`` and since then the root only lost
+        rows and gained rows above all older ids, its other rows and
+        the rest of the path unchanged.
+        """
+        database = self._database
+        root = database.table(path.root)
+        if (
+            not old.single
+            or stamp > database.snapshot_version()
+            or root.rewrite_generation > stamp
+            or any(
+                database.table(step.to_table).write_generation > stamp
+                for step in path.steps
+            )
+        ):
+            return None
+        last = next(reversed(old.values), 0)
+        added = attribute_values(
+            database, path, attribute, ids[bisect_right(ids, last):]
+        )
+        if not added.single:
+            return None
+        kept = root.present(old.values)
+        values = dict(old.values) if len(kept) == len(old.values) else {
+            rid: old.values[rid] for rid in kept
+        }
+        values.update(added.values)
+        return AttributeValues(values, True)
 
     def table_score(
         self,

@@ -169,8 +169,10 @@ class Table:
         self._deleted: list[int | None] = []
         self._dead: set[int] = set()
         self._max_stamp = 0
-        # See write_generation; unlike _max_stamp, vacuum never lowers it.
+        # See write_generation and rewrite_generation; unlike
+        # _max_stamp, vacuum never lowers them.
         self._write_generation = 0
+        self._rewrite_generation = 0
         # Standalone tables own a private clock and advance it per
         # mutation (single-threaded semantics, immediate reclamation);
         # Database rebinds both to its shared clock/snapshot manager.
@@ -366,6 +368,15 @@ class Table:
         :class:`~repro.db.versioncache.VersionStampedCache` serves by.
         """
         return self._write_generation
+
+    @property
+    def rewrite_generation(self) -> int:
+        """The newest generation, pending writes included, at which an
+        existing row id got new cells: an update, or a restore re-taking
+        an id.  Monotone like :attr:`write_generation`.  Inserts (which
+        take ids above every id ever allocated) and deletes leave it be.
+        """
+        return self._rewrite_generation
 
     def has_index(self, column: str) -> bool:
         return column in self._indexes
@@ -601,17 +612,20 @@ class Table:
         for column, bank in zip(self._columns, self._bank_list):
             bank[slot] = row[column]
 
-    def _mark_written(self) -> int:
-        """Latch-held: record a write at the pending generation."""
+    def _mark_written(self, rewrite: bool = False) -> int:
+        """Latch-held: record a write at the pending generation, with
+        ``rewrite`` one that gave an existing row id new cells."""
         stamp = self._clock.pending
         if stamp > self._write_generation:
             self._write_generation = stamp
+        if rewrite and stamp > self._rewrite_generation:
+            self._rewrite_generation = stamp
         return stamp
 
-    def _stamp(self) -> int:
+    def _stamp(self, rewrite: bool = False) -> int:
         """The pending generation, recorded as this table's newest stamp
         (and as a write)."""
-        stamp = self._mark_written()
+        stamp = self._mark_written(rewrite)
         if stamp > self._max_stamp:
             self._max_stamp = stamp
         return stamp
@@ -685,7 +699,7 @@ class Table:
         """Latch-held: overwrite the slot's cells (no visible snapshot)."""
         self._mutations += 1
         # No new version slot, so no stamp — but still a write.
-        self._mark_written()
+        self._mark_written(rewrite=True)
         for column, index in self._indexes.items():
             if old[column] != new[column]:
                 index.remove(old[column], row_id)
@@ -700,7 +714,7 @@ class Table:
     ) -> None:
         """Latch-held: publish ``new`` as a fresh version of ``row_id``."""
         self._mutations += 1
-        stamp = self._stamp()
+        stamp = self._stamp(rewrite=True)
         self._deleted[slot] = stamp
         self._dead.add(slot)
         new_slot = self._allocate_slot(row_id, stamp)
@@ -742,7 +756,7 @@ class Table:
             )
         with self._latch:
             self._mutations += 1
-            stamp = self._stamp()
+            stamp = self._stamp(rewrite=True)
             slot = self._allocate_slot(row_id, stamp)
             for column, bank in zip(self._columns, self._bank_list):
                 bank[slot] = row.get(column)

@@ -21,8 +21,10 @@ concurrency protocol, kept in exactly one place here:
 2. miss — *release* the mutex (so a slow rebuild of one key never
    blocks hits on others), recompute under a pinned snapshot, stamping
    with the generation the pin observes (the snapshot is immutable, so
-   the stamp is consistent with the data read); the compute names the
-   tables it read alongside its value;
+   the stamp is consistent with the data read); the compute gets the
+   stale entry's ``(stamp, value)`` as read under the mutex (``None``
+   when there is none), which it may patch instead of starting over,
+   and names the tables it read alongside its value;
 3. store — re-take the mutex and replace the entry only when the
    stored stamp is not newer, so two racing rebuilds converge on the
    freshest value.  A value computed over the caller's own uncommitted
@@ -62,13 +64,16 @@ class VersionStampedCache:
     def lookup(
         self,
         key: Hashable,
-        compute: Callable[[], tuple[Any, Iterable[str]]],
+        compute: Callable[
+            [tuple[int, Any] | None], tuple[Any, Iterable[str]]
+        ],
     ) -> Any:
         """The cached value for ``key``, recomputing if stale or absent.
 
-        ``compute`` is invoked under a pinned snapshot and returns
-        ``(value, tables)``: the value, derived purely from the database
-        contents it observes, and the names of every table it read.
+        ``compute`` is invoked under a pinned snapshot with the stale
+        entry's ``(stamp, value)`` or ``None``, and returns ``(value,
+        tables)``: the value, derived purely from the database contents
+        it observes, and the names of every table it read.
         """
         generation = self._read_generation()
         with self._lock:
@@ -82,7 +87,7 @@ class VersionStampedCache:
             self.misses += 1
         with self._database.read_locked():
             version = self._database.snapshot_version()
-            value, tables = compute()
+            value, tables = compute(None if entry is None else entry[:2])
             dirty = (
                 self._database.commit_latch.held_by_current_thread
                 and self._database.transactions.in_transaction()

@@ -112,7 +112,7 @@ class EntityLinker:
     def _text_pool(self, slot: str) -> FuzzyIndex:
         return self._text_pools.lookup(
             slot,
-            lambda: (
+            lambda __: (
                 FuzzyIndex(self._build_pool(slot)),
                 (self._vocabulary.source(slot).attribute.table,),
             ),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -63,22 +63,21 @@ class NGramFeaturizer:
         return len(self._vocabulary)
 
     def fit(self, texts: list[str]) -> "NGramFeaturizer":
-        self._fit_vocabulary([self._extract(text) for text in texts])
+        self._fit_vocabulary(map(self._extract, texts))
         return self
 
     def fit_rows(self, texts: list[str]) -> SparseRows:
-        """Fit the vocabulary and return the rows of ``texts``, extracting
-        each text's n-grams once."""
-        extracted = [self._extract(text) for text in texts]
-        self._fit_vocabulary(extracted)
-        return self._rows(extracted)
+        """Fit the vocabulary and return the rows of ``texts``: one
+        extraction pass counts the n-grams, a second builds the rows, so
+        only one text's n-grams are held at a time."""
+        return self.fit(texts).rows(texts)
 
     def rows(self, texts: list[str]) -> SparseRows:
         """The feature rows of ``texts``; n-grams outside the vocabulary
         are dropped."""
         if self._vocabulary is None:
             raise NotFittedError("featurizer is not fitted")
-        return self._rows([self._extract(text) for text in texts])
+        return self._rows(map(self._extract, texts))
 
     def row(
         self, text: str, tokens: list[Token] | None = None
@@ -99,7 +98,7 @@ class NGramFeaturizer:
         return self._dense(self.fit_rows(texts))
 
     # ------------------------------------------------------------------
-    def _fit_vocabulary(self, extracted: list[list[str]]) -> None:
+    def _fit_vocabulary(self, extracted: Iterable[list[str]]) -> None:
         counts: dict[str, int] = {}
         for features in extracted:
             for feature in features:
@@ -109,7 +108,7 @@ class NGramFeaturizer:
         kept = kept[: self.max_features]
         self._vocabulary = {feature: i for i, feature in enumerate(sorted(kept))}
 
-    def _rows(self, extracted: list[list[str]]) -> SparseRows:
+    def _rows(self, extracted: Iterable[list[str]]) -> SparseRows:
         indptr = [0]
         indices: list[int] = []
         values: list[float] = []

@@ -9,7 +9,10 @@ and index DDL recompiles only its own table's.  The randomised half
 checks every lookup through the three caches against an uncached
 compute at the caller's generation, across committed and rolled-back
 transactions, autocommit (in-place) updates, index DDL and a reader
-pinned on another thread.
+pinned on another thread, comparing value entries key order and value
+types included.  A stale single-valued entry whose root only gained and
+lost rows is patched rather than rebuilt; ``TestPatchedEntries`` writes
+each way a patch is allowed or refused and checks which one ran.
 """
 
 from __future__ import annotations
@@ -18,19 +21,32 @@ import queue
 import random
 import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
 from repro.annotation import TaskExtractor
 from repro.dataaware import AttributeValueCache
+from repro.dataaware.join_graph import AttributeValues
 from repro.datasets import MovieConfig, build_movie_database
-from repro.db import Catalog, ColumnRef, Database
+from repro.db import (
+    Catalog,
+    Column,
+    ColumnRef,
+    Database,
+    DatabaseSchema,
+    DataType,
+    ForeignKey,
+    TableSchema,
+)
 from repro.db.engine.cache import fingerprint_spec, parameterize_spec
 from repro.db.engine.planner import plan_query
 from repro.db.query import Query, eq
 from repro.nlu import EntityLinker
 from repro.synthesis import SlotVocabulary
+
+from tests.dataaware.test_dataaware_differential import _toy_database
 
 CONFIG = MovieConfig(
     seed=11, n_customers=30, n_movies=12, n_actors=16, n_screenings=30,
@@ -210,14 +226,23 @@ class TestExactCounts:
 # Randomised differential check
 # ---------------------------------------------------------------------------
 
+def _exact(entry: AttributeValues) -> tuple:
+    """What ``==`` on entries leaves out: their form, key order and value
+    types."""
+    return entry.single, [
+        (row_id, type(value), value)
+        for row_id, value in entry.values.items()
+    ]
+
+
 def _check_every_cache(env: Env, specs) -> None:
     """Every lookup equals an uncached compute at the caller's generation
     (fresh caches compute on their first lookup)."""
     database = env.database
     fresh_maps = AttributeValueCache(database, env.catalog)
     for root, attribute in MAPS + COLUMNS:
-        assert env.maps.full_map(root, attribute) == fresh_maps.full_map(
-            root, attribute
+        assert _exact(env.maps.full_map(root, attribute)) == _exact(
+            fresh_maps.full_map(root, attribute)
         ), (root, attribute)
     fresh_linker = EntityLinker(database, env.vocabulary)
     for slot in SLOTS:
@@ -390,8 +415,8 @@ def test_concurrent_readers_get_their_snapshot_through_the_caches():
                 with database.read_locked():
                     fresh = AttributeValueCache(database, env.catalog)
                     for root, attribute in entries:
-                        assert env.maps.full_map(root, attribute) == \
-                            fresh.full_map(root, attribute)
+                        assert _exact(env.maps.full_map(root, attribute)) \
+                            == _exact(fresh.full_map(root, attribute))
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             errors.append(exc)
 
@@ -416,3 +441,266 @@ def test_concurrent_readers_get_their_snapshot_through_the_caches():
     assert not any(thread.is_alive() for thread in readers)
     if errors:
         raise errors[0]
+
+
+# ---------------------------------------------------------------------------
+# Patched value entries
+# ---------------------------------------------------------------------------
+
+#: Reservation-rooted entries: a two-hop join and a root column.
+PATCHABLE = [
+    ColumnRef("movie", "title"), ColumnRef("reservation", "no_tickets"),
+]
+
+
+class TestPatchedEntries:
+    """A stale single-valued entry whose root only gained and lost rows
+    since its stamp is patched; every other stale entry is rebuilt.
+    Either way a lookup serves exactly what a rebuild under the same
+    snapshot holds, key order and value types included."""
+
+    @pytest.fixture(autouse=True)
+    def _record_paths(self, monkeypatch):
+        self.paths: list[str] = []
+        patch = AttributeValueCache._patched
+
+        def recorded(cache, *args):
+            value = patch(cache, *args)
+            self.paths.append("rebuilt" if value is None else "patched")
+            return value
+
+        monkeypatch.setattr(AttributeValueCache, "_patched", recorded)
+
+    def _refetch(self, catalog, cache, root, attribute, path):
+        """One miss for ``attribute``, taking ``path``, serving an entry
+        order-exact to a fresh cache's rebuild."""
+        self.paths.clear()
+        misses = cache.misses
+        entry = cache.full_map(root, attribute)
+        assert (cache.misses, self.paths) == (misses + 1, [path]), attribute
+        fresh = AttributeValueCache(catalog.database, catalog)
+        assert _exact(entry) == _exact(fresh.full_map(root, attribute))
+        return entry
+
+    def _refetch_reservations(self, env, path):
+        return [
+            self._refetch(env.catalog, env.maps, "reservation", a, path)
+            for a in PATCHABLE
+        ]
+
+    def _built(self, env):
+        """The reservation-rooted entries, built now."""
+        return [env.maps.full_map("reservation", a) for a in PATCHABLE]
+
+    def _book(self, database, seed=1):
+        return database.insert(
+            "reservation", _reservation_row(database, random.Random(seed)))
+
+    # -- patched ------------------------------------------------------------
+    def test_insert(self):
+        env = _env()
+        self._built(env)
+        row_id = self._book(env.database)
+        for entry in self._refetch_reservations(env, "patched"):
+            assert list(entry.values)[-1] == row_id
+
+    def test_delete_of_the_last_row_then_an_insert(self):
+        env = _env()
+        database = env.database
+        self._built(env)
+        last = database.table("reservation").row_ids()[-1]
+        database.delete("reservation", last)
+        row_id = self._book(database)
+        for entry in self._refetch_reservations(env, "patched"):
+            assert last not in entry.values
+            assert list(entry.values)[-1] == row_id
+
+    def test_delete_of_a_values_first_occurrence(self):
+        env = _env()
+        database = env.database
+        titles = self._built(env)[0].values
+        counts = Counter(titles.values())
+        first = next(rid for rid, t in titles.items() if counts[t] > 1)
+        database.delete("reservation", first)
+        entries = self._refetch_reservations(env, "patched")
+        assert titles[first] in entries[0].values.values()
+        assert first not in entries[0].values
+
+    def test_delete_of_every_row(self):
+        env = _env()
+        database = env.database
+        self._built(env)
+        for row_id in database.table("reservation").row_ids():
+            database.delete("reservation", row_id)
+        for entry in self._refetch_reservations(env, "patched"):
+            assert entry == AttributeValues({}, True)
+
+    def test_dead_end_row_above_the_last_key(self):
+        """A root row with a NULL foreign key is in no entry; a patch
+        walks it again with the new rows, and it dead-ends again."""
+        database = _toy_database()
+        catalog = Catalog(database)
+        cache = AttributeValueCache(database, catalog)
+        label = ColumnRef("kind", "label")
+        dead_end = database.insert("item", {"item_id": 41, "kind_id": None})
+        assert dead_end > max(cache.full_map("item", label).values)
+        row_id = database.insert("item", {"item_id": 42, "kind_id": 2})
+        entry = self._refetch(catalog, cache, "item", label, "patched")
+        assert dead_end not in entry.values
+        assert list(entry.values)[-1] == row_id
+
+    def test_writer_patches_over_its_own_writes_without_storing_them(self):
+        env = _env()
+        database = env.database
+        stored = self._built(env)
+        with database.write_locked():
+            database.transactions.begin()
+            try:
+                row_id = self._book(database)
+                for entry in self._refetch_reservations(env, "patched"):
+                    assert list(entry.values)[-1] == row_id
+            finally:
+                database.transactions.rollback()
+        misses = env.maps.misses
+        for attribute, entry in zip(PATCHABLE, stored):
+            assert env.maps.full_map("reservation", attribute) is entry
+        assert env.maps.misses == misses
+
+    # -- rebuilt ------------------------------------------------------------
+    def test_update_of_a_root_foreign_key(self):
+        env = _env()
+        database = env.database
+        titles = self._built(env)[0].values
+        row_id, title = next(iter(titles.items()))
+        screenings = database.table("screening")
+        other = next(
+            rid for rid in screenings.row_ids()
+            if _title_of(database, screenings.get(rid)) != title
+        )
+        database.update("reservation", row_id, {
+            "screening_id": screenings.get(other)["screening_id"],
+        })
+        entries = self._refetch_reservations(env, "rebuilt")
+        assert entries[0].values[row_id] != title
+
+    def test_write_to_a_path_table(self):
+        env = _env()
+        database = env.database
+        reservation = database.table("reservation").row_ids()[0]
+        self._built(env)
+        movie = _movie_row_id(database, reservation)
+        database.update("movie", movie, {"title": "Renamed"})
+        entry = self._refetch(
+            env.catalog, env.maps, "reservation", PATCHABLE[0], "rebuilt")
+        assert entry.values[reservation] == "Renamed"
+
+    def test_rollback_that_restores_a_deleted_row(self):
+        env = _env()
+        database = env.database
+        self._built(env)
+        with database.write_locked():
+            database.transactions.begin()
+            database.delete(
+                "reservation", database.table("reservation").row_ids()[0])
+            database.transactions.rollback()
+        self._book(database)
+        self._refetch_reservations(env, "rebuilt")
+
+    def test_restore_of_an_id_below_the_last_key(self):
+        env = _env()
+        database = env.database
+        reservations = database.table("reservation")
+        row_id = reservations.row_ids()[0]
+        row = reservations.get(row_id)
+        database.delete("reservation", row_id)
+        self._built(env)
+        with database.write_locked():
+            reservations.restore(row_id, row)
+        database.notify_data_changed()
+        for entry in self._refetch_reservations(env, "rebuilt"):
+            assert next(iter(entry.values)) == row_id
+
+    def test_reader_pinned_before_the_stamp(self):
+        """The entry misses a row the reader still sees."""
+        env = _env()
+        database = env.database
+        self._built(env)
+        row_id = database.table("reservation").row_ids()[0]
+        reader = _PinnedReader(database)
+        try:
+            database.delete("reservation", row_id)
+            self._book(database)
+            self._refetch_reservations(env, "patched")
+
+            def read():
+                for entry in self._refetch_reservations(env, "rebuilt"):
+                    assert row_id in entry.values
+
+            reader.run(read)
+        finally:
+            reader.close()
+
+    def test_multi_valued_entry(self):
+        env = _env()
+        database = env.database
+        actor = ColumnRef("actor", "name")
+        assert not env.maps.full_map("screening", actor).single
+        booked = set(
+            database.table("reservation").column_values("screening_id"))
+        screenings = database.table("screening")
+        database.delete("screening", next(
+            row_id for row_id in screenings.row_ids()
+            if screenings.get(row_id)["screening_id"] not in booked
+        ))
+        entry = self._refetch(env.catalog, env.maps, "screening", actor,
+                              "rebuilt")
+        assert not entry.single
+
+    def test_new_row_that_fans_out(self):
+        """Cast links loaded without FK checks can name a film no row
+        holds yet: the film inserted later reaches two stars, so the walk
+        over the new rows is multi-valued and the entry is rebuilt."""
+        database = Database(DatabaseSchema([
+            TableSchema("film", [Column("film_id", DataType.INTEGER)],
+                        primary_key="film_id"),
+            TableSchema("star", [Column("star_id", DataType.INTEGER),
+                                 Column("name", DataType.TEXT)],
+                        primary_key="star_id"),
+            TableSchema(
+                "film_star",
+                [Column("film_id", DataType.INTEGER),
+                 Column("star_id", DataType.INTEGER)],
+                foreign_keys=[ForeignKey("film_id", "film", "film_id"),
+                              ForeignKey("star_id", "star", "star_id")],
+            ),
+        ]))
+        database.insert("film", {"film_id": 1})
+        for star_id, name in ((1, "Ann"), (2, "Bo")):
+            database.insert("star", {"star_id": star_id, "name": name})
+        with database.write_locked():
+            for film_id, star_id in ((1, 1), (2, 1), (2, 2)):
+                database.table("film_star").insert(
+                    {"film_id": film_id, "star_id": star_id})
+        database.notify_data_changed()
+        catalog = Catalog(database)
+        cache = AttributeValueCache(database, catalog)
+        name = ColumnRef("star", "name")
+        assert cache.full_map("film", name).single
+        row_id = database.insert("film", {"film_id": 2})
+        entry = self._refetch(catalog, cache, "film", name, "rebuilt")
+        assert entry.values[row_id] == {"Ann", "Bo"}
+
+
+def _title_of(database: Database, screening: dict) -> str:
+    return database.find_one(
+        "movie", "movie_id", screening["movie_id"])["title"]
+
+
+def _movie_row_id(database: Database, reservation: int) -> int:
+    """The row id of the movie a reservation is for."""
+    screening = database.find_one(
+        "screening", "screening_id",
+        database.table("reservation").get(reservation)["screening_id"],
+    )
+    return database.table("movie").lookup(
+        "movie_id", screening["movie_id"])[0]

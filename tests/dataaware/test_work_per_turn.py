@@ -7,15 +7,21 @@ once, and scoring and refinement read the entries.  A row-at-a-time
 loop instead resolves the snapshot once per row (``prune_missing``
 alone used to), which this counts through
 ``SnapshotManager.active_generation``.
+
+A booking does not make the value entries rooted at ``reservation``
+walk every reservation again either: the next lookup patches each
+stale entry, joining only the new row.
 """
 
 from __future__ import annotations
 
+from repro.annotation import TaskExtractor
 from repro.dataaware import (
     AttributeScorer,
     AttributeValueCache,
     CandidateSet,
     UserAwarenessModel,
+    caching,
 )
 from repro.datasets import MovieConfig, build_movie_database
 from repro.db import Catalog, ColumnRef
@@ -76,3 +82,34 @@ def test_snapshot_resolutions_do_not_grow_with_rows(monkeypatch):
     small = _snapshot_resolutions(monkeypatch, 100)
     large = _snapshot_resolutions(monkeypatch, 2000)
     assert small == large
+
+
+def test_a_booking_walks_only_the_new_reservation(monkeypatch):
+    database, annotations = build_movie_database(MovieConfig())
+    catalog = Catalog(database)
+    cache = AttributeValueCache(database, catalog)
+    cancel = TaskExtractor(catalog, annotations).extract(
+        database.procedures.get("cancel_reservation"))
+    attributes = [
+        attribute
+        for tier in cancel.lookups[0].identifying_attributes.values()
+        for attribute in tier
+    ]
+    for attribute in attributes:
+        cache.full_map("reservation", attribute)
+    walked = []
+    walk = caching.attribute_values
+
+    def recorded(database, path, attribute, root_row_ids):
+        walked.append(list(root_row_ids))
+        return walk(database, path, attribute, root_row_ids)
+
+    monkeypatch.setattr(caching, "attribute_values", recorded)
+    booked = database.procedures.call(
+        "ticket_reservation", customer_id=1, screening_id=1, ticket_amount=1,
+    ).value["reservation_id"]
+    new = database.table("reservation").lookup("reservation_id", booked)
+    for attribute in attributes:
+        cache.full_map("reservation", attribute)
+    assert len(attributes) > 10
+    assert walked == [new] * len(attributes)

@@ -594,6 +594,23 @@ class TestExecutionApiLint:
             "  src/repro/caching.py:3: table._write_generation = 0"
         ]
 
+    def test_rewrite_generation_written_outside_storage_is_flagged(
+        self, lint, tmp_path, monkeypatch, capsys
+    ):
+        module = tmp_path / "src" / "repro" / "caching.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "def forget(table):\n"
+            "    print(table.rewrite_generation)\n"
+            "    table._rewrite_generation = 0\n"
+        )
+        monkeypatch.setattr(lint, "SRC", module.parent)
+        assert lint.main() == 1
+        flagged = capsys.readouterr().err.splitlines()[1:]
+        assert flagged == [
+            "  src/repro/caching.py:3: table._rewrite_generation = 0"
+        ]
+
     def test_index_internals_read_outside_storage_are_flagged(
         self, lint, tmp_path, monkeypatch, capsys
     ):

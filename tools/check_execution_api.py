@@ -5,10 +5,13 @@ to the storage layer.
 Only ``repro/db/table.py`` may touch a table's per-slot version stamps
 (``_created``, ``_deleted``, ``_max_stamp``), its write generation
 (``_write_generation``, which the shared caches trust to cover every
-write) and its hash-index internals (``_indexes``, ``_buckets``);
+write), its rewrite generation (``_rewrite_generation``, which the value
+cache trusts to cover every write that gives an existing row id new
+cells) and its hash-index internals (``_indexes``, ``_buckets``);
 everyone else reads through the public Table surface (``scan_slots``,
 ``column_values``, ``grouped_layout``, ``write_generation``,
-``has_index``, ``hash_index_columns``, ``distinct_count``, ...), which
+``rewrite_generation``, ``has_index``, ``hash_index_columns``,
+``distinct_count``, ...), which
 keeps the MVCC slot layout and the index structure implementation
 details the storage layer can evolve.
 
@@ -33,7 +36,8 @@ STORAGE_FORBIDDEN = (
     # ``self.`` receivers stay clean: an object's own ``_created``-style
     # attribute is its own state, not a reach into a table's banks.
     re.compile(
-        r"(?<!self)\.(_created|_deleted|_max_stamp|_write_generation)\b"
+        r"(?<!self)\.(_created|_deleted|_max_stamp|_write_generation"
+        r"|_rewrite_generation)\b"
     ),
     # Index internals are flagged on any receiver.
     re.compile(r"\.(_indexes|_buckets)\b"),
@@ -57,11 +61,11 @@ def main() -> int:
     if violations:
         print(
             "table version stamps (_created/_deleted/_max_stamp/"
-            "_write_generation) or index internals (_indexes/_buckets) "
-            "touched outside repro/db/table.py (use the public Table "
-            "surface — scan_slots, column_values, grouped_layout, "
-            "write_generation, has_index, hash_index_columns, "
-            "distinct_count — instead):",
+            "_write_generation/_rewrite_generation) or index internals "
+            "(_indexes/_buckets) touched outside repro/db/table.py (use "
+            "the public Table surface — scan_slots, column_values, "
+            "grouped_layout, write_generation, rewrite_generation, "
+            "has_index, hash_index_columns, distinct_count — instead):",
             file=sys.stderr,
         )
         for violation in violations:
