@@ -4,7 +4,7 @@ Replays representative aggregate workloads (grouped SUM/COUNT/AVG,
 multi-aggregate grouping, whole-table MIN/MAX and COUNT DISTINCT,
 filtered grouping) against the cinema database, comparing an aggregate
 statement executed by the engine (HashAggregate or the bucket-walking
-IndexGroupedAggScan, through the prepared-plan cache) with the baseline
+IndexGroupedAggScan) with the baseline
 defined here, :func:`materialise_then_reduce`, which fetches every
 qualifying row and reduces in Python.
 
@@ -13,9 +13,10 @@ randomised workload (>= 1000 statements over random predicates,
 group-bys and aggregate sets) — the speedups are for identical output.
 
 A second section replays a repeated-turn serving workload (the same
-query shapes with fresh constants every turn) and reports the
-prepared-plan cache hit rate plus the per-plan cost of a cache hit vs a
-cold planning pass.
+pooled prepared statements with fresh constants every turn, as the
+turn path runs them) and reports how often an execution reused its
+statement's plan template, plus the per-plan cost of binding into a
+kept template vs a cold planning pass.
 
 Run standalone (CI runs the smoke profile and archives the JSON):
 
@@ -34,7 +35,7 @@ import sys
 import time
 
 from repro.datasets import MovieConfig, build_movie_database
-from repro.db import Query, and_, api, eq, ge, in_, le
+from repro.db import Param, Query, and_, api, eq, ge, in_, le, select
 from repro.db.aggregation import (
     avg,
     count,
@@ -250,7 +251,7 @@ def make_workloads(config: MovieConfig):
 
 def _time(fn, min_seconds: float, max_iterations: int) -> float:
     """Median wall-clock seconds per call."""
-    fn()  # warm the plan cache
+    fn()  # warm up (a prepared statement plans on its first call)
     samples: list[float] = []
     budget_start = time.perf_counter()
     while (
@@ -267,47 +268,50 @@ def _time(fn, min_seconds: float, max_iterations: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Repeated-turn plan-cache benchmark
+# Repeated-turn plan-template benchmark
 # ---------------------------------------------------------------------------
 
 def run_plan_cache_benchmark(database, config: MovieConfig, turns: int) -> dict:
-    """Replay the serving runtime's query shapes with fresh constants.
+    """Replay the serving runtime's statements with fresh constants.
 
-    Every simulated turn issues the per-turn query mix — a candidate
-    refine probe, a count check and the booked-seats aggregate — with
-    turn-specific constants, each as a one-shot execute.  With the
-    prepared-plan cache each *shape* compiles once; every later turn
-    binds constants into the cached template.
+    Every simulated turn issues the per-turn statement mix — a candidate
+    refine probe, a count check and the booked-seats aggregate — through
+    pooled ``prepare_cached`` statements, as the turn path does, with
+    turn-specific constants.  Each statement plans once; every later
+    turn binds its constants into the statement's kept template.  The
+    hit and miss counts are the connection's.
     """
-    cache = database.plan_cache
-    hits_before, misses_before = cache.hits, cache.misses
     conn = database.connect()
+    statements = {
+        "refine": lambda: select("screening").where(
+            eq("movie_id", Param("movie"))),
+        "count": lambda: api.aggregate("screening", n=count()).where(
+            eq("movie_id", Param("movie"))),
+        "booked": lambda: api.aggregate(
+            "reservation", booked=sum_("no_tickets")
+        ).where(eq("screening_id", Param("screening"))),
+    }
 
     def one_turn(turn: int) -> None:
         movie_id = 1 + turn % config.n_movies
         screening_id = 1 + turn % config.n_screenings
-        conn.execute(
-            Query("screening").where(eq("movie_id", movie_id))
-        ).all()
-        conn.execute(
-            api.aggregate("screening", n=count())
-            .where(eq("movie_id", movie_id))
-        ).scalar()
-        conn.execute(
-            api.aggregate("reservation", booked=sum_("no_tickets"))
-            .where(eq("screening_id", screening_id))
-        ).scalar()
+        conn.prepare_cached("refine", statements["refine"]).execute(
+            movie=movie_id).all()
+        conn.prepare_cached("count", statements["count"]).execute(
+            movie=movie_id).scalar()
+        conn.prepare_cached("booked", statements["booked"]).execute(
+            screening=screening_id).scalar()
 
     started = time.perf_counter()
     for turn in range(turns):
         one_turn(turn)
     elapsed = time.perf_counter() - started
 
-    hits = cache.hits - hits_before
-    misses = cache.misses - misses_before
+    counts = conn.stats()
+    hits, misses = counts.plan_cache_hits, counts.plan_cache_misses
     lookups = hits + misses
 
-    # Plan-acquisition cost: a prepared statement binding from the cached
+    # Plan-acquisition cost: a prepared statement binding into its kept
     # template vs a cold planning pass.
     from repro.db.engine import plan_query
 
@@ -408,7 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--require-hit-rate", type=float, default=None, metavar="R",
-        help="fail unless the repeated-turn plan-cache hit rate reaches R",
+        help="fail unless the repeated-turn statements reuse their plan "
+        "templates on at least this share of executions",
     )
     args = parser.parse_args(argv)
 
@@ -424,9 +429,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     pc = results["plan_cache"]
     print(
-        f"  plan cache: {pc['hits']}/{pc['lookups']} hits "
-        f"({pc['hit_rate']:.1%}) over {pc['turns']} turns; "
-        f"cached plan {pc['cached_plan_us']:.1f}us vs "
+        f"  plan templates: {pc['hits']}/{pc['lookups']} executions "
+        f"reused one ({pc['hit_rate']:.1%}) over {pc['turns']} turns; "
+        f"bound plan {pc['cached_plan_us']:.1f}us vs "
         f"cold plan {pc['direct_plan_us']:.1f}us"
     )
     with open(args.output, "w") as handle:
@@ -450,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.require_hit_rate is not None:
         if pc["hit_rate"] is None or pc["hit_rate"] < args.require_hit_rate:
             print(
-                f"FAIL: plan-cache hit rate {pc['hit_rate']} below "
+                f"FAIL: plan-template hit rate {pc['hit_rate']} below "
                 f"required {args.require_hit_rate}",
                 file=sys.stderr,
             )

@@ -220,7 +220,7 @@ def make_workloads():
 
 def _time(fn, min_seconds: float, max_iterations: int) -> float:
     """Median wall-clock seconds per call."""
-    fn()  # warm the plan cache
+    fn()  # warm up (the first execution plans the statement)
     samples: list[float] = []
     budget_start = time.perf_counter()
     while (

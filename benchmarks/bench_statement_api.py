@@ -3,9 +3,10 @@
 The unified execution API's claim is that ``conn.prepare(...)`` +
 ``stmt.execute(**binds)`` amortises everything a one-shot
 ``conn.execute(statement)`` with inlined constants pays per call: the
-one-shot path re-builds the statement and re-fingerprints the whole
-spec tree on every execution just to find the plan template the
-prepared statement already holds a key for.  This benchmark replays
+one-shot path re-builds the statement and plans it on every execution
+(a one-shot statement is executed once, so it never reuses its plan
+template), while the prepared statement planned once and binds each
+call's constants into the template it keeps.  This benchmark replays
 repeated-turn serving shapes — point probes, counts, the booked-seats
 aggregate, a date-range scan — with fresh constants every turn through
 both paths and gates the prepared path's speedup.
@@ -39,7 +40,7 @@ from repro.db.query import and_, eq, ge, gt, le, lt
 
 # Workloads whose speedup the CI gate applies to: the plan-acquisition-
 # bound shapes a serving turn issues (selective probes and aggregates,
-# where per-call fingerprinting is a visible fraction of the latency).
+# where per-call planning is a visible fraction of the latency).
 GATED_WORKLOADS = ("point_unique", "point_count", "booked_sum")
 
 

@@ -3,15 +3,12 @@
 Synthesizes the cinema agent and exercises all three transactions —
 reserving tickets, cancelling a reservation and listing screenings —
 plus the demo-video behaviours: misspelling correction, choice lists and
-abort handling.  Pass ``--chat`` for an interactive REPL.
+abort handling.  For an interactive REPL, run ``python -m repro serve``.
 
 Run with::
 
     python examples/cinema_demo.py
-    python examples/cinema_demo.py --chat
 """
-
-import sys
 
 from repro import CAT, ConversationSession
 from repro.datasets import build_movie_database, movie_templates
@@ -85,28 +82,10 @@ def scripted_demo(database, agent) -> None:
     )
 
 
-def interactive_chat(agent) -> None:
-    print("Chat with the cinema agent (ctrl-d or 'quit' to leave).")
-    session = ConversationSession(agent)
-    while True:
-        try:
-            text = input("you> ").strip()
-        except EOFError:
-            break
-        if not text or text.lower() in ("quit", "exit"):
-            break
-        reply = session.say(text)
-        for line in reply.text.split("\n"):
-            print(f"bot> {line}")
-
-
 def main() -> None:
     print("synthesizing the cinema agent (trains NLU + DM) ...")
     database, agent = build_agent()
-    if "--chat" in sys.argv:
-        interactive_chat(agent)
-    else:
-        scripted_demo(database, agent)
+    scripted_demo(database, agent)
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ def main() -> None:
     stats = conn.stats()
     print(
         f"connection stats: {stats.executions} statements executed, "
-        f"plan cache {stats.plan_cache_hits}/{stats.plan_cache_hits + stats.plan_cache_misses} hits"
+        f"{stats.plan_cache_hits} of them reused their statement's plan"
     )
 
 

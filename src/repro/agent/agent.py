@@ -26,14 +26,14 @@ from typing import Any
 from repro.agent.artifacts import AgentArtifacts
 from repro.agent.executor import TransactionExecutor
 from repro.agent.responses import Responder
-from repro.annotation import SchemaAnnotations, SlotSpec, Task
+from repro.annotation import SlotSpec
 from repro.dataaware import (
     CandidateSet,
     DataAwarePolicy,
     IdentificationSession,
     IdentificationStatus,
 )
-from repro.db.catalog import Catalog, ColumnRef
+from repro.db.catalog import ColumnRef
 from repro.db.database import Database
 from repro.db.procedures import ProcedureResult
 from repro.dialogue import (
@@ -42,11 +42,9 @@ from repro.dialogue import (
     Phase,
     acts,
 )
-from repro.dialogue.policy import NextActionModel
 from repro.errors import DialogueError
 from repro.nlu.entity_linking import LinkedValue
-from repro.nlu.pipeline import FALLBACK_INTENT, NLUPipeline, NLUResult
-from repro.synthesis.templates import SlotVocabulary
+from repro.nlu.pipeline import FALLBACK_INTENT, NLUResult
 
 __all__ = ["AgentReply", "ConversationalAgent"]
 
@@ -75,46 +73,9 @@ class ConversationalAgent:
     Construct with a pre-built artifacts bundle::
 
         agent = ConversationalAgent(database, artifacts)
-
-    or with the legacy keyword form (the components are assembled into a
-    bundle internally)::
-
-        agent = ConversationalAgent(
-            database=db, catalog=..., annotations=..., tasks=[...],
-            nlu=..., dm_model=..., vocabulary=...,
-        )
     """
 
-    def __init__(
-        self,
-        database: Database,
-        artifacts: AgentArtifacts | None = None,
-        *,
-        catalog: Catalog | None = None,
-        annotations: SchemaAnnotations | None = None,
-        tasks: list[Task] | None = None,
-        nlu: NLUPipeline | None = None,
-        dm_model: NextActionModel | None = None,
-        vocabulary: SlotVocabulary | None = None,
-        choice_list_size: int = 3,
-    ) -> None:
-        if artifacts is None:
-            if None in (catalog, annotations, tasks, nlu, dm_model, vocabulary):
-                raise TypeError(
-                    "ConversationalAgent needs either an AgentArtifacts "
-                    "bundle or all of catalog/annotations/tasks/nlu/"
-                    "dm_model/vocabulary"
-                )
-            artifacts = AgentArtifacts.build(
-                database=database,
-                catalog=catalog,
-                annotations=annotations,
-                tasks=tasks,
-                nlu=nlu,
-                dm_model=dm_model,
-                vocabulary=vocabulary,
-                choice_list_size=choice_list_size,
-            )
+    def __init__(self, database: Database, artifacts: AgentArtifacts) -> None:
         self._database = database
         self.artifacts = artifacts
         self._manager = DialogueManager(

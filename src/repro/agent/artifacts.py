@@ -8,12 +8,11 @@ every session of a :class:`~repro.serving.runtime.AgentRuntime`, and by
 the evaluation harness — while all per-conversation mutable state lives
 in :class:`~repro.dialogue.context.ConversationContext`.
 
-The attribute-value cache and the plan cache are part of the bundle
-even though the value cache's *contents* move with the data: they are
-concurrency-safe caches over the (shared) database, and sharing them
-across sessions is exactly the paper's "integrated caching strategy" —
-the first conversation of the day pays the rebuild, every other session
-hits.
+The attribute-value cache is part of the bundle even though its
+*contents* move with the data: it is a concurrency-safe cache over the
+(shared) database, and sharing it across sessions is exactly the
+paper's "integrated caching strategy" — the first conversation of the
+day pays the rebuild, every other session hits.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.annotation import SchemaAnnotations, Task
 from repro.dataaware import AttributeValueCache, UserAwarenessModel
 from repro.db.catalog import Catalog
 from repro.db.database import Database
-from repro.db.engine.cache import PlanCache
 from repro.dialogue import ConversationContext
 from repro.dialogue.policy import NextActionModel
 from repro.nlu.pipeline import NLUPipeline
@@ -46,7 +44,6 @@ class AgentArtifacts:
     dm_model: NextActionModel
     vocabulary: SlotVocabulary
     value_cache: AttributeValueCache
-    plan_cache: PlanCache
     choice_list_size: int = 3
 
     @classmethod
@@ -70,11 +67,6 @@ class AgentArtifacts:
             dm_model=dm_model,
             vocabulary=vocabulary,
             value_cache=AttributeValueCache(database, catalog),
-            # The same prepared-plan cache every statement reads
-            # through: the first session of the day compiles the
-            # turn-query templates and every other session binds into
-            # them.
-            plan_cache=database.plan_cache,
             choice_list_size=choice_list_size,
         )
 

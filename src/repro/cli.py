@@ -3,8 +3,8 @@
 Commands mirror the demo workflow of Section 5:
 
 * ``demo``      — synthesize the cinema agent and run a scripted booking.
-* ``chat``      — synthesize the cinema agent and chat interactively.
-* ``serve``     — multi-session REPL on the concurrent agent runtime.
+* ``serve``     — the interactive REPL: sessions on the concurrent agent
+  runtime.
 * ``report``    — print the synthesis report (tasks, data, actions).
 * ``policies``  — compare data-aware / static / random slot selection.
 * ``snapshot``  — dump the cinema database to a JSON file.
@@ -53,24 +53,6 @@ def _cmd_demo() -> int:
     if executed:
         print(f"\nexecuted transactions: {[r.procedure for r in executed]}")
     return 0
-
-
-def _cmd_chat() -> int:
-    from repro import ConversationSession
-
-    __, agent = _build_cat()
-    session = ConversationSession(agent)
-    print("Chat with the cinema agent (ctrl-d or 'quit' to leave).")
-    while True:
-        try:
-            text = input("you> ").strip()
-        except EOFError:
-            return 0
-        if not text or text.lower() in ("quit", "exit"):
-            return 0
-        reply = session.say(text)
-        for line in reply.text.split("\n"):
-            print(f"bot> {line}")
 
 
 _SERVE_HELP = """\
@@ -147,11 +129,8 @@ def _cmd_serve(session_ttl: float | None) -> int:
                     print("  per-session (connection stats + turn latency):")
                 for sid in session_ids:
                     s = runtime.session_stats(sid)
-                    lookups = s.plan_cache_hits + s.plan_cache_misses
                     print(
                         f"    {sid}  turns={s.turns}  "
-                        f"plan_cache={s.plan_cache_hits}/{lookups} hits "
-                        f"({s.plan_cache_hit_rate:.0%})  "
                         f"statements={s.executions}  "
                         f"mean_turn={s.mean_turn_ms:.2f}ms  "
                         f"last_turn={s.last_turn_ms:.2f}ms  "
@@ -240,9 +219,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("demo", help="run a scripted Section 5 booking")
-    sub.add_parser("chat", help="chat with the cinema agent")
     serve = sub.add_parser(
-        "serve", help="multi-session REPL on the concurrent runtime"
+        "serve", help="interactive REPL: one or more sessions on the "
+        "concurrent runtime"
     )
     serve.add_argument(
         "--session-ttl",
@@ -265,8 +244,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "demo":
         return _cmd_demo()
-    if args.command == "chat":
-        return _cmd_chat()
     if args.command == "serve":
         return _cmd_serve(args.session_ttl)
     if args.command == "report":

@@ -137,12 +137,10 @@ class CandidateSet:
     ) -> "CandidateSet":
         """Candidates of ``table``, optionally pre-filtered by ``where``.
 
-        With a predicate, seeding executes through the database's
-        shared connection (and therefore the prepared-plan cache —
-        repeated seeds of the same constraint shape reuse one compiled
-        plan): the access path pushes an equality constraint into a
-        hash index instead of materialising every row id and filtering
-        afterwards.  Without one the set is ``whole_table``: the shared
+        With a predicate, seeding executes once through the database's
+        shared connection: the access path pushes an equality
+        constraint into a hash index instead of materialising every row
+        id and filtering afterwards.  Without one the set is ``whole_table``: the shared
         cache keeps its informativeness scores for the next such set.
         """
         if where is None:
@@ -291,8 +289,8 @@ class CandidateSet:
         column qualifies — text attributes need the fuzzy-match
         semantics and joined attributes the value maps.  The probe runs
         through a prepared statement pooled on the shared connection:
-        every refine of the same attribute binds into one compiled
-        template without re-fingerprinting — only the constant changes.
+        every refine of the same attribute binds into that statement's
+        plan template — only the constant changes.
         Returns the surviving row ids (order preserved) or ``None`` to
         fall back to the value-map path.
         """

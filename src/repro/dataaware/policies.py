@@ -5,9 +5,8 @@ next attribute to request when identifying an entity:
 
 * :class:`DataAwarePolicy` — CAT's contribution: scores attributes over
   the *live* candidate set (entropy x awareness) and expands the search
-  to FK-joined tables iteratively, skipping attributes whose column
-  holds fewer than two distinct values, so not every possible table is
-  joined on every turn.
+  to FK-joined tables iteratively, one hop at a time, so not every
+  possible table is joined on every turn.
 * :class:`StaticPolicy` — the attribute order is fixed once at "training
   time" from a database snapshot and replayed blindly at runtime.  It
   matches the data-aware policy when training data resembles production,
@@ -111,7 +110,6 @@ class DataAwarePolicy(SlotSelectionPolicy):
                 attribute
                 for attribute in self._lookup.identifying_attributes[hop]
                 if attribute not in asked
-                and self._worth_joining(candidates, attribute)
             ]
             if attributes:
                 ranked = self._scorer.rank(candidates, attributes)
@@ -127,16 +125,6 @@ class DataAwarePolicy(SlotSelectionPolicy):
 
     def observe(self, attribute: ColumnRef, user_knew: bool) -> None:
         self._awareness.observe(attribute, user_knew)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _worth_joining(
-        candidates: CandidateSet, attribute: ColumnRef
-    ) -> bool:
-        """Gate before joining: skip attributes whose whole column holds
-        fewer than two distinct values, which cannot split anything."""
-        table = candidates.database.table(attribute.table)
-        return table.distinct_count(attribute.column) > 1
 
 
 class StaticPolicy(SlotSelectionPolicy):

@@ -7,7 +7,7 @@ Public surface:
 * :mod:`~repro.db.schema` — declarative schemas.
 * :mod:`~repro.db.query` — predicates and single-table queries.
 * :mod:`~repro.db.engine` — the planner (access paths from index DDL),
-  the columnar executor and the prepared-plan cache.
+  the columnar executor and prepared statements' plan templates.
 * :class:`~repro.db.catalog.Catalog` — introspection for task extraction.
 """
 

@@ -12,13 +12,13 @@ classic prepare/execute split of DB client interfaces::
         ...
 
 Why prepare/execute: the serving runtime issues the same handful of
-statement *shapes* on every turn, differing only in their constants.
-A one-shot ``Connection.execute`` re-fingerprints the whole query tree
-on every call to find its cached plan template; ``prepare``
-fingerprints ONCE and every ``execute`` binds the call's constants
-straight into the cached template — one stable compiled artifact, many
-cheap parameterised executions.  ``benchmarks/bench_statement_api.py``
-gates the difference.
+statements on every turn, differing only in their constants.  A
+prepared statement plans its shape at its first execution and keeps
+that plan template; every later ``execute`` binds the call's constants
+straight into it — one stable compiled artifact, many cheap
+parameterised executions.  A one-shot ``Connection.execute`` is a
+statement executed once, so it plans on every call.
+``benchmarks/bench_statement_api.py`` gates the difference.
 
 The three objects:
 
@@ -27,8 +27,8 @@ The three objects:
   transaction scoping (``with conn.transaction(): ...``) and a
   prepared-statement pool (:meth:`Connection.prepare_cached`).
 * :class:`PreparedStatement` — one compiled statement with named
-  :class:`Param` placeholders; immutable after ``prepare`` and safe to
-  share across threads (every ``execute`` builds its own bound plan, so
+  :class:`Param` placeholders and its own plan template; safe to share
+  across threads (every ``execute`` builds its own bound plan, so
   bindings never bleed between concurrent callers).
 * :class:`Result` — a streaming cursor (``__iter__``, ``fetchone``,
   ``fetchmany``, ``all``, ``scalar``, ``.plan``/``explain()``) that
@@ -40,10 +40,9 @@ Statements come from three builders: :func:`select` (rows),
 procedures).  Plain :class:`~repro.db.query.Query` objects are also
 accepted by ``prepare``/``execute``.
 
-Cached plan *templates* live in the database's
-:class:`~repro.db.engine.cache.PlanCache`, shared by every connection
-and invalidated together on data-version bumps (committed mutations,
-index DDL).
+A statement's plan template reads only its table's hash-index columns:
+commits keep it, and index DDL on that table makes the next execution
+plan again (see :mod:`repro.db.engine.cache`).
 """
 
 from __future__ import annotations
@@ -59,11 +58,15 @@ from repro.db.engine import (
     AggExpr,
     PlanNode,
     QuerySpec,
+    compile_binder,
     execute_iter,
     execute_row_ids,
     execute_rows,
+    parameterize_spec,
+    plan_query,
     render_plan,
 )
+from repro.db.engine.cache import Unbindable
 from repro.db.query import (
     And,
     Comparison,
@@ -103,8 +106,8 @@ class Param:
 
     Appears wherever a predicate constant or procedure argument would: ``eq("movie_id", Param("m"))``.  ``execute(m=3)``
     binds it.  Distinct from the engine's positional
-    :class:`~repro.db.engine.plan.Param` slots, which the plan cache
-    derives internally.
+    :class:`~repro.db.engine.plan.Param` slots, which a statement's plan
+    template carries internally.
     """
 
     __slots__ = ("name",)
@@ -409,14 +412,16 @@ class Result:
 # ---------------------------------------------------------------------------
 
 class PreparedStatement:
-    """One statement, compiled and fingerprinted once.
+    """One statement, compiled once, with its own plan template.
 
     ``execute(**binds)`` substitutes named parameters straight into the
-    cached plan template — no per-call fingerprinting — and returns a
-    :class:`Result`.  Instances are immutable after ``prepare`` and
-    safe to share across threads: every execution builds its own bound
-    plan, so concurrent ``execute`` calls never see each other's
-    bindings.
+    statement's plan template and returns a :class:`Result`.  The first
+    execution plans the template; index DDL on the statement's table
+    makes the next one plan again.  Instances are safe to share across
+    threads: the template is one immutable tuple replaced whole, and
+    every execution builds its own bound plan, so concurrent
+    ``execute`` calls never see each other's bindings.  Two racing
+    first executions may both plan; they store equal templates.
     """
 
     def __init__(self, connection: "Connection", statement: Statement | Query) -> None:
@@ -470,34 +475,19 @@ class PreparedStatement:
             )
         elif group_by:
             raise QueryError("group_by requires aggregates")
-        self._fingerprint_spec(spec)
-
-    def _fingerprint_spec(self, spec: QuerySpec) -> None:
-        """The one-time shape analysis every ``execute`` amortises.
-
-        Parameterising the spec into the compile shape and compiling
-        the bind program are deferred further still — to the first
-        template miss (the shape) and to the connection's shared
-        per-template profile cache (the binder), so one-shot
-        ``Connection.execute`` calls of a warm shape pay neither.
-        """
-        from repro.db.engine import fingerprint_spec
-
         self._spec = spec
-        fingerprint, slots = fingerprint_spec(spec)
-        if fingerprint is None:
-            # Opaque predicate: planned per execution, uncached.
-            self._fingerprint = None
-            self._slots: tuple = ()
-            names: set[str] = set()
+        self._shape, self._slots = parameterize_spec(spec)
+        names: set[str] = set()
+        if self._shape is None:
+            # Opaque predicate: planned per execution.
             _predicate_param_names(spec.predicate, names)
         else:
-            self._fingerprint = fingerprint
-            self._slots = slots
-            names = set()
-            for value in slots:
+            for value in self._slots:
                 _value_param_names(value, names)
         self._param_names = frozenset(names)
+        # (the table's index columns, compiled binder) from the first
+        # execution that planned the shape; replaced whole, never mutated.
+        self._template: tuple[list[str], Callable] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -519,28 +509,27 @@ class PreparedStatement:
     def _plan_for(
         self, binds: Mapping[str, Any]
     ) -> tuple[PlanNode, bool | None]:
-        """``(bound plan, template hit)`` for one execution.
+        """``(bound plan, template reused)`` for one execution.
 
-        The hot path.  ``hit`` is ``None`` on the uncacheable-shape
-        path (planned per execution through
-        :meth:`PlanCache.plan_uncached`, which counts a bypass).  The
-        binder is looked up per call, never stored on the statement:
-        instances are shared across threads, and a stashed binder could
-        be overwritten by a concurrent execution that observed a newer
-        template.
+        The hot path.  ``reused`` is ``None`` for an opaque predicate,
+        whose bound spec is planned per execution.  A template reads
+        only its table's index columns, so it is kept until they change.
         """
-        cache = self._database.plan_cache
-        if self._fingerprint is None:
-            return cache.plan_uncached(_bind_spec(self._spec, binds)), None
+        database = self._database
+        if self._shape is None:
+            return plan_query(database, _bind_spec(self._spec, binds)), None
         params = tuple(_resolve_value(v, binds) for v in self._slots)
-        template, hit = cache.template_for(
-            self._fingerprint, self._spec, params
-        )
-        __, binder = self._connection._profile_for(self._fingerprint, template)
-        plan = cache.bind_or_replan(
-            binder, params, lambda: _bind_spec(self._spec, binds)
-        )
-        return plan, hit
+        columns = database.table(self._spec.table).hash_index_columns()
+        template = self._template
+        reused = template is not None and template[0] == columns
+        if not reused:
+            plan = plan_query(database, self._shape, params=params)
+            template = (columns, compile_binder(database, plan))
+            self._template = template
+        try:
+            return template[1](params), reused
+        except Unbindable:
+            return plan_query(database, _bind_spec(self._spec, binds)), reused
 
     # ------------------------------------------------------------------
     def execute(self, **binds: Any) -> Result:
@@ -554,8 +543,8 @@ class PreparedStatement:
             }
             outcome = connection._call_procedure(self._procedure, arguments)
             return Result(connection, procedure_result=outcome)
-        plan, hit = self._plan_for(binds)
-        connection._note_execution(hit)
+        plan, reused = self._plan_for(binds)
+        connection._note_execution(reused)
         return Result(connection, plan=plan)
 
     def plan(self, **binds: Any) -> PlanNode:
@@ -603,8 +592,9 @@ class Connection:
 
     Cheap to create (``database.connect()``), safe to share across
     threads; owns per-connection counters and a prepared-statement
-    pool.  The serving runtime gives every session its own connection,
-    so per-session stats come for free.
+    pool.  Its ``plan_cache_hits`` count executions that reused their
+    statement's plan template and ``plan_cache_misses`` those that
+    planned it.
     """
 
     def __init__(self, database: "Database", name: str | None = None) -> None:
@@ -612,10 +602,6 @@ class Connection:
         self.name = name or f"conn-{next(_connection_counter)}"
         self._lock = threading.Lock()
         self._statements: dict[Hashable, PreparedStatement] = {}
-        # fingerprint -> (template, compiled binder): shared across
-        # every statement of a shape on this connection, so repeated
-        # one-shot executes compile the bind program once.
-        self._profiles: dict[tuple, tuple] = {}
         self._statements_prepared = 0
         self._executions = 0
         self._rows_returned = 0
@@ -636,7 +622,7 @@ class Connection:
     # Prepare / execute
     # ------------------------------------------------------------------
     def prepare(self, statement: Statement | Query) -> PreparedStatement:
-        """Compile + fingerprint ``statement`` once for many executes."""
+        """Compile ``statement`` once for many executes."""
         prepared = PreparedStatement(self, statement)
         with self._lock:
             self._statements_prepared += 1
@@ -656,10 +642,9 @@ class Connection:
         if prepared is None:
             prepared = self.prepare(factory())
             with self._lock:
-                if len(self._statements) >= self._MAX_PROFILES:
+                if len(self._statements) >= self._MAX_STATEMENTS:
                     # Call sites key on constants, so a real pool stays
-                    # tiny; the cap guards data-derived key churn, like
-                    # the profile cache's.
+                    # tiny; the cap guards data-derived key churn.
                     self._statements.clear()
                 prepared = self._statements.setdefault(key, prepared)
         return prepared
@@ -729,52 +714,26 @@ class Connection:
                 plan_cache_misses=self._plan_cache_misses,
             )
 
-    def note_plan_cache(self, hits: int, misses: int) -> None:
-        """Attribute externally-measured plan-cache traffic (the serving
-        runtime charges a turn's thread-local delta to the session's
-        connection)."""
-        with self._lock:
-            self._plan_cache_hits += hits
-            self._plan_cache_misses += misses
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _note_execution(self, hit: bool | None) -> None:
-        """Per-execute accounting: the template lookup already
-        established hit/miss (``None`` for an uncacheable shape)."""
+    def _note_execution(self, reused: bool | None) -> None:
+        """Per-execute accounting: ``reused`` says whether the statement
+        bound into its plan template (``None`` for an opaque predicate,
+        planned per execution and counted as neither)."""
         with self._lock:
             self._executions += 1
-            if hit is True:
+            if reused is True:
                 self._plan_cache_hits += 1
-            elif hit is False:
+            elif reused is False:
                 self._plan_cache_misses += 1
 
     def _note_rows(self, n: int) -> None:
         with self._lock:
             self._rows_returned += n
 
-    #: Cap on cached per-shape execution profiles; the shape space of a
-    #: real workload is tiny, the cap only guards adversarial churn.
-    _MAX_PROFILES = 1024
-
-    def _profile_for(self, fingerprint: tuple, template: PlanNode) -> tuple:
-        """``(template, binder)`` per shape.
-
-        Revalidated by template identity: a data-version bump or LRU
-        eviction hands back a new template instance, which recompiles
-        the bind program.
-        """
-        entry = self._profiles.get(fingerprint)
-        if entry is None or entry[0] is not template:
-            from repro.db.engine.cache import compile_binder
-
-            entry = (template, compile_binder(self._database, template))
-            with self._lock:
-                if len(self._profiles) >= self._MAX_PROFILES:
-                    self._profiles.clear()
-                self._profiles[fingerprint] = entry
-        return entry
+    #: Cap on pooled prepared statements (see :meth:`prepare_cached`).
+    _MAX_STATEMENTS = 1024
 
     def _call_procedure(
         self, procedure: str, arguments: dict[str, Any]

@@ -64,7 +64,6 @@ class Database:
         self._listener_lock = threading.Lock()
         self._change_listeners: list[Callable[[], None]] = []
         self._lazy_lock = threading.Lock()
-        self._plan_cache = None
         self._default_connection = None
 
     # ------------------------------------------------------------------
@@ -87,34 +86,13 @@ class Database:
         """Build a hash index on ``table.column`` (DDL).
 
         A commit point, though no row changes: no cache stamped by
-        table writes is retired.  The plan cache checks each template
-        against its table's index columns, so only that table's
-        templates recompile to use the new access path.
+        table writes is retired.  A prepared statement checks its plan
+        template against its table's index columns, so only statements
+        on this table plan again to use the new access path.
         """
         with self.write_locked():
             self.table(table_name).create_index(column)
             self.notify_data_changed()
-
-    # ------------------------------------------------------------------
-    # Shared caches
-    # ------------------------------------------------------------------
-    @property
-    def plan_cache(self):
-        """The shared :class:`~repro.db.engine.cache.PlanCache`.
-
-        Created lazily.  A template stays cached across commits until
-        index DDL changes its table's index columns.  Every prepared
-        statement reads its plan template through it.
-        """
-        cache = self._plan_cache
-        if cache is None:
-            from repro.db.engine.cache import PlanCache
-
-            with self._lazy_lock:
-                if self._plan_cache is None:
-                    self._plan_cache = PlanCache(self)
-                cache = self._plan_cache
-        return cache
 
     # ------------------------------------------------------------------
     # Connections (the unified execution API)
@@ -135,8 +113,9 @@ class Database:
         """The shared connection behind ``Query.plan``/``explain`` and
         long-lived internal components.
 
-        Its prepared-statement pool amortises compilation across every
-        session the way the plan cache amortises planning.
+        The turn path runs its statements here: its prepared-statement
+        pool compiles and plans each once across every session, and its
+        counters are the turn path's plan traffic.
         """
         connection = self._default_connection
         if connection is None:

@@ -1,9 +1,9 @@
-"""Query engine: plan tree, planner, executor, plan cache, EXPLAIN.
+"""Query engine: plan tree, planner, executor, plan templates, EXPLAIN.
 
-A statement compiles into a :class:`QuerySpec`, reads a physical plan
-through the database's :class:`PlanCache` (one compilation per query
-shape and index set of its table; constants bind into the cached
-template) and executes the resulting plan tree.  :func:`plan_query`
+A statement compiles into a :class:`QuerySpec`; a prepared statement
+plans its shape once per index set of its table and binds each
+execution's constants into that template (:mod:`.cache`), then
+executes the resulting plan tree.  :func:`plan_query`
 takes its access path from index DDL alone — a unique indexed
 equality, else the first indexed equality, probes a hash index;
 anything else scans — filters with the statement's predicate, and
@@ -13,13 +13,7 @@ runs columnwise over the tables' column banks.  :func:`render_plan`
 renders the chosen plan tree.
 """
 
-from repro.db.engine.cache import (
-    DEFAULT_MAX_ENTRIES,
-    PlanCache,
-    compile_binder,
-    fingerprint_spec,
-    parameterize_spec,
-)
+from repro.db.engine.cache import compile_binder, parameterize_spec
 from repro.db.engine.executor import (
     execute_iter,
     execute_row_ids,
@@ -41,13 +35,11 @@ from repro.db.engine.planner import plan_query
 
 __all__ = [
     "AggExpr",
-    "DEFAULT_MAX_ENTRIES",
     "Filter",
     "HashAggregate",
     "IndexEq",
     "IndexGroupedAggScan",
     "Param",
-    "PlanCache",
     "PlanNode",
     "QuerySpec",
     "SeqScan",
@@ -55,7 +47,6 @@ __all__ = [
     "execute_iter",
     "execute_row_ids",
     "execute_rows",
-    "fingerprint_spec",
     "parameterize_spec",
     "plan_query",
     "render_plan",

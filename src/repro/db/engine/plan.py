@@ -8,10 +8,10 @@ whole-table single-key group-by from the key's hash-index buckets
 without re-hashing a row.  These five are every shape the agent's
 statements plan to.
 
-Constants inside a plan may be :class:`Param` placeholders: the plan
-cache compiles one *template* per query shape and binds the concrete
+Constants inside a plan may be :class:`Param` placeholders: a prepared
+statement plans one *template* for its shape and binds the concrete
 values of each execution into a fresh tree (see
-:mod:`repro.db.engine.cache`), so equal-shape queries with different
+:mod:`repro.db.engine.cache`), so its executions with different
 constants share one planning pass.
 """
 

@@ -23,7 +23,7 @@ predicate evaluation compares raw values, so the index result is a
 *superset* of the final answer and the filter keeps results identical
 to a scan.
 
-When planning a cache *template* the spec's constants are
+When planning a statement's *template* the spec's constants are
 :class:`~repro.db.engine.plan.Param` slots and the planner receives the
 first execution's actual values via ``params`` to test coercibility,
 while the emitted nodes keep the slots so the compiled plan can be
@@ -63,7 +63,7 @@ def plan_query(
     """Plan ``spec`` against ``database``'s schema and index DDL.
 
     ``params`` resolves the spec's :class:`Param` slots when planning a
-    cache template.
+    statement's template.
     """
     table = database.table(spec.table)
     if spec.aggregates is None:
@@ -132,7 +132,7 @@ def _coerces(
     """Can ``value`` (a Param slot resolves to its execution's constant)
     serve as a probe of ``column``'s index?"""
     if isinstance(value, Param):
-        if params is None:  # pragma: no cover - the cache guards this
+        if params is None:  # pragma: no cover - statements guard this
             raise ValueError("parameterised spec planned without params")
         value = params[value.index]
     try:

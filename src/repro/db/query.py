@@ -164,7 +164,7 @@ class TruePredicate(Predicate):
     """Matches every row; the identity element for AND.
 
     All instances are interchangeable, and compare (and hash) equal so
-    that query shapes containing one work as plan-cache keys.
+    that plans and query shapes containing one compare equal.
     """
 
     def matches(self, row: Row) -> bool:
@@ -272,10 +272,9 @@ class Query:
     def plan(self, database: "Database"):
         """The physical plan the engine would execute.
 
-        Read through the database's prepared-plan cache: the first
-        query of a given shape compiles a plan template, later queries
-        of the same shape (same structure, any constants) bind their
-        constants into the cached template instead of re-planning.
+        Planned as a one-shot statement on the database's default
+        connection; prepare a statement to keep its plan across
+        executions.
         """
         return database.default_connection.prepare(self).plan()
 

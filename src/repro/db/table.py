@@ -194,8 +194,6 @@ class Table:
         self._mutations = 0
         self._group_layouts: dict[str, tuple[int, Any]] = {}
         self._group_tallies: dict[tuple[str, str], tuple[int, Any]] = {}
-        # Distinct counts of unindexed columns, memoised the same way.
-        self._distinct_counts: dict[str, tuple[int, int]] = {}
         # Per-generation snapshot structure for stale pinned readers:
         # generation -> (epoch, visible slots ascending by rid, rid map).
         self._visible_cache: dict[
@@ -981,30 +979,20 @@ class Table:
         """Number of distinct non-NULL values in ``column`` the calling
         reader sees.
 
-        O(1) on an indexed column (its bucket count).  On an unindexed
-        one the count is memoised until the next mutation; a pinned
-        reader whose snapshot predates newer stamps counts its visible
-        slots instead.
+        O(1) on an indexed column (its bucket count) unless the reader's
+        snapshot predates newer stamps; otherwise the reader's visible
+        slots are counted.
         """
         generation = self._pin_generation()
         with self._latch:
             bank = self._banks[column]
-            if self._stale(generation):
-                slots, __ = self._visible(generation)
-                return len({
-                    bank[s] for s in slots if not is_null(bank[s])
-                })
-            index = self._indexes.get(column)
-            if index is not None:
-                return len(index)
-            cached = self._distinct_counts.get(column)
-            if cached is not None and cached[0] == self._mutations:
-                return cached[1]
+            if not self._stale(generation):
+                index = self._indexes.get(column)
+                if index is not None:
+                    return len(index)
             values = set(map(bank.__getitem__, self.scan_slots()))
             values.discard(None)
-            count = len(values)
-            self._distinct_counts[column] = (self._mutations, count)
-            return count
+            return len(values)
 
     # ------------------------------------------------------------------
     # Internals

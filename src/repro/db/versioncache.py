@@ -30,8 +30,9 @@ concurrency protocol, kept in exactly one place here:
    freshest value.  A value computed over the caller's own uncommitted
    writes is returned but never stored.
 
-Plan templates read no rows, only index DDL, and are kept by
-:class:`~repro.db.engine.cache.PlanCache` without this protocol.
+Plan templates read no rows, only index DDL: each prepared statement
+keeps its own against its table's index columns, without this
+protocol.
 """
 
 from __future__ import annotations

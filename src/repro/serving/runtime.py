@@ -54,10 +54,10 @@ class RuntimeStats:
     turns_served: int
     transactions_committed: int
     transactions_aborted: int
+    # Executions on the database's default connection, which runs every
+    # turn statement, that reused their statement's plan or planned it.
     plan_cache_hits: int
     plan_cache_misses: int
-    plan_cache_bypasses: int
-    plan_cache_evictions: int
     # MVCC observability: the committed generation new turns pin, and
     # how often a committing transaction waited behind another writer.
     snapshot_version: int = 0
@@ -68,29 +68,21 @@ class RuntimeStats:
 class SessionStats:
     """Per-session serving counters (observability; non-touching).
 
-    Sourced from the session's :class:`~repro.db.api.Connection` (the
-    runtime charges each turn's plan-cache traffic to it) plus the
-    session's turn clock.
+    Sourced from the session's turn clock and its
+    :class:`~repro.db.api.Connection`.
     """
 
     session_id: str
     turns: int
-    plan_cache_hits: int
-    plan_cache_misses: int
     mean_turn_ms: float
     last_turn_ms: float
     # Statements the client issued directly through the session's
-    # connection (the turn queries run through shared internal
-    # connections and are attributed via the plan-cache counters).
+    # connection (turn statements run on the database's default
+    # connection, shared by every session).
     executions: int = 0
     statements_prepared: int = 0
     # The MVCC generation the session's latest turn pinned.
     snapshot_version: int = 0
-
-    @property
-    def plan_cache_hit_rate(self) -> float:
-        total = self.plan_cache_hits + self.plan_cache_misses
-        return self.plan_cache_hits / total if total else 0.0
 
 
 class AgentRuntime:
@@ -103,23 +95,18 @@ class AgentRuntime:
         session_ttl: float | None = None,
         max_sessions: int = 4096,
         clock: Callable[[], float] = time.monotonic,
-        record_transcripts: bool = True,
     ) -> None:
         self.database = database
         self.artifacts = artifacts
         # One shared engine: it holds no per-conversation state beyond
         # its (unused here) default context, so all sessions reuse it.
         self._agent = ConversationalAgent(database, artifacts)
-        # The bundle's prepared-plan cache (the same instance every
-        # statement on this database reads through).
-        self._plan_cache = artifacts.plan_cache
         self.sessions = SessionStore(
             context_factory=artifacts.new_context,
             ttl=session_ttl,
             max_sessions=max_sessions,
             clock=clock,
         )
-        self._record_transcripts = record_transcripts
         self._stats_lock = threading.Lock()
         self._turns_served = 0
 
@@ -133,13 +120,7 @@ class AgentRuntime:
     # Session lifecycle
     # ------------------------------------------------------------------
     def create_session(self, session_id: str | None = None) -> str:
-        session = self.sessions.create(session_id)
-        # Every session holds its own connection, so per-session
-        # execution stats come free.  Created through the locked lazy
-        # path so a concurrent respond() on a predictable id never ends
-        # up charging a connection this assignment would orphan.
-        self._session_connection(session)
-        return session.session_id
+        return self.sessions.create(session_id).session_id
 
     def end_session(self, session_id: str) -> None:
         self.sessions.close(session_id)
@@ -165,46 +146,35 @@ class AgentRuntime:
     def respond(self, session_id: str, text: str) -> AgentReply:
         """Process one utterance in the named session."""
         session = self.sessions.get(session_id)
-        plan_cache = self._plan_cache
         with session.turn_lock:
-            connection = self._session_connection(session)
-            # The turn runs on this thread, so the thread-local cache
-            # counter delta is exactly this turn's plan-cache traffic —
-            # charged to the session's connection.
-            hits_before, misses_before = plan_cache.local_counters()
             # The generation this turn's snapshot pin will capture.
             session.last_snapshot_version = self.database.data_version
             started = time.perf_counter()
             reply = self._agent.respond(text, context=session.context)
             elapsed = time.perf_counter() - started
-            hits_after, misses_after = plan_cache.local_counters()
-            connection.note_plan_cache(
-                hits_after - hits_before, misses_after - misses_before
-            )
             session.turn_seconds += elapsed
             session.last_turn_seconds = elapsed
             session.turn_count += 1
-            if self._record_transcripts:
-                session.transcript.append(
-                    TranscriptTurn(
-                        user=text,
-                        agent=reply.text,
-                        intent=reply.nlu.intent if reply.nlu else None,
-                        executed=reply.executed,
-                    )
+            session.transcript.append(
+                TranscriptTurn(
+                    user=text,
+                    agent=reply.text,
+                    intent=reply.nlu.intent if reply.nlu else None,
+                    executed=reply.executed,
                 )
+            )
         with self._stats_lock:
             self._turns_served += 1
         return reply
 
     def transcript(self, session_id: str) -> list[TranscriptTurn]:
-        """Recorded turns of one session (empty when recording is off)."""
+        """Recorded turns of one session."""
         return list(self.sessions.peek(session_id).transcript)
 
     # ------------------------------------------------------------------
     def stats(self) -> RuntimeStats:
         store = self.sessions
-        plan_cache = self._plan_cache
+        statements = self.database.default_connection.stats()
         with self._stats_lock:
             turns = self._turns_served
         return RuntimeStats(
@@ -215,10 +185,8 @@ class AgentRuntime:
             turns_served=turns,
             transactions_committed=self.database.transactions.committed_count,
             transactions_aborted=self.database.transactions.aborted_count,
-            plan_cache_hits=plan_cache.hits,
-            plan_cache_misses=plan_cache.misses,
-            plan_cache_bypasses=plan_cache.bypasses,
-            plan_cache_evictions=plan_cache.evictions,
+            plan_cache_hits=statements.plan_cache_hits,
+            plan_cache_misses=statements.plan_cache_misses,
             snapshot_version=self.database.data_version,
             commit_waits=self.database.commit_latch.waits,
         )
@@ -232,8 +200,6 @@ class AgentRuntime:
         return SessionStats(
             session_id=session_id,
             turns=turns,
-            plan_cache_hits=conn_stats.plan_cache_hits,
-            plan_cache_misses=conn_stats.plan_cache_misses,
             mean_turn_ms=(session.turn_seconds / turns * 1000.0) if turns
             else 0.0,
             last_turn_ms=session.last_turn_seconds * 1000.0,
@@ -249,10 +215,9 @@ class AgentRuntime:
     def _session_connection(self, session: Session) -> Connection:
         connection = session.connection
         if connection is None:
-            # Sessions created directly on the store (tests, custom
-            # integrations) get their connection on first use; the
-            # double-check under the lock keeps two racing callers from
-            # charging stats to an orphaned connection.
+            # Created on first use; the double-check under the lock
+            # keeps two racing callers from counting statements on an
+            # orphaned connection.
             with self._stats_lock:
                 connection = session.connection
                 if connection is None:

@@ -50,10 +50,9 @@ class Session:
     created_at: float
     last_used_at: float
     turn_count: int = 0
-    # The session's database connection (set by the runtime).  Owns the
-    # per-session execution counters: the runtime charges each turn's
-    # plan-cache traffic to it, and clients may issue their own
-    # statements through it.
+    # The session's database connection (set by the runtime on first
+    # use), for statements the client issues itself; it counts them.
+    # Turn statements run on the database's default connection.
     connection: "Connection | None" = None
     # Turn wall-clock counters, maintained by AgentRuntime.respond()
     # under the turn lock.
@@ -62,8 +61,8 @@ class Session:
     # The MVCC generation the session's latest turn pinned (set by
     # AgentRuntime.respond(); surfaced in the serve REPL's :stats).
     last_snapshot_version: int = 0
-    # TranscriptTurn entries when the runtime records transcripts; kept
-    # on the session so TTL/LRU reclamation frees them too.
+    # TranscriptTurn entries the runtime records per turn; kept on the
+    # session so TTL/LRU reclamation frees them too.
     transcript: list = field(default_factory=list)
     turn_lock: threading.Lock = field(default_factory=threading.Lock)
 

@@ -4,13 +4,14 @@ Every entry of the shared row-derived caches — attribute-value maps
 and linker pools — records the tables its compute read.  It keeps
 serving after a commit to any other table and misses exactly once after
 a write to one of its own; a rollback, which never advances the clock,
-costs nothing.  Plan templates read no rows: commits never retire them,
-and index DDL recompiles only its own table's.  The randomised half
-checks every lookup through the three caches against an uncached
-compute at the caller's generation, across committed and rolled-back
-transactions, autocommit (in-place) updates, index DDL and a reader
-pinned on another thread, comparing value entries key order and value
-types included.  A stale single-valued entry whose root only gained and
+costs nothing.  A prepared statement's plan template reads no rows:
+commits never make it plan again, and index DDL makes only the
+statements on its own table plan again.  The randomised half checks
+every lookup through the two caches, and every statement's plan,
+against an uncached compute at the caller's generation, across
+committed and rolled-back transactions, autocommit (in-place) updates,
+index DDL and a reader pinned on another thread, comparing value
+entries key order and value types included.  A stale single-valued entry whose root only gained and
 lost rows is patched rather than rebuilt; ``TestPatchedEntries`` writes
 each way a patch is allowed or refused and checks which one ran.
 """
@@ -40,7 +41,7 @@ from repro.db import (
     ForeignKey,
     TableSchema,
 )
-from repro.db.engine.cache import fingerprint_spec, parameterize_spec
+from repro.db.api import Connection, PreparedStatement
 from repro.db.engine.planner import plan_query
 from repro.db.query import Query, eq
 from repro.nlu import EntityLinker
@@ -83,6 +84,8 @@ class Env:
     vocabulary: SlotVocabulary
     maps: AttributeValueCache
     linker: EntityLinker
+    #: Runs the statements of :func:`_statements` and counts their plans.
+    connection: Connection
 
 
 def _env() -> Env:
@@ -94,13 +97,14 @@ def _env() -> Env:
         database, catalog, vocabulary,
         AttributeValueCache(database, catalog),
         EntityLinker(database, vocabulary),
+        database.connect(),
     )
 
 
-def _specs(database: Database) -> list:
-    """Query shapes whose templates depend on the indexes of their one
-    table (constants fixed, so the template a fresh planner compiles is
-    comparable)."""
+def _statements(env: Env) -> list[PreparedStatement]:
+    """Statements whose plans depend on the indexes of their one table
+    (constants fixed, so the plan a fresh planner makes is comparable)."""
+    database = env.database
     first = {
         (table, column): database.table(table).column_values(column)[0]
         for table, column in (
@@ -109,20 +113,27 @@ def _specs(database: Database) -> list:
         )
     }
     return [
-        Query(table).where(eq(column, value)).compile()
+        env.connection.prepare(Query(table).where(eq(column, value)))
         for (table, column), value in first.items()
     ]
 
 
-def _template(database: Database, spec):
-    fingerprint, params = fingerprint_spec(spec)
-    return database.plan_cache.template_for(fingerprint, spec, params)[0]
+def _plan(statement: PreparedStatement):
+    """The plan the statement's next execution runs (which counts as a
+    plan hit or miss on its connection)."""
+    return statement.execute().plan
+
+
+def _uncached_plan(database: Database, statement: PreparedStatement):
+    return plan_query(database, statement.statement.compile())
 
 
 def _traffic(env: Env) -> tuple[int, ...]:
-    database = env.database
-    caches = (env.maps, env.linker._text_pools, database.plan_cache)
-    return tuple(n for cache in caches for n in (cache.hits, cache.misses))
+    caches = (env.maps, env.linker._text_pools)
+    plans = env.connection.stats()
+    return tuple(
+        n for cache in caches for n in (cache.hits, cache.misses)
+    ) + (plans.plan_cache_hits, plans.plan_cache_misses)
 
 
 def _misses(before: tuple[int, ...], after: tuple[int, ...]) -> int:
@@ -142,7 +153,7 @@ def _reservation_row(database: Database, rng: random.Random) -> dict:
 
 
 class TestExactCounts:
-    def _unrelated_lookups(self, env: Env, specs) -> None:
+    def _unrelated_lookups(self, env: Env, statements) -> None:
         """Entries none of which reads ``reservation``."""
         for root, attribute in MAPS[:5]:
             env.maps.full_map(root, attribute)
@@ -151,20 +162,20 @@ class TestExactCounts:
         for slot in ("movie_title", "customer_first_name", "customer_city",
                      "customer_email"):
             env.linker.link(slot, "anything")
-        _template(env.database, specs[0])
+        _plan(statements[0])
 
     def test_commit_rebuilds_only_entries_of_its_table(self):
         env = _env()
         database = env.database
-        specs = _specs(database)
-        self._unrelated_lookups(env, specs)
+        statements = _statements(env)
+        self._unrelated_lookups(env, statements)
         env.maps.full_map(*COLUMNS[4])
         env.maps.full_map(*MAPS[5])
         database.insert(
             "reservation", _reservation_row(database, random.Random(1)))
 
         before = _traffic(env)
-        self._unrelated_lookups(env, specs)
+        self._unrelated_lookups(env, statements)
         assert _misses(before, _traffic(env)) == 0
 
         for lookup in (
@@ -181,30 +192,28 @@ class TestExactCounts:
     def test_index_ddl_recompiles_only_its_tables_templates(self):
         env = _env()
         database = env.database
-        customer_city, screening_price = _specs(database)[2:4]
-        assert "SeqScan" in repr(_template(database, customer_city))
-        _template(database, screening_price)
+        customer_city, screening_price = _statements(env)[2:4]
+        assert "SeqScan" in repr(_plan(customer_city))
+        _plan(screening_price)
         database.create_index("customer", "city")
 
-        misses = database.plan_cache.misses
-        _template(database, screening_price)
-        assert database.plan_cache.misses == misses
-        assert "IndexEq" in repr(_template(database, customer_city))
-        assert database.plan_cache.misses == misses + 1
+        misses = env.connection.stats().plan_cache_misses
+        _plan(screening_price)
+        assert env.connection.stats().plan_cache_misses == misses
+        assert "IndexEq" in repr(_plan(customer_city))
+        assert env.connection.stats().plan_cache_misses == misses + 1
 
     def test_commit_keeps_its_tables_templates(self):
         env = _env()
         database = env.database
-        reservation_tickets = _specs(database)[4]
-        _template(database, reservation_tickets)
+        reservation_tickets = _statements(env)[4]
+        _plan(reservation_tickets)
         database.insert(
             "reservation", _reservation_row(database, random.Random(3)))
-        misses = database.plan_cache.misses
-        assert _template(database, reservation_tickets) == plan_query(
-            database, parameterize_spec(reservation_tickets)[0],
-            params=fingerprint_spec(reservation_tickets)[1],
-        )
-        assert database.plan_cache.misses == misses
+        misses = env.connection.stats().plan_cache_misses
+        assert _plan(reservation_tickets) == _uncached_plan(
+            database, reservation_tickets)
+        assert env.connection.stats().plan_cache_misses == misses
 
     def test_rollback_costs_no_rebuild(self):
         env = _env()
@@ -235,7 +244,7 @@ def _exact(entry: AttributeValues) -> tuple:
     ]
 
 
-def _check_every_cache(env: Env, specs) -> None:
+def _check_every_cache(env: Env, statements) -> None:
     """Every lookup equals an uncached compute at the caller's generation
     (fresh caches compute on their first lookup)."""
     database = env.database
@@ -248,12 +257,9 @@ def _check_every_cache(env: Env, specs) -> None:
     for slot in SLOTS:
         assert env.linker._text_pool(slot)._pool == \
             fresh_linker._build_pool(slot), slot
-    for spec in specs:
-        fingerprint, params = fingerprint_spec(spec)
-        shape, __ = parameterize_spec(spec)
-        assert _template(database, spec) == plan_query(
-            database, shape, params=params
-        ), spec
+    for statement in statements:
+        assert _plan(statement) == _uncached_plan(database, statement), \
+            statement.statement
 
 
 class _PinnedReader:
@@ -331,7 +337,7 @@ def test_every_lookup_equals_an_uncached_compute(seed):
     rng = random.Random(seed)
     env = _env()
     database = env.database
-    specs = _specs(database)
+    statements = _statements(env)
     indexable = [
         ("customer", "city"), ("screening", "price"),
         ("reservation", "no_tickets"), ("movie", "year"), ("actor", "name"),
@@ -340,7 +346,7 @@ def test_every_lookup_equals_an_uncached_compute(seed):
     reader = None
 
     def check() -> None:
-        _check_every_cache(env, specs)
+        _check_every_cache(env, statements)
 
     try:
         for __ in range(30):

@@ -275,17 +275,16 @@ class TestOrUnionExecution:
         assert execute_row_ids(db, plan) == [2, 9]
 
     def test_template_rebinds_constants(self, db):
-        cache = db.plan_cache
-
-        def run_or(a, b):
-            return run(db, Query("screening").where(
-                or_(eq("screening_id", a), eq("screening_id", b))
-            ))
-
-        run_or(1, 2)
-        misses = cache.misses
-        rows = run_or(5, 6)
-        assert cache.misses == misses  # same shape: bound, not replanned
+        conn = db.connect()
+        statement = conn.prepare(api.select("screening").where(
+            or_(eq("screening_id", api.Param("a")),
+                eq("screening_id", api.Param("b")))
+        ))
+        statement.execute(a=1, b=2).all()
+        misses = conn.stats().plan_cache_misses
+        rows = statement.execute(a=5, b=6).all()
+        # Bound into the statement's template, not planned again.
+        assert conn.stats().plan_cache_misses == misses
         assert sorted(r["screening_id"] for r in rows) == [5, 6]
 
     def test_uncoercible_constant_falls_back_to_scan(self, db):

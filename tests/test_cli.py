@@ -44,6 +44,26 @@ class TestCli:
         assert excinfo.value.code == 0
 
 
+class TestDemo:
+    def test_demo_plays_the_script(self, monkeypatch, capsys, trained_agent):
+        from repro.cli import _DEMO_SCRIPT
+
+        __, agent = trained_agent
+        monkeypatch.setattr("repro.cli._build_cat", lambda: trained_agent)
+        agent.reset()
+        try:
+            assert main(["demo"]) == 0
+        finally:
+            agent.reset()
+        lines = capsys.readouterr().out.splitlines()
+        said = [i for i, line in enumerate(lines) if line.startswith("USER : ")]
+        assert [lines[i].removeprefix("USER : ") for i in said] == _DEMO_SCRIPT
+        for i in said:
+            reply = lines[i + 1]
+            assert reply.startswith("AGENT: ")
+            assert reply.removeprefix("AGENT: ").strip()
+
+
 def _serve(monkeypatch, capsys, trained_agent, script):
     """Run ``serve`` on the fixture agent, feeding ``script`` to the REPL
     and then end-of-file.
@@ -102,9 +122,9 @@ class TestServe:
         assert prompts[script.index(":close") + 1] == f"{first}> "
         stats = out[":stats"].splitlines()
         assert ["turns_served", "1"] in [line.split() for line in stats]
-        per_session = [line for line in stats if "plan_cache=" in line]
+        per_session = [line for line in stats if "statements=" in line]
         assert len(per_session) == 1
-        assert per_session[0].split()[0] == first
+        assert per_session[0].split()[:2] == [first, "turns=1"]
         assert "unknown command" in out[":advisor"]
         assert "unknown command" in out[":frob"]
 
