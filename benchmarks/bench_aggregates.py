@@ -46,8 +46,11 @@ from repro.db.aggregation import (
 )
 from repro.errors import QueryError
 
-# Workloads whose speedup the CI gate applies to: the grouped aggregates
-# the serving turns actually issue.
+# Workloads whose speedup the CI gate applies to: whole-table grouped
+# aggregates, the engine's bucket-walking and hash-grouping paths.  A
+# turn issues a filtered global SUM per booking attempt (the booked-seats
+# check) and a grouped COUNT only when the linker builds a value pool;
+# no turn issues a grouped SUM.
 GATED_WORKLOADS = ("grouped_sum", "grouped_count")
 
 

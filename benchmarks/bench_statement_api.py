@@ -1,15 +1,18 @@
 """Statement-API benchmark: prepare/execute vs one-shot execution.
 
-The unified execution API's claim is that ``conn.prepare(...)`` +
-``stmt.execute(**binds)`` amortises everything a one-shot
+The execution API's claim is that ``conn.prepare(...)`` +
+``stmt.execute(**binds)`` amortises what a one-shot
 ``conn.execute(statement)`` with inlined constants pays per call: the
-one-shot path re-builds the statement and plans it on every execution
-(a one-shot statement is executed once, so it never reuses its plan
-template), while the prepared statement planned once and binds each
-call's constants into the template it keeps.  This benchmark replays
-repeated-turn serving shapes — point probes, counts, the booked-seats
-aggregate, a date-range scan — with fresh constants every turn through
-both paths and gates the prepared path's speedup.
+one-shot path compiles the statement and plans its bound spec on every
+execution (no plan template, no binder), while the prepared statement
+planned once and binds each call's constants into the template it
+keeps.  This benchmark replays repeated-turn serving shapes — point
+probes, counts, the booked-seats aggregate, a date-range scan — with
+fresh constants every turn through both paths, alternating them turn
+by turn, and gates the prepared path's speedup.  Each prepared
+statement must also plan once, in its warm-up, and reuse that plan on
+every timed execution (read from its connection's plan-miss count), a
+check no runner's noise can move.
 
 Before timing anything the two paths are differential-checked on a
 randomised workload (>= 500 statements over random predicates, counts
@@ -154,13 +157,17 @@ def run_differential(
 # ---------------------------------------------------------------------------
 
 def make_workloads(database, config: MovieConfig):
-    """name -> (implicit_fn(turn), prepared_fn(turn)) pairs.
+    """``(workloads, connection)``: name -> ``(implicit_fn(turn),
+    prepared_fn(turn))`` pairs, and the connection the prepared side
+    runs on.
 
     Both sides receive the turn number and derive the same constants
     from it; the implicit side builds its statement with the constants
-    inlined and executes it one-shot each call, the prepared side binds
-    into the statement compiled once up front.
+    inlined and executes it one-shot each call on a connection of its
+    own, the prepared side binds into the statement compiled once up
+    front.
     """
+    oneshot = database.connect(name="bench-oneshot")
     connection = database.connect(name="bench")
     day0 = config.start_date
 
@@ -195,35 +202,35 @@ def make_workloads(database, config: MovieConfig):
     def day(turn):
         return day0 + dt.timedelta(days=turn % config.n_days)
 
-    return {
+    workloads = {
         "point_unique": (
-            lambda t: connection.execute(
+            lambda t: oneshot.execute(
                 select("screening").where(eq("screening_id", screening_id(t)))
             ).all(),
             lambda t: point_unique.execute(s=screening_id(t)).all(),
         ),
         "point_eq": (
-            lambda t: connection.execute(
+            lambda t: oneshot.execute(
                 select("screening").where(eq("movie_id", movie_id(t)))
             ).all(),
             lambda t: point_eq.execute(m=movie_id(t)).all(),
         ),
         "point_count": (
-            lambda t: connection.execute(
+            lambda t: oneshot.execute(
                 api.aggregate("screening", n=count())
                 .where(eq("movie_id", movie_id(t)))
             ).scalar(),
             lambda t: point_count.execute(m=movie_id(t)).scalar(),
         ),
         "booked_sum": (
-            lambda t: connection.execute(
+            lambda t: oneshot.execute(
                 api.aggregate("reservation", booked=sum_("no_tickets"))
                 .where(eq("screening_id", screening_id(t)))
             ).scalar(),
             lambda t: booked.execute(s=screening_id(t)).scalar(),
         ),
         "date_range": (
-            lambda t: connection.execute(
+            lambda t: oneshot.execute(
                 select("screening").where(
                     and_(
                         ge("date", day(t)),
@@ -236,27 +243,39 @@ def make_workloads(database, config: MovieConfig):
             ).all(),
         ),
     }
+    return workloads, connection
 
 
-def _time_turns(fn, min_seconds: float, max_turns: int) -> float:
-    """Median wall-clock seconds per turn over repeated sweeps."""
+def _time_turns(
+    implicit_fn, prepared_fn, min_seconds: float, max_turns: int
+) -> tuple[float, float]:
+    """Median wall-clock seconds per turn of each side.
+
+    The sides alternate turn by turn, so a drift in the host's speed
+    lands on both medians alike instead of on their ratio.
+    """
     for turn in range(50):
-        fn(turn)  # warm plan templates
-    samples: list[float] = []
+        implicit_fn(turn)
+        prepared_fn(turn)  # warm the plan template
+    implicit: list[float] = []
+    prepared: list[float] = []
     budget_start = time.perf_counter()
     turn = 0
     while (
-        len(samples) < 200
+        len(prepared) < 200
         or (
-            time.perf_counter() - budget_start < min_seconds
-            and len(samples) < max_turns
+            time.perf_counter() - budget_start < 2 * min_seconds
+            and len(prepared) < max_turns
         )
     ):
         start = time.perf_counter()
-        fn(turn)
-        samples.append(time.perf_counter() - start)
+        implicit_fn(turn)
+        middle = time.perf_counter()
+        prepared_fn(turn)
+        implicit.append(middle - start)
+        prepared.append(time.perf_counter() - middle)
         turn += 1
-    return stats.median(samples)
+    return stats.median(implicit), stats.median(prepared)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +310,21 @@ def run_benchmark(smoke: bool) -> dict:
         "differential_queries": checked,
         "workloads": {},
     }
-    for name, (implicit_fn, prepared_fn) in make_workloads(
-        database, config
-    ).items():
-        implicit_s = _time_turns(implicit_fn, min_seconds, max_turns)
-        prepared_s = _time_turns(prepared_fn, min_seconds, max_turns)
+    workloads, connection = make_workloads(database, config)
+    for name, (implicit_fn, prepared_fn) in workloads.items():
+        misses = connection.stats().plan_cache_misses
+        implicit_s, prepared_s = _time_turns(
+            implicit_fn, prepared_fn, min_seconds, max_turns
+        )
         results["workloads"][name] = {
             "implicit_us": round(implicit_s * 1e6, 3),
             "prepared_us": round(prepared_s * 1e6, 3),
             "speedup": round(implicit_s / prepared_s, 3)
             if prepared_s > 0 else None,
             "gated": name in GATED_WORKLOADS,
+            # Executions that planned: the warm-up's first, and no other.
+            "prepared_plan_misses":
+                connection.stats().plan_cache_misses - misses,
         }
     return results
 
@@ -335,6 +358,17 @@ def main(argv: list[str] | None = None) -> int:
         handle.write("\n")
     print(f"wrote {args.output}")
 
+    replanned = [
+        name
+        for name, row in results["workloads"].items()
+        if row["prepared_plan_misses"] > 1
+    ]
+    if replanned:
+        print(
+            f"FAIL: {replanned} prepared statements planned more than once",
+            file=sys.stderr,
+        )
+        return 1
     if args.require_speedup is not None:
         failing = [
             name

@@ -49,8 +49,8 @@ def scripted_demo(database, agent) -> None:
         ],
     )
 
-    # Read through the unified execution API: one connection, prepared
-    # statements with named parameters, streaming results.
+    # Read through the execution API: one connection, prepared
+    # statements with named parameters, results read row by row.
     conn = database.connect()
     reservation = conn.execute(select("reservation")).fetchone()
     customer = conn.prepare(

@@ -48,8 +48,8 @@ def main() -> None:
     if executed:
         print(f"\nexecuted transactions: {[r.procedure for r in executed]}")
 
-    # 4. Inspect the database through the unified execution API:
-    #    connect -> prepare -> execute -> stream.  The statement is
+    # 4. Inspect the database through the execution API:
+    #    connect -> prepare -> execute -> read.  The statement is
     #    compiled once; each execute just binds its parameters.
     conn = database.connect()
     reservations = conn.prepare(

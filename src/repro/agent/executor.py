@@ -41,17 +41,12 @@ class TransactionExecutor:
             for slot in task.slots
             if collected.get(slot.name) is not None or not slot.optional
         }
-        # Calls go through the shared connection, so procedure traffic
-        # shows up in the same stats surface as query traffic; the
-        # ProcedureResult stays the outcome payload (it is iterable
-        # like a query Result, so downstream consumers can treat the
-        # two interchangeably).
         connection = self._database.default_connection
         try:
             result = connection.call(task.name, **arguments)
         except DatabaseError as exc:
             return ExecutionOutcome(success=False, error=str(exc))
-        return ExecutionOutcome(success=True, result=result.procedure_result)
+        return ExecutionOutcome(success=True, result=result)
 
     def requires_confirmation(self, task: Task) -> bool:
         """Read-only procedures run immediately; writes are confirmed."""

@@ -63,7 +63,7 @@ session has its own dialogue state and awareness model.
   :use <id>     switch the active session
   :sessions     list live sessions
   :close <id>   end a session
-  :stats        runtime + per-session connection counters
+  :stats        runtime + per-session turn counters
   :help         this text
   :quit         leave
 Anything else is sent to the active session."""
@@ -126,12 +126,11 @@ def _cmd_serve(session_ttl: float | None) -> int:
                     print(f"  {key:24s} {value}")
                 session_ids = runtime.session_ids()
                 if session_ids:
-                    print("  per-session (connection stats + turn latency):")
+                    print("  per-session (turns + turn latency):")
                 for sid in session_ids:
                     s = runtime.session_stats(sid)
                     print(
                         f"    {sid}  turns={s.turns}  "
-                        f"statements={s.executions}  "
                         f"mean_turn={s.mean_turn_ms:.2f}ms  "
                         f"last_turn={s.last_turn_ms:.2f}ms  "
                         f"snapshot=v{s.snapshot_version}"

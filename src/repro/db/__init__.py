@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`~repro.db.database.Database` — tables, FK enforcement,
-  transactions, stored procedures, change notification.
+  transactions, stored procedures, the commit-point generation clock.
+* :mod:`~repro.db.api` — connections, prepared statements, results.
 * :mod:`~repro.db.schema` — declarative schemas.
 * :mod:`~repro.db.query` — predicates and single-table queries.
 * :mod:`~repro.db.engine` — the planner (access paths from index DDL),
@@ -97,33 +98,27 @@ __all__ += [
     "sum_",
 ]
 
-# The unified execution API (Connection / PreparedStatement / Result).
+# The execution API (Connection / PreparedStatement / Result).
 # The aggregate-statement builder is reached as ``api.aggregate(...)``
 # (``from repro.db import api``).
 from repro.db import api
 from repro.db.api import (
-    CallStatement,
     Connection,
     ConnectionStats,
     Param,
     PreparedStatement,
     Result,
     SelectStatement,
-    Statement,
-    call,
     select,
 )
 
 __all__ += [
-    "CallStatement",
     "Connection",
     "ConnectionStats",
     "Param",
     "PreparedStatement",
     "Result",
     "SelectStatement",
-    "Statement",
     "api",
-    "call",
     "select",
 ]

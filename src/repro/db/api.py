@@ -1,15 +1,16 @@
-"""The unified execution API: ``Connection`` → ``PreparedStatement`` → ``Result``.
+"""The execution API: ``Connection`` → ``PreparedStatement`` → ``Result``.
 
-Everything the database can execute — row queries, grouped aggregates
-and stored-procedure calls — goes through one calling convention, the
-classic prepare/execute split of DB client interfaces::
+Queries and grouped aggregates go through the classic prepare/execute
+split of DB client interfaces; stored procedures through
+:meth:`Connection.call`::
 
     conn = database.connect()
     stmt = conn.prepare(
         select("screening").where(eq("movie_id", Param("m")))
     )
-    for row in stmt.execute(m=3):          # a streaming Result cursor
-        ...
+    rows = stmt.execute(m=3).all()
+    outcome = conn.call("ticket_reservation", customer_id=1,
+                        screening_id=3, ticket_amount=2)
 
 Why prepare/execute: the serving runtime issues the same handful of
 statements on every turn, differing only in their constants.  A
@@ -17,28 +18,34 @@ prepared statement plans its shape at its first execution and keeps
 that plan template; every later ``execute`` binds the call's constants
 straight into it — one stable compiled artifact, many cheap
 parameterised executions.  A one-shot ``Connection.execute`` is a
-statement executed once, so it plans on every call.
-``benchmarks/bench_statement_api.py`` gates the difference.
+statement executed once: it plans the bound statement directly, with
+no template.  ``benchmarks/bench_statement_api.py`` gates the
+difference.
 
-The three objects:
+The objects:
 
 * :class:`Connection` — a lightweight handle from ``database.connect()``
-  owning per-connection counters, read-lock scoping (``reading()``),
-  transaction scoping (``with conn.transaction(): ...``) and a
-  prepared-statement pool (:meth:`Connection.prepare_cached`).
+  owning execution and plan counters, transaction scoping (``with
+  conn.transaction(): ...``) and a prepared-statement pool
+  (:meth:`Connection.prepare_cached`).
 * :class:`PreparedStatement` — one compiled statement with named
   :class:`Param` placeholders and its own plan template; safe to share
   across threads (every ``execute`` builds its own bound plan, so
   bindings never bleed between concurrent callers).
-* :class:`Result` — a streaming cursor (``__iter__``, ``fetchone``,
-  ``fetchmany``, ``all``, ``scalar``, ``.plan``/``explain()``) that
-  defers materialisation to the consumer instead of always returning
-  ``list[Row]``.  Consume it within the read scope it was produced in.
+* :class:`Result` — one query execution: its rows materialise once, on
+  the first read (``__iter__``, ``fetchone``, ``fetchmany``, ``all``,
+  ``scalar``); ``row_ids()`` re-runs the plan id-wise and
+  ``.plan``/``explain()`` show it.  Read it within the read scope it
+  was produced in.
+* :meth:`Connection.call` returns the procedure's
+  :class:`~repro.db.procedures.ProcedureResult` outcome record.
 
-Statements come from three builders: :func:`select` (rows),
-:func:`aggregate` (grouped aggregates) and :func:`call` (stored
-procedures).  Plain :class:`~repro.db.query.Query` objects are also
-accepted by ``prepare``/``execute``.
+Statements come from two builders: :func:`select` (rows) and
+:func:`aggregate` (grouped aggregates).  Plain
+:class:`~repro.db.query.Query` objects are also accepted by
+``prepare``/``execute``.  Predicates are built from the
+:mod:`repro.db.query` combinators; a ``Predicate`` subclass of one's
+own is rejected at prepare time.
 
 A statement's plan template reads only its table's hash-index columns:
 commits keep it, and index DDL on that table makes the next execution
@@ -59,7 +66,6 @@ from repro.db.engine import (
     PlanNode,
     QuerySpec,
     compile_binder,
-    execute_iter,
     execute_row_ids,
     execute_rows,
     parameterize_spec,
@@ -76,7 +82,7 @@ from repro.db.query import (
     Query,
 )
 from repro.db.table import Row
-from repro.errors import ProcedureError, QueryError
+from repro.errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
@@ -84,12 +90,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "Param",
-    "Statement",
     "SelectStatement",
-    "CallStatement",
     "select",
     "aggregate",
-    "call",
     "Connection",
     "ConnectionStats",
     "PreparedStatement",
@@ -104,8 +107,9 @@ __all__ = [
 class Param:
     """A named placeholder for one statement constant.
 
-    Appears wherever a predicate constant or procedure argument would: ``eq("movie_id", Param("m"))``.  ``execute(m=3)``
-    binds it.  Distinct from the engine's positional
+    Appears wherever a predicate constant would:
+    ``eq("movie_id", Param("m"))``.  ``execute(m=3)`` binds it.
+    Distinct from the engine's positional
     :class:`~repro.db.engine.plan.Param` slots, which a statement's plan
     template carries internally.
     """
@@ -141,21 +145,25 @@ def _resolve_value(value: Any, binds: Mapping[str, Any]) -> Any:
     return value
 
 
-def _value_param_names(value: Any, names: set[str]) -> None:
-    if type(value) is Param:
-        names.add(value.name)
-    elif isinstance(value, tuple):
-        names.update(e.name for e in value if type(e) is Param)
+def _param_names(slots: tuple) -> frozenset[str]:
+    """The named parameters among a shape's slot constants."""
+    names: set[str] = set()
+    for value in slots:
+        if type(value) is Param:
+            names.add(value.name)
+        elif isinstance(value, tuple):
+            names.update(e.name for e in value if type(e) is Param)
+    return frozenset(names)
 
 
-def _predicate_param_names(predicate: Predicate, names: set[str]) -> None:
-    if isinstance(predicate, Comparison):
-        _value_param_names(predicate.value, names)
-    elif isinstance(predicate, (And, Or)):
-        for part in predicate.parts:
-            _predicate_param_names(part, names)
-    elif isinstance(predicate, Not):
-        _predicate_param_names(predicate.part, names)
+def _check_binds(names: frozenset[str], binds: Mapping[str, Any]) -> None:
+    if binds.keys() == names:
+        return
+    missing = names - binds.keys()
+    if missing:
+        raise QueryError(f"missing parameter bindings: {sorted(missing)}")
+    unknown = binds.keys() - names
+    raise QueryError(f"unknown parameter bindings: {sorted(unknown)}")
 
 
 def _bind_predicate(
@@ -195,11 +203,7 @@ def _bind_spec(spec: QuerySpec, binds: Mapping[str, Any]) -> QuerySpec:
 # Statements
 # ---------------------------------------------------------------------------
 
-class Statement:
-    """Base class of everything :meth:`Connection.prepare` accepts."""
-
-
-class SelectStatement(Statement, Query):
+class SelectStatement(Query):
     """A fluent row or aggregate statement with named parameters.
 
     Extends the fluent :class:`~repro.db.query.Query` builder (``where``)
@@ -216,14 +220,6 @@ class SelectStatement(Statement, Query):
     def group_by(self, *columns: str) -> "SelectStatement":
         self._group_by = tuple(columns)
         return self
-
-
-class CallStatement(Statement):
-    """A stored-procedure call with (possibly parameterised) arguments."""
-
-    def __init__(self, procedure: str, arguments: dict[str, Any]) -> None:
-        self.procedure = procedure
-        self.arguments = dict(arguments)
 
 
 def select(table: str) -> SelectStatement:
@@ -267,9 +263,25 @@ def _aggregate_exprs(aggregates: Mapping[str, Aggregate]) -> tuple[AggExpr, ...]
     return tuple(exprs)
 
 
-def call(procedure: str, **arguments: Any) -> CallStatement:
-    """Start a stored-procedure call statement."""
-    return CallStatement(procedure, arguments)
+def _compile(statement: Query) -> QuerySpec:
+    """``statement``'s spec, its aggregates included."""
+    if not isinstance(statement, Query):
+        raise QueryError(
+            f"cannot prepare {type(statement).__name__!r} "
+            "(expected a select/aggregate statement or a Query)"
+        )
+    spec = statement.compile()
+    aggregates = getattr(statement, "_aggregates", None)
+    group_by = getattr(statement, "_group_by", ())
+    if aggregates is not None:
+        return replace(
+            spec,
+            aggregates=_aggregate_exprs(aggregates),
+            group_by=tuple(group_by),
+        )
+    if group_by:
+        raise QueryError("group_by requires aggregates")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -277,113 +289,57 @@ def call(procedure: str, **arguments: Any) -> CallStatement:
 # ---------------------------------------------------------------------------
 
 class Result:
-    """A streaming cursor over one execution's output.
+    """One query execution's output.
 
-    Rows materialise as the consumer pulls them — ``__iter__`` and
-    ``fetchmany`` stream, ``all()`` drains what remains, ``scalar()``
-    reads the first value of the next row.  ``.plan`` / ``explain()``
-    expose the executed physical plan.  Procedure results carry their
-    outcome in ``.value`` and render rows via the
-    :class:`~repro.db.procedures.ProcedureResult` row view, so query
-    and procedure results are interchangeable to a consumer that
-    iterates.
+    The rows materialise once, on the first read, and every read serves
+    from them: ``__iter__`` and ``fetchmany`` advance through them,
+    ``fetchone`` takes the next row, ``all()`` returns what remains and
+    ``scalar()`` the first value of the next row.  ``row_ids()`` re-runs
+    the plan id-wise without building rows.  ``.plan`` / ``explain()``
+    expose the executed physical plan.
 
-    Consume a streaming result inside the read scope it was produced
-    in (e.g. ``with conn.reading(): ...``): the cursor reads table
-    storage as it advances.
+    Read a result inside the read scope it was produced in (e.g. ``with
+    database.read_locked(): ...``): the first read scans table storage.
     """
 
-    def __init__(
-        self,
-        connection: "Connection",
-        *,
-        plan: PlanNode | None = None,
-        procedure_result: "ProcedureResult | None" = None,
-    ) -> None:
-        self._connection = connection
+    def __init__(self, database: "Database", plan: PlanNode) -> None:
+        self._database = database
         self._plan = plan
-        self._procedure_result = procedure_result
-        # While the consumer has not started streaming, ``all()`` can
-        # take the bulk executor path (columnwise materialisation, no
-        # per-row generator frame); the first fetch/iteration switches
-        # to the lazy cursor.
-        self._pending = plan is not None
-        if procedure_result is not None:
-            self._source: Iterator[Row] = iter(procedure_result.rows())
-        else:
-            self._source = iter(())
+        self._rows: Iterator[Row] | None = None
 
-    def _start_stream(self) -> Iterator[Row]:
-        if self._pending:
-            self._pending = False
-            self._source = execute_iter(self._connection.database, self._plan)
-        return self._source
+    def _cursor(self) -> Iterator[Row]:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = iter(execute_rows(self._database, self._plan))
+        return rows
 
     # ------------------------------------------------------------------
     @property
-    def plan(self) -> PlanNode | None:
-        """The executed physical plan (``None`` for procedure calls)."""
+    def plan(self) -> PlanNode:
+        """The executed physical plan."""
         return self._plan
 
     def explain(self) -> str:
         """EXPLAIN output of the executed plan."""
-        if self._plan is None:
-            raise QueryError("procedure results have no query plan")
         return render_plan(self._plan)
-
-    @property
-    def procedure_result(self) -> "ProcedureResult | None":
-        return self._procedure_result
-
-    @property
-    def value(self) -> Any:
-        """A procedure call's raw outcome value."""
-        if self._procedure_result is None:
-            raise QueryError("not a procedure result")
-        return self._procedure_result.value
 
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[Row]:
-        source = self._start_stream()
-        fetched = 0
-        try:
-            for row in source:
-                fetched += 1
-                yield row
-        finally:
-            if fetched:
-                self._connection._note_rows(fetched)
+        yield from self._cursor()
 
     def fetchone(self) -> Row | None:
-        """The next row, or ``None`` when the cursor is exhausted."""
-        row = next(self._start_stream(), None)
-        if row is not None:
-            self._connection._note_rows(1)
-        return row
+        """The next row, or ``None`` when the result is exhausted."""
+        return next(self._cursor(), None)
 
     def fetchmany(self, n: int) -> list[Row]:
         """Up to ``n`` more rows (fewer at the end, ``[]`` when done)."""
         if n < 0:
             raise QueryError("fetchmany size must be non-negative")
-        rows = list(itertools.islice(self._start_stream(), n))
-        if rows:
-            self._connection._note_rows(len(rows))
-        return rows
+        return list(itertools.islice(self._cursor(), n))
 
     def all(self) -> list[Row]:
-        """Every remaining row, materialised.
-
-        An unstarted cursor drains through the bulk executor path
-        (columnwise materialisation); a started one finishes streaming.
-        """
-        if self._pending:
-            self._pending = False
-            rows = execute_rows(self._connection.database, self._plan)
-        else:
-            rows = list(self._source)
-        if rows:
-            self._connection._note_rows(len(rows))
-        return rows
+        """Every remaining row."""
+        return list(self._cursor())
 
     def scalar(self) -> Any:
         """First value of the next row (``None`` when exhausted/empty).
@@ -399,12 +355,11 @@ class Result:
     def row_ids(self) -> list[int]:
         """Row ids of an access-path/filter-only plan.
 
-        Independent of the cursor (re-runs the plan id-wise); used by
-        candidate tracking, which keys snapshots on internal row ids.
+        Independent of the rows read so far (re-runs the plan id-wise);
+        used by candidate tracking, which keys snapshots on internal
+        row ids.
         """
-        if self._plan is None:
-            raise QueryError("procedure results have no row ids")
-        return execute_row_ids(self._connection.database, self._plan)
+        return execute_row_ids(self._database, self._plan)
 
 
 # ---------------------------------------------------------------------------
@@ -424,67 +379,13 @@ class PreparedStatement:
     first executions may both plan; they store equal templates.
     """
 
-    def __init__(self, connection: "Connection", statement: Statement | Query) -> None:
+    def __init__(self, connection: "Connection", statement: Query) -> None:
         self._connection = connection
         self._database = connection.database
         self.statement = statement
-        if isinstance(statement, CallStatement):
-            self._init_call(statement)
-        elif isinstance(statement, Query):
-            self._init_query(statement)
-        else:
-            raise QueryError(
-                f"cannot prepare {type(statement).__name__!r} "
-                "(expected a select/aggregate/call statement or a Query)"
-            )
-
-    # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
-    def _init_call(self, statement: CallStatement) -> None:
-        registry = self._database.procedures
-        procedure = registry.get(statement.procedure)  # validates the name
-        known = set(procedure.parameter_names)
-        unknown = set(statement.arguments) - known
-        if unknown:
-            raise ProcedureError(
-                f"procedure {statement.procedure!r}: "
-                f"unknown arguments {sorted(unknown)}"
-            )
-        self._kind = "call"
-        self._procedure = statement.procedure
-        self._arguments = dict(statement.arguments)
-        names: set[str] = set()
-        for value in self._arguments.values():
-            _value_param_names(value, names)
-        self._param_names = frozenset(names)
-        self._spec = None
-
-    def _init_query(self, statement: Query) -> None:
-        aggregates = getattr(statement, "_aggregates", None)
-        group_by = getattr(statement, "_group_by", ())
-        self._kind = "rows"
-        self._procedure = None
-        self._arguments = {}
-        spec = statement.compile()
-        if aggregates is not None:
-            spec = replace(
-                spec,
-                aggregates=_aggregate_exprs(aggregates),
-                group_by=tuple(group_by),
-            )
-        elif group_by:
-            raise QueryError("group_by requires aggregates")
-        self._spec = spec
-        self._shape, self._slots = parameterize_spec(spec)
-        names: set[str] = set()
-        if self._shape is None:
-            # Opaque predicate: planned per execution.
-            _predicate_param_names(spec.predicate, names)
-        else:
-            for value in self._slots:
-                _value_param_names(value, names)
-        self._param_names = frozenset(names)
+        self._spec = _compile(statement)
+        self._shape, self._slots = parameterize_spec(self._spec)
+        self._param_names = _param_names(self._slots)
         # (the table's index columns, compiled binder) from the first
         # execution that planned the shape; replaced whole, never mutated.
         self._template: tuple[list[str], Callable] | None = None
@@ -495,29 +396,13 @@ class PreparedStatement:
         """Names ``execute`` requires as keyword bindings."""
         return self._param_names
 
-    def _check_binds(self, binds: Mapping[str, Any]) -> None:
-        if binds.keys() == self._param_names:
-            return
-        missing = self._param_names - binds.keys()
-        if missing:
-            raise QueryError(
-                f"missing parameter bindings: {sorted(missing)}"
-            )
-        unknown = binds.keys() - self._param_names
-        raise QueryError(f"unknown parameter bindings: {sorted(unknown)}")
-
-    def _plan_for(
-        self, binds: Mapping[str, Any]
-    ) -> tuple[PlanNode, bool | None]:
+    def _plan_for(self, binds: Mapping[str, Any]) -> tuple[PlanNode, bool]:
         """``(bound plan, template reused)`` for one execution.
 
-        The hot path.  ``reused`` is ``None`` for an opaque predicate,
-        whose bound spec is planned per execution.  A template reads
-        only its table's index columns, so it is kept until they change.
+        The hot path.  A template reads only its table's index columns,
+        so it is kept until they change.
         """
         database = self._database
-        if self._shape is None:
-            return plan_query(database, _bind_spec(self._spec, binds)), None
         params = tuple(_resolve_value(v, binds) for v in self._slots)
         columns = database.table(self._spec.table).hash_index_columns()
         template = self._template
@@ -533,25 +418,15 @@ class PreparedStatement:
 
     # ------------------------------------------------------------------
     def execute(self, **binds: Any) -> Result:
-        """Bind ``binds`` and execute; returns a :class:`Result` cursor."""
-        self._check_binds(binds)
-        connection = self._connection
-        if self._kind == "call":
-            arguments = {
-                name: _resolve_value(value, binds)
-                for name, value in self._arguments.items()
-            }
-            outcome = connection._call_procedure(self._procedure, arguments)
-            return Result(connection, procedure_result=outcome)
+        """Bind ``binds`` and execute; returns a :class:`Result`."""
+        _check_binds(self._param_names, binds)
         plan, reused = self._plan_for(binds)
-        connection._note_execution(reused)
-        return Result(connection, plan=plan)
+        self._connection._note_execution(reused)
+        return Result(self._database, plan)
 
     def plan(self, **binds: Any) -> PlanNode:
         """The plan ``execute(**binds)`` would run."""
-        if self._kind == "call":
-            raise QueryError("procedure calls have no query plan")
-        self._check_binds(binds)
+        _check_binds(self._param_names, binds)
         plan, __ = self._plan_for(binds)
         return plan
 
@@ -569,19 +444,9 @@ class ConnectionStats:
     """Snapshot of one connection's counters."""
 
     name: str
-    statements_prepared: int
     executions: int
-    rows_returned: int
-    procedure_calls: int
-    transactions_committed: int
-    transactions_aborted: int
     plan_cache_hits: int
     plan_cache_misses: int
-
-    @property
-    def plan_cache_hit_rate(self) -> float:
-        total = self.plan_cache_hits + self.plan_cache_misses
-        return self.plan_cache_hits / total if total else 0.0
 
 
 _connection_counter = itertools.count(1)
@@ -591,10 +456,9 @@ class Connection:
     """A lightweight execution handle over one database.
 
     Cheap to create (``database.connect()``), safe to share across
-    threads; owns per-connection counters and a prepared-statement
-    pool.  Its ``plan_cache_hits`` count executions that reused their
-    statement's plan template and ``plan_cache_misses`` those that
-    planned it.
+    threads; owns its counters and a prepared-statement pool.  Its
+    ``plan_cache_hits`` count executions that reused their statement's
+    plan template and ``plan_cache_misses`` those that planned.
     """
 
     def __init__(self, database: "Database", name: str | None = None) -> None:
@@ -602,12 +466,7 @@ class Connection:
         self.name = name or f"conn-{next(_connection_counter)}"
         self._lock = threading.Lock()
         self._statements: dict[Hashable, PreparedStatement] = {}
-        self._statements_prepared = 0
         self._executions = 0
-        self._rows_returned = 0
-        self._procedure_calls = 0
-        self._transactions_committed = 0
-        self._transactions_aborted = 0
         self._plan_cache_hits = 0
         self._plan_cache_misses = 0
 
@@ -619,17 +478,14 @@ class Connection:
         return f"Connection({self.name!r})"
 
     # ------------------------------------------------------------------
-    # Prepare / execute
+    # Prepare / execute / call
     # ------------------------------------------------------------------
-    def prepare(self, statement: Statement | Query) -> PreparedStatement:
+    def prepare(self, statement: Query) -> PreparedStatement:
         """Compile ``statement`` once for many executes."""
-        prepared = PreparedStatement(self, statement)
-        with self._lock:
-            self._statements_prepared += 1
-        return prepared
+        return PreparedStatement(self, statement)
 
     def prepare_cached(
-        self, key: Hashable, factory: Callable[[], Statement | Query]
+        self, key: Hashable, factory: Callable[[], Query]
     ) -> PreparedStatement:
         """The pooled prepared statement under ``key`` (built on first use).
 
@@ -649,24 +505,27 @@ class Connection:
                 prepared = self._statements.setdefault(key, prepared)
         return prepared
 
-    def execute(self, statement: Statement | Query, **binds: Any) -> Result:
-        """One-shot prepare + execute (prefer ``prepare`` for hot shapes)."""
-        return self.prepare(statement).execute(**binds)
+    def execute(self, statement: Query, **binds: Any) -> Result:
+        """Execute ``statement`` once (prefer ``prepare`` for hot shapes).
 
-    def call(self, procedure: str, **arguments: Any) -> Result:
-        """Run a stored procedure atomically; returns its Result."""
-        outcome = self._call_procedure(procedure, arguments)
-        return Result(self, procedure_result=outcome)
+        Checks the binds as :meth:`prepare` would, then plans the bound
+        statement directly: no template, no binder.  Counts as one
+        execution and one plan miss.
+        """
+        spec = _compile(statement)
+        __, slots = parameterize_spec(spec)
+        _check_binds(_param_names(slots), binds)
+        plan = plan_query(self._database, _bind_spec(spec, binds))
+        self._note_execution(False)
+        return Result(self._database, plan)
+
+    def call(self, procedure: str, **arguments: Any) -> "ProcedureResult":
+        """Run a stored procedure atomically; returns its outcome."""
+        return self._database.procedures.call(procedure, **arguments)
 
     # ------------------------------------------------------------------
-    # Lock / transaction scoping
+    # Transaction scoping
     # ------------------------------------------------------------------
-    def reading(self):
-        """Pinned snapshot scope: every read inside observes one
-        consistent generation (consume streaming results inside it).
-        Writers commit freely alongside — the scope never blocks them."""
-        return self._database.read_locked()
-
     @contextmanager
     def transaction(self):
         """An atomic multi-statement scope under the commit latch.
@@ -688,14 +547,10 @@ class Connection:
             except BaseException:
                 if owns:
                     manager.rollback()
-                    with self._lock:
-                        self._transactions_aborted += 1
                 raise
             else:
                 if owns:
                     manager.commit()
-                    with self._lock:
-                        self._transactions_committed += 1
 
     # ------------------------------------------------------------------
     # Stats
@@ -704,40 +559,19 @@ class Connection:
         with self._lock:
             return ConnectionStats(
                 name=self.name,
-                statements_prepared=self._statements_prepared,
                 executions=self._executions,
-                rows_returned=self._rows_returned,
-                procedure_calls=self._procedure_calls,
-                transactions_committed=self._transactions_committed,
-                transactions_aborted=self._transactions_aborted,
                 plan_cache_hits=self._plan_cache_hits,
                 plan_cache_misses=self._plan_cache_misses,
             )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _note_execution(self, reused: bool | None) -> None:
-        """Per-execute accounting: ``reused`` says whether the statement
-        bound into its plan template (``None`` for an opaque predicate,
-        planned per execution and counted as neither)."""
+    def _note_execution(self, reused: bool) -> None:
+        """Count one execution, as a plan hit when ``reused``."""
         with self._lock:
             self._executions += 1
-            if reused is True:
+            if reused:
                 self._plan_cache_hits += 1
-            elif reused is False:
+            else:
                 self._plan_cache_misses += 1
-
-    def _note_rows(self, n: int) -> None:
-        with self._lock:
-            self._rows_returned += n
 
     #: Cap on pooled prepared statements (see :meth:`prepare_cached`).
     _MAX_STATEMENTS = 1024
-
-    def _call_procedure(
-        self, procedure: str, arguments: dict[str, Any]
-    ) -> "ProcedureResult":
-        with self._lock:
-            self._procedure_calls += 1
-        return self._database.procedures.call(procedure, **arguments)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, ContextManager, Iterator
+from typing import Any, ContextManager, Iterator
 
 from repro.db.locks import CommitLatch, LockUpgradeError
 from repro.db.procedures import ProcedureRegistry
@@ -61,8 +61,7 @@ class Database:
             table.bind_versioning(
                 self.clock, self.snapshots, self.transactions.in_transaction
             )
-        self._listener_lock = threading.Lock()
-        self._change_listeners: list[Callable[[], None]] = []
+        self._commit_point_lock = threading.Lock()
         self._lazy_lock = threading.Lock()
         self._default_connection = None
 
@@ -101,8 +100,7 @@ class Database:
         """A fresh :class:`~repro.db.api.Connection` handle.
 
         Connections are lightweight: per-connection counters and a
-        prepared-statement pool over the shared database.  The serving
-        runtime opens one per session.
+        prepared-statement pool over the shared database.
         """
         from repro.db.api import Connection
 
@@ -176,25 +174,17 @@ class Database:
         mutation — the MVCC generation clock's committed generation."""
         return self.clock.current
 
-    def on_change(self, listener: Callable[[], None]) -> None:
-        """Register a callback fired whenever data changes."""
-        with self._listener_lock:
-            self._change_listeners.append(listener)
-
     def notify_data_changed(self) -> None:
-        """Commit point: publish pending stamps and fan out to listeners."""
-        with self._listener_lock:
+        """Commit point: publish pending stamps."""
+        with self._commit_point_lock:
             self.clock.advance()
             log = self.delta_log
             if log is not None:
                 log.commit(self.clock.current)
-            listeners = tuple(self._change_listeners)
         # The committing thread's own enclosing pins (a turn that just
         # booked something) must observe what it published.
         self.snapshots.refresh_current_thread()
         self._vacuum_all()
-        for listener in listeners:
-            listener()
 
     # ------------------------------------------------------------------
     # Mutation (FK-checked, undo-logged)

@@ -14,11 +14,7 @@ renders the chosen plan tree.
 """
 
 from repro.db.engine.cache import compile_binder, parameterize_spec
-from repro.db.engine.executor import (
-    execute_iter,
-    execute_row_ids,
-    execute_rows,
-)
+from repro.db.engine.executor import execute_row_ids, execute_rows
 from repro.db.engine.explain import render_plan
 from repro.db.engine.plan import (
     AggExpr,
@@ -44,7 +40,6 @@ __all__ = [
     "QuerySpec",
     "SeqScan",
     "compile_binder",
-    "execute_iter",
     "execute_row_ids",
     "execute_rows",
     "parameterize_spec",

@@ -22,10 +22,10 @@ so planning happens once per statement and index set of its table:
    statement plans the bound spec directly instead, preserving the
    planner's SeqScan + Filter plan for such values.
 
-No built-in predicate makes a plan's *structure* depend on its
-constants, so every shape built from them has a template; only
-predicate subclasses this module cannot see into are planned per
-execution.
+No predicate makes a plan's *structure* depend on its constants, so
+every shape has a template.  A predicate subclass other than the
+:mod:`repro.db.query` combinators hides its constants from the shape
+and is rejected at prepare time.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ __all__ = ["Unbindable", "parameterize_spec", "compile_binder"]
 # Shape extraction
 # ---------------------------------------------------------------------------
 
-class _Opaque(Exception):
-    """Internal: a predicate hides its constants from the shape."""
-
-
 class Unbindable(Exception):
     """A template cannot absorb this execution's constants."""
 
@@ -75,20 +71,17 @@ class Unbindable(Exception):
 _TRUE = TruePredicate()
 
 
-def parameterize_spec(spec: QuerySpec) -> tuple[QuerySpec | None, tuple]:
+def parameterize_spec(spec: QuerySpec) -> tuple[QuerySpec, tuple]:
     """Split ``spec`` into ``(shape, params)``.
 
     The shape is a structurally-equal spec with every comparison
     constant replaced by a parameter slot; ``params`` holds the
-    extracted constants in slot order.  Returns ``(None, ())`` for a
-    spec whose predicate hides its constants (a predicate subclass this
-    module does not know).
+    extracted constants in slot order.  Raises :class:`QueryError` for
+    a predicate subclass this module does not know, whose constants
+    are invisible.
     """
     params: list[Any] = []
-    try:
-        predicate = _parameterize_predicate(spec.predicate, params)
-    except _Opaque:
-        return None, ()
+    predicate = _parameterize_predicate(spec.predicate, params)
     return replace(spec, predicate=predicate), tuple(params)
 
 
@@ -111,9 +104,10 @@ def _parameterize_predicate(
         )
     if isinstance(predicate, Not):
         return Not(_parameterize_predicate(predicate.part, params))
-    # A predicate subclass this module does not know cannot be slotted
-    # (its constants are invisible); plan such queries directly.
-    raise _Opaque
+    raise QueryError(
+        f"cannot prepare a {type(predicate).__name__} predicate (build "
+        "predicates from the repro.db.query combinators)"
+    )
 
 
 # ---------------------------------------------------------------------------

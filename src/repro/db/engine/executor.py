@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.db.engine.plan import (
     AggExpr,
@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "execute_rows",
-    "execute_iter",
     "execute_row_ids",
 ]
 
@@ -64,38 +63,6 @@ def execute_rows(database: "Database", plan: PlanNode) -> list[Row]:
         return _aggregate(database, plan)
     table, slots = _batch(database, plan)
     return table.materialise_slots(slots)
-
-
-# Streaming results materialise slots in chunks of this many rows, so a
-# consumer that stops early never pays for the full result.
-_STREAM_CHUNK = 256
-
-
-def execute_iter(
-    database: "Database", plan: PlanNode, chunk_size: int = _STREAM_CHUNK
-) -> Iterator[Row]:
-    """Stream ``plan``'s output as fresh row dicts, lazily.
-
-    The cursor path behind :class:`~repro.db.api.Result`: the filter
-    still narrows the slot list eagerly (it is columnwise), but the
-    per-row dict construction is deferred and chunked.  Draining the
-    iterator yields exactly ``execute_rows(database, plan)``.
-    """
-    if isinstance(plan, (HashAggregate, IndexGroupedAggScan)):
-        yield from _aggregate(database, plan)
-        return
-    table, slots = _batch(database, plan)
-    total = len(slots)
-    if total <= chunk_size:
-        yield from table.materialise_slots(slots)
-        return
-    for start in range(0, total, chunk_size):
-        chunk = slots[start : start + chunk_size]
-        if type(chunk) is range:
-            # materialise_slots treats a range as "the banks whole";
-            # a partial chunk must go through explicit slot lists.
-            chunk = list(chunk)
-        yield from table.materialise_slots(chunk)
 
 
 def execute_row_ids(database: "Database", plan: PlanNode) -> list[int]:
@@ -179,9 +146,7 @@ def _filter_slots(
     if isinstance(predicate, Not):
         matched = set(_filter_slots(table, predicate.part, slots))
         return [s for s in slots if s not in matched]
-    # Unknown predicate subclass: evaluate row-wise through views.
-    views = table.views_for_slots(slots)
-    return [s for s, row in zip(slots, views) if predicate.matches(row)]
+    raise QueryError(f"unknown predicate {type(predicate).__name__}")
 
 
 # C-level comparison functions for the columnwise evaluator — the same

@@ -15,8 +15,7 @@ and rolls back if the body raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.db.locks import LockUpgradeError
 from repro.db.types import DataType, coerce
@@ -59,63 +58,12 @@ class Parameter:
 
 @dataclass(frozen=True)
 class ProcedureResult:
-    """Outcome of a committed procedure call.
-
-    Iterable like a query :class:`~repro.db.api.Result`, so procedure
-    and query results are interchangeable at the agent-executor
-    boundary: a row-shaped ``value`` (a mapping, or a sequence of
-    mappings like ``list_screenings`` returns) iterates as those rows,
-    a scalar value as a single ``{"value": ...}`` row, and ``None`` —
-    the usual outcome of a parameter-less write — as no rows at all
-    instead of bypassing the result protocol.
-    """
+    """Outcome of a procedure call: the procedure, its bound arguments
+    and the value its body returned."""
 
     procedure: str
     arguments: dict[str, Any]
     value: Any
-
-    @cached_property
-    def _row_view(self) -> list[dict[str, Any]]:
-        value = self.value
-        if value is None:
-            return []
-        if isinstance(value, Mapping):
-            return [dict(value)]
-        if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
-            if all(isinstance(item, Mapping) for item in value):
-                return [dict(item) for item in value]
-        return [{"value": value}]
-
-    def rows(self) -> list[dict[str, Any]]:
-        """The result as a list of rows (see class docstring).
-
-        The row dicts are built once per result and shared between
-        calls (each call returns a fresh list over them).
-        """
-        return list(self._row_view)
-
-    def all(self) -> list[dict[str, Any]]:
-        """Alias of :meth:`rows` (the :class:`Result` spelling)."""
-        return self.rows()
-
-    def __iter__(self):
-        return iter(self._row_view)
-
-    def __len__(self) -> int:
-        return len(self._row_view)
-
-    def __bool__(self) -> bool:
-        # Without this, __len__ would make a None-valued outcome falsy;
-        # a ProcedureResult is an outcome object and always truthy
-        # (callers gate on `if outcome.result:`), whatever it returned.
-        return True
-
-    def scalar(self) -> Any:
-        """First value of the first row (``None`` when there are none)."""
-        rows = self._row_view
-        if not rows:
-            return None
-        return next(iter(rows[0].values()), None)
 
 
 class Procedure:

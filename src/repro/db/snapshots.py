@@ -12,7 +12,7 @@ snapshot-isolated reads:
   (one integer assignment, no reader coordination).
 * :class:`SnapshotManager` — per-thread pin stacks plus a registry of
   pinned generations.  ``pinned()`` captures the current generation for
-  the duration of a read scope (a serving turn, a streaming result, a
+  the duration of a read scope (a serving turn, a procedure call, a
   cache rebuild); every Table read issued inside the scope resolves
   against that generation, so the whole turn observes one consistent
   database state while writers append freely.
@@ -119,7 +119,6 @@ class SnapshotManager:
         self._mutex = threading.Lock()
         # generation -> number of live pins at it (across all threads).
         self._pinned: dict[int, int] = {}
-        self.pins_taken = 0
 
     # ------------------------------------------------------------------
     def _stack(self) -> list[SnapshotPin]:
@@ -148,7 +147,6 @@ class SnapshotManager:
             )
             pin = SnapshotPin(generation, read_only)
             self._pinned[generation] = self._pinned.get(generation, 0) + 1
-            self.pins_taken += 1
         stack.append(pin)
         try:
             yield pin

@@ -347,9 +347,8 @@ class Table:
     def row_view(self, row_id: int) -> RowView:
         """A lazy bank-backed view of one row — read-only by convention.
 
-        Readers that touch a few columns of a row (the join-path walker,
-        predicate subclasses the executor cannot evaluate columnwise)
-        use views to avoid one dict copy per visited row.
+        Readers that touch a few columns of a row use views to avoid
+        one dict copy per visited row.
         """
         with self._latch:
             return RowView(self._banks, self._visible_map()[row_id])

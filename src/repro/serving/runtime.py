@@ -36,7 +36,6 @@ from typing import Callable
 from repro.agent.agent import AgentReply, ConversationalAgent
 from repro.agent.artifacts import AgentArtifacts
 from repro.agent.session import TranscriptTurn
-from repro.db.api import Connection
 from repro.db.database import Database
 from repro.serving.sessions import Session, SessionStore
 
@@ -66,21 +65,13 @@ class RuntimeStats:
 
 @dataclass(frozen=True)
 class SessionStats:
-    """Per-session serving counters (observability; non-touching).
-
-    Sourced from the session's turn clock and its
-    :class:`~repro.db.api.Connection`.
-    """
+    """Per-session serving counters (observability; non-touching),
+    sourced from the session's turn clock."""
 
     session_id: str
     turns: int
     mean_turn_ms: float
     last_turn_ms: float
-    # Statements the client issued directly through the session's
-    # connection (turn statements run on the database's default
-    # connection, shared by every session).
-    executions: int = 0
-    statements_prepared: int = 0
     # The MVCC generation the session's latest turn pinned.
     snapshot_version: int = 0
 
@@ -195,34 +186,11 @@ class AgentRuntime:
         """Per-session counters (peek: does not refresh TTL/LRU)."""
         session = self.sessions.peek(session_id)
         turns = session.turn_count
-        connection = self._session_connection(session)
-        conn_stats = connection.stats()
         return SessionStats(
             session_id=session_id,
             turns=turns,
             mean_turn_ms=(session.turn_seconds / turns * 1000.0) if turns
             else 0.0,
             last_turn_ms=session.last_turn_seconds * 1000.0,
-            executions=conn_stats.executions,
-            statements_prepared=conn_stats.statements_prepared,
             snapshot_version=session.last_snapshot_version,
         )
-
-    def session_connection(self, session_id: str) -> Connection:
-        """The session's database connection (peek: no TTL/LRU touch)."""
-        return self._session_connection(self.sessions.peek(session_id))
-
-    def _session_connection(self, session: Session) -> Connection:
-        connection = session.connection
-        if connection is None:
-            # Created on first use; the double-check under the lock
-            # keeps two racing callers from counting statements on an
-            # orphaned connection.
-            with self._stats_lock:
-                connection = session.connection
-                if connection is None:
-                    connection = self.database.connect(
-                        name=session.session_id
-                    )
-                    session.connection = connection
-        return connection

@@ -28,13 +28,10 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.dialogue import ConversationContext
 from repro.errors import ServingError, SessionExpiredError, UnknownSessionError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.db.api import Connection
 
 __all__ = ["Session", "SessionStore"]
 
@@ -50,10 +47,6 @@ class Session:
     created_at: float
     last_used_at: float
     turn_count: int = 0
-    # The session's database connection (set by the runtime on first
-    # use), for statements the client issues itself; it counts them.
-    # Turn statements run on the database's default connection.
-    connection: "Connection | None" = None
     # Turn wall-clock counters, maintained by AgentRuntime.respond()
     # under the turn lock.
     turn_seconds: float = 0.0

@@ -59,24 +59,15 @@ class TestConnection:
         stmt = conn.prepare(select("movie").where(eq("year", Param("y"))))
         stmt.execute(y=1999).all()
         stmt.execute(y=2001).all()
-        stats = conn.stats()
-        assert stats.statements_prepared == 1
-        assert stats.executions == 2
-
-    def test_rows_returned_counted(self, conn, database):
-        n = len(database.table("movie"))
-        rows = conn.execute(select("movie")).all()
-        assert len(rows) == n
-        assert conn.stats().rows_returned == n
+        assert conn.stats().executions == 2
 
     def test_prepare_cached_pools_by_key(self, conn):
         a = conn.prepare_cached("k", lambda: select("movie"))
         b = conn.prepare_cached("k", lambda: select("movie"))
         assert a is b
-        assert conn.stats().statements_prepared == 1
 
-    def test_reading_scope_allows_queries(self, conn):
-        with conn.reading():
+    def test_reading_scope_allows_queries(self, conn, database):
+        with database.read_locked():
             assert conn.execute(
                 api.aggregate("movie", n=count())
             ).scalar() > 0
@@ -89,16 +80,19 @@ class TestConnection:
 class TestTransactionScope:
     def test_commit_on_success(self, conn, database):
         before = database.count("movie")
+        committed = database.transactions.committed_count
         with conn.transaction():
             database.insert("movie", {
                 "movie_id": 9001, "title": "Committed", "genre": "drama",
                 "year": 2024, "duration_minutes": 100, "language_id": 1,
             })
         assert database.count("movie") == before + 1
-        assert conn.stats().transactions_committed == 1
+        assert database.transactions.committed_count == committed + 1
 
     def test_rollback_on_exception(self, conn, database):
         before = database.count("movie")
+        committed = database.transactions.committed_count
+        aborted = database.transactions.aborted_count
         with pytest.raises(RuntimeError):
             with conn.transaction():
                 database.insert("movie", {
@@ -107,9 +101,8 @@ class TestTransactionScope:
                 })
                 raise RuntimeError("abort")
         assert database.count("movie") == before
-        stats = conn.stats()
-        assert stats.transactions_aborted == 1
-        assert stats.transactions_committed == 0
+        assert database.transactions.aborted_count == aborted + 1
+        assert database.transactions.committed_count == committed
 
     def test_commit_bumps_data_version(self, conn, database):
         version = database.data_version
@@ -263,6 +256,27 @@ class TestPreparedSelect:
                 select("movie").where(eq("year", Param("y")))
             )
 
+    def test_one_shot_execute_plans_the_bound_statement(
+        self, conn, database, monkeypatch
+    ):
+        # A one-shot execution plans its bound statement directly: it
+        # compiles no binder, and counts as one execution and one miss.
+        def no_binder(*args):
+            raise AssertionError("a one-shot execute compiled a binder")
+
+        monkeypatch.setattr(api, "compile_binder", no_binder)
+        result = conn.execute(
+            select("screening").where(eq("movie_id", Param("m"))), m=3
+        )
+        assert result.all() == scan(
+            database, Query("screening").where(eq("movie_id", 3))
+        )
+        stats = conn.stats()
+        assert (stats.executions, stats.plan_cache_hits,
+                stats.plan_cache_misses) == (1, 0, 1)
+        with pytest.raises(QueryError, match="unknown parameter"):
+            conn.execute(select("movie"), y=1)
+
 # ---------------------------------------------------------------------------
 # Aggregate statements
 # ---------------------------------------------------------------------------
@@ -304,7 +318,7 @@ class TestPreparedAggregates:
             conn.prepare(select("screening").group_by("room"))
 
 # ---------------------------------------------------------------------------
-# Procedure call statements + ProcedureResult protocol
+# Procedure calls
 # ---------------------------------------------------------------------------
 
 class TestCallStatements:
@@ -319,74 +333,36 @@ class TestCallStatements:
             ticket_amount=1,
         )
         assert database.count("reservation") == before + 1
+        assert isinstance(result, ProcedureResult)
+        assert result.procedure == "ticket_reservation"
         assert result.value["no_tickets"] == 1
-        assert result.plan is None
-        with pytest.raises(QueryError):
-            result.explain()
-        assert conn.stats().procedure_calls == 1
 
-    def test_prepared_call_binds_params(self, conn, database):
-        customer = database.rows("customer")[0]
-        screening = database.rows("screening")[1]
-        stmt = conn.prepare(
-            api.call(
-                "ticket_reservation",
-                customer_id=Param("c"),
-                screening_id=Param("s"),
-                ticket_amount=2,
-            )
-        )
-        assert stmt.param_names == {"c", "s"}
-        result = stmt.execute(
-            c=customer["customer_id"], s=screening["screening_id"]
-        )
-        assert result.value["no_tickets"] == 2
+    def test_call_returns_the_registry_outcome(
+        self, conn, database, monkeypatch
+    ):
+        registry = database.procedures
+        outcomes = []
+
+        def recorded(name, **arguments):
+            outcome = type(registry).call(registry, name, **arguments)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(registry, "call", recorded)
+        movie_id = database.rows("movie")[0]["movie_id"]
+        result = conn.call("list_screenings", movie_id=movie_id)
+        assert outcomes == [result] and outcomes[0] is result
+        assert result.arguments == {"movie_id": movie_id}
 
     def test_unknown_procedure_rejected_at_prepare(self, conn):
         with pytest.raises(ProcedureError):
-            conn.prepare(api.call("no_such_procedure"))
+            conn.call("no_such_procedure")
 
-    def test_unknown_argument_rejected_at_prepare(self, conn):
-        with pytest.raises(ProcedureError):
-            conn.prepare(api.call("ticket_reservation", bogus=1))
-
-    def test_procedure_result_rows_interchangeable(self, conn, database):
-        movie = database.rows("movie")[0]
-        result = conn.call("list_screenings", movie_id=movie["movie_id"])
-        rows = result.all()
-        assert rows == result.procedure_result.rows()
-        assert rows == scan(database, Query("screening").where(
-            eq("movie_id", movie["movie_id"])
-        ))
-
-
-class TestProcedureResultProtocol:
-    def test_none_value_yields_no_rows(self):
-        result = ProcedureResult("p", {}, None)
-        assert list(result) == []
-        assert result.all() == []
-        assert result.scalar() is None
-        assert len(result) == 0
-        # An outcome object stays truthy even when it produced no rows
-        # (callers gate success handling on `if outcome.result:`).
-        assert bool(result)
-
-    def test_mapping_value_is_one_row(self):
-        result = ProcedureResult("p", {}, {"reservation_id": 7, "n": 2})
-        assert result.all() == [{"reservation_id": 7, "n": 2}]
-        assert result.scalar() == 7
-        assert len(result) == 1
-
-    def test_row_sequence_value_iterates_rows(self):
-        rows = [{"a": 1}, {"a": 2}]
-        result = ProcedureResult("p", {}, rows)
-        assert list(result) == rows
-        assert result.all() is not rows  # fresh copies
-
-    def test_scalar_value_wraps_as_row(self):
-        result = ProcedureResult("p", {}, 42)
-        assert result.all() == [{"value": 42}]
-        assert result.scalar() == 42
+    def test_unknown_argument_rejected_at_prepare(self, conn, database):
+        before = database.count("reservation")
+        with pytest.raises(ProcedureError, match="unknown arguments"):
+            conn.call("ticket_reservation", bogus=1)
+        assert database.count("reservation") == before
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +416,24 @@ class TestResultCursor:
         assert result.plan is not None
         assert "screening" in result.explain()
 
-    def test_streaming_defers_materialisation(self, conn, database):
-        # Only the consumed prefix is charged to the connection.
+    def test_rows_materialise_once(self, conn, database, monkeypatch):
+        calls = []
+        execute_rows = api.execute_rows
+
+        def counted(*args):
+            calls.append(1)
+            return execute_rows(*args)
+
+        monkeypatch.setattr(api, "execute_rows", counted)
+        expected = scan(database, Query("screening"))
         result = conn.execute(select("screening"))
-        result.fetchmany(2)
-        assert conn.stats().rows_returned == 2
+        assert calls == []
+        assert result.fetchone() == expected[0]
+        assert result.all() == expected[1:]
+        assert calls == [1]
+        ids = conn.execute(select("screening")).row_ids()
+        assert ids == database.table("screening").row_ids()
+        assert calls == [1]
 
     def test_row_ids_for_filter_plans(self, conn, database):
         result = conn.execute(

@@ -31,6 +31,7 @@ from repro.db.engine import (
     plan_query,
     render_plan,
 )
+from repro.errors import QueryError
 
 
 def run(db, query):
@@ -141,8 +142,7 @@ class TestFingerprints:
 
     def test_opaque_predicate_is_planned_per_execution(self, db):
         # A predicate subclass hides its constants from the shape, so
-        # the statement plans per execution (counted as neither a hit
-        # nor a miss) and the executor evaluates it row by row.
+        # no statement can be prepared over it, one-shot or pooled.
         from repro.db.query import Predicate
 
         class PriceAbove(Predicate):
@@ -156,15 +156,17 @@ class TestFingerprints:
                 return {"price"}
 
         spec = Query("screening").where(PriceAbove(10.0)).compile()
-        assert parameterize_spec(spec) == (None, ())
+        with pytest.raises(QueryError, match="PriceAbove"):
+            parameterize_spec(spec)
         conn = db.connect()
-        statement = conn.prepare(select("screening").where(PriceAbove(10.0)))
-        expected = [r for r in db.rows("screening") if r["price"] > 10.0]
-        assert statement.execute().all() == expected
-        assert statement.execute().all() == expected
-        stats = conn.stats()
-        assert stats.executions == 2
-        assert stats.plan_cache_hits == stats.plan_cache_misses == 0
+        statement = select("screening").where(
+            and_(eq("movie_id", 5), PriceAbove(10.0))
+        )
+        with pytest.raises(QueryError, match="PriceAbove"):
+            conn.prepare(statement)
+        with pytest.raises(QueryError, match="PriceAbove"):
+            conn.execute(statement)
+        assert conn.stats().executions == 0
 
     def test_parameterize_and_bind_round_trip(self, db):
         spec = Query("screening").where(

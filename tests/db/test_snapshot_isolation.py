@@ -414,7 +414,7 @@ class TestConcurrentStress:
         )
         try:
             for __ in range(self.READER_OPS):
-                with conn.reading():
+                with db.read_locked():
                     # Frozen copy: both tables materialised inside one
                     # pin must balance exactly.
                     accounts = db.rows("account")

@@ -100,12 +100,6 @@ class TestDataVersion:
         db.insert("account", {"account_id": 3, "balance": 1})
         assert db.data_version > before
 
-    def test_listener_fires(self, db):
-        events = []
-        db.on_change(lambda: events.append(1))
-        db.insert("account", {"account_id": 3, "balance": 1})
-        assert events == [1]
-
 
 class TestSavepoints:
     def test_partial_rollback(self, db):

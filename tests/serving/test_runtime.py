@@ -383,46 +383,34 @@ class TestRuntimeSessionManagement:
 
 
 class TestSessionConnections:
-    """Sessions hold Connections: the unified execution API threaded
-    through the serving runtime."""
+    """Sessions hold no connections: every turn statement runs on the
+    database's default connection."""
 
-    def test_sessions_hold_distinct_connections(self, runtime):
-        a = runtime.create_session()
-        b = runtime.create_session()
-        conn_a = runtime.session_connection(a)
-        conn_b = runtime.session_connection(b)
-        assert conn_a is not conn_b
-        assert conn_a.name == a
-        assert conn_a.database is runtime.database
-
-    def test_turn_traffic_lands_on_the_default_connection(self, runtime):
+    def test_turn_traffic_lands_on_the_default_connection(
+        self, runtime, monkeypatch
+    ):
         # Commit a write to customer (a first name rewritten to itself):
         # linking "alice" must then rebuild the customer-name pool inside
         # the turn, and the pool's pooled statement runs on the default
         # connection, which every session shares.
+        from repro.db.api import Connection
+
         database = runtime.database
+        default = database.default_connection
+        opened = []
+        init = Connection.__init__
+
+        def counted(self, *args, **kwargs):
+            opened.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Connection, "__init__", counted)
         rid = database.table("customer").row_ids()[0]
         first_name = database.table("customer").get(rid)["first_name"]
         database.update("customer", rid, {"first_name": first_name})
         sid = runtime.create_session()
         runtime.respond(sid, "i want to buy 2 tickets")
-        before = database.default_connection.stats().executions
+        before = default.stats().executions
         runtime.respond(sid, "my name is alice")
-        assert database.default_connection.stats().executions > before
-        assert runtime.session_connection(sid).stats().executions == 0
-
-    def test_client_statements_counted_per_session(self, runtime):
-        from repro.db import api, count
-
-        sid = runtime.create_session()
-        conn = runtime.session_connection(sid)
-        conn.execute(api.aggregate("movie", n=count())).scalar()
-        stats = runtime.session_stats(sid)
-        assert stats.executions == 1
-        assert stats.statements_prepared == 1
-
-    def test_store_created_sessions_get_connection_lazily(self, runtime):
-        session = runtime.sessions.create("direct")
-        assert session.connection is None
-        runtime.respond("direct", "hello")
-        assert runtime.session_connection("direct") is not None
+        assert default.stats().executions > before
+        assert opened == []

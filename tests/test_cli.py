@@ -122,7 +122,7 @@ class TestServe:
         assert prompts[script.index(":close") + 1] == f"{first}> "
         stats = out[":stats"].splitlines()
         assert ["turns_served", "1"] in [line.split() for line in stats]
-        per_session = [line for line in stats if "statements=" in line]
+        per_session = [line for line in stats if "mean_turn=" in line]
         assert len(per_session) == 1
         assert per_session[0].split()[:2] == [first, "turns=1"]
         assert "unknown command" in out[":advisor"]

@@ -8,10 +8,12 @@ these tests make tier-1 fail instead.  They load ``turnbench/`` from the
 repository and change nothing there.
 """
 
+import collections.abc
 import importlib.util
 import pathlib
 import sys
 
+from repro.db import select
 from repro.serving import AgentRuntime
 
 TURNBENCH = pathlib.Path(__file__).resolve().parents[1] / "turnbench"
@@ -61,3 +63,40 @@ def test_counters_of_traced_runs_exist(trained_agent):
                   stats.transactions_committed, cache.hits, cache.misses):
         assert isinstance(value, int)
     assert all(isinstance(n, int) for n in run._counters(runtime).values())
+
+
+def test_result_reads_keep_the_tracer_contract(trained_agent):
+    """A traced run wraps each drain, and calls ``next()`` on what
+    ``Result.__iter__`` returns: a list there would fail every traced
+    run while the suite stayed green."""
+    __, agent = trained_agent
+    connection = AgentRuntime.for_agent(agent).database.connect()
+    statement = select("screening")
+    rows = connection.execute(statement).all()
+    assert len(rows) > 1
+    iterator = connection.execute(statement).__iter__()
+    assert isinstance(iterator, collections.abc.Iterator)
+    assert list(iterator) == rows
+    ids = connection.execute(statement).row_ids()
+    expected = {
+        "all": rows,
+        "fetchone": rows[0],
+        "fetchmany": rows[:2],
+        "row_ids": ids,
+        "__iter__": rows,
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        read = {
+            method: getattr(connection.execute(statement), method)(
+                *((2,) if method == "fetchmany" else ())
+            )
+            for method in tracing._DRAIN
+        }
+        read["__iter__"] = list(connection.execute(statement))
+    finally:
+        tracer.uninstall()
+    assert set(tracing._DRAIN) <= set(expected)
+    assert read == expected
+    assert {span[0] for span in tracer.spans} == {"db.api"}
