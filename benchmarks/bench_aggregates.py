@@ -13,10 +13,11 @@ randomised workload (>= 1000 statements over random predicates,
 group-bys and aggregate sets) — the speedups are for identical output.
 
 A second section replays a repeated-turn serving workload (the same
-pooled prepared statements with fresh constants every turn, as the
-turn path runs them) and reports how often an execution reused its
-statement's plan template, plus the per-plan cost of binding into a
-kept template vs a cold planning pass.
+pooled prepared statements with fresh named-parameter values every
+turn, as the cinema procedures run them) and reports how often an
+execution reused its statement's plan template, plus the per-plan cost
+of a kept template vs a cold planning pass for a statement with only
+literal constants, whose template is static.
 
 Run standalone (CI runs the smoke profile and archives the JSON):
 
@@ -47,10 +48,10 @@ from repro.db.aggregation import (
 from repro.errors import QueryError
 
 # Workloads whose speedup the CI gate applies to: whole-table grouped
-# aggregates, the engine's bucket-walking and hash-grouping paths.  A
-# turn issues a filtered global SUM per booking attempt (the booked-seats
-# check) and a grouped COUNT only when the linker builds a value pool;
-# no turn issues a grouped SUM.
+# aggregates, the engine's bucket-walking and hash-grouping paths.  No
+# turn runs a grouped aggregate: a turn issues a filtered global SUM per
+# booking attempt (the booked-seats check), and the entity linker reads
+# its value pools straight from the columns.
 GATED_WORKLOADS = ("grouped_sum", "grouped_count")
 
 
@@ -277,11 +278,12 @@ def _time(fn, min_seconds: float, max_iterations: int) -> float:
 def run_plan_cache_benchmark(database, config: MovieConfig, turns: int) -> dict:
     """Replay the serving runtime's statements with fresh constants.
 
-    Every simulated turn issues the per-turn statement mix — a candidate
-    refine probe, a count check and the booked-seats aggregate — through
-    pooled ``prepare_cached`` statements, as the turn path does, with
-    turn-specific constants.  Each statement plans once; every later
-    turn binds its constants into the statement's kept template.  The
+    Every simulated turn issues a statement mix — a screening select by
+    movie, a count check and the booked-seats aggregate — through
+    pooled ``prepare_cached`` statements, as the cinema procedures do,
+    with turn-specific parameter values.  Each statement plans once;
+    every later turn binds its values into the statement's kept
+    template.  The
     hit and miss counts are the connection's.
     """
     conn = database.connect()

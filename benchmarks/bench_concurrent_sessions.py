@@ -232,14 +232,13 @@ def _writer_loop(runtime, lock, stop: threading.Event, counters: dict):
     table = database.table("movie")
     rid = table.row_ids()[0]
     title = table.get(rid)["title"]
-    conn = database.connect(name="bench-writer")
     while not stop.is_set():
         acquired = False
         if lock is not None:
             lock.acquire()
             acquired = True
         try:
-            with conn.transaction():
+            with database.transaction():
                 database.update("movie", rid, {"title": title})
                 time.sleep(WRITER_HOLD_S)  # slow commit (I/O, fsync, ...)
         finally:

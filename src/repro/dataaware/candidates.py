@@ -29,10 +29,10 @@ from repro.dataaware.join_graph import (
     JoinPlanner,
     attribute_values,
 )
-from repro.db.api import Param, select
+from repro.db.api import select
 from repro.db.catalog import Catalog, ColumnRef
 from repro.db.database import Database
-from repro.db.query import Predicate, eq
+from repro.db.query import Predicate
 from repro.db.types import DataType, TypeMismatchError, coerce
 from repro.errors import PolicyError
 from repro.textutil import damerau_levenshtein
@@ -238,6 +238,10 @@ class CandidateSet:
         For text attributes, candidates matching *exactly* take precedence:
         fuzzy matches only survive when no exact match exists (your own
         email must not keep a near-identical colleague in the set).
+        Every attribute narrows through its value entry, a hash-indexed
+        key included: turns refine by a key only to pick from a choice
+        list of a few dozen rows, where testing their values costs less
+        than a probe through the query engine.
         """
         dtype = self._catalog.column_type(attribute)
         try:
@@ -245,9 +249,6 @@ class CandidateSet:
         except TypeMismatchError:
             # Unparseable user value: treat as text comparison if possible.
             needle = value
-        narrowed = self._index_refine(attribute, needle, dtype)
-        if narrowed is not None:
-            return self._refined(narrowed, attribute, needle)
         entry = self.attribute_values(attribute)
         if dtype is DataType.TEXT and isinstance(needle, str):
             exact = self._keep(
@@ -279,38 +280,6 @@ class CandidateSet:
                 for key in dict.fromkeys(keys)
             }
         return tuple(compress(self.row_ids, map(verdicts.__getitem__, keys)))
-
-    def _index_refine(
-        self, attribute: ColumnRef, needle: Any, dtype: DataType
-    ) -> tuple[int, ...] | None:
-        """Index-backed narrowing via the query engine, when applicable.
-
-        Only exact (non-text) equality on a hash-indexed root-table
-        column qualifies — text attributes need the fuzzy-match
-        semantics and joined attributes the value maps.  The probe runs
-        through a prepared statement pooled on the shared connection:
-        every refine of the same attribute binds into that statement's
-        plan template — only the constant changes.
-        Returns the surviving row ids (order preserved) or ``None`` to
-        fall back to the value-map path.
-        """
-        if dtype is DataType.TEXT or needle is None:
-            return None
-        if attribute.table != self.table:
-            return None
-        table = self._database.table(self.table)
-        if not table.has_index(attribute.column):
-            return None
-        root, column = self.table, attribute.column
-        statement = self._database.default_connection.prepare_cached(
-            ("candidates.refine", root, column),
-            lambda: select(root).where(eq(column, Param("value"))),
-        )
-        try:
-            matched = set(statement.execute(value=needle).row_ids())
-        except TypeMismatchError:
-            return None
-        return tuple(filter(matched.__contains__, self.row_ids))
 
     def _refined(
         self, surviving: tuple[int, ...], attribute: ColumnRef, needle: Any

@@ -12,21 +12,23 @@ split of DB client interfaces; stored procedures through
     outcome = conn.call("ticket_reservation", customer_id=1,
                         screening_id=3, ticket_amount=2)
 
-Why prepare/execute: the serving runtime issues the same handful of
-statements on every turn, differing only in their constants.  A
-prepared statement plans its shape at its first execution and keeps
-that plan template; every later ``execute`` binds the call's constants
+Why prepare/execute: the serving runtime issues the same two
+statements on every booking or listing turn, differing only in their
+named parameters' values.  A prepared statement plans at its first
+execution and keeps that plan template, named :class:`Param`
+placeholders included; every later ``execute`` binds the call's values
 straight into it — one stable compiled artifact, many cheap
 parameterised executions.  A one-shot ``Connection.execute`` is a
 statement executed once: it plans the bound statement directly, with
 no template.  ``benchmarks/bench_statement_api.py`` gates the
-difference.
+difference.  Atomic multi-statement scopes are
+:meth:`Database.transaction <repro.db.database.Database.transaction>`'s
+(``with database.transaction(): ...``).
 
 The objects:
 
 * :class:`Connection` — a lightweight handle from ``database.connect()``
-  owning execution and plan counters, transaction scoping (``with
-  conn.transaction(): ...``) and a prepared-statement pool
+  owning execution and plan counters and a prepared-statement pool
   (:meth:`Connection.prepare_cached`).
 * :class:`PreparedStatement` — one compiled statement with named
   :class:`Param` placeholders and its own plan template; safe to share
@@ -56,23 +58,23 @@ from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Mapping
 
 from repro.db.aggregation import Aggregate
 from repro.db.engine import (
     AggExpr,
+    Param,
     PlanNode,
     QuerySpec,
     compile_binder,
     execute_row_ids,
     execute_rows,
-    parameterize_spec,
     plan_query,
     render_plan,
 )
 from repro.db.engine.cache import Unbindable
+from repro.db.engine.plan import bind_value
 from repro.db.query import (
     And,
     Comparison,
@@ -80,6 +82,7 @@ from repro.db.query import (
     Or,
     Predicate,
     Query,
+    TruePredicate,
 )
 from repro.db.table import Row
 from repro.errors import QueryError
@@ -104,56 +107,30 @@ __all__ = [
 # Named parameters
 # ---------------------------------------------------------------------------
 
-class Param:
-    """A named placeholder for one statement constant.
+def _param_names(predicate: Predicate) -> frozenset[str]:
+    """The named parameters in ``predicate``.
 
-    Appears wherever a predicate constant would:
-    ``eq("movie_id", Param("m"))``.  ``execute(m=3)`` binds it.
-    Distinct from the engine's positional
-    :class:`~repro.db.engine.plan.Param` slots, which a statement's plan
-    template carries internally.
+    Raises :class:`QueryError` for a predicate subclass other than the
+    :mod:`repro.db.query` combinators: its constants are invisible to
+    binding.
     """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        if not isinstance(name, str) or not name.isidentifier():
-            raise QueryError(
-                f"parameter name must be an identifier, got {name!r}"
-            )
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f":{self.name}"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Param) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash((Param, self.name))
-
-
-def _resolve_value(value: Any, binds: Mapping[str, Any]) -> Any:
-    """``value`` with any :class:`Param` (or Params inside an IN-list
-    tuple) replaced by its binding."""
-    if type(value) is Param:
-        return binds[value.name]
-    if isinstance(value, tuple) and any(type(e) is Param for e in value):
-        return tuple(
-            binds[e.name] if type(e) is Param else e for e in value
-        )
-    return value
-
-
-def _param_names(slots: tuple) -> frozenset[str]:
-    """The named parameters among a shape's slot constants."""
-    names: set[str] = set()
-    for value in slots:
+    if isinstance(predicate, TruePredicate):
+        return frozenset()
+    if isinstance(predicate, Comparison):
+        value = predicate.value
         if type(value) is Param:
-            names.add(value.name)
-        elif isinstance(value, tuple):
-            names.update(e.name for e in value if type(e) is Param)
-    return frozenset(names)
+            return frozenset((value.name,))
+        if isinstance(value, tuple):
+            return frozenset(e.name for e in value if type(e) is Param)
+        return frozenset()
+    if isinstance(predicate, (And, Or)):
+        return frozenset().union(*map(_param_names, predicate.parts))
+    if isinstance(predicate, Not):
+        return _param_names(predicate.part)
+    raise QueryError(
+        f"cannot prepare a {type(predicate).__name__} predicate (build "
+        "predicates from the repro.db.query combinators)"
+    )
 
 
 def _check_binds(names: frozenset[str], binds: Mapping[str, Any]) -> None:
@@ -172,7 +149,7 @@ def _bind_predicate(
     """``predicate`` with named Params substituted (shared, not copied,
     when nothing inside changes)."""
     if isinstance(predicate, Comparison):
-        value = _resolve_value(predicate.value, binds)
+        value = bind_value(predicate.value, binds)
         if value is predicate.value:
             return predicate
         return Comparison(predicate.column, predicate.op, value)
@@ -370,9 +347,10 @@ class PreparedStatement:
     """One statement, compiled once, with its own plan template.
 
     ``execute(**binds)`` substitutes named parameters straight into the
-    statement's plan template and returns a :class:`Result`.  The first
-    execution plans the template; index DDL on the statement's table
-    makes the next one plan again.  Instances are safe to share across
+    statement's plan template and returns a :class:`Result`; a
+    statement with only literal constants has a static template.  The
+    first execution plans the template; index DDL on the statement's
+    table makes the next one plan again.  Instances are safe to share across
     threads: the template is one immutable tuple replaced whole, and
     every execution builds its own bound plan, so concurrent
     ``execute`` calls never see each other's bindings.  Two racing
@@ -384,10 +362,10 @@ class PreparedStatement:
         self._database = connection.database
         self.statement = statement
         self._spec = _compile(statement)
-        self._shape, self._slots = parameterize_spec(self._spec)
-        self._param_names = _param_names(self._slots)
+        self._param_names = _param_names(self._spec.predicate)
         # (the table's index columns, compiled binder) from the first
-        # execution that planned the shape; replaced whole, never mutated.
+        # execution that planned the statement; replaced whole, never
+        # mutated.
         self._template: tuple[list[str], Callable] | None = None
 
     # ------------------------------------------------------------------
@@ -403,16 +381,15 @@ class PreparedStatement:
         so it is kept until they change.
         """
         database = self._database
-        params = tuple(_resolve_value(v, binds) for v in self._slots)
         columns = database.table(self._spec.table).hash_index_columns()
         template = self._template
         reused = template is not None and template[0] == columns
         if not reused:
-            plan = plan_query(database, self._shape, params=params)
+            plan = plan_query(database, self._spec, binds)
             template = (columns, compile_binder(database, plan))
             self._template = template
         try:
-            return template[1](params), reused
+            return template[1](binds), reused
         except Unbindable:
             return plan_query(database, _bind_spec(self._spec, binds)), reused
 
@@ -490,8 +467,8 @@ class Connection:
         """The pooled prepared statement under ``key`` (built on first use).
 
         The pool is the amortisation point for long-lived components
-        that issue one shape per call site (candidate refinement, the
-        entity linker's pools, stored-procedure bodies).
+        that issue one statement per call site (the stored-procedure
+        bodies).
         """
         with self._lock:
             prepared = self._statements.get(key)
@@ -513,8 +490,7 @@ class Connection:
         execution and one plan miss.
         """
         spec = _compile(statement)
-        __, slots = parameterize_spec(spec)
-        _check_binds(_param_names(slots), binds)
+        _check_binds(_param_names(spec.predicate), binds)
         plan = plan_query(self._database, _bind_spec(spec, binds))
         self._note_execution(False)
         return Result(self._database, plan)
@@ -522,35 +498,6 @@ class Connection:
     def call(self, procedure: str, **arguments: Any) -> "ProcedureResult":
         """Run a stored procedure atomically; returns its outcome."""
         return self._database.procedures.call(procedure, **arguments)
-
-    # ------------------------------------------------------------------
-    # Transaction scoping
-    # ------------------------------------------------------------------
-    @contextmanager
-    def transaction(self):
-        """An atomic multi-statement scope under the commit latch.
-
-        Commits on normal exit, rolls back (undoing every mutation) on
-        exception.  Nests inside an enclosing transaction without
-        committing it.  Concurrent readers keep scanning their pinned
-        snapshots throughout; they observe the whole transaction or
-        none of it.
-        """
-        database = self._database
-        with database.write_locked():
-            manager = database.transactions
-            owns = not manager.in_transaction()
-            if owns:
-                manager.begin()
-            try:
-                yield self
-            except BaseException:
-                if owns:
-                    manager.rollback()
-                raise
-            else:
-                if owns:
-                    manager.commit()
 
     # ------------------------------------------------------------------
     # Stats

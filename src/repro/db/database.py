@@ -14,10 +14,11 @@ Concurrency model (MVCC): readers enter :meth:`Database.read_locked`,
 which pins a snapshot generation for the scope instead of taking a
 shared lock — writers never block them.  Writers enter
 :meth:`Database.write_locked`, a narrow reentrant commit latch that
-serialises transactions against each other only.  Commit points advance
-the generation clock, making a whole transaction visible to new
-snapshots atomically, and trigger a vacuum pass bounded by the oldest
-still-pinned generation.
+serialises transactions against each other only;
+:meth:`Database.transaction` is the atomic scope under it.  Commit
+points advance the generation clock, making a whole transaction
+visible to new snapshots atomically, and trigger a vacuum pass bounded
+by the oldest still-pinned generation.
 """
 
 from __future__ import annotations
@@ -151,6 +152,30 @@ class Database:
             yield
         finally:
             self.commit_latch.release()
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """An atomic multi-statement scope under the commit latch.
+
+        The outermost scope begins a transaction, commits it on normal
+        exit and rolls it back (undoing every mutation) on any
+        exception, interrupts and exits included; an inner scope leaves
+        the decision to the outer one.  Concurrent readers keep
+        scanning their pinned snapshots throughout; they observe the
+        whole transaction or none of it.
+        """
+        with self.write_locked():
+            manager = self.transactions
+            if manager.in_transaction():
+                yield
+                return
+            manager.begin()
+            try:
+                yield
+            except BaseException:
+                manager.rollback()
+                raise
+            manager.commit()
 
     def snapshot_version(self) -> int:
         """The generation the calling thread's reads observe right now."""

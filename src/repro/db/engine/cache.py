@@ -1,113 +1,59 @@
 """Plan templates for prepared statements: one planning pass per statement.
 
-The serving runtime issues the same handful of prepared statements on
-every turn — candidate refinement probes, the booked-seats aggregate,
-the linker's value pools — differing only in their constants.  Each
+The serving runtime issues the same two prepared statements on every
+booking or listing turn — the booked-seats aggregate and the screening
+list — differing only in their named parameters' values.  Each
 :class:`~repro.db.api.PreparedStatement` keeps its own plan template,
 so planning happens once per statement and index set of its table:
 
-1. At prepare time :func:`parameterize_spec` splits the statement's
-   :class:`QuerySpec` into its *shape*, with every constant replaced by
-   a :class:`~repro.db.engine.plan.Param` slot, and the tuple of
-   constants in slot order.
-2. The first execution plans the shape with its own constants (classic
-   generic-plan behaviour: they decide which index probes coerce) into
-   a *template* whose nodes carry the slots.  The planner reads nothing
-   of the table but its hash-index columns, so the statement keeps the
-   template until they change.
-3. :func:`compile_binder` turns the template into a bind function that
-   substitutes an execution's constants into a fresh plan tree.  A
-   constant the template cannot absorb (an index probe value that does
-   not coerce to the column type) raises :class:`Unbindable`, and the
+1. The first execution plans the statement with its own bindings
+   (classic generic-plan behaviour: they decide which index probes
+   coerce) into a *template* whose nodes keep the named
+   :class:`~repro.db.engine.plan.Param` placeholders; literal constants
+   stay as written.  The planner reads nothing of the table but its
+   hash-index columns, so the statement keeps the template until they
+   change.
+2. :func:`compile_binder` turns the template into a bind function that
+   substitutes an execution's bindings into a fresh plan tree; a
+   template without placeholders is static and served as is.  A value
+   the template cannot absorb (an index probe value that does not
+   coerce to the column type) raises :class:`Unbindable`, and the
    statement plans the bound spec directly instead, preserving the
    planner's SeqScan + Filter plan for such values.
 
 No predicate makes a plan's *structure* depend on its constants, so
-every shape has a template.  A predicate subclass other than the
-:mod:`repro.db.query` combinators hides its constants from the shape
-and is rejected at prepare time.
+every statement has a template.  A predicate subclass other than the
+:mod:`repro.db.query` combinators could hide placeholders from the
+binder and is rejected at prepare time.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.db.engine.plan import (
     Filter,
     HashAggregate,
     IndexEq,
     IndexGroupedAggScan,
-    Param,
     PlanNode,
-    QuerySpec,
     SeqScan,
+    bind_value,
+    has_param,
 )
-from repro.db.query import (
-    And,
-    Comparison,
-    Not,
-    Or,
-    Predicate,
-    TruePredicate,
-)
+from repro.db.query import And, Comparison, Not, Or, Predicate
 from repro.db.types import TypeMismatchError, coerce
 from repro.errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
 
-__all__ = ["Unbindable", "parameterize_spec", "compile_binder"]
+__all__ = ["Unbindable", "compile_binder"]
 
-
-# ---------------------------------------------------------------------------
-# Shape extraction
-# ---------------------------------------------------------------------------
 
 class Unbindable(Exception):
-    """A template cannot absorb this execution's constants."""
-
-
-_TRUE = TruePredicate()
-
-
-def parameterize_spec(spec: QuerySpec) -> tuple[QuerySpec, tuple]:
-    """Split ``spec`` into ``(shape, params)``.
-
-    The shape is a structurally-equal spec with every comparison
-    constant replaced by a parameter slot; ``params`` holds the
-    extracted constants in slot order.  Raises :class:`QueryError` for
-    a predicate subclass this module does not know, whose constants
-    are invisible.
-    """
-    params: list[Any] = []
-    predicate = _parameterize_predicate(spec.predicate, params)
-    return replace(spec, predicate=predicate), tuple(params)
-
-
-def _parameterize_predicate(
-    predicate: Predicate, params: list[Any]
-) -> Predicate:
-    if isinstance(predicate, TruePredicate):
-        return _TRUE
-    if isinstance(predicate, Comparison):
-        slot = Param(len(params))
-        params.append(predicate.value)
-        return Comparison(predicate.column, predicate.op, slot)
-    if isinstance(predicate, And):
-        return And(
-            tuple(_parameterize_predicate(p, params) for p in predicate.parts)
-        )
-    if isinstance(predicate, Or):
-        return Or(
-            tuple(_parameterize_predicate(p, params) for p in predicate.parts)
-        )
-    if isinstance(predicate, Not):
-        return Not(_parameterize_predicate(predicate.part, params))
-    raise QueryError(
-        f"cannot prepare a {type(predicate).__name__} predicate (build "
-        "predicates from the repro.db.query combinators)"
-    )
+    """A template cannot absorb this execution's bindings."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,31 +64,30 @@ def compile_binder(database: "Database", template: PlanNode):
     """A specialised bind function for one ``template`` instance.
 
     A prepared statement executes one template thousands of times, so
-    the discovery of which nodes carry Param slots and what column types
-    their constants must coerce to happens once, here, into a closure
-    tree: static subtrees collapse to the template's own nodes,
-    slot-carrying nodes capture their coercion targets.  Returns
-    ``fn(params) -> PlanNode``, which raises :class:`Unbindable` for a
-    probe constant that does not coerce to its column's type.
+    the discovery of which nodes carry named parameters and what column
+    types their values must coerce to happens once, here, into a
+    closure tree: static subtrees collapse to the template's own nodes,
+    parameterised nodes capture their coercion targets.  Returns
+    ``fn(binds) -> PlanNode``, which raises :class:`Unbindable` for a
+    probe value that does not coerce to its column's type.
     """
     binder = _compile_node_binder(database, template)
     if binder is None:
-        return lambda params: template
+        return lambda binds: template
     return binder
 
 
 def _compile_node_binder(database: "Database", node: PlanNode):
-    """``fn(params) -> node`` or ``None`` when the subtree is static."""
+    """``fn(binds) -> node`` or ``None`` when the subtree is static."""
     if isinstance(node, (SeqScan, IndexGroupedAggScan)):
         return None
     if isinstance(node, IndexEq):
-        if not isinstance(node.value, Param):
+        if not has_param(node.value):
             return None
         dtype = database.table(node.table).schema.column(node.column).dtype
-        index = node.value.index
 
-        def bind_eq(params, node=node, dtype=dtype, index=index):
-            value = params[index]
+        def bind_eq(binds, node=node, dtype=dtype):
+            value = bind_value(node.value, binds)
             try:
                 coerce(value, dtype)
             except TypeMismatchError:
@@ -156,12 +101,12 @@ def _compile_node_binder(database: "Database", node: PlanNode):
         if child is None and predicate is None:
             return None
 
-        def bind_filter(params, node=node, child=child, predicate=predicate):
+        def bind_filter(binds, node=node, child=child, predicate=predicate):
             return replace(
                 node,
-                child=node.child if child is None else child(params),
+                child=node.child if child is None else child(binds),
                 predicate=node.predicate if predicate is None
-                else predicate(params),
+                else predicate(binds),
             )
 
         return bind_filter
@@ -170,8 +115,8 @@ def _compile_node_binder(database: "Database", node: PlanNode):
         if child is None:
             return None
 
-        def bind_aggregate(params, node=node, child=child):
-            return replace(node, child=child(params))
+        def bind_aggregate(binds, node=node, child=child):
+            return replace(node, child=child(binds))
 
         return bind_aggregate
     raise QueryError(  # pragma: no cover - new nodes must be taught here
@@ -180,12 +125,12 @@ def _compile_node_binder(database: "Database", node: PlanNode):
 
 
 def _compile_predicate_binder(predicate: Predicate):
-    """``fn(params) -> predicate`` or ``None`` for static predicates."""
+    """``fn(binds) -> predicate`` or ``None`` for static predicates."""
     if isinstance(predicate, Comparison):
-        if not isinstance(predicate.value, Param):
+        if not has_param(predicate.value):
             return None
-        column, op, index = predicate.column, predicate.op, predicate.value.index
-        return lambda params: Comparison(column, op, params[index])
+        column, op, value = predicate.column, predicate.op, predicate.value
+        return lambda binds: Comparison(column, op, bind_value(value, binds))
     if isinstance(predicate, (And, Or)):
         binders = tuple(
             _compile_predicate_binder(p) for p in predicate.parts
@@ -195,10 +140,10 @@ def _compile_predicate_binder(predicate: Predicate):
         cls = type(predicate)
         parts = predicate.parts
 
-        def bind_parts(params, cls=cls, parts=parts, binders=binders):
+        def bind_parts(binds, cls=cls, parts=parts, binders=binders):
             return cls(
                 tuple(
-                    part if binder is None else binder(params)
+                    part if binder is None else binder(binds)
                     for part, binder in zip(parts, binders)
                 )
             )
@@ -208,5 +153,5 @@ def _compile_predicate_binder(predicate: Predicate):
         inner = _compile_predicate_binder(predicate.part)
         if inner is None:
             return None
-        return lambda params: Not(inner(params))
+        return lambda binds: Not(inner(binds))
     return None

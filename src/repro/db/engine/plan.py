@@ -5,20 +5,22 @@ the queried table (:class:`SeqScan`, :class:`IndexEq`); :class:`Filter`
 narrows its input by a predicate; :class:`HashAggregate` groups and
 reduces its input, and :class:`IndexGroupedAggScan` answers a
 whole-table single-key group-by from the key's hash-index buckets
-without re-hashing a row.  These five are every shape the agent's
-statements plan to.
+without re-hashing a row.  These five are every node the planner
+emits.
 
-Constants inside a plan may be :class:`Param` placeholders: a prepared
-statement plans one *template* for its shape and binds the concrete
-values of each execution into a fresh tree (see
-:mod:`repro.db.engine.cache`), so its executions with different
-constants share one planning pass.
+A statement's constants may be named :class:`Param` placeholders, and
+so may a plan's: a prepared statement plans one *template* that keeps
+them and binds each execution's values into a fresh tree (see
+:mod:`repro.db.engine.cache`), so its executions share one planning
+pass.  A statement with only literal constants has a static template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
+
+from repro.errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.query import Predicate
@@ -26,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "format_predicate",
     "Param",
+    "bind_value",
+    "has_param",
     "AggExpr",
     "QuerySpec",
     "PlanNode",
@@ -37,19 +41,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Param:
-    """A parameter slot standing in for one query constant.
+    """A named placeholder for one statement constant.
 
-    Plan templates carry these where the planner would otherwise embed
-    the literal value; binding substitutes the execution's actual
-    constants (coerced exactly as direct planning would have).
+    Appears wherever a predicate constant would:
+    ``eq("movie_id", Param("m"))``, or inside an IN-list tuple.
+    ``execute(m=3)`` binds it; a plan template keeps it where the
+    planner would otherwise embed the value.
     """
 
-    index: int
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        if not isinstance(name, str) or not name.isidentifier():
+            raise QueryError(
+                f"parameter name must be an identifier, got {name!r}"
+            )
+        self.name = name
 
     def __repr__(self) -> str:
-        return f"${self.index + 1}"
+        return f":{self.name}"
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Param) and other.name == self.name
+
+    def __hash__(self) -> int:
+        return hash((Param, self.name))
+
+
+def has_param(value: Any) -> bool:
+    """Is ``value`` a :class:`Param`, or a tuple holding one?"""
+    return type(value) is Param or (
+        isinstance(value, tuple) and any(type(e) is Param for e in value)
+    )
+
+
+def bind_value(value: Any, binds: Mapping[str, Any]) -> Any:
+    """``value`` with any :class:`Param` (or Params inside an IN-list
+    tuple) replaced by its binding."""
+    if type(value) is Param:
+        return binds[value.name]
+    if has_param(value):
+        return tuple(
+            binds[e.name] if type(e) is Param else e for e in value
+        )
+    return value
 
 
 def format_predicate(predicate: "Predicate") -> str:

@@ -23,27 +23,28 @@ predicate evaluation compares raw values, so the index result is a
 *superset* of the final answer and the filter keeps results identical
 to a scan.
 
-When planning a statement's *template* the spec's constants are
-:class:`~repro.db.engine.plan.Param` slots and the planner receives the
-first execution's actual values via ``params`` to test coercibility,
-while the emitted nodes keep the slots so the compiled plan can be
-re-bound to any constants (see :mod:`repro.db.engine.cache`).
+When planning a statement's *template* the spec's constants may be
+named :class:`~repro.db.engine.plan.Param` placeholders: the planner
+receives the first execution's bindings via ``binds`` to test
+coercibility, while the emitted nodes keep the placeholders so the
+compiled plan can be re-bound to any values (see
+:mod:`repro.db.engine.cache`).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.db.engine.plan import (
     Filter,
     HashAggregate,
     IndexEq,
     IndexGroupedAggScan,
-    Param,
     PlanNode,
     QuerySpec,
     SeqScan,
+    bind_value,
 )
 from repro.db.query import And, Comparison, Predicate, TruePredicate, and_
 from repro.db.types import TypeMismatchError, coerce
@@ -58,16 +59,16 @@ __all__ = ["plan_query"]
 def plan_query(
     database: "Database",
     spec: QuerySpec,
-    params: Sequence[Any] | None = None,
+    binds: Mapping[str, Any] | None = None,
 ) -> PlanNode:
     """Plan ``spec`` against ``database``'s schema and index DDL.
 
-    ``params`` resolves the spec's :class:`Param` slots when planning a
-    statement's template.
+    ``binds`` resolves the spec's named :class:`Param` placeholders
+    when planning a statement's template.
     """
     table = database.table(spec.table)
     if spec.aggregates is None:
-        return _plan_rows(table, spec, params)
+        return _plan_rows(table, spec, binds)
     if (
         len(spec.group_by) == 1
         and not _and_parts(spec.predicate)
@@ -77,7 +78,7 @@ def plan_query(
             table=spec.table, key=spec.group_by[0], aggregates=spec.aggregates
         )
     child = _plan_rows(
-        table, replace(spec, aggregates=None, group_by=()), params
+        table, replace(spec, aggregates=None, group_by=()), binds
     )
     return HashAggregate(
         child=child, aggregates=spec.aggregates, group_by=spec.group_by
@@ -85,13 +86,13 @@ def plan_query(
 
 
 def _plan_rows(
-    table: "Table", spec: QuerySpec, params: Sequence[Any] | None
+    table: "Table", spec: QuerySpec, binds: Mapping[str, Any] | None
 ) -> PlanNode:
     root_columns = set(table.schema.column_names)
     parts = _and_parts(spec.predicate)
     pushable = [p for p in parts if p.columns() <= root_columns]
     residual = [p for p in parts if not (p.columns() <= root_columns)]
-    node = _access_path(table, pushable, params)
+    node = _access_path(table, pushable, binds)
     if pushable:
         node = Filter(child=node, predicate=and_(*pushable))
     if residual:
@@ -100,7 +101,7 @@ def _plan_rows(
 
 
 def _access_path(
-    table: "Table", pushable: list[Predicate], params: Sequence[Any] | None
+    table: "Table", pushable: list[Predicate], binds: Mapping[str, Any] | None
 ) -> PlanNode:
     """The unique indexed equality, else the first indexed equality,
     whose constant coerces; else a sequential scan."""
@@ -108,7 +109,7 @@ def _access_path(
         part for part in pushable
         if isinstance(part, Comparison) and part.op == "=="
         and table.has_index(part.column)
-        and _coerces(table, part.column, part.value, params)
+        and _coerces(table, part.column, part.value, binds)
     ]
     if not probes:
         return SeqScan(table=table.name)
@@ -127,14 +128,12 @@ def _access_path(
 
 
 def _coerces(
-    table: "Table", column: str, value: Any, params: Sequence[Any] | None
+    table: "Table", column: str, value: Any, binds: Mapping[str, Any] | None
 ) -> bool:
-    """Can ``value`` (a Param slot resolves to its execution's constant)
+    """Can ``value`` (a Param resolves to its execution's binding)
     serve as a probe of ``column``'s index?"""
-    if isinstance(value, Param):
-        if params is None:  # pragma: no cover - statements guard this
-            raise ValueError("parameterised spec planned without params")
-        value = params[value.index]
+    if binds is not None:
+        value = bind_value(value, binds)
     try:
         coerce(value, table.schema.column(column).dtype)
     except TypeMismatchError:

@@ -5,8 +5,6 @@ read-only snapshot scope raises on a write (:class:`LockUpgradeError`).
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 __all__ = ["CommitLatch", "LockUpgradeError"]
 
@@ -61,11 +59,3 @@ class CommitLatch:
             if self._depth == 0:
                 self._owner = None
                 self._cond.notify()
-
-    @contextmanager
-    def held(self) -> Iterator[None]:
-        self.acquire()
-        try:
-            yield
-        finally:
-            self.release()

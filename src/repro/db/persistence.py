@@ -374,11 +374,9 @@ class DeltaLog:
     of the changed columns) or "delete" (payload: None).  The database
     records each statement's op into a pending buffer;
     :meth:`commit` flushes the buffer as one atomic record tagged with
-    the committed generation.  Savepoints mirror the transaction
-    manager's: :meth:`rollback_to` truncates the pending tail exactly
-    like the undo log replays its inverse tail, and :meth:`discard`
-    drops a rolled-back transaction's ops entirely — only committed
-    state ever reaches the log.
+    the committed generation, and :meth:`discard` drops a rolled-back
+    transaction's ops entirely — only committed state ever reaches the
+    log.
 
     When attached to a file each record is one JSON line carrying a
     CRC32 of its content, flushed at the commit point, so a reader can
@@ -388,7 +386,6 @@ class DeltaLog:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._pending: list[list] = []
-        self._marks: dict[str, int] = {}
         self._handle = None
 
     # ------------------------------------------------------------------
@@ -400,24 +397,14 @@ class DeltaLog:
         """Buffer one logical op until the owning commit point."""
         self._pending.append([kind, table, row_id, payload])
 
-    def savepoint(self, name: str) -> None:
-        self._marks[name] = len(self._pending)
-
-    def rollback_to(self, name: str) -> None:
-        mark = self._marks.get(name)
-        if mark is not None:
-            del self._pending[mark:]
-
     def discard(self) -> None:
         """Drop the pending buffer (transaction rollback)."""
         self._pending.clear()
-        self._marks.clear()
 
     def commit(self, generation: int) -> None:
         """Flush pending ops as one record tagged with ``generation``."""
         ops = self._pending
         self._pending = []
-        self._marks.clear()
         if ops:
             with self._lock:
                 if self._handle is not None:

@@ -165,10 +165,12 @@ class ProcedureRegistry:
     def call(self, name: str, **arguments: Any) -> ProcedureResult:
         """Run a procedure atomically; rolls back and re-raises on failure.
 
-        Writing procedures hold the database's exclusive write lock for
-        the whole call, so concurrent readers never observe a
-        half-applied transaction and concurrent calls serialise cleanly
-        instead of tripping over the single active transaction.
+        Writing procedures run in one :meth:`Database.transaction
+        <repro.db.database.Database.transaction>` scope, holding the
+        commit latch for the whole call, so concurrent readers never
+        observe a half-applied transaction, concurrent calls serialise
+        cleanly, and a body that raises anything, an interrupt
+        included, leaves no write behind.
         Procedures declared read-only (``writes`` empty) run under the
         shared read lock instead — concurrently with each other and
         with read-only dialogue turns — and skip the transaction
@@ -189,17 +191,6 @@ class ProcedureRegistry:
                         f"attempted to write: {exc}"
                     ) from exc
             return ProcedureResult(procedure=name, arguments=bound, value=value)
-        with self._database.write_locked():
-            txn_manager = self._database.transactions
-            owns_txn = not txn_manager.in_transaction()
-            if owns_txn:
-                txn_manager.begin()
-            try:
-                value = procedure.body(self._database, **bound)
-            except Exception:
-                if owns_txn:
-                    txn_manager.rollback()
-                raise
-            if owns_txn:
-                txn_manager.commit()
+        with self._database.transaction():
+            value = procedure.body(self._database, **bound)
         return ProcedureResult(procedure=name, arguments=bound, value=value)

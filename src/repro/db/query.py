@@ -61,13 +61,6 @@ class Predicate:
         """All column names mentioned by this predicate."""
         raise NotImplementedError
 
-    def equality_bindings(self) -> dict[str, Any]:
-        """``column -> value`` for top-level AND-ed equality comparisons.
-
-        Used by the executor to pick hash indexes.
-        """
-        return {}
-
 
 _OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
     "==": lambda a, b: a == b,
@@ -109,11 +102,6 @@ class Comparison(Predicate):
     def columns(self) -> set[str]:
         return {self.column}
 
-    def equality_bindings(self) -> dict[str, Any]:
-        if self.op == "==":
-            return {self.column: self.value}
-        return {}
-
 
 @dataclass(frozen=True)
 class And(Predicate):
@@ -126,12 +114,6 @@ class And(Predicate):
         out: set[str] = set()
         for part in self.parts:
             out |= part.columns()
-        return out
-
-    def equality_bindings(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for part in self.parts:
-            out.update(part.equality_bindings())
         return out
 
 
@@ -212,7 +194,7 @@ def contains(column: str, needle: str) -> Comparison:
 
 
 def in_(column: str, values: Iterable[Any]) -> Comparison:
-    from repro.db.api import Param
+    from repro.db.engine.plan import Param
 
     if isinstance(values, Param):
         # A named placeholder for the whole list: the prepared-statement

@@ -140,12 +140,6 @@ class _HashIndex:
     def lookup(self, value: Any) -> set[int]:
         return set(self._buckets.get(value, ()))
 
-    def has(self, value: Any) -> bool:
-        return value in self._buckets
-
-    def count(self, value: Any) -> int:
-        return len(self._buckets.get(value, ()))
-
     def __len__(self) -> int:
         return len(self._buckets)
 

@@ -1,7 +1,7 @@
-"""Transaction support: undo logging, savepoints, commit/rollback.
+"""Transaction support: undo logging, commit/rollback.
 
 Transactions execute under the database's commit latch (see
-:class:`~repro.db.locks.CommitLatch`), so at most one is active at a
+:class:`~repro.db.locks.CommitLatch`), so at most one is open at a
 time and writer-writer isolation reduces to that serialisation; readers
 run concurrently against pinned snapshots and never observe an
 uncommitted stamp.  What the paper's agent needs on top is *atomicity*
@@ -9,13 +9,13 @@ uncommitted stamp.  What the paper's agent needs on top is *atomicity*
 the database unchanged.  We implement this with an undo log of inverse
 physical operations, replayed in reverse on rollback; under MVCC the
 undone versions carry never-committed stamps and are reclaimed by the
-post-rollback vacuum.
+post-rollback vacuum.  Scopes open transactions through
+:meth:`Database.transaction <repro.db.database.Database.transaction>`.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import TransactionError
@@ -23,13 +23,7 @@ from repro.errors import TransactionError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
 
-__all__ = ["TransactionState", "UndoRecord", "Transaction", "TransactionManager"]
-
-
-class TransactionState(enum.Enum):
-    ACTIVE = "active"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
+__all__ = ["UndoRecord", "TransactionManager"]
 
 
 @dataclass(frozen=True)
@@ -46,67 +40,42 @@ class UndoRecord:
     old_row: dict[str, Any] | None = None
 
 
-@dataclass
-class Transaction:
-    """An open transaction: an id, a state and an undo log."""
-
-    txn_id: int
-    state: TransactionState = TransactionState.ACTIVE
-    undo_log: list[UndoRecord] = field(default_factory=list)
-    savepoints: dict[str, int] = field(default_factory=dict)
-
-    def record(self, record: UndoRecord) -> None:
-        if self.state is not TransactionState.ACTIVE:
-            raise TransactionError(
-                f"transaction {self.txn_id} is {self.state.value}, cannot log"
-            )
-        self.undo_log.append(record)
-
-
 class TransactionManager:
-    """Owns the single active transaction of a database.
+    """Owns the undo log of a database's one open transaction.
 
-    Nested ``begin`` calls are not allowed; use savepoints for partial
-    rollback inside stored procedures.
+    Nested ``begin`` calls are not allowed: an inner
+    :meth:`Database.transaction <repro.db.database.Database.transaction>`
+    scope joins the open transaction instead.
     """
 
     def __init__(self, database: "Database") -> None:
         self._database = database
-        self._active: Transaction | None = None
-        self._next_txn_id = 1
+        # The open transaction's undo log, or None outside a transaction.
+        self._undo_log: list[UndoRecord] | None = None
         self.committed_count = 0
         self.aborted_count = 0
 
     # ------------------------------------------------------------------
-    @property
-    def active(self) -> Transaction | None:
-        return self._active
-
     def in_transaction(self) -> bool:
-        return self._active is not None
+        return self._undo_log is not None
 
     # ------------------------------------------------------------------
-    def begin(self) -> Transaction:
-        if self._active is not None:
+    def begin(self) -> None:
+        if self._undo_log is not None:
             raise TransactionError("a transaction is already active")
-        txn = Transaction(txn_id=self._next_txn_id)
-        self._next_txn_id += 1
-        self._active = txn
-        return txn
+        self._undo_log = []
 
     def commit(self) -> None:
-        txn = self._require_active()
-        txn.state = TransactionState.COMMITTED
-        self._active = None
+        self._require_active()
+        self._undo_log = None
         self.committed_count += 1
         self._database.notify_data_changed()
 
     def rollback(self) -> None:
-        txn = self._require_active()
-        self._undo(txn.undo_log)
-        txn.undo_log.clear()
-        txn.state = TransactionState.ABORTED
-        self._active = None
+        # Replayed while the transaction is still open, so the undone
+        # versions get the transaction's never-committed stamps.
+        self._undo(self._require_active())
+        self._undo_log = None
         self.aborted_count += 1
         log = self._database.delta_log
         if log is not None:
@@ -121,47 +90,23 @@ class TransactionManager:
         self._database._vacuum_all()
 
     # ------------------------------------------------------------------
-    def savepoint(self, name: str) -> None:
-        txn = self._require_active()
-        txn.savepoints[name] = len(txn.undo_log)
-        log = self._database.delta_log
-        if log is not None:
-            log.savepoint(name)
-
-    def rollback_to_savepoint(self, name: str) -> None:
-        txn = self._require_active()
-        if name not in txn.savepoints:
-            raise TransactionError(f"unknown savepoint {name!r}")
-        mark = txn.savepoints[name]
-        tail = txn.undo_log[mark:]
-        self._undo(tail)
-        del txn.undo_log[mark:]
-        log = self._database.delta_log
-        if log is not None:
-            # Truncate the pending forward ops exactly like the undo
-            # log truncated its tail (the undo replay bypassed the
-            # database hooks, so nothing else touched the buffer).
-            log.rollback_to(name)
-        self._database._vacuum_all()
-
-    # ------------------------------------------------------------------
     def log_insert(self, table: str, row_id: int) -> None:
-        if self._active is not None:
-            self._active.record(UndoRecord("insert", table, row_id))
+        if self._undo_log is not None:
+            self._undo_log.append(UndoRecord("insert", table, row_id))
 
     def log_delete(self, table: str, row_id: int, old_row: dict[str, Any]) -> None:
-        if self._active is not None:
-            self._active.record(UndoRecord("delete", table, row_id, old_row))
+        if self._undo_log is not None:
+            self._undo_log.append(UndoRecord("delete", table, row_id, old_row))
 
     def log_update(self, table: str, row_id: int, old_row: dict[str, Any]) -> None:
-        if self._active is not None:
-            self._active.record(UndoRecord("update", table, row_id, old_row))
+        if self._undo_log is not None:
+            self._undo_log.append(UndoRecord("update", table, row_id, old_row))
 
     # ------------------------------------------------------------------
-    def _require_active(self) -> Transaction:
-        if self._active is None:
+    def _require_active(self) -> list[UndoRecord]:
+        if self._undo_log is None:
             raise TransactionError("no active transaction")
-        return self._active
+        return self._undo_log
 
     def _undo(self, records: list[UndoRecord]) -> None:
         for record in reversed(records):

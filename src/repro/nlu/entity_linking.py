@@ -40,10 +40,6 @@ class LinkedValue:
     score: float
     corrected: bool
 
-    @property
-    def display(self) -> str:
-        return str(self.value)
-
 
 class EntityLinker:
     """Resolves raw slot strings to canonical typed values."""
@@ -119,28 +115,14 @@ class EntityLinker:
         )
 
     def _build_pool(self, slot: str) -> list[str]:
+        """The sorted, rendered, distinct non-NULL values of the slot's
+        column, as the calling reader's snapshot sees them."""
         source = self._vocabulary.source(slot)
         assert source.attribute is not None
-        table = source.attribute.table
-        column = source.attribute.column
-        # A grouped streaming aggregate prepared once per attribute and
-        # pooled on the shared connection: one row per *distinct*
-        # column value, no per-row dict materialisation.  Rebuilds
-        # happen once per commit to the table per slot, so even that
-        # cost is off the turn path.
-        from repro.db import api
-        from repro.db.aggregation import count
-
-        statement = self._database.default_connection.prepare_cached(
-            ("linker.pool", table, column),
-            lambda: api.aggregate(table, n=count()).group_by(column),
-        )
-        values = {
-            render(group[column], source.dtype)
-            for group in statement.execute()
-            if group[column] is not None
-        }
-        return sorted(values)
+        table = self._database.table(source.attribute.table)
+        values = set(table.column_values(source.attribute.column))
+        values.discard(None)
+        return sorted({render(value, source.dtype) for value in values})
 
     def invalidate(self) -> None:
         """Drop cached value pools (they also refresh automatically once

@@ -11,9 +11,11 @@ every lookup through the two caches, and every statement's plan,
 against an uncached compute at the caller's generation, across
 committed and rolled-back transactions, autocommit (in-place) updates,
 index DDL and a reader pinned on another thread, comparing value
-entries key order and value types included.  A stale single-valued entry whose root only gained and
-lost rows is patched rather than rebuilt; ``TestPatchedEntries`` writes
-each way a patch is allowed or refused and checks which one ran.
+entries key order and value types included, and each linker pool also
+against a grouped COUNT run through the query engine.  A stale
+single-valued entry whose root only gained and lost rows is patched
+rather than rebuilt; ``TestPatchedEntries`` writes each way a patch is
+allowed or refused and checks which one ran.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ from repro.db import (
     DataType,
     ForeignKey,
     TableSchema,
+    api,
+    count,
+    render,
 )
 from repro.db.api import Connection, PreparedStatement
 from repro.db.engine.planner import plan_query
@@ -255,11 +260,28 @@ def _check_every_cache(env: Env, statements) -> None:
         ), (root, attribute)
     fresh_linker = EntityLinker(database, env.vocabulary)
     for slot in SLOTS:
-        assert env.linker._text_pool(slot)._pool == \
-            fresh_linker._build_pool(slot), slot
+        pool = env.linker._text_pool(slot)._pool
+        assert pool == fresh_linker._build_pool(slot), slot
+        assert pool == _grouped_keys(database, env.vocabulary, slot), slot
     for statement in statements:
         assert _plan(statement) == _uncached_plan(database, statement), \
             statement.statement
+
+
+def _grouped_keys(
+    database: Database, vocabulary: SlotVocabulary, slot: str
+) -> list[str]:
+    """A linker pool's oracle: the sorted, rendered, non-NULL keys of a
+    COUNT grouped by the slot's column."""
+    source = vocabulary.source(slot)
+    column = source.attribute.column
+    groups = database.connect().execute(
+        api.aggregate(source.attribute.table, n=count()).group_by(column)
+    )
+    return sorted({
+        render(group[column], source.dtype)
+        for group in groups if group[column] is not None
+    })
 
 
 class _PinnedReader:

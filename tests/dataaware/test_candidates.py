@@ -79,16 +79,19 @@ class TestEngineSeeding:
         assert 0 < len(seeded) < len(unconstrained)
         assert seeded.row_ids == manual.row_ids
 
-    def test_index_refine_matches_value_map_path(self, env):
+    def test_key_and_date_refines_keep_the_matching_rows(self, env):
         database, catalog = env
         candidates = CandidateSet.initial(database, catalog, "screening")
-        # screening_id is hash-indexed: refine takes the planned index
-        # path.  date is typed but the values_for path must agree.
+        # screening_id is hash-indexed and date is not: both narrow
+        # through the value map, the key to its one row and the date to
+        # every row that shares it.
         target = database.rows("screening")[3]
-        by_index = candidates.refine(
+        by_key = candidates.refine(
             ColumnRef("screening", "screening_id"), target["screening_id"]
         )
-        assert by_index.row_ids == (target["screening_id"],) or len(by_index) == 1
+        assert [row["screening_id"] for row in by_key.rows()] == [
+            target["screening_id"]
+        ]
         by_values = candidates.refine(
             ColumnRef("screening", "date"), target["date"]
         )
@@ -102,6 +105,46 @@ class TestEngineSeeding:
 
 
 class TestRefine:
+    def test_key_refine_of_a_choice_list_runs_no_statement(self, env):
+        from collections import Counter
+
+        from repro.db import select
+        from repro.db.query import eq
+
+        database, catalog = env
+        connection = database.default_connection
+        candidates = CandidateSet.initial(
+            database, catalog, "screening",
+            shared_cache=AttributeValueCache(database, catalog),
+        )
+        movie_id, __ = Counter(
+            database.table("screening").column_values("movie_id")
+        ).most_common(1)[0]
+        title = database.find_one("movie", "movie_id", movie_id)["title"]
+        choices = candidates.refine(ColumnRef("movie", "title"), title)
+        assert 1 < len(choices) < len(candidates)
+        outside = next(
+            row for row in database.rows("screening")
+            if row["movie_id"] != movie_id
+        )
+        key = ColumnRef("screening", "screening_id")
+        for row in choices.rows() + [outside]:
+            executions = connection.stats().executions
+            refined = choices.refine(key, row["screening_id"])
+            assert connection.stats().executions == executions
+            # The engine's hash-index answer, narrowed to the choices.
+            probe = connection.execute(
+                select("screening").where(eq("screening_id",
+                                             row["screening_id"]))
+            )
+            assert "IndexEq on screening using screening_id" in \
+                probe.explain()
+            matched = set(probe.row_ids())
+            assert refined.row_ids == tuple(
+                rid for rid in choices.row_ids if rid in matched
+            )
+            assert len(refined) == (row is not outside)
+
     def test_refine_narrows(self, env):
         database, catalog = env
         candidates = CandidateSet.initial(database, catalog, "screening")

@@ -318,7 +318,7 @@ def _swap_a_row(database, root):
             row[column] = value + " two"
         elif isinstance(value, (int, float)):
             row[column] = value + 1
-    with database.default_connection.transaction():
+    with database.transaction():
         _delete_with_dependents(database, root, rid)
         database.insert(root, row)
 

@@ -78,10 +78,10 @@ class TestConnection:
 
 
 class TestTransactionScope:
-    def test_commit_on_success(self, conn, database):
+    def test_commit_on_success(self, database):
         before = database.count("movie")
         committed = database.transactions.committed_count
-        with conn.transaction():
+        with database.transaction():
             database.insert("movie", {
                 "movie_id": 9001, "title": "Committed", "genre": "drama",
                 "year": 2024, "duration_minutes": 100, "language_id": 1,
@@ -89,12 +89,12 @@ class TestTransactionScope:
         assert database.count("movie") == before + 1
         assert database.transactions.committed_count == committed + 1
 
-    def test_rollback_on_exception(self, conn, database):
+    def test_rollback_on_exception(self, database):
         before = database.count("movie")
         committed = database.transactions.committed_count
         aborted = database.transactions.aborted_count
         with pytest.raises(RuntimeError):
-            with conn.transaction():
+            with database.transaction():
                 database.insert("movie", {
                     "movie_id": 9002, "title": "Undone", "genre": "drama",
                     "year": 2024, "duration_minutes": 90, "language_id": 1,
@@ -104,9 +104,9 @@ class TestTransactionScope:
         assert database.transactions.aborted_count == aborted + 1
         assert database.transactions.committed_count == committed
 
-    def test_commit_bumps_data_version(self, conn, database):
+    def test_commit_bumps_data_version(self, database):
         version = database.data_version
-        with conn.transaction():
+        with database.transaction():
             database.insert("movie", {
                 "movie_id": 9003, "title": "Versioned", "genre": "drama",
                 "year": 2024, "duration_minutes": 95, "language_id": 1,
@@ -561,9 +561,10 @@ class TestExecutionApiLint:
         assert not hasattr(aggregation, "aggregate_query")
         assert not any(
             hasattr(Connection, name)
-            for name in ("run_query", "count_query", "run_aggregate")
+            for name in ("run_query", "count_query", "run_aggregate",
+                         "transaction")
         )
-        # The lint keeps the storage-stamp rule.
+        # src/ passes the storage-stamp and transaction-scope rules.
         assert lint.main() == 0
 
     def test_write_generation_written_outside_storage_is_flagged(
@@ -598,6 +599,35 @@ class TestExecutionApiLint:
         flagged = capsys.readouterr().err.splitlines()[1:]
         assert flagged == [
             "  src/repro/caching.py:3: table._rewrite_generation = 0"
+        ]
+
+    def test_transaction_calls_outside_the_scope_are_flagged(
+        self, lint, tmp_path, monkeypatch, capsys
+    ):
+        src = tmp_path / "src" / "repro"
+        (src / "db").mkdir(parents=True)
+        (src / "db" / "database.py").write_text(
+            "def transaction(manager):\n"
+            "    manager.begin()\n"
+            "    manager.commit()\n"
+        )
+        (src / "executor.py").write_text(
+            "def book(database, manager):\n"
+            "    manager.begin()\n"
+            "    try:\n"
+            "        database.insert('reservation', {})\n"
+            "    except Exception:\n"
+            "        manager.rollback()\n"
+            "        raise\n"
+            "    manager.commit()\n"
+        )
+        monkeypatch.setattr(lint, "SRC", src)
+        assert lint.main() == 1
+        flagged = capsys.readouterr().err.splitlines()[1:]
+        assert flagged == [
+            "  src/repro/executor.py:2: manager.begin()",
+            "  src/repro/executor.py:6: manager.rollback()",
+            "  src/repro/executor.py:8: manager.commit()",
         ]
 
     def test_index_internals_read_outside_storage_are_flagged(

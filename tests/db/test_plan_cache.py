@@ -27,7 +27,6 @@ from repro.db import (
 from repro.db.engine import (
     compile_binder,
     execute_rows,
-    parameterize_spec,
     plan_query,
     render_plan,
 )
@@ -138,11 +137,11 @@ class TestTemplateSharing:
 
 
 class TestFingerprints:
-    """A statement's shape: its constants out, parameter slots in."""
+    """A statement's template: named parameters kept, bound per execution."""
 
     def test_opaque_predicate_is_planned_per_execution(self, db):
-        # A predicate subclass hides its constants from the shape, so
-        # no statement can be prepared over it, one-shot or pooled.
+        # A predicate subclass hides its constants from binding, so no
+        # statement can be prepared over it, one-shot or pooled.
         from repro.db.query import Predicate
 
         class PriceAbove(Predicate):
@@ -155,9 +154,6 @@ class TestFingerprints:
             def columns(self):
                 return {"price"}
 
-        spec = Query("screening").where(PriceAbove(10.0)).compile()
-        with pytest.raises(QueryError, match="PriceAbove"):
-            parameterize_spec(spec)
         conn = db.connect()
         statement = select("screening").where(
             and_(eq("movie_id", 5), PriceAbove(10.0))
@@ -169,13 +165,19 @@ class TestFingerprints:
         assert conn.stats().executions == 0
 
     def test_parameterize_and_bind_round_trip(self, db):
-        spec = Query("screening").where(
+        template_spec = Query("screening").where(
+            and_(eq("movie_id", Param("m")), ge("date", Param("lo")))
+        ).compile()
+        binds = {"m": 5, "lo": dt.date(2022, 3, 28)}
+        template = plan_query(db, template_spec, binds)
+        assert "IndexEq on screening using movie_id = :m" in render_plan(
+            template)
+        bound_spec = Query("screening").where(
             and_(eq("movie_id", 5), ge("date", dt.date(2022, 3, 28)))
         ).compile()
-        shape, params = parameterize_spec(spec)
-        template = plan_query(db, shape, params=params)
-        bound = compile_binder(db, template)(params)
-        assert render_plan(bound) == render_plan(plan_query(db, spec))
+        bound = compile_binder(db, template)(binds)
+        assert bound == plan_query(db, bound_spec)
+        assert render_plan(bound) == render_plan(plan_query(db, bound_spec))
 
 
 class TestRepeatedTurns:

@@ -1,5 +1,7 @@
 """Tests for stored procedures: binding, registry, atomic execution."""
 
+import threading
+
 import pytest
 
 from repro.db import (
@@ -158,6 +160,70 @@ class TestAtomicity:
         db.procedures.call("take_stock", item_id=1, amount=1)
         db.transactions.rollback()
         assert db.find_one("item", "item_id", 1)["stock"] == 5
+
+
+def read_in_a_new_thread(database, read):
+    """``read()`` under a snapshot pinned by a reader on a new thread."""
+    out = []
+
+    def reader():
+        with database.read_locked():
+            out.append(read())
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    return out[0]
+
+
+class TestInterruptedProcedures:
+    """An interrupt or exit inside a writing procedure must not leave
+    its transaction open: the next procedure would join it, and its
+    writes would never commit."""
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_rolls_back_and_the_next_booking_commits(
+        self, movie_db, interrupt
+    ):
+        database, __ = movie_db
+        transactions = database.transactions
+        rid = database.table("reservation").row_ids()[0]
+        doomed = database.table("reservation").get(rid)["reservation_id"]
+
+        def delete_then_interrupt(db):
+            db.delete("reservation", rid)
+            raise interrupt()
+
+        database.procedures.register(
+            Procedure("delete_then_interrupt", [], delete_then_interrupt,
+                      writes=("reservation",))
+        )
+        committed = transactions.committed_count
+        aborted = transactions.aborted_count
+        with pytest.raises(interrupt):
+            database.procedures.call("delete_then_interrupt")
+        assert not transactions.in_transaction()
+        assert transactions.aborted_count == aborted + 1
+        assert transactions.committed_count == committed
+        assert read_in_a_new_thread(
+            database,
+            lambda: database.find_one("reservation", "reservation_id", doomed),
+        ) is not None
+
+        outcome = database.procedures.call(
+            "ticket_reservation",
+            customer_id=database.rows("customer")[0]["customer_id"],
+            screening_id=database.rows("screening")[0]["screening_id"],
+            ticket_amount=1,
+        )
+        booked = outcome.value["reservation_id"]
+        assert transactions.committed_count == committed + 1
+        assert not transactions.in_transaction()
+        assert read_in_a_new_thread(
+            database,
+            lambda: database.find_one("reservation", "reservation_id", booked),
+        ) is not None
 
 
 class TestReadOnlyProcedures:

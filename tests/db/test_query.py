@@ -119,10 +119,6 @@ class TestPredicates:
         with pytest.raises(QueryError):
             eq("missing", 1).matches({"a": 1})
 
-    def test_equality_bindings(self):
-        predicate = and_(eq("a", 1), gt("b", 2), eq("c", 3))
-        assert predicate.equality_bindings() == {"a": 1, "c": 3}
-
     def test_columns_collected(self):
         predicate = or_(eq("a", 1), and_(eq("b", 2), not_(eq("c", 3))))
         assert predicate.columns() == {"a", "b", "c"}

@@ -134,9 +134,8 @@ class TestSnapshotVisibility:
             assert db.count("account") == 5
 
     def test_writer_sees_own_uncommitted_writes(self, db):
-        conn = db.connect()
         with db.read_locked():
-            with conn.transaction():
+            with db.transaction():
                 db.insert(
                     "account",
                     {"account_id": 60, "balance": 2, "group_id": "gy"},
@@ -353,7 +352,6 @@ class TestConcurrentStress:
 
     def _writer(self, db, seed, errors):
         rng = random.Random(seed)
-        conn = db.connect(name=f"writer-{seed}")
         ledger = db.table("ledger")
         account = db.table("account")
         next_entry = seed * 1_000_000
@@ -363,7 +361,7 @@ class TestConcurrentStress:
                 rid = account.lookup("account_id", account_id)[0]
                 roll = rng.random()
                 try:
-                    with conn.transaction():
+                    with db.transaction():
                         if roll < 0.65:
                             # Append an entry and fold it into balance.
                             next_entry += 1

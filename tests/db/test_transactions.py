@@ -1,4 +1,4 @@
-"""Tests for transactions: atomicity, rollback, savepoints."""
+"""Tests for transactions: atomicity, commit and rollback."""
 
 import pytest
 
@@ -99,25 +99,3 @@ class TestDataVersion:
         before = db.data_version
         db.insert("account", {"account_id": 3, "balance": 1})
         assert db.data_version > before
-
-
-class TestSavepoints:
-    def test_partial_rollback(self, db):
-        db.transactions.begin()
-        db.insert("account", {"account_id": 3, "balance": 1})
-        db.transactions.savepoint("sp")
-        db.insert("account", {"account_id": 4, "balance": 2})
-        db.transactions.rollback_to_savepoint("sp")
-        db.transactions.commit()
-        assert db.count("account") == 3
-        assert db.find_one("account", "account_id", 4) is None
-
-    def test_unknown_savepoint_rejected(self, db):
-        db.transactions.begin()
-        with pytest.raises(TransactionError):
-            db.transactions.rollback_to_savepoint("nope")
-        db.transactions.rollback()
-
-    def test_savepoint_outside_txn_rejected(self, db):
-        with pytest.raises(TransactionError):
-            db.transactions.savepoint("sp")

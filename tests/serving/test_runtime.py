@@ -30,6 +30,24 @@ def unique_screenings(database, limit):
     return [key for key, count in counts.items() if count == 1][:limit]
 
 
+def reach_confirmation(runtime, tickets):
+    """A new session at the confirm prompt of a booking of ``tickets``
+    by the first customer for a uniquely described screening."""
+    database = runtime.database
+    customer = database.rows("customer")[0]
+    title, date, start_time = unique_screenings(database, 1)[0]
+    sid = runtime.create_session()
+    for text in (
+        f"i want to buy {tickets} tickets",
+        f"my email is {customer['email']}",
+        f"the movie title is {title}",
+        f"on {date.isoformat()} at {start_time.strftime('%H:%M')}",
+    ):
+        runtime.respond(sid, text)
+    assert runtime.session(sid).context.state.phase is Phase.CONFIRMING
+    return sid
+
+
 def drive_to_completion(runtime, sid, max_turns=8):
     """Answer choice lists / confirmations until the task finishes."""
     for __ in range(max_turns):
@@ -389,10 +407,9 @@ class TestSessionConnections:
     def test_turn_traffic_lands_on_the_default_connection(
         self, runtime, monkeypatch
     ):
-        # Commit a write to customer (a first name rewritten to itself):
-        # linking "alice" must then rebuild the customer-name pool inside
-        # the turn, and the pool's pooled statement runs on the default
-        # connection, which every session shares.
+        # Confirming a booking runs the booked-seats SUM, a statement
+        # pooled on the default connection, which every session shares;
+        # no turn opens a connection of its own.
         from repro.db.api import Connection
 
         database = runtime.database
@@ -405,12 +422,48 @@ class TestSessionConnections:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Connection, "__init__", counted)
-        rid = database.table("customer").row_ids()[0]
-        first_name = database.table("customer").get(rid)["first_name"]
-        database.update("customer", rid, {"first_name": first_name})
-        sid = runtime.create_session()
-        runtime.respond(sid, "i want to buy 2 tickets")
+        sid = reach_confirmation(runtime, 2)
         before = default.stats().executions
-        runtime.respond(sid, "my name is alice")
-        assert default.stats().executions > before
+        runtime.respond(sid, "yes please")
+        executed = runtime.transcript(sid)[-1].executed
+        assert executed is not None
+        assert executed.procedure == "ticket_reservation"
+        assert default.stats().executions == before + 1
         assert opened == []
+
+
+class TestFailedTransaction:
+    def test_rejected_booking_reports_the_reason_and_keeps_the_session(
+        self, runtime
+    ):
+        # More tickets than the screening has seats: the procedure
+        # raises after the user confirmed, and the turn must say why.
+        database = runtime.database
+        transactions = database.transactions
+        sid = reach_confirmation(runtime, 150)
+        screening_id = runtime.session(sid).context.state.collected[
+            "screening_id"]
+        screening = database.find_one("screening", "screening_id",
+                                      screening_id)
+        booked = sum(
+            row["no_tickets"] for row in database.rows("reservation")
+            if row["screening_id"] == screening_id
+        )
+        assert booked + 150 > screening["capacity"]
+        committed = transactions.committed_count
+
+        reply = runtime.respond(sid, "yes please")
+        assert reply.text == (
+            "I am sorry, that did not work: screening "
+            f"{screening_id} has only {screening['capacity'] - booked} "
+            "seats left"
+        )
+        assert runtime.transcript(sid)[-1].executed is None
+        assert transactions.committed_count == committed
+        assert not transactions.in_transaction()
+
+        runtime.respond(sid, "i want to buy 2 tickets")
+        state = runtime.session(sid).context.state
+        assert state.task is not None
+        assert state.task.name == "ticket_reservation"
+        assert state.collected == {"ticket_amount": 2}

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Lint: the tables' MVCC version stamps and hash indexes stay private
-to the storage layer.
+to the storage layer, and transactions have one scope.
 
 Only ``repro/db/table.py`` may touch a table's per-slot version stamps
 (``_created``, ``_deleted``, ``_max_stamp``), its write generation
@@ -15,6 +15,11 @@ everyone else reads through the public Table surface (``scan_slots``,
 keeps the MVCC slot layout and the index structure implementation
 details the storage layer can evolve.
 
+Only ``repro/db/database.py`` and ``repro/db/transactions.py`` may call
+``.begin()``, ``.commit()`` or ``.rollback()``: every other writer
+opens ``Database.transaction()``, the one scope that commits on normal
+exit and rolls back on any exception, interrupts included.
+
 Run from the repository root (CI does)::
 
     python tools/check_execution_api.py
@@ -28,26 +33,42 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-# The only file allowed to touch a table's per-slot version stamps and
-# its hash indexes: the bank store itself.
-STORAGE_ALLOWED = {SRC / "db" / "table.py"}
-
-STORAGE_FORBIDDEN = (
-    # ``self.`` receivers stay clean: an object's own ``_created``-style
-    # attribute is its own state, not a reach into a table's banks.
-    re.compile(
-        r"(?<!self)\.(_created|_deleted|_max_stamp|_write_generation"
-        r"|_rewrite_generation)\b"
+STORAGE_RULE = (
+    # The only file allowed to touch a table's per-slot version stamps
+    # and its hash indexes: the bank store itself.
+    {"db/table.py"},
+    (
+        # ``self.`` receivers stay clean: an object's own
+        # ``_created``-style attribute is its own state, not a reach
+        # into a table's banks.
+        re.compile(
+            r"(?<!self)\.(_created|_deleted|_max_stamp|_write_generation"
+            r"|_rewrite_generation)\b"
+        ),
+        # Index internals are flagged on any receiver.
+        re.compile(r"\.(_indexes|_buckets)\b"),
     ),
-    # Index internals are flagged on any receiver.
-    re.compile(r"\.(_indexes|_buckets)\b"),
+    "table version stamps (_created/_deleted/_max_stamp/"
+    "_write_generation/_rewrite_generation) or index internals "
+    "(_indexes/_buckets) touched outside repro/db/table.py (use "
+    "the public Table surface — scan_slots, column_values, "
+    "grouped_layout, write_generation, rewrite_generation, "
+    "has_index, hash_index_columns, distinct_count — instead):",
+)
+
+TRANSACTION_RULE = (
+    {"db/database.py", "db/transactions.py"},
+    (re.compile(r"\.(begin|commit|rollback)\("),),
+    "transactions begun, committed or rolled back outside "
+    "repro/db/database.py and repro/db/transactions.py (open "
+    "Database.transaction() instead):",
 )
 
 
-def main() -> int:
+def _violations(allowed: set[str], patterns) -> list[str]:
     violations: list[str] = []
     for path in sorted(SRC.rglob("*.py")):
-        if path in STORAGE_ALLOWED:
+        if path.relative_to(SRC).as_posix() in allowed:
             continue
         for lineno, line in enumerate(
             path.read_text().splitlines(), start=1
@@ -55,21 +76,22 @@ def main() -> int:
             stripped = line.strip()
             if stripped.startswith("#"):
                 continue
-            if any(pattern.search(line) for pattern in STORAGE_FORBIDDEN):
+            if any(pattern.search(line) for pattern in patterns):
                 rel = path.relative_to(SRC.parent.parent)
                 violations.append(f"{rel}:{lineno}: {stripped}")
-    if violations:
-        print(
-            "table version stamps (_created/_deleted/_max_stamp/"
-            "_write_generation/_rewrite_generation) or index internals "
-            "(_indexes/_buckets) touched outside repro/db/table.py (use "
-            "the public Table surface — scan_slots, column_values, "
-            "grouped_layout, write_generation, rewrite_generation, "
-            "has_index, hash_index_columns, distinct_count — instead):",
-            file=sys.stderr,
-        )
-        for violation in violations:
-            print(f"  {violation}", file=sys.stderr)
+    return violations
+
+
+def main() -> int:
+    failed = False
+    for allowed, patterns, message in (STORAGE_RULE, TRANSACTION_RULE):
+        violations = _violations(allowed, patterns)
+        if violations:
+            failed = True
+            print(message, file=sys.stderr)
+            for violation in violations:
+                print(f"  {violation}", file=sys.stderr)
+    if failed:
         return 1
     print(f"storage lint ok ({SRC})")
     return 0
