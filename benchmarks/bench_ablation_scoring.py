@@ -1,6 +1,6 @@
 """Ablation — informativeness measure and join-expansion depth.
 
-DESIGN.md calls out two data-aware design choices:
+It varies two data-aware design choices:
 
 * the informativeness measure (entropy, as in the paper, vs distinct
   count vs Gini impurity), and

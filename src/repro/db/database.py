@@ -1,8 +1,9 @@
 """The :class:`Database` facade: tables + transactions + procedures.
 
-This is the OLTP substrate the paper assumes (it uses PostgreSQL; see
-DESIGN.md for the substitution argument).  The facade layers three things
-over raw :class:`~repro.db.table.Table` storage:
+This is the OLTP substrate the paper assumes (the paper runs on
+PostgreSQL; this in-memory engine stands in for it).  The facade owns
+every :class:`~repro.db.table.Table` and layers three things over
+their storage:
 
 * foreign-key enforcement across tables on insert/update/delete,
 * undo-logged atomic mutations via the transaction manager, and
@@ -44,25 +45,22 @@ class Database:
     def __init__(self, schema: DatabaseSchema) -> None:
         schema.validate()
         self.schema = schema
-        self._tables: dict[str, Table] = {
-            table.name: Table(table) for table in schema
-        }
         self.transactions = TransactionManager(self)
         self.procedures = ProcedureRegistry(self)
         self.clock = GenerationClock()
         self.commit_latch = CommitLatch()
         self.snapshots = SnapshotManager(
-            self.clock, latch=self.commit_latch, on_idle=self._vacuum_all
+            self.clock, self.commit_latch, on_idle=self._vacuum_all
         )
+        in_transaction = self.transactions.in_transaction
+        self._tables: dict[str, Table] = {
+            table.name: Table(table, self.clock, self.snapshots, in_transaction)
+            for table in schema
+        }
         # Incremental persistence: when a DeltaLog is assigned (see
         # ``repro.db.persistence.dump_incremental``) every committed
         # logical mutation is recorded and flushed at the commit point.
         self.delta_log = None
-        for table in self._tables.values():
-            table.bind_versioning(
-                self.clock, self.snapshots, self.transactions.in_transaction
-            )
-        self._commit_point_lock = threading.Lock()
         self._lazy_lock = threading.Lock()
         self._default_connection = None
 
@@ -159,15 +157,23 @@ class Database:
 
         The outermost scope begins a transaction, commits it on normal
         exit and rolls it back (undoing every mutation) on any
-        exception, interrupts and exits included; an inner scope leaves
-        the decision to the outer one.  Concurrent readers keep
-        scanning their pinned snapshots throughout; they observe the
-        whole transaction or none of it.
+        exception, interrupts and exits included.  An inner scope joins
+        the open transaction; one that exits by an exception marks it
+        rollback-only, so the outermost scope (or a bare
+        ``TransactionManager.commit()``) rolls back instead of
+        committing and raises :class:`~repro.errors.TransactionError`,
+        even when the caller caught the inner error.  Concurrent
+        readers keep scanning their pinned snapshots throughout; they
+        observe the whole transaction or none of it.
         """
         with self.write_locked():
             manager = self.transactions
             if manager.in_transaction():
-                yield
+                try:
+                    yield
+                except BaseException:
+                    manager.rollback_only = True
+                    raise
                 return
             manager.begin()
             try:
@@ -200,16 +206,17 @@ class Database:
         return self.clock.current
 
     def notify_data_changed(self) -> None:
-        """Commit point: publish pending stamps."""
-        with self._commit_point_lock:
+        """Commit point: publish pending stamps, under the commit latch
+        (which every writer already holds here)."""
+        with self.write_locked():
             self.clock.advance()
             log = self.delta_log
             if log is not None:
                 log.commit(self.clock.current)
-        # The committing thread's own enclosing pins (a turn that just
-        # booked something) must observe what it published.
-        self.snapshots.refresh_current_thread()
-        self._vacuum_all()
+            # The committing thread's own enclosing pins (a turn that
+            # just booked something) must observe what it published.
+            self.snapshots.refresh_current_thread()
+            self._vacuum_all()
 
     # ------------------------------------------------------------------
     # Mutation (FK-checked, undo-logged)

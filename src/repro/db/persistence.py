@@ -12,6 +12,10 @@ had and plans identically.  Snapshots written before ordered indexes
 were removed also list ``"ordered"`` columns per table; loading ignores
 that list.
 
+Loading inserts every row through ``Database.insert``, in either
+format, so a corrupt or hand-edited file fails with a live insert's
+constraint and type errors instead of loading silently.
+
 Stored procedures are Python callables and cannot be serialised; a
 loaded database starts with an empty procedure registry and the caller
 re-registers its workload (exactly like restoring a SQL dump and
@@ -35,7 +39,7 @@ import json
 import os
 import threading
 import zlib
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.db.database import Database
 from repro.db.schema import Column, DatabaseSchema, ForeignKey, TableSchema
@@ -243,52 +247,70 @@ def _rows_from_v3(body: dict[str, Any]) -> dict[str, list[dict[str, Any]]]:
     return out
 
 
-def _load_v4_rows(database: Database, body: dict[str, Any]) -> None:
-    """Restore a v4 snapshot's rows under their original row ids.
+def _load_rows(database: Database, body: dict[str, Any]) -> None:
+    """Insert a snapshot's rows in FK-dependency order (repeatedly load
+    whichever tables reference only tables already loaded), in one
+    transaction.
 
-    Rows re-enter through ``Table.restore`` (values were coerced and
-    FK-checked before the dump), so any table order works and the id
-    counters advance to exactly the dumped state — replaying a delta
-    log's inserts then re-takes the ids it recorded.  One commit point
-    at the end publishes everything.
+    A snapshot is input from outside the program, so every row goes
+    through :meth:`Database.insert` and gets a live insert's checks:
+    coercion, unknown columns, NOT NULL, unique and outgoing foreign
+    keys.  v3 rows take ids 1..n.  v4 rows keep their recorded ids (the
+    id counter is raised to each before its insert, so the ids must
+    ascend) and each table's counter resumes at its dumped value, so
+    replaying a delta log's inserts re-takes the ids it recorded.
     """
-    row_ids = _content_section(body, "row_ids")
-    next_ids = body.get("next_row_id", {})
-    for name, rows in _rows_from_v3(body).items():
-        table = database.table(name)
-        ids = row_ids.get(name, [])
-        if len(ids) != len(rows):
-            raise DatabaseError(
-                f"snapshot table {name!r}: {len(ids)} row ids for "
-                f"{len(rows)} rows"
-            )
-        for rid, row in zip(ids, rows):
-            table.restore(rid, row)
-        counter = next_ids.get(name)
-        if counter is not None:
-            table.advance_row_counter(counter)
-    database.notify_data_changed()
-
-
-def _insert_v3_rows(database: Database, body: dict[str, Any]) -> None:
-    """Insert a v3 snapshot's rows in FK-dependency order: repeatedly
-    insert whichever tables reference only tables already loaded."""
     remaining = _rows_from_v3(body)
+    if body["format_version"] >= 4:
+        row_ids = _content_section(body, "row_ids")
+        counters = body.get("next_row_id", {})
+    else:
+        row_ids = {name: range(1, len(rows) + 1)
+                   for name, rows in remaining.items()}
+        counters = {}
     loaded: set[str] = set()
-    while remaining:
-        progressed = False
-        for name in list(remaining):
-            schema = database.schema.table(name)
-            depends = {fk.target_table for fk in schema.foreign_keys} - {name}
-            if depends <= loaded:
-                for row in remaining.pop(name):
-                    database.insert(name, row)
-                loaded.add(name)
-                progressed = True
-        if not progressed:
+    with database.transaction():
+        while remaining:
+            progressed = False
+            for name in list(remaining):
+                schema = database.schema.table(name)
+                depends = {fk.target_table for fk in schema.foreign_keys}
+                if depends - {name} <= loaded:
+                    _load_table(database, name, remaining.pop(name),
+                                row_ids.get(name, []), counters.get(name))
+                    loaded.add(name)
+                    progressed = True
+            if not progressed:
+                raise DatabaseError(
+                    f"circular foreign-key dependency among "
+                    f"{sorted(remaining)}"
+                )
+
+
+def _load_table(database: Database, name: str, rows: list[dict[str, Any]],
+                ids: Sequence[Any], counter: Any) -> None:
+    """Insert one table's rows under ``ids``, then resume its id
+    counter at ``counter`` (when recorded)."""
+    if len(ids) != len(rows):
+        raise DatabaseError(
+            f"snapshot table {name!r}: {len(ids)} row ids for "
+            f"{len(rows)} rows"
+        )
+    if any(type(value) is not int for value in [*ids, counter or 0]):
+        raise DatabaseError(
+            f"snapshot table {name!r}: row ids and id counter must be "
+            "integers"
+        )
+    table = database.table(name)
+    for rid, row in zip(ids, rows):
+        table.advance_row_counter(rid)
+        if database.insert(name, row) != rid:
             raise DatabaseError(
-                f"circular foreign-key dependency among {sorted(remaining)}"
+                f"snapshot table {name!r}: row id {rid!r} repeats or is "
+                "out of order"
             )
+    if counter is not None:
+        table.advance_row_counter(counter)
 
 
 def loads_database(payload: str) -> Database:
@@ -301,10 +323,7 @@ def _database_from_body(body: dict[str, Any]) -> Database:
     if version not in _READABLE_VERSIONS:
         raise DatabaseError(f"unsupported snapshot version {version!r}")
     database = Database(_schema_from_payload(body["schema"]))
-    if version >= 4:
-        _load_v4_rows(database, body)
-    else:
-        _insert_v3_rows(database, body)
+    _load_rows(database, body)
     for name, indexes in body.get("indexes", {}).items():
         if name not in database:
             raise DatabaseError(

@@ -18,9 +18,10 @@ snapshot-isolated reads:
   database state while writers append freely.
 
 Why this is safe without a readers–writer lock: bank cells of a
-published (visible) slot are never mutated in place — updates append a
-new version slot and tombstone the old one — so a reader holding a
-slot list can dereference cells lock-free.  The only multi-step
+published (visible) slot are never mutated in place — every update
+appends a new version slot and tombstones the old one — so a reader
+holding a slot list can dereference cells lock-free, even one that
+pins between a write and its commit point.  The only multi-step
 structures (slot maps, index arrays, memo caches) are read and rebuilt
 under each table's short structure latch, held per operation rather
 than per turn.  Writers serialise whole transactions on the database's
@@ -109,7 +110,7 @@ class SnapshotManager:
     def __init__(
         self,
         clock: GenerationClock,
-        latch: CommitLatch | None = None,
+        latch: CommitLatch,
         on_idle: Callable[[], None] | None = None,
     ) -> None:
         self._clock = clock
@@ -176,10 +177,7 @@ class SnapshotManager:
         own uncommitted changes).
         """
         stack = getattr(self._local, "stack", None)
-        if not stack:
-            return None
-        latch = self._latch
-        if latch is not None and latch.held_by_current_thread:
+        if not stack or self._latch.held_by_current_thread:
             return None
         return stack[-1].generation
 
@@ -190,8 +188,7 @@ class SnapshotManager:
         thread holding the commit latch reads every stamp up to the
         pending generation, its own uncommitted writes included.
         """
-        latch = self._latch
-        if latch is not None and latch.held_by_current_thread:
+        if self._latch.held_by_current_thread:
             return self._clock.current + 1
         stack = getattr(self._local, "stack", None)
         return stack[-1].generation if stack else self._clock.current
@@ -216,18 +213,6 @@ class SnapshotManager:
             if self._pinned:
                 return min(self._pinned)
             return self._clock.current
-
-    @contextmanager
-    def pins_blocked(self) -> Iterator[bool]:
-        """Hold new pin registration; yields whether no pin is live.
-
-        The storage layer's in-place fast paths (mutating published
-        cells directly, exactly as the pre-MVCC code did) are only
-        sound while no reader is pinned *and* none can pin mid-write;
-        they run inside this scope when it yields ``True``.
-        """
-        with self._mutex:
-            yield not self._pinned
 
     # ------------------------------------------------------------------
     def refresh_current_thread(self) -> None:

@@ -10,21 +10,20 @@ mode runs on: predicates and reductions evaluate directly over the
 column lists with C-level builtins instead of materialising one dict
 per row (see :mod:`repro.db.engine.executor`).
 
-On top of the banks sits a multi-version store.  Every slot carries two
+On top of the banks sits a multi-version store.  Every table belongs to
+a :class:`~repro.db.database.Database`, and every slot carries two
 stamps from the database's :class:`~repro.db.snapshots.GenerationClock`:
 the generation that created it and (eventually) the generation that
-deleted it.  Writers never mutate a published cell — an update appends
-a fresh version slot for the same row id and tombstones the old one; a
-delete just tombstones — so readers pinned at generation ``g`` (see
-:class:`~repro.db.snapshots.SnapshotManager`) resolve a consistent
-snapshot by filtering slots with ``created <= g < deleted`` and can
-dereference bank cells lock-free.  Physical reclamation is deferred to
-:meth:`Table.vacuum`, gated on the oldest pinned generation.  Two fast
-paths keep the common case at pre-MVCC speed: a pinned read whose
-generation covers every stamp (``_max_stamp <= g``) uses the exact
-current-state structures, and a table not attached to a database (or
-one with no pinned reader) mutates in place exactly as the pre-MVCC
-code did.
+deleted it.  Writers never mutate a published cell — every update
+appends a fresh version slot for the same row id and tombstones the
+old one; a delete just tombstones — so readers pinned at generation
+``g`` (see :class:`~repro.db.snapshots.SnapshotManager`) resolve a
+consistent snapshot by filtering slots with ``created <= g < deleted``
+and can dereference bank cells lock-free.  Physical reclamation is
+deferred to :meth:`Table.vacuum`, gated on the oldest pinned
+generation.  One fast path keeps the common case at pre-MVCC speed: a
+pinned read with no write to the table after its generation
+(``write_generation <= g``) uses the exact current-state structures.
 
 Structure reads and mutations synchronise on a short per-table latch
 (``_latch``) held per operation — never for a whole turn; whole writer
@@ -145,9 +144,16 @@ class _HashIndex:
 
 
 class Table:
-    """Mutable columnar MVCC storage for the rows of one table schema."""
+    """Mutable columnar MVCC storage for the rows of one table schema,
+    built by :class:`~repro.db.database.Database` only."""
 
-    def __init__(self, schema: TableSchema) -> None:
+    def __init__(
+        self,
+        schema: TableSchema,
+        clock: GenerationClock,
+        snapshots: SnapshotManager,
+        in_transaction: Callable[[], bool],
+    ) -> None:
         self.schema = schema
         self._columns: tuple[str, ...] = tuple(schema.column_names)
         self._banks: dict[str, list] = {c: [] for c in self._columns}
@@ -162,17 +168,12 @@ class Table:
         self._created: list[int] = []
         self._deleted: list[int | None] = []
         self._dead: set[int] = set()
-        self._max_stamp = 0
-        # See write_generation and rewrite_generation; unlike
-        # _max_stamp, vacuum never lowers them.
+        # See write_generation and rewrite_generation.
         self._write_generation = 0
         self._rewrite_generation = 0
-        # Standalone tables own a private clock and advance it per
-        # mutation (single-threaded semantics, immediate reclamation);
-        # Database rebinds both to its shared clock/snapshot manager.
-        self._clock = GenerationClock()
-        self._snapshots: SnapshotManager | None = None
-        self._in_transaction: Callable[[], bool] | None = None
+        self._clock = clock
+        self._snapshots = snapshots
+        self._in_transaction = in_transaction
         self._latch = threading.RLock()
         # _dense: slots, walked front to back, are exactly the rows in
         # ascending row-id order with no holes — the common append-only
@@ -200,45 +201,16 @@ class Table:
                 self.create_index(column.name)
 
     # ------------------------------------------------------------------
-    # MVCC wiring
+    # MVCC reads
     # ------------------------------------------------------------------
-    def bind_versioning(
-        self,
-        clock: GenerationClock,
-        snapshots: SnapshotManager,
-        in_transaction: Callable[[], bool] | None = None,
-    ) -> None:
-        """Attach the database's shared clock and snapshot manager.
-
-        Called by :class:`~repro.db.database.Database` on (empty)
-        tables it owns; from then on commit points advance the shared
-        clock and reclamation is gated on pinned snapshots.
-        ``in_transaction`` reports an open multi-statement transaction —
-        while one is open, updates must version-append even with no
-        reader pinned, because a reader pinning *before the commit*
-        must not see any of the transaction's writes.
-        """
-        self._clock = clock
-        self._snapshots = snapshots
-        self._in_transaction = in_transaction
-
     def _pin_generation(self) -> int | None:
         """The calling thread's pinned generation, or None for current."""
-        snapshots = self._snapshots
-        if snapshots is None:
-            return None
-        return snapshots.active_generation()
+        return self._snapshots.active_generation()
 
     def _stale(self, generation: int | None) -> bool:
-        """Latch-held: must this read take the visibility-filtered path?"""
-        return generation is not None and self._max_stamp > generation
-
-    def _autocommit(self) -> None:
-        """Standalone-table mode: each mutation is its own commit."""
-        if self._snapshots is None:
-            self._clock.advance()
-            if self._dead:
-                self.vacuum()
+        """Must this read take the visibility-filtered path?  Yes once
+        the table has been written after the reader's pin."""
+        return generation is not None and self._write_generation > generation
 
     # ------------------------------------------------------------------
     # Snapshot structures (built and memoised under the latch)
@@ -391,8 +363,8 @@ class Table:
         Returns a :class:`range` covering the banks whole when the table
         is dense (no holes, slots already in id order) so batched
         operators can run directly over the full column lists.  A
-        pinned reader whose generation predates newer stamps gets the
-        visibility-filtered slot list instead.
+        pinned reader whose generation predates a write to the table
+        gets the visibility-filtered slot list instead.
         """
         generation = self._pin_generation()
         with self._latch:
@@ -437,9 +409,9 @@ class Table:
         memoised until the next mutation.  Returns ``None`` when the
         column is unindexed or holds NULLs (NULL keys never enter the
         index, so the buckets would not cover the table), and for a
-        pinned reader whose snapshot predates newer stamps — the index
-        describes current state, so the executor falls back to its
-        scan-based grouping for that turn.
+        pinned reader whose snapshot predates a write to the table —
+        the index describes current state, so the executor falls back
+        to its scan-based grouping for that turn.
         """
         index = self._indexes.get(column)
         if index is None:
@@ -603,22 +575,14 @@ class Table:
         for column, bank in zip(self._columns, self._bank_list):
             bank[slot] = row[column]
 
-    def _mark_written(self, rewrite: bool = False) -> int:
-        """Latch-held: record a write at the pending generation, with
-        ``rewrite`` one that gave an existing row id new cells."""
+    def _stamp(self, rewrite: bool = False) -> int:
+        """Latch-held: the pending generation, recorded as a write (with
+        ``rewrite``, one that gave an existing row id new cells)."""
         stamp = self._clock.pending
         if stamp > self._write_generation:
             self._write_generation = stamp
         if rewrite and stamp > self._rewrite_generation:
             self._rewrite_generation = stamp
-        return stamp
-
-    def _stamp(self, rewrite: bool = False) -> int:
-        """The pending generation, recorded as this table's newest stamp
-        (and as a write)."""
-        stamp = self._mark_written(rewrite)
-        if stamp > self._max_stamp:
-            self._max_stamp = stamp
         return stamp
 
     def insert(self, values: dict[str, Any]) -> int:
@@ -643,19 +607,19 @@ class Table:
             self._write_slot(slot, row)
             for column, index in self._indexes.items():
                 index.add(row[column], row_id)
-        self._autocommit()
         return row_id
 
     def update(self, row_id: int, changes: dict[str, Any]) -> Row:
         """Apply ``changes`` to an existing row; returns a copy of the old row.
 
-        Version semantics: while any reader is pinned, the update
-        appends a fresh version slot and tombstones the old one, so the
-        pinned snapshot keeps reading the old cells.  With no pins live
-        (and registration blocked for the duration), or when the slot
-        was created by the still-uncommitted pending generation (its
-        cells are invisible to every snapshot), the update writes in
-        place — the pre-MVCC fast path, which also preserves density.
+        The new cells go to a fresh version slot stamped with the
+        pending generation, at the tail or in a freed slot, and the old
+        slot is tombstoned at the same stamp, so every snapshot pinned
+        before the commit keeps reading the old cells.  A slot the open
+        transaction created is superseded like any other: its tombstone
+        has ``created == deleted`` and the next vacuum frees it.  The
+        table then scans through a sorted slot list, not the banks
+        whole.
         """
         slot = self._slot_of[row_id]
         old = self._row_at(slot)
@@ -665,66 +629,30 @@ class Table:
             new[column] = coerce(value, col.dtype)
         self._check_not_null(new)
         self._check_unique(new, exclude_row_id=row_id)
-        snapshots = self._snapshots
         with self._latch:
-            if snapshots is None or self._created[slot] == self._clock.pending:
-                self._update_in_place(row_id, slot, old, new)
-            elif self._in_transaction is not None and self._in_transaction():
-                # Mid-transaction, "no pins right now" is not enough: a
-                # reader pinning before the commit must see none of the
-                # transaction's writes, so the committed slot must
-                # survive untouched until then.
-                self._append_version(row_id, slot, old, new)
-            else:
-                with snapshots.pins_blocked() as unpinned:
-                    if unpinned:
-                        self._update_in_place(row_id, slot, old, new)
-                    else:
-                        self._append_version(row_id, slot, old, new)
-        self._autocommit()
+            self._mutations += 1
+            stamp = self._stamp(rewrite=True)
+            self._deleted[slot] = stamp
+            self._dead.add(slot)
+            new_slot = self._allocate_slot(row_id, stamp)
+            self._write_slot(new_slot, new)
+            # The superseded slot stays occupied until vacuum: the
+            # layout has a non-live resident, so the dense fast path is
+            # off.
+            self._dense = False
+            for column, index in self._indexes.items():
+                if old[column] != new[column]:
+                    index.remove(old[column], row_id)
+                    index.add(new[column], row_id)
         return old
-
-    def _update_in_place(
-        self, row_id: int, slot: int, old: Row, new: Row
-    ) -> None:
-        """Latch-held: overwrite the slot's cells (no visible snapshot)."""
-        self._mutations += 1
-        # No new version slot, so no stamp — but still a write.
-        self._mark_written(rewrite=True)
-        for column, index in self._indexes.items():
-            if old[column] != new[column]:
-                index.remove(old[column], row_id)
-                index.add(new[column], row_id)
-        banks = self._banks
-        for column, value in new.items():
-            if old[column] is not value:
-                banks[column][slot] = value
-
-    def _append_version(
-        self, row_id: int, slot: int, old: Row, new: Row
-    ) -> None:
-        """Latch-held: publish ``new`` as a fresh version of ``row_id``."""
-        self._mutations += 1
-        stamp = self._stamp(rewrite=True)
-        self._deleted[slot] = stamp
-        self._dead.add(slot)
-        new_slot = self._allocate_slot(row_id, stamp)
-        self._write_slot(new_slot, new)
-        # The superseded slot stays occupied until vacuum: the layout
-        # has a non-live resident, so the dense fast path is off.
-        self._dense = False
-        for column, index in self._indexes.items():
-            if old[column] != new[column]:
-                index.remove(old[column], row_id)
-                index.add(new[column], row_id)
 
     def delete(self, row_id: int) -> Row:
         """Delete a row; returns a copy of it (for undo logs).
 
         The slot is tombstoned (stamped dead at the pending generation),
         not cleared: pinned snapshots older than the delete keep reading
-        it until :meth:`vacuum` reclaims it.  Standalone tables vacuum
-        immediately, reproducing the pre-MVCC physical layout exactly.
+        it until :meth:`vacuum`, which the database runs at every commit
+        point, reclaims it.
         """
         with self._latch:
             slot = self._slot_of.pop(row_id)
@@ -736,7 +664,6 @@ class Table:
             self._dense = False
             for column, index in self._indexes.items():
                 index.remove(row[column], row_id)
-        self._autocommit()
         return row
 
     def restore(self, row_id: int, row: Row) -> None:
@@ -754,7 +681,6 @@ class Table:
             self._next_row_id = max(self._next_row_id, row_id + 1)
             for column, index in self._indexes.items():
                 index.add(row.get(column), row_id)
-        self._autocommit()
 
     # ------------------------------------------------------------------
     # Vacuum (physical reclamation)
@@ -765,17 +691,19 @@ class Table:
         A slot is reclaimable when its delete stamp is at or below the
         oldest pinned generation (every live and future pin reads past
         it) or when it was created and deleted at the same generation
-        (a rolled-back birth: visible at no generation at all).  The
-        pass also restores the dense-scan invariants the pre-MVCC
-        delete maintained inline: trailing holes are shed, a fully
-        emptied table resets its banks wholesale, and density returns
-        once no hole or dead slot remains.
+        (a version superseded or rolled back before its commit: visible
+        at no generation at all).  The pass also restores the dense-scan invariants the
+        pre-MVCC delete maintained inline: trailing holes are shed, a
+        fully emptied table resets its banks wholesale, and density
+        returns once no hole or dead slot remains.  It costs what it
+        reclaims: a pass walks the dead slots and the trailing holes,
+        never the whole table.
         """
         with self._latch:
             if not self._dead:
                 return 0
             pending = self._clock.pending
-            if self._in_transaction is None or not self._in_transaction():
+            if not self._in_transaction():
                 # Aborted version-appends: the rollback restored the old
                 # image into a pending-created duplicate while the
                 # original sits tombstoned at the same (never-committed)
@@ -859,21 +787,6 @@ class Table:
             self._group_layouts.clear()
             self._group_tallies.clear()
             self._visible_cache.clear()
-            # Recompute the newest stamp still resident: once the clock
-            # has advanced past every remaining stamp, pinned readers
-            # get their exact fast paths back.
-            stamp = 0
-            created = self._created
-            deleted = self._deleted
-            for slot, rid in enumerate(self._id_at):
-                if rid is None:
-                    continue
-                if created[slot] > stamp:
-                    stamp = created[slot]
-                ended = deleted[slot]
-                if ended is not None and ended > stamp:
-                    stamp = ended
-            self._max_stamp = stamp
             return len(freed)
 
     # ------------------------------------------------------------------
@@ -973,8 +886,8 @@ class Table:
         reader sees.
 
         O(1) on an indexed column (its bucket count) unless the reader's
-        snapshot predates newer stamps; otherwise the reader's visible
-        slots are counted.
+        snapshot predates a write to the table; otherwise the reader's
+        visible slots are counted.
         """
         generation = self._pin_generation()
         with self._latch:

@@ -45,13 +45,16 @@ class TransactionManager:
 
     Nested ``begin`` calls are not allowed: an inner
     :meth:`Database.transaction <repro.db.database.Database.transaction>`
-    scope joins the open transaction instead.
+    scope joins the open transaction instead, and marks it
+    ``rollback_only`` when it exits by an exception.
     """
 
     def __init__(self, database: "Database") -> None:
         self._database = database
         # The open transaction's undo log, or None outside a transaction.
         self._undo_log: list[UndoRecord] | None = None
+        # Set by a failed inner scope: commit() then rolls back instead.
+        self.rollback_only = False
         self.committed_count = 0
         self.aborted_count = 0
 
@@ -64,9 +67,15 @@ class TransactionManager:
         if self._undo_log is not None:
             raise TransactionError("a transaction is already active")
         self._undo_log = []
+        self.rollback_only = False
 
     def commit(self) -> None:
         self._require_active()
+        if self.rollback_only:
+            self.rollback()
+            raise TransactionError(
+                "transaction rolled back: an inner scope failed"
+            )
         self._undo_log = None
         self.committed_count += 1
         self._database.notify_data_changed()

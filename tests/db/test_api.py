@@ -630,6 +630,30 @@ class TestExecutionApiLint:
             "  src/repro/executor.py:8: manager.commit()",
         ]
 
+    def test_tables_built_outside_the_database_are_flagged(
+        self, lint, tmp_path, monkeypatch, capsys
+    ):
+        src = tmp_path / "src" / "repro"
+        (src / "db").mkdir(parents=True)
+        (src / "db" / "database.py").write_text(
+            "def tables(schema, clock, snapshots, active):\n"
+            "    return [Table(t, clock, snapshots, active) for t in schema]\n"
+        )
+        (src / "db" / "table.py").write_text(
+            "def describe(table):\n"
+            "    return f\"Table({table.name!r})\"\n"
+        )
+        (src / "scratch.py").write_text(
+            "def scratch_table(schema):\n"
+            "    return Table(schema)\n"
+            "def scratch_schema(name):\n"
+            "    return TableSchema(name, [])\n"
+        )
+        monkeypatch.setattr(lint, "SRC", src)
+        assert lint.main() == 1
+        flagged = capsys.readouterr().err.splitlines()[1:]
+        assert flagged == ["  src/repro/scratch.py:2: return Table(schema)"]
+
     def test_index_internals_read_outside_storage_are_flagged(
         self, lint, tmp_path, monkeypatch, capsys
     ):

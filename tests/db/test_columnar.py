@@ -10,6 +10,7 @@ comparisons, OR short-circuiting) must behave identically in both.
 
 import datetime as dt
 import random
+import threading
 
 import pytest
 
@@ -41,14 +42,14 @@ from repro.db.aggregation import (
     sum_,
 )
 from repro.db.engine import execute_row_ids
-from repro.db.table import RowView, Table
+from repro.db.table import RowView
 from repro.errors import QueryError
 
 from tests.db import reference_executor as reference
 
 
 @pytest.fixture()
-def customers():
+def customer_db():
     schema = TableSchema(
         "customer",
         [
@@ -58,123 +59,155 @@ def customers():
         ],
         primary_key="customer_id",
     )
-    return Table(schema)
+    return Database(DatabaseSchema([schema]))
 
 
-def _fill(table, n=5):
+@pytest.fixture()
+def customers(customer_db):
+    return customer_db.table("customer")
+
+
+def _fill(database, n=5):
+    """Insert customers 1..n; each insert reaches a commit point."""
     for i in range(1, n + 1):
-        table.insert(
+        database.insert(
+            "customer",
             {"customer_id": i, "name": f"c{i}",
-             "city": "Worms" if i % 2 else "Mainz"}
+             "city": "Worms" if i % 2 else "Mainz"},
         )
 
 
 class TestColumnBanks:
-    def test_dense_scan_is_a_full_range(self, customers):
-        _fill(customers)
+    def test_dense_scan_is_a_full_range(self, customer_db, customers):
+        _fill(customer_db)
         slots = customers.scan_slots()
         assert type(slots) is range
         assert len(slots) == 5
 
-    def test_delete_in_middle_breaks_density_and_frees_slot(self, customers):
-        _fill(customers)
-        customers.delete(3)
+    def test_delete_in_middle_breaks_density_and_frees_slot(
+        self, customer_db, customers
+    ):
+        _fill(customer_db)
+        customer_db.delete("customer", 3)
         slots = customers.scan_slots()
         assert type(slots) is list
         assert customers.ids_for_slots(slots) == [1, 2, 4, 5]
 
-    def test_insert_reuses_freed_slot(self, customers):
-        _fill(customers)
+    def test_insert_reuses_freed_slot(self, customer_db, customers):
+        _fill(customer_db)
         freed_slot = customers._slot_of[3]
-        customers.delete(3)
-        rid = customers.insert({"customer_id": 9, "name": "c9"})
+        customer_db.delete("customer", 3)
+        rid = customer_db.insert("customer", {"customer_id": 9, "name": "c9"})
         assert customers._slot_of[rid] == freed_slot
         # Bank length unchanged: the hole was recycled, not appended to.
         assert len(customers.bank_map()["customer_id"]) == 5
         # Scans still come out in ascending row-id order.
         assert [row["customer_id"] for row in customers] == [1, 2, 4, 5, 9]
 
-    def test_tail_delete_keeps_layout_hole_free(self, customers):
-        _fill(customers)
-        customers.delete(5)
+    def test_tail_delete_keeps_layout_hole_free(self, customer_db, customers):
+        _fill(customer_db)
+        customer_db.delete("customer", 5)
         assert type(customers.scan_slots()) is range
         assert len(customers.bank_map()["customer_id"]) == 4
 
-    def test_tail_delete_sheds_trailing_freed_slots(self, customers):
-        _fill(customers)
-        customers.delete(4)  # hole at slot 3
-        customers.delete(5)  # tail pop should also shed the hole
+    def test_tail_delete_sheds_trailing_freed_slots(
+        self, customer_db, customers
+    ):
+        _fill(customer_db)
+        customer_db.delete("customer", 4)  # hole at slot 3
+        customer_db.delete("customer", 5)  # tail pop also sheds the hole
         assert len(customers.bank_map()["customer_id"]) == 3
         assert customers._free == set()
-        rid = customers.insert({"customer_id": 6, "name": "c6"})
+        rid = customer_db.insert("customer", {"customer_id": 6, "name": "c6"})
         assert sorted(customers.row_ids())[-1] == rid
 
-    def test_emptying_table_resets_banks(self, customers):
-        _fill(customers, 3)
+    def test_emptying_table_resets_banks(self, customer_db, customers):
+        _fill(customer_db, 3)
         for rid in list(customers.row_ids()):
-            customers.delete(rid)
+            customer_db.delete("customer", rid)
         assert len(customers) == 0
         assert customers.bank_map()["name"] == []
         assert type(customers.scan_slots()) is range
-        _fill(customers, 2)
+        _fill(customer_db, 2)
         assert [row["name"] for row in customers] == ["c1", "c2"]
 
-    def test_update_writes_in_place(self, customers):
-        _fill(customers, 2)
-        old = customers.update(1, {"city": "Speyer"})
-        assert old["city"] == "Worms"
+    def test_update_appends_a_version(self, customer_db, customers):
+        _fill(customer_db, 2)
+        customer_db.create_index("customer", "city")
+        old_slot = customers._slot_of[1]
+        assert customers.get(1)["city"] == "Worms"
+        customer_db.update("customer", 1, {"city": "Speyer"})
+        # The new version went to the tail, and the autocommit's vacuum
+        # freed the old slot.
+        assert customers._slot_of[1] == 2
+        assert customers._free == {old_slot}
+        assert len(customers.bank_map()["city"]) == 3
         assert customers.get(1)["city"] == "Speyer"
-        assert len(customers.bank_map()["city"]) == 2
+        # The index follows the row to its new cells.
+        assert customers.lookup("city", "Speyer") == [1]
+        assert customers.lookup("city", "Worms") == []
 
-    def test_restore_roundtrips_through_slot_reuse(self, customers):
-        _fill(customers)
+    def test_restore_roundtrips_through_slot_reuse(
+        self, customer_db, customers
+    ):
+        _fill(customer_db)
         row = customers.delete(2)
         customers.delete(4)
+        customer_db.notify_data_changed()  # its vacuum frees both slots
         customers.restore(2, row)
+        assert customers._slot_of[2] in (1, 3)
         assert customers.get(2) == row
         assert [r["customer_id"] for r in customers] == [1, 2, 3, 5]
         # The hash index was rebuilt for the restored row.
         assert customers.lookup("customer_id", 2) == [2]
 
-    def test_restore_after_newer_inserts_keeps_id_order(self, customers):
-        _fill(customers, 2)
+    def test_restore_after_newer_inserts_keeps_id_order(
+        self, customer_db, customers
+    ):
+        _fill(customer_db, 2)
         row = customers.delete(1)
         customers.insert({"customer_id": 7, "name": "c7"})
         customers.restore(1, row)
         assert [r["customer_id"] for r in customers] == [1, 2, 7]
 
-    def test_density_recovers_once_holes_drain(self, customers):
-        _fill(customers)
-        customers.delete(3)  # mid-table hole: slow scan path
+    def test_density_recovers_once_holes_drain(self, customer_db, customers):
+        _fill(customer_db)
+        customer_db.delete("customer", 3)  # mid-table hole: slow scan path
         assert type(customers.scan_slots()) is list
-        customers.delete(5)
-        customers.delete(4)  # tail deletes shed the hole
+        customer_db.delete("customer", 5)
+        customer_db.delete("customer", 4)  # tail deletes shed the hole
         assert customers._free == set()
         assert type(customers.scan_slots()) is range
         assert [row["customer_id"] for row in customers] == [1, 2]
 
-    def test_density_stays_lost_after_slot_reuse(self, customers):
-        _fill(customers)
-        customers.delete(3)
-        customers.insert({"customer_id": 9, "name": "c9"})  # reuses slot
-        customers.delete(5)  # tail delete; free is empty but order broke
+    def test_density_stays_lost_after_slot_reuse(
+        self, customer_db, customers
+    ):
+        _fill(customer_db)
+        customer_db.delete("customer", 3)
+        # Reuses the freed slot.
+        customer_db.insert("customer", {"customer_id": 9, "name": "c9"})
+        # Tail delete; free is empty but the order broke.
+        customer_db.delete("customer", 5)
         assert customers._free == set()
         assert type(customers.scan_slots()) is list
         assert [row["customer_id"] for row in customers] == [1, 2, 4, 9]
 
-    def test_ascending_delete_sweep_leaves_clean_layout(self, customers):
+    def test_ascending_delete_sweep_leaves_clean_layout(
+        self, customer_db, customers
+    ):
         # Deleting every row front-to-back turns each row into a hole
         # until the final tail delete sheds them all at once; the banks
         # must come out empty with nothing left on the free set.
-        _fill(customers, 200)
+        _fill(customer_db, 200)
         for rid in customers.row_ids():
-            customers.delete(rid)
+            customer_db.delete("customer", rid)
         assert len(customers) == 0
         assert customers._free == set()
         assert customers.bank_map()["name"] == []
 
-    def test_column_arrays_shares_one_slot_pass(self, customers):
-        _fill(customers, 4)
+    def test_column_arrays_shares_one_slot_pass(self, customer_db, customers):
+        _fill(customer_db, 4)
         customers.delete(2)
         arrays = customers.column_arrays()
         assert arrays["customer_id"] == [1, 3, 4]
@@ -183,8 +216,10 @@ class TestColumnBanks:
         arrays["name"].append("zz")
         assert customers.column_values("name") == ["c1", "c3", "c4"]
 
-    def test_iteration_is_a_snapshot_under_mutation(self, customers):
-        _fill(customers, 3)
+    def test_iteration_is_a_snapshot_under_mutation(
+        self, customer_db, customers
+    ):
+        _fill(customer_db, 3)
         it = iter(customers)
         first = next(it)
         customers.delete(2)
@@ -193,8 +228,8 @@ class TestColumnBanks:
         assert first["customer_id"] == 1
         assert [row["customer_id"] for row in rest] == [2, 3]
 
-    def test_column_values_reads_banks(self, customers):
-        _fill(customers, 3)
+    def test_column_values_reads_banks(self, customer_db, customers):
+        _fill(customer_db, 3)
         assert customers.column_values("name") == ["c1", "c2", "c3"]
         customers.delete(2)
         assert customers.column_values("name") == ["c1", "c3"]
@@ -202,8 +237,8 @@ class TestColumnBanks:
 
 
 class TestRowView:
-    def test_mapping_protocol(self, customers):
-        _fill(customers, 1)
+    def test_mapping_protocol(self, customer_db, customers):
+        _fill(customer_db, 1)
         view = customers.row_view(1)
         assert isinstance(view, RowView)
         assert view["name"] == "c1"
@@ -217,8 +252,8 @@ class TestRowView:
         with pytest.raises(KeyError):
             view["nope"]
 
-    def test_equals_dict_and_copies(self, customers):
-        _fill(customers, 1)
+    def test_equals_dict_and_copies(self, customer_db, customers):
+        _fill(customer_db, 1)
         view = customers.row_view(1)
         materialised = customers.get(1)
         assert view == materialised
@@ -227,11 +262,20 @@ class TestRowView:
         materialised["city"] = "elsewhere"
         assert customers.get(1)["city"] == "Worms"
 
-    def test_view_reflects_updates(self, customers):
-        _fill(customers, 1)
-        view = customers.row_view(1)
-        customers.update(1, {"city": "Speyer"})
-        assert view["city"] == "Speyer"
+    def test_view_reflects_updates(self, customer_db, customers):
+        _fill(customer_db, 1)
+        with customer_db.read_locked():
+            view = customers.row_view(1)
+            # Another thread's update: a commit on this thread would
+            # refresh this thread's own pin.
+            writer = threading.Thread(target=customer_db.update, args=(
+                "customer", 1, {"city": "Speyer"}
+            ))
+            writer.start()
+            writer.join()
+            # The pinned view keeps the old version's cells.
+            assert view["city"] == "Worms"
+        assert customers.row_view(1)["city"] == "Speyer"
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,61 @@ class TestColumnarSnapshotFormat:
             loads_database(json.dumps(body))
 
 
+def _dangling_foreign_key(columns):
+    assert 99 not in columns["movie"]["movie_id"]
+    columns["screening"]["movie_id"][0] = 99
+
+
+def _repeated_primary_key(columns):
+    keys = columns["movie"]["movie_id"]
+    keys[1] = keys[0]
+
+
+def _null_in_not_null_column(columns):
+    columns["movie"]["title"][0] = None
+
+
+def _text_in_integer_column(columns):
+    columns["screening"]["capacity"][0] = "x"
+
+
+class TestCorruptRowsRejected:
+    """A snapshot is input from outside the program: a row a live insert
+    would reject fails the load in either format."""
+
+    @pytest.mark.parametrize("version", [3, 4])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_dangling_foreign_key, _repeated_primary_key,
+         _null_in_not_null_column, _text_in_integer_column],
+        ids=lambda corrupt: corrupt.__name__.lstrip("_"),
+    )
+    def test_corrupt_row_rejected(self, movie_db, corrupt, version):
+        import json
+
+        database, __ = movie_db
+        body = json.loads(dumps_database(database, version=version))
+        corrupt(body["columns"])
+        with pytest.raises(DatabaseError):
+            loads_database(json.dumps(body))
+
+    @pytest.mark.parametrize("edit", ["repeated", "text", "text_counter"])
+    def test_bad_v4_row_id_rejected(self, movie_db, edit):
+        import json
+
+        database, __ = movie_db
+        body = json.loads(dumps_database(database, version=4))
+        row_ids = body["row_ids"]["movie"]
+        if edit == "repeated":
+            row_ids[1] = row_ids[0]
+        elif edit == "text":
+            row_ids[0] = "x"
+        else:
+            body["next_row_id"]["movie"] = "x"
+        with pytest.raises(DatabaseError, match="row id"):
+            loads_database(json.dumps(body))
+
+
 class _InjectedFailure(Exception):
     pass
 

@@ -13,7 +13,7 @@ from repro.db import (
     Procedure,
     TableSchema,
 )
-from repro.errors import ProcedureError
+from repro.errors import ProcedureError, TransactionError
 
 
 @pytest.fixture()
@@ -159,6 +159,36 @@ class TestAtomicity:
         db.transactions.begin()
         db.procedures.call("take_stock", item_id=1, amount=1)
         db.transactions.rollback()
+        assert db.find_one("item", "item_id", 1)["stock"] == 5
+
+    def test_failed_inner_scope_rolls_back_the_outer_transaction(self, db):
+        # The caller catches the procedure's error; its half-applied
+        # update must still not commit with the outer scope.
+        db.procedures.register(make_procedure())
+        transactions = db.transactions
+        committed = transactions.committed_count
+        aborted = transactions.aborted_count
+        with pytest.raises(TransactionError):
+            with db.transaction():
+                with pytest.raises(ProcedureError):
+                    db.procedures.call("take_stock", item_id=1, amount=99)
+        assert db.find_one("item", "item_id", 1)["stock"] == 5
+        assert transactions.aborted_count == aborted + 1
+        assert transactions.committed_count == committed
+        assert not transactions.in_transaction()
+        db.procedures.call("take_stock", item_id=1, amount=2)
+        assert db.find_one("item", "item_id", 1)["stock"] == 3
+        assert transactions.committed_count == committed + 1
+
+    def test_failed_inner_scope_makes_a_bare_commit_roll_back(self, db):
+        db.procedures.register(make_procedure())
+        with db.write_locked():
+            db.transactions.begin()
+            with pytest.raises(ProcedureError):
+                db.procedures.call("take_stock", item_id=1, amount=99)
+            with pytest.raises(TransactionError):
+                db.transactions.commit()
+        assert not db.transactions.in_transaction()
         assert db.find_one("item", "item_id", 1)["stock"] == 5
 
 

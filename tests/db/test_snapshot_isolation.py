@@ -147,18 +147,70 @@ class TestSnapshotVisibility:
             assert db.count("account") == 5
 
     def test_rollback_leaves_no_trace(self, db):
+        account = db.table("account")
         db.transactions.begin()
         db.insert(
             "account", {"account_id": 70, "balance": 3, "group_id": "gz"}
         )
-        rid = db.table("account").lookup("account_id", 1)[0]
+        rid = account.lookup("account_id", 1)[0]
         db.update("account", rid, {"balance": 41})
         db.transactions.rollback()
+
+        def reads():
+            return (
+                db.count("account"),
+                account.get(rid)["balance"],
+                account.column_values("balance"),
+                account.lookup("account_id", 1),
+                account.lookup("account_id", 70),
+                account.distinct_count("account_id"),
+                account.distinct_count("group_id"),
+            )
+
+        unpinned = reads()
+        assert unpinned[:2] == (4, 0)
         with db.read_locked():
-            assert db.count("account") == 4
-            assert db.table("account").get(rid)["balance"] == 0
+            # The rolled-back writes raised the write generation past
+            # the pin, so these reads take the visibility-filtered path
+            # and must agree with the current-state structures.
+            assert account.write_generation > db.snapshot_version()
+            assert reads() == unpinned
         # Rolled-back versions are vacuumed, not leaked.
-        assert db.table("account")._dead == set()
+        assert account._dead == set()
+
+    def test_autocommit_update_is_invisible_until_its_commit_point(
+        self, monkeypatch
+    ):
+        # A reader that pins after an update outside a transaction wrote
+        # its cells, but before its commit point, is pinned at the old
+        # generation and must read the old cells.
+        database = Database(DatabaseSchema([TableSchema(
+            "movie",
+            [Column("movie_id", DataType.INTEGER),
+             Column("title", DataType.TEXT)],
+            primary_key="movie_id",
+        )]))
+        database.insert("movie", {"movie_id": 1, "title": "old"})
+        movie = database.table("movie")
+        commit = database.notify_data_changed
+        seen = {}
+
+        def read():
+            with database.read_locked():
+                seen["generation"] = database.snapshot_version()
+                seen["get"] = movie.get(1)["title"]
+                seen["column_values"] = movie.column_values("title")
+
+        def read_then_commit():
+            _on_thread(read)
+            commit()
+
+        monkeypatch.setattr(database, "notify_data_changed", read_then_commit)
+        database.update("movie", 1, {"title": "new"})
+        assert seen == {
+            "generation": 1, "get": "old", "column_values": ["old"],
+        }
+        assert movie.get(1)["title"] == "new"
 
     def test_pinned_reader_survives_delete_and_vacuum(self, db):
         rid = db.table("account").lookup("account_id", 4)[0]
@@ -342,12 +394,18 @@ class TestPinnedCacheReads:
 
 
 class TestConcurrentStress:
-    """Writers commit transfers while readers verify the invariant."""
+    """Writers commit transfers while readers verify the invariant.
+
+    Writers also relabel accounts (``group_id``, outside the balance
+    invariant) with autocommit updates, and readers record every
+    ``(pinned generation, account, group_id)`` they see: two pins at
+    one generation must never see different values for one row.
+    """
 
     N_ACCOUNTS = 4
     N_WRITERS = 2
     N_READERS = 3
-    WRITER_OPS = 120
+    WRITER_OPS = 100
     READER_OPS = 60
 
     def _writer(self, db, seed, errors):
@@ -399,10 +457,15 @@ class TestConcurrentStress:
                             raise KeyError("injected abort")
                 except KeyError:
                     pass
+                if rng.random() < 0.2:
+                    db.update(
+                        "account", rid,
+                        {"group_id": f"w{seed}-{rng.randrange(1000)}"},
+                    )
         except Exception as exc:  # noqa: BLE001 - surfaced by the test
             errors.append(f"writer-{seed}: {exc!r}")
 
-    def _reader(self, db, seed, errors):
+    def _reader(self, db, seed, errors, seen):
         rng = random.Random(seed)
         conn = db.connect(name=f"reader-{seed}")
         stmt = conn.prepare(
@@ -417,6 +480,11 @@ class TestConcurrentStress:
                     # pin must balance exactly.
                     accounts = db.rows("account")
                     entries = db.rows("ledger")
+                    generation = db.snapshot_version()
+                    seen.extend(
+                        (generation, row["account_id"], row["group_id"])
+                        for row in accounts
+                    )
                     sums: dict[int, int] = {}
                     for entry in entries:
                         sums[entry["account_id"]] = (
@@ -453,13 +521,14 @@ class TestConcurrentStress:
 
     def test_randomised_snapshot_isolation(self, db):
         errors: list[str] = []
+        seen: list[tuple[int, int, str]] = []
         writers = [
             threading.Thread(target=self._writer, args=(db, i + 1, errors))
             for i in range(self.N_WRITERS)
         ]
         readers = [
             threading.Thread(
-                target=self._reader, args=(db, 100 + i, errors)
+                target=self._reader, args=(db, 100 + i, errors, seen)
             )
             for i in range(self.N_READERS)
         ]
@@ -468,6 +537,11 @@ class TestConcurrentStress:
         for thread in writers + readers:
             thread.join(timeout=120)
         assert not errors, errors[:5]
+        labels: dict[tuple[int, int], set[str]] = {}
+        for generation, account_id, group_id in seen:
+            labels.setdefault((generation, account_id), set()).add(group_id)
+        torn = {key: found for key, found in labels.items() if len(found) > 1}
+        assert not torn, sorted(torn.items())[:5]
         # Quiesced: the final state must balance too, and every dead
         # version must have been reclaimed once the last pin drained.
         with db.read_locked():

@@ -30,7 +30,7 @@ def customers():
         ],
         primary_key="customer_id",
     )
-    return Table(schema)
+    return Database(DatabaseSchema([schema])).table("customer")
 
 
 class TestInsert:

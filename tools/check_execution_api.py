@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Lint: the tables' MVCC version stamps and hash indexes stay private
-to the storage layer, and transactions have one scope.
+to the storage layer, transactions have one scope, and every table is a
+database's table.
 
 Only ``repro/db/table.py`` may touch a table's per-slot version stamps
-(``_created``, ``_deleted``, ``_max_stamp``), its write generation
+(``_created``, ``_deleted``), its write generation
 (``_write_generation``, which the shared caches trust to cover every
 write), its rewrite generation (``_rewrite_generation``, which the value
 cache trusts to cover every write that gives an existing row id new
@@ -19,6 +20,11 @@ Only ``repro/db/database.py`` and ``repro/db/transactions.py`` may call
 ``.begin()``, ``.commit()`` or ``.rollback()``: every other writer
 opens ``Database.transaction()``, the one scope that commits on normal
 exit and rolls back on any exception, interrupts included.
+
+Only ``repro/db/database.py`` may construct a ``Table(``: a table shares
+its database's generation clock, snapshot pins and commit points, so a
+table built anywhere else would have none.  ``repro/db/table.py`` is
+exempt because ``Table.__repr__`` writes ``Table(``.
 
 Run from the repository root (CI does)::
 
@@ -42,13 +48,13 @@ STORAGE_RULE = (
         # ``_created``-style attribute is its own state, not a reach
         # into a table's banks.
         re.compile(
-            r"(?<!self)\.(_created|_deleted|_max_stamp|_write_generation"
+            r"(?<!self)\.(_created|_deleted|_write_generation"
             r"|_rewrite_generation)\b"
         ),
         # Index internals are flagged on any receiver.
         re.compile(r"\.(_indexes|_buckets)\b"),
     ),
-    "table version stamps (_created/_deleted/_max_stamp/"
+    "table version stamps (_created/_deleted/"
     "_write_generation/_rewrite_generation) or index internals "
     "(_indexes/_buckets) touched outside repro/db/table.py (use "
     "the public Table surface — scan_slots, column_values, "
@@ -62,6 +68,13 @@ TRANSACTION_RULE = (
     "transactions begun, committed or rolled back outside "
     "repro/db/database.py and repro/db/transactions.py (open "
     "Database.transaction() instead):",
+)
+
+TABLE_RULE = (
+    {"db/database.py", "db/table.py"},
+    (re.compile(r"\bTable\("),),
+    "tables constructed outside repro/db/database.py (build a "
+    "Database and read its tables with database.table(name)):",
 )
 
 
@@ -84,7 +97,9 @@ def _violations(allowed: set[str], patterns) -> list[str]:
 
 def main() -> int:
     failed = False
-    for allowed, patterns, message in (STORAGE_RULE, TRANSACTION_RULE):
+    for allowed, patterns, message in (
+        STORAGE_RULE, TRANSACTION_RULE, TABLE_RULE
+    ):
         violations = _violations(allowed, patterns)
         if violations:
             failed = True
